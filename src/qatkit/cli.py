@@ -243,8 +243,10 @@ def cmd_toy_pareto(opts: dict) -> int:
     lambdas = opts["lambdas"]
     if any(lam < 0 for lam in lambdas):
         raise ConfigError("lambda values must be non-negative")
-    out = _prepare_out(opts, "toy-pareto")
     steps = opts["steps"][0]
+    if steps < 1:
+        raise ConfigError(f"toy-pareto needs steps >= 1, got {steps}")
+    out = _prepare_out(opts, "toy-pareto")
     results = []
     for lam in lambdas:
         res = run_toy_pareto(lam, lr=opts["alpha"], steps=steps, x0=opts["x0"])
@@ -279,9 +281,14 @@ def cmd_quadratic(opts: dict) -> int:
     unknown = [o for o in optimizers if o not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"unknown optimizer(s): {', '.join(unknown)} (choose from {', '.join(OPTIMIZERS)})")
+    # the first seed's trajectory is projected onto two principal components
+    if opts["dim"] < 2:
+        raise ConfigError(f"quadratic needs dim >= 2 for the trajectory PCA, got {opts['dim']}")
+    steps = opts["steps"][0]
+    if steps < 2:
+        raise ConfigError(f"quadratic needs steps >= 2 for the trajectory PCA, got {steps}")
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "quadratic")
-    steps = opts["steps"][0]
     clip = opts["grad_clip"] if opts["grad_clip"] > 0 else None
     cells = []
     for kappa in opts["kappas"]:
@@ -334,6 +341,8 @@ def cmd_quadratic(opts: dict) -> int:
 
 def cmd_convergence(opts: dict) -> int:
     horizons = sorted(opts["steps"])
+    if not horizons or horizons[0] < 1:
+        raise ConfigError(f"horizons must be positive, got {horizons}")
     if len(horizons) >= 2 and max(horizons) / min(horizons) < 100.0:
         raise ConfigError("horizon list must span at least two decades")
     spec = parse_quant(opts["quant"])

@@ -185,7 +185,7 @@ def run_quadratic(
         if spec is not None:
             qres = quantize(spec, x)
             loss, g_at_q = obj.value_and_grad(qres.quantized)
-            g = ste_backward(policy, g_at_q, x)
+            g = ste_backward(policy, g_at_q, qres)
             e = qres.error
         else:
             loss, g = obj.value_and_grad(x)

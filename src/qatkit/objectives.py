@@ -101,15 +101,16 @@ def rosenbrock(dim: int) -> Objective:
 def quantized_objective(base: Objective, spec: QuantSpec, policy: StePolicy) -> Objective:
     """QAT view of ``base``: loss at Q(x), gradient transported by ``policy``.
 
-    loss(x) = base.loss(Q(x)); grad(x) = ste_backward(policy, base.grad(Q(x)), x).
+    loss(x) = base.loss(Q(x)); grad(x) = ste_backward(policy, base.grad(Q(x)), fwd),
+    where ``fwd`` is the forward pass's ``QuantResult``.
     """
     if spec.row_length is not None and base.dim % spec.row_length:
         raise ValueError(f"row_length {spec.row_length} does not partition dim {base.dim}")
 
     def eval_fn(x):
-        xq = quantize(spec, x).quantized
-        loss, g = base.value_and_grad(xq)
-        return loss, ste_backward(policy, g, x)
+        fwd = quantize(spec, x)
+        loss, g = base.value_and_grad(fwd.quantized)
+        return loss, ste_backward(policy, g, fwd)
 
     return Objective(dim=base.dim, eval_fn=eval_fn, x_star=base.x_star, f_star=base.f_star)
 

@@ -3,19 +3,19 @@
 Two policies: the identity straight-through estimator, which passes the
 upstream gradient unchanged, and the trust-masked estimator, which zeroes the
 transform-domain channels that the integer quantizer clipped on the forward
-pass.  The mask is the not-clipped indicator |z_i| <= clip_factor * sigma,
-computed from the same forward statistics as the quantizer (same sigma, same
-scale) so there is no recomputation drift.
+pass.  ``ste_backward(policy, grad, fwd)`` takes that forward pass's
+``QuantResult`` and reuses its keep-mask ``fwd.keep`` (|z_i| <= clip_factor *
+sigma, from the quantizer's own transform and sigma), so the backward pass
+neither recomputes H x and sigma nor can drift from the forward statistics.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import INT_SCHEMES, QuantSpec
+from .quantize import INT_SCHEMES, QuantResult, QuantSpec
 from .transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 __all__ = ["StePolicy", "identity_policy", "trust_masked_policy", "ste_backward"]
@@ -42,43 +42,24 @@ def trust_masked_policy(spec: QuantSpec) -> StePolicy:
     return StePolicy(kind="trust-masked", spec=spec)
 
 
-def _masked_row(spec: QuantSpec, grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if spec.scheme == "int-hadamard":
-        plan = hadamard_plan(x.shape[0])
-        z = hadamard_forward(plan, x)
-    else:
-        plan = None
-        z = x
-    sigma = math.sqrt(float(np.mean(z * z)))
-    mask = np.abs(z) <= spec.clip_factor * sigma
-    if plan is None:
-        return mask * grad
-    gz = hadamard_forward(plan, grad)
-    return hadamard_inverse(plan, mask * gz)
-
-
-def ste_backward(policy: StePolicy, upstream_grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Transport the upstream gradient through the quantizer.
+def ste_backward(policy: StePolicy, upstream_grad: np.ndarray, fwd: QuantResult) -> np.ndarray:
+    """Transport the upstream gradient through the quantizer's forward pass ``fwd``.
 
     identity: returns ``upstream_grad`` unchanged.
-    trust-masked: H^T (m * (H upstream_grad)) with m_i = 1 iff the forward
-    pass of ``x`` did not clip transform channel i (int-plain skips the
+    trust-masked: H^T (keep * (H upstream_grad)), row by row over the rows of
+    ``fwd``, with ``keep`` the forward keep-mask (int-plain skips the
     transform).
     """
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if policy.kind == "identity":
         return upstream_grad
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != upstream_grad.shape:
-        raise ValueError(f"shape mismatch: grad {upstream_grad.shape} vs x {x.shape}")
-    spec = policy.spec
-    rl = spec.row_length
-    if rl is None or rl == x.shape[0]:
-        return _masked_row(spec, upstream_grad, x)
-    if x.shape[0] % rl:
-        raise ValueError(f"input dim {x.shape[0]} is not a multiple of row_length {rl}")
-    rows = [
-        _masked_row(spec, g_row, x_row)
-        for g_row, x_row in zip(upstream_grad.reshape(-1, rl), x.reshape(-1, rl))
-    ]
-    return np.concatenate(rows)
+    if fwd.keep is None:
+        raise ValueError("trust-masked STE needs the forward pass of an int scheme")
+    if fwd.quantized.shape != upstream_grad.shape:
+        raise ValueError(f"shape mismatch: grad {upstream_grad.shape} vs forward {fwd.quantized.shape}")
+    g = upstream_grad.reshape(np.size(fwd.scale), -1)  # one scale per forward row
+    keep = fwd.keep.reshape(g.shape[0], -1)
+    if policy.spec.scheme == "int-plain":
+        return (keep * g).reshape(-1)
+    plan = hadamard_plan(g.shape[1])
+    return hadamard_inverse(plan, keep * hadamard_forward(plan, g)).reshape(-1)

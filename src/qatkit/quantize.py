@@ -9,9 +9,10 @@ mxfp4        : 4-bit E2M1 elements with a shared power-of-two scale per
                32-element block
 floor-toy    : elementwise floor onto a fixed grid (default cell 1.0)
 
-Every scheme returns a ``QuantResult`` whose ``quantized + error`` equals the
-input bitwise; the error is always computed as ``x - quantized`` in the
-original domain.
+Every scheme returns a ``QuantResult`` whose error is computed as
+``x - quantized`` in the original domain, so ``quantized + error`` equals the
+input bitwise wherever that difference is representable.  Every scheme raises
+``FloatingPointError`` on an input with a NaN or inf entry.
 """
 
 from __future__ import annotations
@@ -100,13 +101,16 @@ class QuantResult:
     """Quantized values, the exact residual, and per-row diagnostics.
 
     ``scale`` is a scalar for a single integer row, an array of per-row values
-    for chunked input, and an array of per-block values for mxfp4.
+    for chunked input, and an array of per-block values for mxfp4.  ``keep``
+    (int schemes only, else None) is aligned with ``codes`` and True where the
+    transform-domain value was not clipped: |z_i| <= clip_factor * sigma.
     """
 
     quantized: np.ndarray
     error: np.ndarray
     codes: np.ndarray
     scale: float | np.ndarray
+    keep: np.ndarray | None = None
 
 
 def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec:
@@ -114,25 +118,37 @@ def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec
     return QuantSpec(scheme=scheme, bits=bits, clip_factor=default_clip_factor(bits), row_length=row_length)
 
 
-def _quantize_int_single(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    if spec.scheme == "int-hadamard":
-        plan = hadamard_plan(x.shape[0])
-        z = hadamard_forward(plan, x)
-    else:
-        plan = None
-        z = x
-    sigma = math.sqrt(float(np.mean(z * z)))
-    if sigma == 0.0:
-        scale = SIGMA_FLOOR
-    else:
-        scale = spec.clip_factor * sigma / spec.q_max
-    codes = np.clip(np.rint(z / scale), spec.q_min, spec.q_max)
+def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
+    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (row sigma,
+    block amax, floor codes) and so its sum are non-finite whenever ``x`` is,
+    so ``x`` is scanned only when that sum is off (or merely overflowed)."""
+    if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
+        raise FloatingPointError("quantizer input has a NaN or inf entry")
+
+
+def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResult:
+    """Single pass over ``x`` viewed as (rows, row_length): one transform, one
+    sigma per row, and from them the codes, the reconstruction and the
+    keep-mask."""
+    rows = x.reshape(-1, row_length)
+    plan = hadamard_plan(row_length) if spec.scheme == "int-hadamard" else None
+    z = rows if plan is None else hadamard_forward(plan, rows)
+    sigma = np.sqrt(np.mean(z * z, axis=-1, keepdims=True))
+    _reject_nonfinite(sigma, x)
+    bound = spec.clip_factor * sigma
+    scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
+    # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost
+    codes = np.minimum(np.maximum(np.rint(z / scale), spec.q_min), spec.q_max)
     z_hat = scale * codes
-    if plan is not None:
-        quantized = hadamard_inverse(plan, z_hat)
-    else:
-        quantized = z_hat
-    return QuantResult(quantized=quantized, error=x - quantized, codes=codes.astype(np.int64), scale=scale)
+    quantized = (z_hat if plan is None else hadamard_inverse(plan, z_hat)).reshape(-1)
+    return QuantResult(
+        quantized=quantized,
+        error=x - quantized,
+        codes=codes.astype(np.int64).reshape(-1),
+        scale=scale.item() if scale.size == 1 else scale.reshape(-1),
+        # a row whose sigma underflowed to 0 has all codes 0: nothing clipped
+        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(-1),
+    )
 
 
 def quantize_int_row(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -148,7 +164,7 @@ def quantize_int_row(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     x = np.asarray(x, dtype=np.float64)
     if spec.row_length is not None and x.shape[0] != spec.row_length:
         raise ValueError(f"expected row of length {spec.row_length}, got {x.shape[0]}")
-    return _quantize_int_single(spec, x)
+    return _quantize_int(spec, x, x.shape[0])
 
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:
@@ -160,16 +176,6 @@ def _e2m1_round(u: np.ndarray) -> np.ndarray:
     tie = (d[np.arange(u.size), idx] == d[np.arange(u.size), upper]) & (upper != idx)
     bump = tie & ~_E2M1_EVEN[idx]
     return np.where(bump, upper, idx)
-
-
-def _block_scale(amax: float) -> float:
-    """Smallest power of two s with amax <= 6 s, i.e. 2**ceil(log2(amax / 6))."""
-    if amax == 0.0:
-        return 1.0
-    m, e = math.frexp(amax / _E2M1_MAX)
-    if m == 0.5:
-        e -= 1
-    return math.ldexp(1.0, e)
 
 
 def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -190,8 +196,13 @@ def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     padded[:n] = x
     blocks = padded.reshape(n_blocks, bs)
 
-    scales = np.array([_block_scale(float(np.max(np.abs(b)))) for b in blocks])
-    u = np.abs(blocks) / scales[:, None]
+    absb = np.abs(blocks)
+    amax = absb.max(axis=1)
+    _reject_nonfinite(amax, x)
+    # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
+    m, e = np.frexp(amax / _E2M1_MAX)
+    scales = np.ldexp(1.0, np.where(m == 0.5, e - 1, e))
+    u = absb / scales[:, None]
     idx = _e2m1_round(u.reshape(-1)).reshape(n_blocks, bs)
     mags = _E2M1_GRID[idx] * scales[:, None]
     quantized = np.copysign(mags, blocks).reshape(-1)[:n]
@@ -206,14 +217,16 @@ def quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
         raise ValueError(f"quantize_floor needs scheme 'floor-toy', got {spec.scheme!r}")
     x = np.asarray(x, dtype=np.float64)
     codes = np.floor(x / spec.grid)
+    _reject_nonfinite(codes, x)
     quantized = codes * spec.grid
     # diagnostic codes saturate instead of overflowing the int cast
-    safe = np.clip(codes, -(2.0**62), 2.0**62)
+    safe = np.minimum(np.maximum(codes, -(2.0**62)), 2.0**62)
     return QuantResult(quantized=quantized, error=x - quantized, codes=safe.astype(np.int64), scale=spec.grid)
 
 
 def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Quantize a vector under ``spec``, chunking into rows when configured."""
+    """Quantize a vector under ``spec``; int schemes treat it as rows of
+    ``spec.row_length`` (one row when unset) and quantize all rows at once."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
@@ -221,18 +234,12 @@ def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
         return quantize_floor(spec, x)
     if spec.scheme == "mxfp4":
         return quantize_mxfp4(spec, x)
-    rl = spec.row_length
-    if rl is None or rl == x.shape[0]:
-        return _quantize_int_single(spec, x)
+    if x.shape[0] == 0:
+        raise ValueError("cannot quantize an empty vector with an int scheme")
+    rl = spec.row_length or x.shape[0]
     if x.shape[0] % rl:
         raise ValueError(f"input dim {x.shape[0]} is not a multiple of row_length {rl}")
-    parts = [_quantize_int_single(spec, row) for row in x.reshape(-1, rl)]
-    return QuantResult(
-        quantized=np.concatenate([p.quantized for p in parts]),
-        error=np.concatenate([p.error for p in parts]),
-        codes=np.concatenate([p.codes for p in parts]),
-        scale=np.array([p.scale for p in parts]),
-    )
+    return _quantize_int(spec, x, rl)
 
 
 def quant_error(spec: QuantSpec, x: np.ndarray) -> np.ndarray:
@@ -298,13 +305,15 @@ _PACKAGED_TABLE = Path(__file__).parent / "data" / "clip_factors.tsv"
 
 
 def default_clip_factor(bits: int) -> float:
-    """Calibrated clip factor, served from the packaged table when available."""
+    """Calibrated clip factor from the packaged table; a missing table (or
+    bit-width) is calibrated on demand, an unreadable one raises ValueError."""
     if bits not in _CLIP_CACHE:
         if _PACKAGED_TABLE.exists():
             try:
-                _CLIP_CACHE.update({b: k for b, (k, _) in read_clip_table(_PACKAGED_TABLE).items()})
-            except (OSError, ValueError):
-                pass
+                table = read_clip_table(_PACKAGED_TABLE)
+            except (OSError, ValueError) as err:
+                raise ValueError(f"corrupt clip-factor table {_PACKAGED_TABLE}: {err}") from err
+            _CLIP_CACHE.update({b: k for b, (k, _) in table.items()})
         if bits not in _CLIP_CACHE:
             _CLIP_CACHE[bits] = calibrate_clip(bits)
     return _CLIP_CACHE[bits]

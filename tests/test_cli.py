@@ -312,3 +312,22 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "lambda=2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadratic", "--dim", "1", "--steps", "20"],
+        ["quadratic", "--dim", "8", "--steps", "1"],
+        ["toy-pareto", "--steps", "0"],
+        ["convergence", "--steps", "0,100,1000"],
+        ["convergence", "--steps=-5,100,1000"],
+        ["convergence", "--steps", "0"],
+    ],
+    ids=["quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero"],
+)
+def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert not (out / "config.json").exists()
+    assert "error:" in capsys.readouterr().err

@@ -141,7 +141,7 @@ class TestQuantizedObjective:
         from qatkit.qat_grad import ste_backward
 
         xq = quantize(spec, x).quantized
-        expected = ste_backward(trust_masked_policy(spec), base.grad(xq), x)
+        expected = ste_backward(trust_masked_policy(spec), base.grad(xq), quantize(spec, x))
         assert np.array_equal(qobj.grad(x), expected)
 
     def test_row_partition_validated(self):

@@ -13,7 +13,7 @@ from qatkit.transform import hadamard_inverse, hadamard_plan
 def test_identity_passes_through():
     rng = make_rng(0)
     g = rng.standard_normal(16)
-    out = ste_backward(identity_policy(), g, rng.standard_normal(16))
+    out = ste_backward(identity_policy(), g, quantize(QuantSpec(scheme="floor-toy"), rng.standard_normal(16)))
     assert np.array_equal(out, g)
 
 
@@ -24,6 +24,16 @@ def test_trust_mask_requires_int_scheme():
         StePolicy(kind="trust-masked")
 
 
+def test_trust_mask_needs_matching_int_forward():
+    spec = int_spec("int-hadamard", 4)
+    policy = trust_masked_policy(spec)
+    x = make_rng(6).standard_normal(8)
+    with pytest.raises(ValueError):
+        ste_backward(policy, np.ones(8), quantize(QuantSpec(scheme="floor-toy"), x))
+    with pytest.raises(ValueError):
+        ste_backward(policy, np.ones(4), quantize(spec, x))
+
+
 def test_no_clipping_is_identity():
     # craft x from a flat transform spectrum: |z_i| = sigma < k_b * sigma
     spec = int_spec("int-hadamard", 4)
@@ -32,7 +42,7 @@ def test_no_clipping_is_identity():
     x = hadamard_inverse(plan, z)
     rng = make_rng(1)
     g = rng.standard_normal(16)
-    out = ste_backward(trust_masked_policy(spec), g, x)
+    out = ste_backward(trust_masked_policy(spec), g, quantize(spec, x))
     assert np.abs(out - g).max() <= 1e-10
     # precondition: forward pass really has no clipped channels
     res = quantize(spec, x)
@@ -54,14 +64,14 @@ def test_clipped_channel_zeroed_by_basis_probe():
 
     policy = trust_masked_policy(spec)
     probe = hadamard_inverse(plan, zj)  # upstream grad living on channel j
-    out = ste_backward(policy, probe, x)
+    out = ste_backward(policy, probe, quantize(spec, x))
     assert np.abs(out).max() <= 1e-12
 
     # a complementary channel passes through untouched
     zk = np.zeros(d)
     zk[11] = 1.0
     probe_k = hadamard_inverse(plan, zk)
-    out_k = ste_backward(policy, probe_k, x)
+    out_k = ste_backward(policy, probe_k, quantize(spec, x))
     assert np.abs(out_k - probe_k).max() <= 1e-10
 
 
@@ -72,7 +82,7 @@ def test_int_plain_mask_is_elementwise():
     clipped = (res.codes == spec.q_min) | (res.codes == spec.q_max)
     assert clipped[0] and not clipped[1:].any()
     g = make_rng(2).standard_normal(8)
-    out = ste_backward(trust_masked_policy(spec), g, x)
+    out = ste_backward(trust_masked_policy(spec), g, res)
     assert out[0] == 0.0
     assert np.array_equal(out[1:], g[1:])
 
@@ -86,8 +96,9 @@ def test_linearity_property():
         g1 = rng.standard_normal(32)
         g2 = rng.standard_normal(32)
         a, b = rng.standard_normal(2)
-        lhs = ste_backward(policy, a * g1 + b * g2, x)
-        rhs = a * ste_backward(policy, g1, x) + b * ste_backward(policy, g2, x)
+        fwd = quantize(spec, x)
+        lhs = ste_backward(policy, a * g1 + b * g2, fwd)
+        rhs = a * ste_backward(policy, g1, fwd) + b * ste_backward(policy, g2, fwd)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -99,7 +110,7 @@ def test_norm_nonexpansive_property():
         for _ in range(100):
             x = rng.standard_normal(24) * 10 ** rng.uniform(-1, 1)
             g = rng.standard_normal(24)
-            out = ste_backward(policy, g, x)
+            out = ste_backward(policy, g, quantize(spec, x))
             assert np.linalg.norm(out) <= np.linalg.norm(g) + 1e-12
 
 
@@ -109,11 +120,11 @@ def test_chunked_rows():
     rng = make_rng(5)
     x = rng.standard_normal(16)
     g = rng.standard_normal(16)
-    out = ste_backward(policy, g, x)
+    out = ste_backward(policy, g, quantize(spec, x))
     row_spec = int_spec("int-hadamard", 4, row_length=8)
     parts = [
-        ste_backward(trust_masked_policy(row_spec), g[:8], x[:8]),
-        ste_backward(trust_masked_policy(row_spec), g[8:], x[8:]),
+        ste_backward(trust_masked_policy(row_spec), g[:8], quantize(row_spec, x[:8])),
+        ste_backward(trust_masked_policy(row_spec), g[8:], quantize(row_spec, x[8:])),
     ]
     assert np.array_equal(out, np.concatenate(parts))
 
@@ -131,7 +142,7 @@ def test_identity_ste_sgd_matches_error_feedback():
         ef = EfState(w=quantize(spec, x).quantized, e=quantize(spec, x).error)
         for _ in range(20):
             xq = quantize(spec, x).quantized
-            g_ste = ste_backward(identity_policy(), obj.grad(xq), x)
+            g_ste = ste_backward(identity_policy(), obj.grad(xq), quantize(spec, x))
             g_noisy = g_ste + 0.05 * rng_a.standard_normal(1)
             x = cage_sgd_step(x, g_noisy, np.zeros(1), lr, 0.0)
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from qatkit.quantize import (
     read_clip_table,
     write_clip_table,
 )
+
+# the module, not the ``quantize`` function the package re-exports under its name
+qz = importlib.import_module("qatkit.quantize")
 
 ALL_SPECS = [
     QuantSpec(scheme="floor-toy"),
@@ -83,6 +88,12 @@ class TestIntRow:
         spec = int_spec("int-plain", 4, row_length=4)
         with pytest.raises(ValueError):
             quantize_int_row(spec, np.ones(6))
+
+    def test_unpartitioned_and_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            quantize(int_spec("int-plain", 4, row_length=4), np.ones(6))
+        with pytest.raises(ValueError):
+            quantize(int_spec("int-plain", 4), np.zeros(0))
 
     def test_chunked_rows_match_per_row(self):
         spec = int_spec("int-hadamard", 4, row_length=8)
@@ -292,7 +303,55 @@ class TestDecompositionInvariants:
             assert resid[unclipped].max() <= res.scale / 2 + 1e-15
 
 
+class TestNonFinite:
+    # one policy for every scheme: a NaN or inf entry raises FloatingPointError
+    BAD = (np.array([1.0, np.nan, 2.0, 0.5]), np.array([1.0, 0.5, 2.0, np.inf]), np.array([-np.inf, 0.0, 1.0, 2.0]))
+
+    def _check(self, spec):
+        for x in self.BAD:
+            with pytest.raises(FloatingPointError):
+                quantize(spec, x)
+
+    def test_int_hadamard(self):
+        self._check(int_spec("int-hadamard", 4))
+        self._check(int_spec("int-hadamard", 4, row_length=2))
+
+    def test_int_plain(self):
+        self._check(int_spec("int-plain", 4))
+        self._check(int_spec("int-plain", 4, row_length=2))
+
+    def test_mxfp4(self):
+        self._check(QuantSpec(scheme="mxfp4"))
+        self._check(QuantSpec(scheme="mxfp4", block_size=2))
+
+    def test_floor_toy(self):
+        self._check(QuantSpec(scheme="floor-toy"))
+        self._check(QuantSpec(scheme="floor-toy", grid=0.25))
+
+    def test_finite_overflow_is_not_rejected(self):
+        # |x| near the float max overflows the row and block statistics, but
+        # the input itself is finite
+        x = np.array([1e300, -1e300, 1.0, 0.0])
+        for spec in (int_spec("int-plain", 4), QuantSpec(scheme="floor-toy", grid=1e-10)):
+            with np.errstate(all="ignore"):
+                quantize(spec, x)
+
+
 class TestClipTable:
+    def test_corrupt_packaged_table_raises(self, tmp_path, monkeypatch):
+        bad = tmp_path / "clip_factors.tsv"
+        bad.write_text("# clip-factors v1\nbits\tk\tmse\n4\tnot-a-number\t0.01\n")
+        monkeypatch.setattr(qz, "_PACKAGED_TABLE", bad)
+        monkeypatch.setattr(qz, "_CLIP_CACHE", {})
+        with pytest.raises(ValueError, match="clip_factors.tsv"):
+            qz.default_clip_factor(4)
+
+    def test_missing_packaged_table_calibrates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qz, "_PACKAGED_TABLE", tmp_path / "absent.tsv")
+        monkeypatch.setattr(qz, "_CLIP_CACHE", {})
+        monkeypatch.setattr(qz, "calibrate_clip", lambda bits: 1.0 + bits)
+        assert qz.default_clip_factor(4) == 5.0
+
     def test_roundtrip(self, tmp_path):
         rows = [(2, 1.0482, 0.1494), (3, 1.8054, 0.0406)]
         path = tmp_path / "clip.tsv"
