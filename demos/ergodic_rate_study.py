@@ -27,11 +27,8 @@ horizons = [100, 1000, 10_000]
 print(f"objective: rosenbrock-10, grid 0.25, lam=1, noise 0.1, L-hat {lhat:.0f}")
 means = []
 for T in horizons:
-    vals = [
-        run_convergence_run(obj, spec, lam=1.0, noise_std=0.1, horizon=T,
-                            seed=seed, lipschitz=lhat, x0_std=0.25).ergodic_mean
-        for seed in range(3)
-    ]
+    vals = run_convergence_run(obj, spec, lam=1.0, noise_std=0.1, horizon=T,
+                               seeds=range(3), lipschitz=lhat, x0_std=0.25).ergodic_means
     means.append(float(np.mean(vals)))
     print(f"  T={T:>6}  alpha={min(1/lhat, 1/np.sqrt(T)):.2e}  ergodic mean ||balance grad||^2 = {means[-1]:10.3f}")
 

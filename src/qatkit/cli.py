@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from pathlib import Path
@@ -218,6 +217,16 @@ def _write_summary(out: Path, payload: dict) -> None:
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_quadratic_problem(dim: int, kappas: list[float]) -> None:
+    """The settings ``make_spd`` needs: dim >= 1, every kappa >= 1, and
+    kappa 1 for a 1x1 matrix."""
+    if dim < 1:
+        raise ConfigError(f"quadratic problems need dim >= 1, got {dim}")
+    bad = [k for k in kappas if not k >= 1.0 or (dim == 1 and k != 1.0)]
+    if bad:
+        raise ConfigError(f"condition numbers must be >= 1 (exactly 1 at dim 1), got {bad}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -287,6 +296,7 @@ def cmd_quadratic(opts: dict) -> int:
     steps = opts["steps"][0]
     if steps < 2:
         raise ConfigError(f"quadratic needs steps >= 2 for the trajectory PCA, got {steps}")
+    _check_quadratic_problem(opts["dim"], opts["kappas"])
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "quadratic")
     clip = opts["grad_clip"] if opts["grad_clip"] > 0 else None
@@ -340,44 +350,42 @@ def cmd_quadratic(opts: dict) -> int:
 
 
 def cmd_convergence(opts: dict) -> int:
+    seeds = opts["seed"]
+    if not seeds:
+        raise ConfigError("need at least one seed")
     horizons = sorted(opts["steps"])
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be positive, got {horizons}")
     if len(horizons) >= 2 and max(horizons) / min(horizons) < 100.0:
         raise ConfigError("horizon list must span at least two decades")
+    if opts["objective"] not in ("rosenbrock", "quadratic"):
+        raise ConfigError(f"unknown rate objective {opts['objective']!r} (rosenbrock | quadratic)")
+    if opts["objective"] == "rosenbrock" and opts["dim"] < 2:
+        raise ConfigError(f"rosenbrock needs dim >= 2, got {opts['dim']}")
+    if opts["objective"] == "quadratic":
+        _check_quadratic_problem(opts["dim"], [opts["kappa"]])
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "convergence")
     obj, lhat = make_rate_objective(
-        opts["objective"], opts["dim"], kappa=opts["kappa"], seed=opts["seed"][0],
+        opts["objective"], opts["dim"], kappa=opts["kappa"], seed=seeds[0],
         lipschitz=opts["lipschitz"],
     )
     per_horizon = []
     for T in horizons:
-        means = []
-        for i, seed in enumerate(opts["seed"]):
-            run = run_convergence_run(
-                obj,
-                spec,
-                opts["lam"],
-                opts["noise_std"],
-                T,
-                seed,
-                lhat,
-                x0_std=opts["x0_std"],
-                keep_trace=(i == 0),
-            )
-            means.append(run.ergodic_mean)
-            if run.trace is not None:
-                write_trace_csv(out / f"trace_T{T}_seed{seed}.csv", run.trace)
+        run = run_convergence_run(
+            obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
+            x0_std=opts["x0_std"], keep_trace=True,
+        )
+        write_trace_csv(out / f"trace_T{T}_seed{seeds[0]}.csv", run.trace)
         per_horizon.append(
             {
                 "T": T,
-                "alpha": min(1.0 / lhat, 1.0 / math.sqrt(T)),
-                "ergodic_means": means,
-                "seed_mean": statistics.fmean(means),
+                "alpha": run.alpha,
+                "ergodic_means": run.ergodic_means,
+                "seed_mean": statistics.fmean(run.ergodic_means),
             }
         )
-        print(f"T={T} alpha={per_horizon[-1]['alpha']!r} ergodic_mean={per_horizon[-1]['seed_mean']!r}")
+        print(f"T={T} alpha={run.alpha!r} ergodic_mean={per_horizon[-1]['seed_mean']!r}")
     payload: dict = {"lipschitz": lhat, "per_horizon": per_horizon}
     if len(horizons) >= 2:
         slope, intercept, r2 = loglog_fit(

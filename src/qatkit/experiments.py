@@ -7,7 +7,8 @@ Three lanes:
 * condition-number-swept quadratics with a 4-bit quantized forward pass,
   comparing plain and corrected optimizers on the final optimality gap;
 * the ergodic-rate study, which runs corrected SGD over a grid of horizons
-  and fits the log-log decay of the mean squared balance gradient.
+  and fits the log-log decay of the mean squared balance gradient; the
+  seeds of one horizon run as a batch, one ``(S, d)`` state.
 
 Every run owns its generators (seeded by integer tuples), so replicates are
 reproducible and independent of scheduling.
@@ -16,6 +17,7 @@ reproducible and independent of scheduling.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,10 @@ OPTIMIZERS = ("sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl")
 _STREAM_PROBLEM = 11
 _STREAM_INIT = 12
 _STREAM_NOISE = 13
+# steps of gradient noise each seed's generator draws at once in the rate
+# lane; a (k, d) draw equals k successive d-draws, so the block size does not
+# change the stream
+_NOISE_BLOCK = 128
 
 
 class NumericalFailure(RuntimeError):
@@ -76,8 +82,10 @@ def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") 
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _check_finite(x: np.ndarray, loss: float, where: str) -> None:
-    if not np.isfinite(loss) or not np.all(np.isfinite(x)):
+def _check_finite(x: np.ndarray, loss, where: str) -> None:
+    """NumericalFailure unless the loss (a float, or one per seed) and the
+    iterate are finite."""
+    if not (np.isfinite(loss).all() and np.isfinite(x).all()):
         raise NumericalFailure(f"non-finite value during {where}")
 
 
@@ -230,10 +238,10 @@ def run_quadratic(
 @dataclass(frozen=True)
 class ConvergenceRun:
     horizon: int
-    seed: int
+    seeds: tuple[int, ...]
     alpha: float
-    ergodic_mean: float
-    trace: ParetoMeasure | None
+    ergodic_means: list[float]
+    trace: ParetoMeasure | None  # the first seed's
 
 
 def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
@@ -259,37 +267,53 @@ def run_convergence_run(
     lam: float,
     noise_std: float,
     horizon: int,
-    seed: int,
+    seeds: Sequence[int],
     lipschitz: float,
     x0_std: float = 0.25,
     keep_trace: bool = False,
 ) -> ConvergenceRun:
-    """One corrected-SGD run at fixed horizon with alpha = min(1/L, 1/sqrt(T)).
+    """Corrected SGD at fixed horizon with alpha = min(1/L, 1/sqrt(T)), one
+    run per seed, all seeds stepped together as one ``(S, d)`` state.
 
     The squared balance-gradient norm is recorded at each iterate before the
-    step; the ergodic mean over the horizon is the rate study's observable.
-    The init draw depends only on the seed, so runs at different horizons
-    share their starting point.
+    step; its ergodic mean over the horizon, per seed, is the rate study's
+    observable.  The init draw depends only on the seed, so runs at different
+    horizons share their starting point.  Each seed has its own noise
+    generator, so a seed's run does not depend on which other seeds share
+    the batch.  ``keep_trace`` records the first seed's trace.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
-    x = x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim)
-    noise_rng = make_rng((_STREAM_NOISE, seed, horizon))
+    x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
+    noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
+    noise = np.empty((len(seeds), _NOISE_BLOCK, obj.dim))
     trace = ParetoMeasure(lam=lam) if keep_trace else None
-    pareto_sq = np.empty(horizon)
+    pareto_sq = np.empty((len(seeds), horizon))
     for t in range(horizon):
         loss, g = obj.value_and_grad(x)
         e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
         p = g + lam * e
-        pareto_sq[t] = p @ p
+        pareto_sq[:, t] = np.vecdot(p, p)
         if trace is not None:
-            trace.record(loss, g, e, lam)
-        g_tilde = g if noise_std == 0.0 else g + noise_std * noise_rng.standard_normal(obj.dim)
+            trace.record(loss[0], g[0], e[0], lam)
+        if noise_std == 0.0:
+            g_tilde = g
+        else:
+            i = t % _NOISE_BLOCK
+            if i == 0:
+                k = min(_NOISE_BLOCK, horizon - t)
+                for rng, block in zip(noise_rngs, noise):
+                    rng.standard_normal(out=block[:k])
+            g_tilde = g + noise_std * noise[:, i]
         x = cage_sgd_step(x, g_tilde, e, alpha, lam)
         _check_finite(x, loss, "convergence run")
     return ConvergenceRun(
         horizon=horizon,
-        seed=seed,
+        seeds=seeds,
         alpha=alpha,
-        ergodic_mean=float(pareto_sq.mean()),
+        # rows are contiguous, so each mean sums in the order of a lone run
+        ergodic_means=pareto_sq.mean(axis=1).tolist(),
         trace=trace,
     )

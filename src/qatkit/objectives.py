@@ -27,7 +27,10 @@ class Objective:
     """Scalar objective with an analytic gradient.
 
     ``eval_fn`` maps a point to ``(loss, grad)``.  ``x_star`` / ``f_star`` are
-    the known minimizer and minimum when available.
+    the known minimizer and minimum when available.  The quadratic and
+    Rosenbrock objectives also take a batch ``(S, d)`` and return the ``(S,)``
+    losses and ``(S, d)`` gradients, each row bitwise equal to the call on
+    that row alone; a vector ``(d,)`` gives a float loss.
     """
 
     dim: int
@@ -65,9 +68,12 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     x_star = cho_solve(factor, b)
     f_star = -0.5 * float(b @ x_star)
 
+    # np.matvec / np.vecdot give each row of a batch bitwise the values of
+    # A @ x and x @ y on that row alone; X @ A.T and (X * Y).sum(-1) do not
     def eval_fn(x):
-        Ax = A @ x
-        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+        Ax = np.matvec(A, x)
+        loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(b, x)
+        return (float(loss) if x.ndim == 1 else loss), Ax - b
 
     return Objective(dim=A.shape[0], eval_fn=eval_fn, x_star=x_star, f_star=f_star)
 
@@ -88,12 +94,13 @@ def rosenbrock(dim: int) -> Objective:
         raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
 
     def eval_fn(x):
-        d = x[1:] - x[:-1] ** 2
-        loss = float(np.sum(100.0 * d * d + (1.0 - x[:-1]) ** 2))
+        head = x[..., :-1]
+        d = x[..., 1:] - head**2
+        loss = np.add.reduce(100.0 * d * d + (1.0 - head) ** 2, axis=-1)
         g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * d - 2.0 * (1.0 - x[:-1])
-        g[1:] += 200.0 * d
-        return loss, g
+        g[..., :-1] = -400.0 * head * d - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * d
+        return (float(loss) if x.ndim == 1 else loss), g
 
     return Objective(dim=dim, eval_fn=eval_fn, x_star=np.ones(dim), f_star=0.0)
 

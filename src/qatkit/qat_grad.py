@@ -48,7 +48,8 @@ def ste_backward(policy: StePolicy, upstream_grad: np.ndarray, fwd: QuantResult)
     identity: returns ``upstream_grad`` unchanged.
     trust-masked: H^T (keep * (H upstream_grad)), row by row over the rows of
     ``fwd``, with ``keep`` the forward keep-mask (int-plain skips the
-    transform).
+    transform).  A batched forward pass takes a gradient of the same
+    ``(S, d)`` shape.
     """
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if policy.kind == "identity":
@@ -60,6 +61,6 @@ def ste_backward(policy: StePolicy, upstream_grad: np.ndarray, fwd: QuantResult)
     g = upstream_grad.reshape(np.size(fwd.scale), -1)  # one scale per forward row
     keep = fwd.keep.reshape(g.shape[0], -1)
     if policy.spec.scheme == "int-plain":
-        return (keep * g).reshape(-1)
+        return (keep * g).reshape(upstream_grad.shape)
     plan = hadamard_plan(g.shape[1])
-    return hadamard_inverse(plan, keep * hadamard_forward(plan, g)).reshape(-1)
+    return hadamard_inverse(plan, keep * hadamard_forward(plan, g)).reshape(upstream_grad.shape)

@@ -13,10 +13,14 @@ Every scheme returns a ``QuantResult`` whose error is computed as
 ``x - quantized`` in the original domain, so ``quantized + error`` equals the
 input bitwise wherever that difference is representable.  Every scheme raises
 ``FloatingPointError`` on an input with a NaN or inf entry.
+
+``quantize`` takes one vector ``(d,)`` or a batch ``(S, d)``; each row of a
+batch is quantized exactly as that vector would be on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,10 +53,15 @@ SCHEMES = INT_SCHEMES + ("mxfp4", "floor-toy")
 # degenerate-row scale floor: an all-zero row quantizes to zeros with this scale
 SIGMA_FLOOR = 1e-12
 
-# E2M1 magnitudes and whether the mantissa bit is 0 (used for tie-breaking)
+# E2M1 magnitudes; the mantissa bit is 0 at the even indices
 _E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
-_E2M1_EVEN = np.array([True, False, True, False, True, False, True, False])
 _E2M1_MAX = 6.0
+# rounding boundaries: the midpoints between grid neighbours.  A value on a
+# midpoint goes to the even-mantissa neighbour, index 2j, so the midpoints
+# above the odd indices sit one ulp low and searchsorted(side="left") sends
+# their ties up.
+_E2M1_MID = (_E2M1_GRID[1:] + _E2M1_GRID[:-1]) / 2.0
+_E2M1_BOUNDS = np.where(np.arange(_E2M1_MID.size) % 2 == 1, np.nextafter(_E2M1_MID, 0.0), _E2M1_MID)
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,12 @@ class QuantResult:
     """Quantized values, the exact residual, and per-row diagnostics.
 
     ``scale`` is a scalar for a single integer row, an array of per-row values
-    for chunked input, and an array of per-block values for mxfp4.  ``keep``
-    (int schemes only, else None) is aligned with ``codes`` and True where the
-    transform-domain value was not clipped: |z_i| <= clip_factor * sigma.
+    for chunked input, and an array of per-block values for mxfp4.  A batch
+    ``(S, d)`` gives ``codes``, ``keep`` and the int and mxfp4 ``scale`` a
+    leading axis of length S (a single row's scalar becomes an ``(S,)``
+    array).  ``keep`` (int schemes only, else None) is aligned with ``codes``
+    and True where the transform-domain value was not clipped:
+    |z_i| <= clip_factor * sigma.
     """
 
     quantized: np.ndarray
@@ -127,27 +139,31 @@ def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
 
 
 def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResult:
-    """Single pass over ``x`` viewed as (rows, row_length): one transform, one
-    sigma per row, and from them the codes, the reconstruction and the
-    keep-mask."""
+    """Single pass over ``x`` viewed as (rows, row_length), the rows of every
+    vector of a batch stacked: one transform, one sigma per row, and from
+    them the codes, the reconstruction and the keep-mask."""
     rows = x.reshape(-1, row_length)
     plan = hadamard_plan(row_length) if spec.scheme == "int-hadamard" else None
     z = rows if plan is None else hadamard_forward(plan, rows)
-    sigma = np.sqrt(np.mean(z * z, axis=-1, keepdims=True))
+    # np.add.reduce / n: np.mean's value at half its dispatch cost
+    sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
     _reject_nonfinite(sigma, x)
     bound = spec.clip_factor * sigma
     scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
     # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost
     codes = np.minimum(np.maximum(np.rint(z / scale), spec.q_min), spec.q_max)
     z_hat = scale * codes
-    quantized = (z_hat if plan is None else hadamard_inverse(plan, z_hat)).reshape(-1)
+    quantized = (z_hat if plan is None else hadamard_inverse(plan, z_hat)).reshape(x.shape)
+    lead = x.shape[:-1]
+    per_vector = x.shape[-1] // row_length
+    scale = scale.reshape(lead + ((per_vector,) if per_vector > 1 else ()))
     return QuantResult(
         quantized=quantized,
         error=x - quantized,
-        codes=codes.astype(np.int64).reshape(-1),
-        scale=scale.item() if scale.size == 1 else scale.reshape(-1),
+        codes=codes.astype(np.int64).reshape(lead + (-1,)),
+        scale=scale.item() if scale.ndim == 0 else scale,
         # a row whose sigma underflowed to 0 has all codes 0: nothing clipped
-        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(-1),
+        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(lead + (-1,)),
     )
 
 
@@ -169,13 +185,7 @@ def quantize_int_row(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:
     """Indices into the E2M1 magnitude grid, nearest with ties to even mantissa."""
-    d = np.abs(u[:, None] - _E2M1_GRID[None, :])
-    idx = np.argmin(d, axis=1)
-    n = _E2M1_GRID.size
-    upper = np.minimum(idx + 1, n - 1)
-    tie = (d[np.arange(u.size), idx] == d[np.arange(u.size), upper]) & (upper != idx)
-    bump = tie & ~_E2M1_EVEN[idx]
-    return np.where(bump, upper, idx)
+    return np.searchsorted(_E2M1_BOUNDS, u, side="left")
 
 
 def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -184,17 +194,18 @@ def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     Each block of ``block_size`` shares the power-of-two scale
     2**ceil(log2(max|x| / 6)); elements round to the nearest point of
     scale * {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4, +-6} with ties to the even
-    mantissa.  An all-zero block gets scale 1 and codes 0.
+    mantissa.  An all-zero block gets scale 1 and codes 0.  Each vector of a
+    batch ``(S, d)`` is zero-padded to whole blocks on its own.
     """
     if spec.scheme != "mxfp4":
         raise ValueError(f"quantize_mxfp4 needs scheme 'mxfp4', got {spec.scheme!r}")
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     bs = spec.block_size
     n_blocks = max(1, -(-n // bs))
-    padded = np.zeros(n_blocks * bs)
-    padded[:n] = x
-    blocks = padded.reshape(n_blocks, bs)
+    padded = np.zeros(x.shape[:-1] + (n_blocks * bs,))
+    padded[..., :n] = x
+    blocks = padded.reshape(-1, bs)
 
     absb = np.abs(blocks)
     amax = absb.max(axis=1)
@@ -202,12 +213,11 @@ def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
     m, e = np.frexp(amax / _E2M1_MAX)
     scales = np.ldexp(1.0, np.where(m == 0.5, e - 1, e))
-    u = absb / scales[:, None]
-    idx = _e2m1_round(u.reshape(-1)).reshape(n_blocks, bs)
+    idx = _e2m1_round(absb / scales[:, None])
     mags = _E2M1_GRID[idx] * scales[:, None]
-    quantized = np.copysign(mags, blocks).reshape(-1)[:n]
-    sign_bit = (blocks.reshape(-1)[:n] < 0).astype(np.int64)
-    codes = sign_bit * 8 + idx.reshape(-1)[:n]
+    quantized = np.copysign(mags, blocks).reshape(padded.shape)[..., :n]
+    codes = ((blocks < 0).astype(np.int64) * 8 + idx).reshape(padded.shape)[..., :n]
+    scales = scales.reshape(x.shape[:-1] + (n_blocks,))
     return QuantResult(quantized=quantized, error=x - quantized, codes=codes, scale=scales)
 
 
@@ -225,20 +235,21 @@ def quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 
 def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Quantize a vector under ``spec``; int schemes treat it as rows of
-    ``spec.row_length`` (one row when unset) and quantize all rows at once."""
+    """Quantize a vector ``(d,)``, or each row of a batch ``(S, d)``, under
+    ``spec``; int schemes treat each vector as rows of ``spec.row_length``
+    (one row when unset) and quantize all rows at once."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a batch of vectors, got shape {x.shape}")
     if spec.scheme == "floor-toy":
         return quantize_floor(spec, x)
     if spec.scheme == "mxfp4":
         return quantize_mxfp4(spec, x)
-    if x.shape[0] == 0:
+    if x.shape[-1] == 0:
         raise ValueError("cannot quantize an empty vector with an int scheme")
-    rl = spec.row_length or x.shape[0]
-    if x.shape[0] % rl:
-        raise ValueError(f"input dim {x.shape[0]} is not a multiple of row_length {rl}")
+    rl = spec.row_length or x.shape[-1]
+    if x.shape[-1] % rl:
+        raise ValueError(f"input dim {x.shape[-1]} is not a multiple of row_length {rl}")
     return _quantize_int(spec, x, rl)
 
 
@@ -258,12 +269,25 @@ def _int_grid_dequant(z: np.ndarray, k: float, bits: int) -> np.ndarray:
     return s * np.clip(np.rint(z / s), q_min, q_max)
 
 
-def gaussian_clip_mse(bits: int, k: float, nodes: int = 100001) -> float:
-    """E_{z~N(0,1)}[(z - dequant(quant(z; k)))^2] by trapezoid quadrature."""
+@functools.lru_cache(maxsize=4)
+def _gaussian_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature nodes z on [-12, 12], the standard normal pdf at them and
+    the node spacings; read-only, shared by every evaluation."""
     z = np.linspace(-12.0, 12.0, nodes)
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    dz = np.diff(z)
+    for a in (z, pdf, dz):
+        a.flags.writeable = False
+    return z, pdf, dz
+
+
+def gaussian_clip_mse(bits: int, k: float, nodes: int = 100001) -> float:
+    """E_{z~N(0,1)}[(z - dequant(quant(z; k)))^2] by trapezoid quadrature."""
+    z, pdf, dz = _gaussian_nodes(nodes)
     r = z - _int_grid_dequant(z, k, bits)
-    return float(np.trapezoid(r * r * pdf, z))
+    y = r * r * pdf
+    # np.trapezoid's own expression, with the spacings computed once
+    return float((dz * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def calibrate_clip(bits: int, n_grid: int = 96, quadrature: int = 100001) -> float:

@@ -106,10 +106,7 @@ def test_criterion_4_ergodic_rate():
     horizons = [100, 1000, 10_000, 100_000]
     means = []
     for T in horizons:
-        vals = [
-            run_convergence_run(obj, spec, 1.0, 0.1, T, seed, lhat, x0_std=0.25).ergodic_mean
-            for seed in range(10)
-        ]
+        vals = run_convergence_run(obj, spec, 1.0, 0.1, T, range(10), lhat, x0_std=0.25).ergodic_means
         means.append(float(np.mean(vals)))
     slope, _, r2 = loglog_fit(horizons, means)
     elapsed = time.perf_counter() - start

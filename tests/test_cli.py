@@ -323,8 +323,14 @@ def test_module_entrypoint_smoke(tmp_path):
         ["convergence", "--steps", "0,100,1000"],
         ["convergence", "--steps=-5,100,1000"],
         ["convergence", "--steps", "0"],
+        ["quadratic", "--kappas", "0.5"],
+        ["convergence", "--objective", "quadratic", "--kappa", "0.5"],
+        ["convergence", "--objective", "rosenbrock", "--dim", "1"],
     ],
-    ids=["quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero"],
+    ids=[
+        "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
+        "quadratic-kappa-below-1", "conv-quadratic-kappa-below-1", "conv-rosenbrock-dim1",
+    ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
     out = tmp_path / "run"

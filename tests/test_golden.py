@@ -43,6 +43,11 @@ GOLDEN = {
         "trace_T200_seed0.csv": "2827a1811011de276e268e90ed0d42503332e504d37924403f8f9249444da372",
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
+    "convergence-quadratic-int": {
+        "summary.json": "21aba25511ea51afa3ac8230e175748975a6a101f597bc7d6ae9495be1dc819b",
+        "trace_T500_seed0.csv": "e54bac9ef9467b182e6ba955abf458901bb6a284dcb3cba1131f19081e9dc330",
+        "trace_T5_seed0.csv": "c0628a11edaf4bfcbdbc9372fb9bb4fceccb4cd99cf312f26dc6fac73bcd20e4",
+    },
 }
 
 RUNS = {
@@ -60,6 +65,12 @@ RUNS = {
     "convergence-floor": [
         "convergence", "--objective", "rosenbrock", "--dim", "4", "--quant", "floor-toy:0.25",
         "--steps", "20,200,2000", "--seed", "0,1",
+    ],
+    # the seed-batched rate lane through the int quantizer and the quadratic's
+    # np.matvec / np.vecdot, recorded with the per-seed loop
+    "convergence-quadratic-int": [
+        "convergence", "--objective", "quadratic", "--dim", "8", "--quant", "int-hadamard:4",
+        "--steps", "5,500", "--seed", "0,1,2",
     ],
 }
 

@@ -212,10 +212,7 @@ def test_rate_fit_on_artifact_run():
     horizons = [100, 1000, 10_000, 100_000]
     means = []
     for T in horizons:
-        vals = [
-            run_convergence_run(obj, spec, 1.0, 0.1, T, seed, lhat, x0_std=0.25).ergodic_mean
-            for seed in range(3)
-        ]
+        vals = run_convergence_run(obj, spec, 1.0, 0.1, T, range(3), lhat, x0_std=0.25).ergodic_means
         means.append(float(np.mean(vals)))
     p = rate_fit(horizons, means)
     assert -1.05 <= p <= -0.85, p

@@ -1,4 +1,4 @@
-"""Hypothesis properties of the quantizer core.
+"""Hypothesis properties of the quantizer core and the batched objectives.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -7,12 +7,14 @@ changes neither which inputs are tried nor whether a property passes.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qatkit.numerics import make_rng, make_spd
+from qatkit.objectives import quadratic, rosenbrock
 from qatkit.qat_grad import ste_backward, trust_masked_policy
-from qatkit.quantize import QuantSpec, int_spec, quantize, quantize_int_row
+from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize, quantize_int_row
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -34,6 +36,23 @@ def stack_butterfly(x):
         v = np.stack((top, bot), axis=1).reshape(-1)
         h *= 2
     return v
+
+
+E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+E2M1_EVEN = np.array([True, False, True, False, True, False, True, False])
+# grid points, midpoints and their neighbours one ulp away: every tie and near-tie
+E2M1_TIES = np.concatenate([E2M1_GRID, (E2M1_GRID[1:] + E2M1_GRID[:-1]) / 2.0])
+E2M1_EDGES = np.unique(np.concatenate([E2M1_TIES, np.nextafter(E2M1_TIES, 9.0), np.nextafter(E2M1_TIES[1:], -1.0)]))
+
+
+def distance_matrix_e2m1_round(u):
+    """E2M1 grid index by an (n, 8) distance matrix, ties bumped to the even
+    mantissa: the rounding as first written, the oracle for ``_e2m1_round``."""
+    d = np.abs(u[:, None] - E2M1_GRID[None, :])
+    idx = np.argmin(d, axis=1)
+    upper = np.minimum(idx + 1, E2M1_GRID.size - 1)
+    tie = (d[np.arange(u.size), idx] == d[np.arange(u.size), upper]) & (upper != idx)
+    return np.where(tie & ~E2M1_EVEN[idx], upper, idx)
 
 
 def block_scale_loop(amax):
@@ -67,6 +86,24 @@ def any_cases(draw):
     if kind == "mxfp4":
         return QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), x
     return QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0, 3.0)))), x
+
+
+@st.composite
+def batch_cases(draw):
+    """(spec, X) with X a batch of 1..4 vectors for every scheme: int schemes
+    with and without ``row_length``, mxfp4 with lengths that are not whole
+    blocks."""
+    scheme = draw(st.sampled_from(INT_SCHEMES + ("mxfp4", "floor-toy")))
+    if scheme in INT_SCHEMES:
+        row_length = draw(st.sampled_from((1, 3, 4, 8, 12)))
+        per_vector = draw(st.integers(1, 3))
+        rl = row_length if per_vector > 1 or draw(st.booleans()) else None
+        spec, dim = int_spec(scheme, draw(st.integers(2, 8)), row_length=rl), row_length * per_vector
+    elif scheme == "mxfp4":
+        spec, dim = QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), draw(st.integers(1, 80))
+    else:
+        spec, dim = QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0)))), draw(st.integers(1, 40))
+    return spec, draw(arrays(np.float64, (draw(st.integers(1, 4)), dim), elements=FLOATS))
 
 
 def recomputed_mask_ste(spec, grad, x):
@@ -167,3 +204,67 @@ def test_forward_mask_ste_matches_recomputed_mask(case, seed):
     grad = np.random.default_rng(seed).standard_normal(x.shape[0])
     out = ste_backward(trust_masked_policy(spec), grad, quantize(spec, x))
     assert np.array_equal(out, recomputed_mask_ste(spec, grad, x))
+
+
+@PROPERTY
+@given(batch_cases(), st.integers(0, 2**32 - 1))
+@example((QuantSpec(scheme="mxfp4"), np.linspace(-7.0, 7.0, 90).reshape(2, 45)), 0)
+@example((int_spec("int-plain", 4, row_length=4), np.linspace(-3.0, 3.0, 36).reshape(3, 12)), 0)
+def test_batched_quantize_matches_each_vector(case, seed):
+    spec, X = case
+    res = quantize(spec, X)
+    scales = np.broadcast_to(res.scale, X.shape[:1] + np.shape(quantize(spec, X[0]).scale))
+    if spec.scheme in INT_SCHEMES:
+        policy = trust_masked_policy(spec)
+        G = np.random.default_rng(seed).standard_normal(X.shape)
+        G_back = ste_backward(policy, G, res)
+    for s, x in enumerate(X):
+        one = quantize(spec, x)
+        for field in ("quantized", "error", "codes"):
+            assert np.array_equal(getattr(res, field)[s], getattr(one, field))
+        assert np.array_equal(scales[s], one.scale)
+        if spec.scheme in INT_SCHEMES:
+            assert np.array_equal(res.keep[s], one.keep)
+            assert np.array_equal(G_back[s], ste_backward(policy, G[s], one))
+        else:
+            assert res.keep is None and one.keep is None
+
+
+@PROPERTY
+@given(
+    st.sampled_from((2, 3, 8, 10, 33, 64)).flatmap(
+        lambda d: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)), elements=st.floats(-10.0, 10.0)),
+            st.floats(1.0, 1000.0),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_batched_objectives_match_each_vector(case):
+    # each row of a batch gets bitwise the per-vector values, and those are
+    # bitwise the quadratic's A @ x / x @ y form
+    X, kappa, seed = case
+    dim = X.shape[1]
+    rng = make_rng(seed)
+    A = make_spd(dim, kappa, rng)
+    b = rng.standard_normal(dim)
+    quad = quadratic(A, b)
+    for obj in (rosenbrock(dim), quad):
+        losses, grads = obj.value_and_grad(X)
+        assert losses.shape == X.shape[:1] and grads.shape == X.shape
+        for s, x in enumerate(X):
+            loss, g = obj.value_and_grad(x)
+            assert type(loss) is float and loss == losses[s]
+            assert np.array_equal(g, grads[s])
+    for x in X:
+        loss, g = quad.value_and_grad(x)
+        Ax = A @ x
+        assert loss == 0.5 * float(x @ Ax) - float(b @ x)
+        assert np.array_equal(g, Ax - b)
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(1, 64), elements=st.one_of(st.floats(0.0, 6.0), st.sampled_from(E2M1_EDGES))))
+@example(E2M1_EDGES)
+def test_e2m1_round_matches_distance_matrix(u):
+    assert np.array_equal(_e2m1_round(u), distance_matrix_e2m1_round(u))
