@@ -47,15 +47,7 @@ from .optim import (
     lambda_at,
     sgd_step,
 )
-from .objectives import (
-    NoisyGradient,
-    Objective,
-    noisy_grad,
-    quadratic,
-    quantized_objective,
-    rosenbrock,
-    toy_scalar,
-)
+from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .pareto import (
     EfState,
     ParetoMeasure,

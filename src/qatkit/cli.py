@@ -8,12 +8,14 @@ directory before any compute, and all numeric output is serialized with
 round-trippable doubles, so reruns with the same config and seeds are
 byte-identical.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (a bad setting or input file), 3
+numerical failure; any other exception is a bug and surfaces as one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -21,7 +23,9 @@ from pathlib import Path
 
 from .experiments import (
     OPTIMIZERS,
+    STE_KINDS,
     NumericalFailure,
+    lr_at,
     make_quadratic_problem,
     make_rate_objective,
     run_convergence_run,
@@ -39,7 +43,7 @@ from .quantize import (
     int_spec,
     write_clip_table,
 )
-from .scaling import fit_scaling, fit_to_json_dict, read_scaling_csv
+from .scaling import fit_scaling, read_scaling_csv, write_fit_json
 
 __all__ = ["main", "entrypoint", "parse_quant", "load_config_file"]
 
@@ -52,16 +56,12 @@ class ConfigError(ValueError):
 # option parsing
 # ---------------------------------------------------------------------------
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
+def _parse(parse, text: str, what: str):
+    """``parse(text)``, with a malformed value raised as a ConfigError."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ConfigError(f"bad {what}: {text!r}") from err
 
 
 def _parse_int_list(v: str) -> list[int]:
@@ -87,74 +87,74 @@ def parse_quant(v: str) -> QuantSpec | None:
     if scheme in INT_SCHEMES:
         if len(parts) != 2:
             raise ConfigError(f"int schemes need a bit-width, e.g. {scheme}:4")
-        bits = int(parts[1])
+        bits = _parse(int, parts[1], "bit-width")
         if not 2 <= bits <= 8:
             raise ConfigError(f"bits out of supported range [2, 8]: {bits}")
         return int_spec(scheme, bits)
     if scheme == "mxfp4":
         return QuantSpec(scheme="mxfp4")
     if scheme == "floor-toy":
-        grid = float(parts[1]) if len(parts) > 1 else 1.0
+        grid = _parse(float, parts[1], "floor-toy grid") if len(parts) > 1 else 1.0
+        if not grid > 0:
+            raise ConfigError(f"floor-toy grid must be positive, got {grid}")
         return QuantSpec(scheme="floor-toy", grid=grid)
     raise ConfigError(f"unknown quantizer scheme {scheme!r}")
 
 
 # option tables: name -> (parser, default, help); None default means "must be
 # given by config or flag" only where noted
-_COMMON = {
-    "seed": (_parse_int_list, [0], "comma-separated seed list"),
-    "out": (_parse_str, None, "output directory"),
-}
+_OUT = {"out": (str, None, "output directory")}
+_SEEDED = {**_OUT, "seed": (_parse_int_list, [0], "comma-separated seed list")}
 
 _OPTIONS: dict[str, dict] = {
     "calibrate-clip": {
-        **_COMMON,
+        **_OUT,
         "bits": (_parse_int_list, [2, 3, 4], "bit-widths to calibrate"),
-        "n_grid": (_parse_int, 96, "coarse-scan resolution over the clip range"),
-        "quadrature": (_parse_int, 100001, "quadrature node count"),
+        "n_grid": (int, 96, "coarse-scan resolution over the clip range"),
+        "quadrature": (int, 100001, "quadrature node count"),
     },
     "toy-pareto": {
-        **_COMMON,
+        **_OUT,
         "lambdas": (_parse_float_list, [0.5, 1.0, 2.0, 3.0], "correction coefficients"),
-        "alpha": (_parse_float, 0.05, "learning rate"),
-        "steps": (_parse_int_list, [5000], "step budget"),
-        "x0": (_parse_float, 0.9, "initial point"),
+        "alpha": (float, 0.05, "learning rate"),
+        "steps": (int, 5000, "step budget"),
+        "x0": (float, 0.9, "initial point"),
     },
     "quadratic": {
-        **_COMMON,
+        **_SEEDED,
         "kappas": (_parse_float_list, [1.0, 10.0, 100.0], "condition numbers"),
-        "dim": (_parse_int, 64, "problem dimension"),
-        "steps": (_parse_int_list, [2000], "step budget"),
+        "dim": (int, 64, "problem dimension"),
+        "steps": (int, 2000, "step budget"),
         "opt": (_parse_str_list, ["adamw", "cage-adamw-dec"], "optimizers to compare"),
-        "quant": (_parse_str, "int-hadamard:4", "quantizer spec"),
-        "lr": (_parse_float, 0.03, "base learning rate"),
-        "lr_schedule": (_parse_str, "constant", "constant | cosine"),
-        "lam": (_parse_float, 2.0, "correction coefficient"),
-        "silence_ratio": (_parse_float, 0.9, "fraction of steps before the ramp"),
-        "weight_decay": (_parse_float, 0.0, "decoupled weight decay"),
-        "grad_clip": (_parse_float, 1.0, "gradient clip norm, 0 disables"),
-        "sigma0": (_parse_float, 1.0, "init scale"),
-        "ste": (_parse_str, "trust-masked", "identity | trust-masked"),
+        "quant": (str, "int-hadamard:4", "quantizer spec"),
+        "lr": (float, 0.03, "base learning rate"),
+        "lr_schedule": (str, "constant", "constant | cosine"),
+        "lam": (float, 2.0, "correction coefficient"),
+        "silence_ratio": (float, 0.9, "fraction of steps before the ramp"),
+        "weight_decay": (float, 0.0, "decoupled weight decay"),
+        "grad_clip": (float, 1.0, "gradient clip norm, 0 disables"),
+        "sigma0": (float, 1.0, "init scale"),
+        "ste": (str, "trust-masked", "identity | trust-masked"),
     },
     "convergence": {
-        **_COMMON,
-        "objective": (_parse_str, "rosenbrock", "rosenbrock | quadratic"),
-        "dim": (_parse_int, 10, "problem dimension"),
-        "kappa": (_parse_float, 10.0, "condition number (quadratic objective)"),
-        "quant": (_parse_str, "floor-toy:0.25", "quantizer spec"),
-        "lam": (_parse_float, 1.0, "correction coefficient"),
-        "noise_std": (_parse_float, 0.1, "gradient noise std"),
+        **_SEEDED,
+        "objective": (str, "rosenbrock", "rosenbrock | quadratic"),
+        "dim": (int, 10, "problem dimension"),
+        "kappa": (float, 10.0, "condition number (quadratic objective)"),
+        "quant": (str, "floor-toy:0.25", "quantizer spec"),
+        "lam": (float, 1.0, "correction coefficient"),
+        "noise_std": (float, 0.1, "gradient noise std"),
         "steps": (_parse_int_list, [100, 1000, 10000, 100000], "horizon list"),
-        "lipschitz": (_parse_float, 1000.0, "smoothness constant for non-quadratic objectives"),
-        "x0_std": (_parse_float, 0.25, "init scale"),
+        "lipschitz": (float, 1000.0, "smoothness constant for non-quadratic objectives"),
+        "x0_std": (float, 0.25, "init scale"),
     },
     "fit-scaling": {
-        **_COMMON,
-        "input": (_parse_str, None, "input CSV path (method, P, N, D, loss)"),
-        "prior_weight": (_parse_float, 1e-3, "log-prior strength on the exponents"),
-        "residual_space": (_parse_str, "log", "log | linear"),
-        "starts": (_parse_int, 8, "multi-start count"),
-        "fit_seed": (_parse_int, 0, "seed for the start draws"),
+        **_OUT,
+        "input": (str, None, "input CSV path (method, P, N, D, loss)"),
+        "prior_weight": (float, 1e-3, "log-prior strength on the exponents"),
+        "residual_space": (str, "log", "log | linear"),
+        "starts": (int, 8, "multi-start count"),
+        "fit_seed": (int, 0, "seed for the start draws"),
     },
 }
 
@@ -188,9 +188,9 @@ def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
     for name, (parse, default, _help) in table.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
-            resolved[name] = parse(cli_value)
+            resolved[name] = _parse(parse, cli_value, name)
         elif name in file_values:
-            resolved[name] = parse(file_values[name])
+            resolved[name] = _parse(parse, file_values[name], name)
         else:
             resolved[name] = default
     if resolved.get("out") is None:
@@ -198,17 +198,10 @@ def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _prepare_out(opts: dict, subcommand: str) -> Path:
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {"subcommand": subcommand}
-    snapshot.update({k: _jsonable(v) for k, v in sorted(opts.items())})
+    snapshot = {"subcommand": subcommand, **opts}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     return out
 
@@ -236,6 +229,8 @@ def cmd_calibrate_clip(opts: dict) -> int:
     bad = [b for b in bits if not 2 <= b <= 8]
     if bad:
         raise ConfigError(f"bits out of supported range [2, 8]: {bad}")
+    if opts["n_grid"] < 2 or opts["quadrature"] < 2:
+        raise ConfigError(f"n_grid and quadrature need >= 2 points, got {opts['n_grid']}, {opts['quadrature']}")
     out = _prepare_out(opts, "calibrate-clip")
     rows = []
     for b in sorted(bits):
@@ -252,7 +247,7 @@ def cmd_toy_pareto(opts: dict) -> int:
     lambdas = opts["lambdas"]
     if any(lam < 0 for lam in lambdas):
         raise ConfigError("lambda values must be non-negative")
-    steps = opts["steps"][0]
+    steps = opts["steps"]
     if steps < 1:
         raise ConfigError(f"toy-pareto needs steps >= 1, got {steps}")
     out = _prepare_out(opts, "toy-pareto")
@@ -293,23 +288,33 @@ def cmd_quadratic(opts: dict) -> int:
     # the first seed's trajectory is projected onto two principal components
     if opts["dim"] < 2:
         raise ConfigError(f"quadratic needs dim >= 2 for the trajectory PCA, got {opts['dim']}")
-    steps = opts["steps"][0]
+    steps = opts["steps"]
     if steps < 2:
         raise ConfigError(f"quadratic needs steps >= 2 for the trajectory PCA, got {steps}")
     _check_quadratic_problem(opts["dim"], opts["kappas"])
+    if opts["ste"] not in STE_KINDS:
+        raise ConfigError(f"unknown ste {opts['ste']!r} (choose from {', '.join(STE_KINDS)})")
+    # the config, its lambda schedule and a first lr_at call run the library's
+    # own checks on lr, weight decay, lam, silence ratio and lr schedule
+    try:
+        cfg = OptimConfig(
+            lr=opts["lr"],
+            weight_decay=opts["weight_decay"],
+            lam=opts["lam"],
+            silence_ratio=opts["silence_ratio"],
+            total_steps=steps,
+        )
+        cfg.schedule()
+        lr_at(cfg.lr, 1, steps, opts["lr_schedule"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "quadratic")
     clip = opts["grad_clip"] if opts["grad_clip"] > 0 else None
     cells = []
     for kappa in opts["kappas"]:
         for name in optimizers:
-            cfg = OptimConfig(
-                lr=opts["lr"],
-                weight_decay=opts["weight_decay"],
-                lam=opts["lam"] if name.startswith("cage") else 0.0,
-                silence_ratio=opts["silence_ratio"],
-                total_steps=steps,
-            )
+            opt_cfg = cfg if name.startswith("cage") else dataclasses.replace(cfg, lam=0.0)
             gaps = []
             for i, seed in enumerate(seeds):
                 obj, x0 = make_quadratic_problem(opts["dim"], kappa, seed, opts["sigma0"])
@@ -319,7 +324,7 @@ def cmd_quadratic(opts: dict) -> int:
                     name,
                     steps,
                     spec,
-                    cfg,
+                    opt_cfg,
                     lr_schedule=opts["lr_schedule"],
                     ste_kind=opts["ste"],
                     grad_clip_norm=clip,
@@ -364,6 +369,8 @@ def cmd_convergence(opts: dict) -> int:
         raise ConfigError(f"rosenbrock needs dim >= 2, got {opts['dim']}")
     if opts["objective"] == "quadratic":
         _check_quadratic_problem(opts["dim"], [opts["kappa"]])
+    if not (opts["lam"] >= 0 and opts["noise_std"] >= 0 and opts["lipschitz"] > 0):
+        raise ConfigError("convergence needs lambda >= 0, noise_std >= 0 and lipschitz > 0")
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "convergence")
     obj, lhat = make_rate_objective(
@@ -417,8 +424,7 @@ def cmd_fit_scaling(opts: dict) -> int:
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    doc = fit_to_json_dict(fit, data)
-    (out / "fit.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = write_fit_json(out / "fit.json", fit, data)
     _write_summary(out, doc)
     print("method\tP\teff")
     print(f"*\tFP\t{1.0!r}")
@@ -457,7 +463,7 @@ def main(argv=None) -> int:
     try:
         opts = _resolve_options(args.subcommand, args)
         return _HANDLERS[args.subcommand](opts)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericalFailure as err:

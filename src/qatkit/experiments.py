@@ -8,7 +8,8 @@ Three lanes:
   comparing plain and corrected optimizers on the final optimality gap;
 * the ergodic-rate study, which runs corrected SGD over a grid of horizons
   and fits the log-log decay of the mean squared balance gradient; the
-  seeds of one horizon run as a batch, one ``(S, d)`` state.
+  seeds of one horizon run as a batch, one ``(S, d)`` state, through the
+  corrected-SGD loop the scalar lane also runs.
 
 Every run owns its generators (seeded by integer tuples), so replicates are
 reproducible and independent of scheduling.
@@ -42,6 +43,7 @@ from .quantize import INT_SCHEMES, QuantSpec, quantize
 __all__ = [
     "NumericalFailure",
     "OPTIMIZERS",
+    "STE_KINDS",
     "lr_at",
     "ToyParetoResult",
     "run_toy_pareto",
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl")
+STE_KINDS = ("identity", "trust-masked")
 
 # seed-stream labels so the problem draw, init, and noise never alias
 _STREAM_PROBLEM = 11
@@ -89,6 +92,48 @@ def _check_finite(x: np.ndarray, loss, where: str) -> None:
         raise NumericalFailure(f"non-finite value during {where}")
 
 
+def _corrected_sgd(
+    obj: Objective,
+    spec: QuantSpec | None,
+    x: np.ndarray,
+    lr: float,
+    lam: float,
+    steps: int,
+    trace: ParetoMeasure | None = None,
+    noise_std: float = 0.0,
+    noise_rngs: Sequence[np.random.Generator] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` corrected-SGD steps x <- x - lr (g + noise_std xi + lam e)
+    on an ``(S, d)`` state, with e = x - Q(x) and row s's noise xi drawn from
+    ``noise_rngs[s]`` (unused when ``noise_std`` is 0).
+
+    Returns the final state and the ``(S, steps)`` squared balance-gradient
+    norms ||g + lam e||^2, taken at each iterate before its step; ``trace``
+    records the first row.
+    """
+    noise = np.empty((len(x), _NOISE_BLOCK, obj.dim))
+    pareto_sq = np.empty((len(x), steps))
+    for t in range(steps):
+        loss, g = obj.value_and_grad(x)
+        e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
+        p = g + lam * e
+        pareto_sq[:, t] = np.vecdot(p, p)
+        if trace is not None:
+            trace.record(loss[0], g[0], e[0], lam)
+        if noise_std == 0.0:
+            g_tilde = g
+        else:
+            i = t % _NOISE_BLOCK
+            if i == 0:
+                k = min(_NOISE_BLOCK, steps - t)
+                for rng, block in zip(noise_rngs, noise):
+                    rng.standard_normal(out=block[:k])
+            g_tilde = g + noise_std * noise[:, i]
+        x = cage_sgd_step(x, g_tilde, e, lr, lam)
+        _check_finite(x, loss, "corrected-SGD run")
+    return x, pareto_sq
+
+
 # ---------------------------------------------------------------------------
 # scalar floor-quantized lane
 # ---------------------------------------------------------------------------
@@ -112,22 +157,14 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     """
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy", grid=grid)
-    x = np.array([float(x0)])
     trace = ParetoMeasure(lam=lam)
-    for _ in range(steps):
-        loss, g = obj.value_and_grad(x)
-        e = quantize(spec, x).error
-        trace.record(loss, g, e, lam)
-        x = cage_sgd_step(x, g, e, lr, lam)
-        _check_finite(x, loss, "toy-pareto run")
-    g = obj.grad(x)
-    e = quantize(spec, x).error
-    xq = quantize(spec, x).quantized
+    (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
+    fwd = quantize(spec, x)
     return ToyParetoResult(
         lam=lam,
         final_x=float(x[0]),
-        pareto_grad_abs=float(np.abs(g + lam * e)[0]),
-        ste_grad_abs=float(np.abs(obj.grad(xq))[0]),
+        pareto_grad_abs=float(np.abs(obj.grad(x) + lam * fwd.error)[0]),
+        ste_grad_abs=float(np.abs(obj.grad(fwd.quantized))[0]),
         trace=trace,
     )
 
@@ -177,6 +214,8 @@ def run_quadratic(
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
+    if ste_kind not in STE_KINDS:
+        raise ValueError(f"unknown ste_kind {ste_kind!r}")
     if spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES:
         policy = trust_masked_policy(spec)
     else:
@@ -214,7 +253,7 @@ def run_quadratic(
         elif optimizer == "cage-sgd":
             x = cage_sgd_step(x, g, e, a_t, lam_t)
         elif optimizer == "cage-adamw-dec":
-            state, x = cage_adamw_decoupled_step(state, x, g, cfg, t, e=e, spec=spec, lr=a_t)
+            state, x = cage_adamw_decoupled_step(state, x, g, cfg, t, spec=spec, lr=a_t)
         else:
             state, x = cage_adamw_coupled_step(state, x, g, e, cfg, t, lr=a_t)
         _check_finite(x, loss, "quadratic run")
@@ -287,28 +326,9 @@ def run_convergence_run(
         raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
-    noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
-    noise = np.empty((len(seeds), _NOISE_BLOCK, obj.dim))
     trace = ParetoMeasure(lam=lam) if keep_trace else None
-    pareto_sq = np.empty((len(seeds), horizon))
-    for t in range(horizon):
-        loss, g = obj.value_and_grad(x)
-        e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
-        p = g + lam * e
-        pareto_sq[:, t] = np.vecdot(p, p)
-        if trace is not None:
-            trace.record(loss[0], g[0], e[0], lam)
-        if noise_std == 0.0:
-            g_tilde = g
-        else:
-            i = t % _NOISE_BLOCK
-            if i == 0:
-                k = min(_NOISE_BLOCK, horizon - t)
-                for rng, block in zip(noise_rngs, noise):
-                    rng.standard_normal(out=block[:k])
-            g_tilde = g + noise_std * noise[:, i]
-        x = cage_sgd_step(x, g_tilde, e, alpha, lam)
-        _check_finite(x, loss, "convergence run")
+    noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
+    _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
     return ConvergenceRun(
         horizon=horizon,
         seeds=seeds,

@@ -1,4 +1,4 @@
-"""Test objectives with analytic gradients, plus quantized and noisy wrappers."""
+"""Test objectives with analytic gradients."""
 
 from __future__ import annotations
 
@@ -8,18 +8,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .qat_grad import StePolicy, ste_backward
-from .quantize import QuantSpec, quantize
-
-__all__ = [
-    "Objective",
-    "NoisyGradient",
-    "quadratic",
-    "toy_scalar",
-    "rosenbrock",
-    "quantized_objective",
-    "noisy_grad",
-]
+__all__ = ["Objective", "quadratic", "toy_scalar", "rosenbrock"]
 
 
 @dataclass(frozen=True)
@@ -27,10 +16,10 @@ class Objective:
     """Scalar objective with an analytic gradient.
 
     ``eval_fn`` maps a point to ``(loss, grad)``.  ``x_star`` / ``f_star`` are
-    the known minimizer and minimum when available.  The quadratic and
-    Rosenbrock objectives also take a batch ``(S, d)`` and return the ``(S,)``
-    losses and ``(S, d)`` gradients, each row bitwise equal to the call on
-    that row alone; a vector ``(d,)`` gives a float loss.
+    the known minimizer and minimum when available.  Every objective here
+    also takes a batch ``(S, d)`` and returns the ``(S,)`` losses and
+    ``(S, d)`` gradients, each row bitwise equal to the call on that row
+    alone; a vector ``(d,)`` gives a float loss.
     """
 
     dim: int
@@ -83,7 +72,8 @@ def toy_scalar() -> Objective:
 
     def eval_fn(x):
         d = x - 0.5
-        return 0.5 * float(d @ d), d
+        loss = 0.5 * np.vecdot(d, d)
+        return (float(loss) if x.ndim == 1 else loss), d
 
     return Objective(dim=1, eval_fn=eval_fn, x_star=np.array([0.5]), f_star=0.0)
 
@@ -103,41 +93,3 @@ def rosenbrock(dim: int) -> Objective:
         return (float(loss) if x.ndim == 1 else loss), g
 
     return Objective(dim=dim, eval_fn=eval_fn, x_star=np.ones(dim), f_star=0.0)
-
-
-def quantized_objective(base: Objective, spec: QuantSpec, policy: StePolicy) -> Objective:
-    """QAT view of ``base``: loss at Q(x), gradient transported by ``policy``.
-
-    loss(x) = base.loss(Q(x)); grad(x) = ste_backward(policy, base.grad(Q(x)), fwd),
-    where ``fwd`` is the forward pass's ``QuantResult``.
-    """
-    if spec.row_length is not None and base.dim % spec.row_length:
-        raise ValueError(f"row_length {spec.row_length} does not partition dim {base.dim}")
-
-    def eval_fn(x):
-        fwd = quantize(spec, x)
-        loss, g = base.value_and_grad(fwd.quantized)
-        return loss, ste_backward(policy, g, fwd)
-
-    return Objective(dim=base.dim, eval_fn=eval_fn, x_star=base.x_star, f_star=base.f_star)
-
-
-@dataclass
-class NoisyGradient:
-    """Unbiased stochastic gradient: analytic gradient plus isotropic Gaussian noise."""
-
-    base: Objective
-    noise_std: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
-
-
-def noisy_grad(ng: NoisyGradient, x: np.ndarray) -> np.ndarray:
-    """grad(x) + noise_std * xi with xi ~ N(0, I), deterministic given the rng."""
-    g = ng.base.grad(x)
-    if ng.noise_std == 0.0:
-        return g
-    return g + ng.noise_std * ng.rng.standard_normal(g.shape[0])

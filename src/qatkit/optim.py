@@ -68,10 +68,7 @@ class OptimConfig:
     """Hyperparameters shared by the optimizer family.
 
     Defaults follow the usual low-bit pretraining setup: beta1=0.9,
-    beta2=0.95, eps=1e-8, weight_decay=0.1.  ``error_timing`` selects whether
-    the decoupled correction recomputes the quantization error from the
-    decayed parameters ("post-decay", the literal update order) or uses the
-    error supplied by the caller ("pre-decay").
+    beta2=0.95, eps=1e-8, weight_decay=0.1.
     """
 
     lr: float
@@ -82,7 +79,6 @@ class OptimConfig:
     lam: float = 0.0
     silence_ratio: float = 0.0
     total_steps: int = 1
-    error_timing: str = "post-decay"
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -93,8 +89,6 @@ class OptimConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.error_timing not in ("post-decay", "pre-decay"):
-            raise ValueError(f"unknown error_timing {self.error_timing!r}")
 
     def schedule(self) -> LambdaSchedule:
         return LambdaSchedule(self.lam, self.silence_ratio, self.total_steps)
@@ -147,32 +141,22 @@ def cage_adamw_decoupled_step(
     g: np.ndarray,
     cfg: OptimConfig,
     t: int,
-    e: np.ndarray | None = None,
     spec: QuantSpec | None = None,
     lr: float | None = None,
 ):
     """AdamW step followed by the out-of-preconditioner correction.
 
-    x' = adamw(x, g) - lr * lam_t * e_t.  With ``error_timing='post-decay'``
-    (default) the error is recomputed from the decayed parameters and ``spec``
-    is required; with 'pre-decay' the caller-supplied ``e`` (taken at the
-    incoming x) is used.  During the silence period the step is bitwise
-    identical to plain AdamW.
+    x' = adamw(x, g) - lr * lam_t * e_t, with e_t the quantization error of
+    the decayed parameters (1 - lr * weight_decay) x, the literal update
+    order.  During the silence period, and without a quantizer (``spec``
+    None, so e_t = 0), the step is bitwise identical to plain AdamW.
     """
     a = cfg.lr if lr is None else lr
     lam_t = lambda_at(cfg.schedule(), t)
     new_state, x_tilde = adamw_step(state, x, g, cfg, lr=lr)
-    if lam_t == 0.0:
+    if lam_t == 0.0 or spec is None:
         return new_state, x_tilde
-    if cfg.error_timing == "post-decay":
-        if spec is None:
-            raise ValueError("post-decay error timing needs the quantizer spec")
-        xd = (1.0 - a * cfg.weight_decay) * x
-        e_t = quant_error(spec, xd)
-    else:
-        if e is None:
-            raise ValueError("pre-decay error timing needs the caller-computed error")
-        e_t = e
+    e_t = quant_error(spec, (1.0 - a * cfg.weight_decay) * x)
     return new_state, x_tilde - a * lam_t * e_t
 
 

@@ -369,5 +369,8 @@ def fit_to_json_dict(fit: ScalingFit, data: list[ScalingDatum]) -> dict:
     }
 
 
-def write_fit_json(path, fit: ScalingFit, data: list[ScalingDatum]) -> None:
-    Path(path).write_text(json.dumps(fit_to_json_dict(fit, data), indent=2) + "\n")
+def write_fit_json(path, fit: ScalingFit, data: list[ScalingDatum]) -> dict:
+    """Write ``fit_to_json_dict(fit, data)`` to ``path`` and return it."""
+    doc = fit_to_json_dict(fit, data)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc

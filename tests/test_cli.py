@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import qatkit.cli
 from qatkit.cli import load_config_file, main, parse_quant
 from qatkit.quantize import read_clip_table
 
@@ -280,7 +281,7 @@ class TestConfigFile:
         out = tmp_path / "toy"
         assert run_cli("toy-pareto", "--config", str(cfg), "--steps", "600", "--out", str(out)) == 0
         snap = json.loads((out / "config.json").read_text())
-        assert snap["steps"] == [600]  # CLI wins
+        assert snap["steps"] == 600  # CLI wins
         assert snap["alpha"] == 0.05  # config supplies the rest
         assert snap["lambdas"] == [1.0]
 
@@ -326,10 +327,26 @@ def test_module_entrypoint_smoke(tmp_path):
         ["quadratic", "--kappas", "0.5"],
         ["convergence", "--objective", "quadratic", "--kappa", "0.5"],
         ["convergence", "--objective", "rosenbrock", "--dim", "1"],
+        ["quadratic", "--ste", "foo"],
+        ["quadratic", "--steps", "20,40"],
+        ["toy-pareto", "--steps", "50,60"],
+        ["convergence", "--noise-std=-0.1"],
+        ["convergence", "--lambda=-1"],
+        ["quadratic", "--lr-schedule", "foo"],
+        ["quadratic", "--lr=-1"],
+        ["quadratic", "--silence-ratio", "1.5"],
+        ["convergence", "--lipschitz", "0"],
+        ["calibrate-clip", "--n-grid", "0"],
+        ["quadratic", "--quant", "int-hadamard:four"],
+        ["convergence", "--quant", "floor-toy:0"],
     ],
     ids=[
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
         "quadratic-kappa-below-1", "conv-quadratic-kappa-below-1", "conv-rosenbrock-dim1",
+        "quadratic-unknown-ste", "quadratic-steps-list", "toy-steps-list", "conv-negative-noise",
+        "conv-negative-lambda", "quadratic-unknown-lr-schedule", "quadratic-negative-lr",
+        "quadratic-silence-above-1", "conv-lipschitz0", "calibrate-n-grid0", "quant-bad-bits",
+        "quant-zero-grid",
     ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
@@ -337,3 +354,14 @@ def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(out)) == 2
     assert not (out / "config.json").exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # exit 2 means a bad setting; a ValueError raised inside a lane is a bug
+    # and must surface as one
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(qatkit.cli, "run_toy_pareto", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run_cli("toy-pareto", "--steps", "5", "--out", str(tmp_path / "run"))

@@ -48,6 +48,11 @@ GOLDEN = {
         "trace_T500_seed0.csv": "e54bac9ef9467b182e6ba955abf458901bb6a284dcb3cba1131f19081e9dc330",
         "trace_T5_seed0.csv": "c0628a11edaf4bfcbdbc9372fb9bb4fceccb4cd99cf312f26dc6fac73bcd20e4",
     },
+    "toy-pareto": {
+        "summary.json": "221a5b76f019080f5064c9426aab235bcc54df28e143439dd8972ad1af042fd8",
+        "trace_lambda0.5.csv": "94a0deb7e6726480ec629bc74ff3ca2a9d3841cb7e0e24d4a28c24b861f3d31f",
+        "trace_lambda3.csv": "7c4862071965807a8c8cac27d288bac15dacee062d495800151aeeed48c691ad",
+    },
 }
 
 RUNS = {
@@ -72,6 +77,9 @@ RUNS = {
         "convergence", "--objective", "quadratic", "--dim", "8", "--quant", "int-hadamard:4",
         "--steps", "5,500", "--seed", "0,1,2",
     ],
+    # the balance-point lane: one scalar through the floor quantizer and the
+    # corrected-SGD loop the rate lane runs
+    "toy-pareto": ["toy-pareto", "--lambdas", "0.5,3", "--steps", "300"],
 }
 
 

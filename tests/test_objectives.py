@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from qatkit.numerics import finite_diff_grad, make_rng, make_spd
-from qatkit.objectives import (
-    NoisyGradient,
-    noisy_grad,
-    quadratic,
-    quantized_objective,
-    rosenbrock,
-    toy_scalar,
-)
-from qatkit.qat_grad import identity_policy, trust_masked_policy
+from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.quantize import QuantSpec, int_spec, quantize
 
 
@@ -89,31 +81,13 @@ class TestRosenbrock:
 
 
 class TestQuantizedObjective:
-    def test_on_grid_equals_base(self):
-        rng = make_rng(5)
-        A = make_spd(4, 3.0, rng)
-        base = quadratic(A, rng.standard_normal(4))
-        spec = QuantSpec(scheme="floor-toy", grid=0.5)
-        qobj = quantized_objective(base, spec, identity_policy())
-        for _ in range(100):
-            x = np.floor(rng.standard_normal(4) / 0.5) * 0.5
-            assert qobj.loss(x) == base.loss(x)
-            assert np.array_equal(qobj.grad(x), base.grad(x))
-
-    def test_toy_floor_ste_values(self):
-        base = toy_scalar()
-        spec = QuantSpec(scheme="floor-toy")
-        qobj = quantized_objective(base, spec, identity_policy())
-        loss, grad = qobj.value_and_grad(np.array([0.9]))
-        assert loss == pytest.approx(0.125, abs=1e-15)  # f(0) = 1/8
-        assert grad[0] == pytest.approx(-0.5, abs=1e-15)  # floor(x) - 1/2
+    """The loss at the quantized point, f(Q(x)), as the QAT lanes take it."""
 
     def test_fine_grid_loss_close_second_order(self):
         rng = make_rng(6)
         A = make_spd(8, 10.0, rng)
         base = quadratic(A, rng.standard_normal(8))
         spec = int_spec("int-plain", 8)
-        qobj = quantized_objective(base, spec, identity_policy())
         tr = float(np.trace(A))
         lam_max = float(np.linalg.eigvalsh(A)[-1])
         for _ in range(20):
@@ -122,7 +96,7 @@ class TestQuantizedObjective:
             e = res.error
             # quadratics make the Taylor identity exact:
             # f(Q(x)) - f(x) = -g.e + 1/2 e^T A e
-            diff = qobj.loss(x) - base.loss(x)
+            diff = base.loss(res.quantized) - base.loss(x)
             taylor = -float(base.grad(x) @ e) + 0.5 * float(e @ A @ e)
             assert diff == pytest.approx(taylor, abs=1e-10)
             # ... and the loss perturbation is second-order small in the scale
@@ -130,56 +104,6 @@ class TestQuantizedObjective:
             bound = np.linalg.norm(base.grad(x)) * np.linalg.norm(e) + 0.5 * lam_max * float(e @ e)
             assert abs(diff) <= bound + 1e-12
             assert 0.5 * lam_max * float(e @ e) <= s**2 * tr  # e is entrywise O(s)
-
-    def test_trust_masked_policy_wiring(self):
-        rng = make_rng(7)
-        spec = int_spec("int-hadamard", 4)
-        A = make_spd(16, 4.0, rng)
-        base = quadratic(A, rng.standard_normal(16))
-        qobj = quantized_objective(base, spec, trust_masked_policy(spec))
-        x = rng.standard_normal(16)
-        from qatkit.qat_grad import ste_backward
-
-        xq = quantize(spec, x).quantized
-        expected = ste_backward(trust_masked_policy(spec), base.grad(xq), quantize(spec, x))
-        assert np.array_equal(qobj.grad(x), expected)
-
-    def test_row_partition_validated(self):
-        base = rosenbrock(6)
-        spec = int_spec("int-plain", 4, row_length=4)
-        with pytest.raises(ValueError):
-            quantized_objective(base, spec, identity_policy())
-
-
-class TestNoisyGradient:
-    def test_zero_std_exact(self):
-        obj = toy_scalar()
-        ng = NoisyGradient(base=obj, noise_std=0.0, rng=make_rng(8))
-        x = np.array([0.9])
-        assert np.array_equal(noisy_grad(ng, x), obj.grad(x))
-
-    def test_unbiased_mean(self):
-        rng = make_rng(9)
-        A = make_spd(3, 2.0, rng)
-        obj = quadratic(A, rng.standard_normal(3))
-        sigma = 0.5
-        ng = NoisyGradient(base=obj, noise_std=sigma, rng=make_rng(10))
-        x = rng.standard_normal(3)
-        draws = np.array([noisy_grad(ng, x) for _ in range(100_000)])
-        tol = 3.0 * sigma / np.sqrt(100_000)
-        assert np.abs(draws.mean(axis=0) - obj.grad(x)).max() <= tol
-
-    def test_variance_within_5pct(self):
-        obj = toy_scalar()
-        sigma = 0.7
-        ng = NoisyGradient(base=obj, noise_std=sigma, rng=make_rng(11))
-        x = np.array([0.1])
-        draws = np.array([noisy_grad(ng, x)[0] for _ in range(100_000)])
-        assert abs(draws.var() - sigma**2) <= 0.05 * sigma**2
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            NoisyGradient(base=toy_scalar(), noise_std=-0.1, rng=make_rng(0))
 
 
 def test_motivating_gap_ste_vs_balance_point():

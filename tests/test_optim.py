@@ -211,11 +211,8 @@ class TestAdamW:
 
 
 class TestCageAdamW:
-    def _setup(self, lam=2.0, silence=0.0, T=10, timing="post-decay"):
-        cfg = OptimConfig(
-            lr=0.05, weight_decay=0.1, lam=lam, silence_ratio=silence,
-            total_steps=T, error_timing=timing,
-        )
+    def _setup(self, lam=2.0, silence=0.0, T=10):
+        cfg = OptimConfig(lr=0.05, weight_decay=0.1, lam=lam, silence_ratio=silence, total_steps=T)
         spec = QuantSpec(scheme="floor-toy", grid=0.5)
         return cfg, spec
 
@@ -255,21 +252,16 @@ class TestCageAdamW:
         manual = x_ref - cfg.lr * 2.0 * quantize(spec, xd).error
         assert np.array_equal(x_dec, manual)
 
-    def test_pre_decay_timing_uses_supplied_error(self):
-        cfg, spec = self._setup(lam=1.0, T=10, timing="pre-decay")
+    def test_decoupled_without_quantizer_is_adamw(self):
+        # no quantizer means no quantization error, so no correction
+        cfg, _ = self._setup(lam=1.0, T=10)
         rng = make_rng(10)
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
-        e = quantize(spec, x).error
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10, e=e)
-        assert np.array_equal(x_dec, x_ref - cfg.lr * 1.0 * e)
-
-    def test_post_decay_requires_spec(self):
-        cfg, _ = self._setup(lam=1.0, T=10)
-        with pytest.raises(ValueError):
-            cage_adamw_decoupled_step(AdamState.zeros(2), np.ones(2), np.ones(2), cfg, t=10)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10)
+        assert np.array_equal(x_dec, x_ref)
 
     def test_coupled_zero_error_is_adamw(self):
         cfg, _ = self._setup(lam=2.0, T=10)

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the quantizer core and the batched objectives.
+"""Hypothesis properties of the quantizer core, the batched objectives and the
+seed-batched rate lane.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qatkit.experiments import _STREAM_INIT, _STREAM_NOISE, run_convergence_run
 from qatkit.numerics import make_rng, make_spd
-from qatkit.objectives import quadratic, rosenbrock
+from qatkit.objectives import quadratic, rosenbrock, toy_scalar
+from qatkit.pareto import ParetoMeasure
 from qatkit.qat_grad import ste_backward, trust_masked_policy
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize, quantize_int_row
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
@@ -242,18 +245,18 @@ def test_batched_quantize_matches_each_vector(case, seed):
 )
 def test_batched_objectives_match_each_vector(case):
     # each row of a batch gets bitwise the per-vector values, and those are
-    # bitwise the quadratic's A @ x / x @ y form
+    # bitwise the quadratic's and the scalar toy's x @ y form
     X, kappa, seed = case
     dim = X.shape[1]
     rng = make_rng(seed)
     A = make_spd(dim, kappa, rng)
     b = rng.standard_normal(dim)
     quad = quadratic(A, b)
-    for obj in (rosenbrock(dim), quad):
-        losses, grads = obj.value_and_grad(X)
-        assert losses.shape == X.shape[:1] and grads.shape == X.shape
-        for s, x in enumerate(X):
-            loss, g = obj.value_and_grad(x)
+    for obj, Y in ((rosenbrock(dim), X), (quad, X), (toy_scalar(), X[:, :1])):
+        losses, grads = obj.value_and_grad(Y)
+        assert losses.shape == Y.shape[:1] and grads.shape == Y.shape
+        for s, y in enumerate(Y):
+            loss, g = obj.value_and_grad(y)
             assert type(loss) is float and loss == losses[s]
             assert np.array_equal(g, grads[s])
     for x in X:
@@ -261,6 +264,8 @@ def test_batched_objectives_match_each_vector(case):
         Ax = A @ x
         assert loss == 0.5 * float(x @ Ax) - float(b @ x)
         assert np.array_equal(g, Ax - b)
+        d = x[:1] - 0.5
+        assert toy_scalar().loss(x[:1]) == 0.5 * float(d @ d)
 
 
 @PROPERTY
@@ -268,3 +273,43 @@ def test_batched_objectives_match_each_vector(case):
 @example(E2M1_EDGES)
 def test_e2m1_round_matches_distance_matrix(u):
     assert np.array_equal(_e2m1_round(u), distance_matrix_e2m1_round(u))
+
+
+def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
+    """One seed's corrected-SGD rate run, stepped alone with one
+    ``standard_normal(d)`` noise draw per step and none at noise 0: the oracle
+    for the seed-batched, block-drawn lane."""
+    alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
+    x = x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim)
+    rng = make_rng((_STREAM_NOISE, seed, horizon))
+    trace = ParetoMeasure(lam=lam)
+    for _ in range(horizon):
+        loss, g = obj.value_and_grad(x)
+        e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
+        trace.record(loss, g, e, lam)
+        if noise_std != 0.0:
+            g = g + noise_std * rng.standard_normal(obj.dim)
+        x = x - alpha * (g + lam * e)
+    return float(np.mean(trace.pareto_sq)), trace
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    st.sampled_from(("rosenbrock", "quadratic")),
+    st.sampled_from((None, QuantSpec(scheme="floor-toy", grid=0.25), int_spec("int-hadamard", 4))),
+    st.sampled_from((0.0, 0.5, 2.0)),
+    st.sampled_from((0.0, 0.1)),
+    st.integers(1, 300),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+)
+@example("rosenbrock", QuantSpec(scheme="floor-toy", grid=0.25), 1.0, 0.1, 300, [0, 7, 3])
+def test_seed_batched_rate_lane_matches_lone_runs(name, spec, lam, noise_std, horizon, seeds):
+    # a horizon past one 128-step noise block, and not a multiple of it,
+    # still gives every seed bitwise its lone run with per-step draws
+    obj = rosenbrock(6) if name == "rosenbrock" else quadratic(make_spd(6, 10.0, make_rng(5)), np.ones(6))
+    run = run_convergence_run(obj, spec, lam, noise_std, horizon, seeds, 1000.0, x0_std=0.5, keep_trace=True)
+    for i, seed in enumerate(seeds):
+        mean, trace = lone_rate_run(obj, spec, lam, noise_std, horizon, seed, 1000.0, 0.5)
+        assert run.ergodic_means[i] == mean
+        if i == 0:
+            assert run.trace == trace
