@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ from .quantize import (
     int_spec,
     write_clip_table,
 )
-from .scaling import fit_scaling, read_scaling_csv, write_fit_json
+from .scaling import RESIDUAL_SPACES, check_scaling_data, fit_scaling, read_scaling_csv, write_fit_json
 
 __all__ = ["main", "entrypoint", "parse_quant", "load_config_file"]
 
@@ -211,13 +212,13 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 
 def _check_quadratic_problem(dim: int, kappas: list[float]) -> None:
-    """The settings ``make_spd`` needs: dim >= 1, every kappa >= 1, and
-    kappa 1 for a 1x1 matrix."""
+    """The settings ``make_spd`` needs: dim >= 1, every kappa finite and
+    >= 1, and kappa 1 for a 1x1 matrix."""
     if dim < 1:
         raise ConfigError(f"quadratic problems need dim >= 1, got {dim}")
-    bad = [k for k in kappas if not k >= 1.0 or (dim == 1 and k != 1.0)]
+    bad = [k for k in kappas if not 1.0 <= k < math.inf or (dim == 1 and k != 1.0)]
     if bad:
-        raise ConfigError(f"condition numbers must be >= 1 (exactly 1 at dim 1), got {bad}")
+        raise ConfigError(f"condition numbers must be finite and >= 1 (exactly 1 at dim 1), got {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,13 @@ def cmd_calibrate_clip(opts: dict) -> int:
 
 def cmd_toy_pareto(opts: dict) -> int:
     lambdas = opts["lambdas"]
-    if any(lam < 0 for lam in lambdas):
-        raise ConfigError("lambda values must be non-negative")
+    # comparisons written so that a NaN fails them
+    if not all(0.0 <= lam < math.inf for lam in lambdas):
+        raise ConfigError(f"lambda values must be non-negative and finite, got {lambdas}")
+    if not 0.0 < opts["alpha"] < math.inf:
+        raise ConfigError(f"toy-pareto needs a positive finite learning rate, got alpha={opts['alpha']}")
+    if not math.isfinite(opts["x0"]):
+        raise ConfigError(f"toy-pareto needs a finite x0, got {opts['x0']}")
     steps = opts["steps"]
     if steps < 1:
         raise ConfigError(f"toy-pareto needs steps >= 1, got {steps}")
@@ -294,6 +300,9 @@ def cmd_quadratic(opts: dict) -> int:
     _check_quadratic_problem(opts["dim"], opts["kappas"])
     if opts["ste"] not in STE_KINDS:
         raise ConfigError(f"unknown ste {opts['ste']!r} (choose from {', '.join(STE_KINDS)})")
+    # comparisons written so that a NaN fails them
+    if not (0.0 <= opts["grad_clip"] < math.inf and 0.0 <= opts["sigma0"] < math.inf):
+        raise ConfigError(f"grad_clip and sigma0 must be finite and >= 0, got {opts['grad_clip']}, {opts['sigma0']}")
     # the config, its lambda schedule and a first lr_at call run the library's
     # own checks on lr, weight decay, lam, silence ratio and lr schedule
     try:
@@ -313,31 +322,28 @@ def cmd_quadratic(opts: dict) -> int:
     clip = opts["grad_clip"] if opts["grad_clip"] > 0 else None
     cells = []
     for kappa in opts["kappas"]:
+        obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
         for name in optimizers:
             opt_cfg = cfg if name.startswith("cage") else dataclasses.replace(cfg, lam=0.0)
-            gaps = []
-            for i, seed in enumerate(seeds):
-                obj, x0 = make_quadratic_problem(opts["dim"], kappa, seed, opts["sigma0"])
-                run = run_quadratic(
-                    obj,
-                    x0,
-                    name,
-                    steps,
-                    spec,
-                    opt_cfg,
-                    lr_schedule=opts["lr_schedule"],
-                    ste_kind=opts["ste"],
-                    grad_clip_norm=clip,
-                    record_iterates=(i == 0),
-                )
-                gaps.append(run.final_gap)
-                if i == 0:
-                    write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seed}.csv", run.trace)
-                    proj, _ = pca_project(run.iterates, 2)
-                    with (out / f"traj_kappa{kappa:g}_{name}_seed{seed}.csv").open("w") as fh:
-                        fh.write("pc1,pc2\n")
-                        for row in proj:
-                            fh.write(f"{row[0]!r},{row[1]!r}\n")
+            run = run_quadratic(
+                obj,
+                x0,
+                name,
+                steps,
+                spec,
+                opt_cfg,
+                lr_schedule=opts["lr_schedule"],
+                ste_kind=opts["ste"],
+                grad_clip_norm=clip,
+                record_iterates=True,
+            )
+            write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
+            proj, _ = pca_project(run.iterates, 2)
+            with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
+                fh.write("pc1,pc2\n")
+                for row in proj:
+                    fh.write(f"{row[0]!r},{row[1]!r}\n")
+            gaps = run.final_gaps
             mean = statistics.fmean(gaps)
             std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0
             cells.append(
@@ -369,8 +375,14 @@ def cmd_convergence(opts: dict) -> int:
         raise ConfigError(f"rosenbrock needs dim >= 2, got {opts['dim']}")
     if opts["objective"] == "quadratic":
         _check_quadratic_problem(opts["dim"], [opts["kappa"]])
-    if not (opts["lam"] >= 0 and opts["noise_std"] >= 0 and opts["lipschitz"] > 0):
-        raise ConfigError("convergence needs lambda >= 0, noise_std >= 0 and lipschitz > 0")
+    # comparisons written so that a NaN fails them
+    if not (
+        0.0 <= opts["lam"] < math.inf
+        and 0.0 <= opts["noise_std"] < math.inf
+        and 0.0 <= opts["x0_std"] < math.inf
+        and 0.0 < opts["lipschitz"] < math.inf
+    ):
+        raise ConfigError("convergence needs finite lambda, noise_std and x0_std >= 0 and a finite lipschitz > 0")
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "convergence")
     obj, lhat = make_rate_objective(
@@ -407,23 +419,29 @@ def cmd_convergence(opts: dict) -> int:
 def cmd_fit_scaling(opts: dict) -> int:
     if opts["input"] is None:
         raise ConfigError("fit-scaling needs an input CSV (--input)")
+    if opts["residual_space"] not in RESIDUAL_SPACES:
+        raise ConfigError(f"unknown residual space {opts['residual_space']!r} ({' | '.join(RESIDUAL_SPACES)})")
+    if opts["starts"] < 1:
+        raise ConfigError(f"fit-scaling needs starts >= 1, got {opts['starts']}")
+    if not 0.0 <= opts["prior_weight"] < math.inf:
+        raise ConfigError(f"prior weight must be non-negative and finite, got {opts['prior_weight']}")
+    if opts["fit_seed"] < 0:
+        raise ConfigError(f"fit seed must be non-negative, got {opts['fit_seed']}")
+    # an unreadable file, a malformed row and too little data diversity are
+    # input errors; a ValueError from the fit itself is a bug
     try:
         data = read_scaling_csv(opts["input"])
-    except FileNotFoundError as err:
-        raise ConfigError(str(err)) from err
-    except ValueError as err:
+        check_scaling_data(data)
+    except (FileNotFoundError, ValueError) as err:
         raise ConfigError(str(err)) from err
     out = _prepare_out(opts, "fit-scaling")
-    try:
-        fit = fit_scaling(
-            data,
-            prior_weight=opts["prior_weight"],
-            residual_space=opts["residual_space"],
-            n_starts=opts["starts"],
-            seed=opts["fit_seed"],
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    fit = fit_scaling(
+        data,
+        prior_weight=opts["prior_weight"],
+        residual_space=opts["residual_space"],
+        n_starts=opts["starts"],
+        seed=opts["fit_seed"],
+    )
     doc = write_fit_json(out / "fit.json", fit, data)
     _write_summary(out, doc)
     print("method\tP\teff")

@@ -5,7 +5,9 @@ Three lanes:
 * the scalar floor-quantized problem, where corrected SGD lands on the
   closed-form balance points x(lam) = 1 / (2 (1 + lam));
 * condition-number-swept quadratics with a 4-bit quantized forward pass,
-  comparing plain and corrected optimizers on the final optimality gap;
+  comparing plain and corrected optimizers on the final optimality gap; the
+  seeds of one (kappa, optimizer) cell run as one ``(S, d)`` state on a
+  stack of their problems;
 * the ergodic-rate study, which runs corrected SGD over a grid of horizons
   and fits the log-log decay of the mean squared balance gradient; the
   seeds of one horizon run as a batch, one ``(S, d)`` state, through the
@@ -175,22 +177,35 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 
 @dataclass(frozen=True)
 class QuadraticRun:
-    final_gap: float
-    final_loss: float
-    trace: ParetoMeasure
-    iterates: np.ndarray | None = None
+    final_gaps: list[float]
+    final_losses: list[float]
+    trace: ParetoMeasure  # the first row's
+    iterates: np.ndarray | None = None  # the first row's
 
 
-def make_quadratic_problem(dim: int, kappa: float, seed: int, sigma0: float = 1.0):
-    """Shared problem draw for one (kappa, seed) cell: SPD matrix, target, init.
+def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0: float = 1.0):
+    """Shared problem draw for the (kappa, seed) cells of a seed list: the
+    SPD matrices and targets as one stacked quadratic, and the ``(S, d)``
+    inits.
 
-    All optimizers in a cell must see the same triple so that per-seed
-    comparisons are paired.
+    Each seed draws from its own generator, so a seed's problem does not
+    depend on which other seeds share the stack.  All optimizers in a cell
+    must see the same problems so that per-seed comparisons are paired.
     """
-    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-    A = make_spd(dim, kappa, rng)
-    b = rng.standard_normal(dim)
-    x0 = sigma0 * rng.standard_normal(dim)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    b = np.empty((len(seeds), dim))
+    x0 = np.empty((len(seeds), dim))
+    for i, seed in enumerate(seeds):
+        rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
+        spd = make_spd(dim, kappa, rng)
+        if i == 0:
+            # allocated after make_spd's temporaries are gone, not next to them
+            A = np.empty((len(seeds), dim, dim))
+        A[i] = spd
+        b[i] = rng.standard_normal(dim)
+        x0[i] = sigma0 * rng.standard_normal(dim)
     return quadratic(A, b), x0
 
 
@@ -206,11 +221,15 @@ def run_quadratic(
     grad_clip_norm: float | None = 1.0,
     record_iterates: bool = False,
 ) -> QuadraticRun:
-    """Run one optimizer on a quantized-forward quadratic.
+    """Run one optimizer on quantized-forward quadratics, one run per row of
+    ``x0`` ``(S, d)``, all rows stepped together as one ``(S, d)`` state.
 
-    The loss and gradient are evaluated at Q(x) with the gradient transported
-    back by the chosen estimator; the reported gap is f(Q(x_T)) - f* (or
-    f(x_T) - f* when quantization is disabled).
+    Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
+    and is bitwise its lone run: clipping is per row, and the lr and lambda
+    schedules are shared scalars.  The loss and gradient are evaluated at
+    Q(x) with the gradient transported back by the chosen estimator; the
+    reported gap is f(Q(x_T)) - f* (or f(x_T) - f* when quantization is
+    disabled), one per row.  The trace and the iterates are the first row's.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -223,9 +242,9 @@ def run_quadratic(
     lam_for_measure = cfg.lam if optimizer.startswith("cage") else 0.0
     trace = ParetoMeasure(lam=lam_for_measure)
     sched = cfg.schedule()
-    x = np.array(x0, dtype=np.float64, copy=True)
-    state = AdamState.zeros(obj.dim)
-    snapshots = np.empty((steps, obj.dim)) if record_iterates else None
+    x = np.array(x0, dtype=np.float64, ndmin=2)
+    state = AdamState.zeros(x.shape)
+    snapshots = np.empty((steps, x.shape[1])) if record_iterates else None
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
@@ -244,7 +263,8 @@ def run_quadratic(
             lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(sched, t)
         else:
             lam_t = 0.0
-        trace.record(loss, obj.grad(x), e, lam_t)
+        # the trace's gradient at x is taken for the first row alone
+        trace.record(loss[0], obj.grad(x[:1])[0], e[0], lam_t)
 
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
@@ -258,13 +278,13 @@ def run_quadratic(
             state, x = cage_adamw_coupled_step(state, x, g, e, cfg, t, lr=a_t)
         _check_finite(x, loss, "quadratic run")
         if snapshots is not None:
-            snapshots[t - 1] = x
+            snapshots[t - 1] = x[0]
 
     x_final = quantize(spec, x).quantized if spec is not None else x
-    final_loss = obj.loss(x_final)
+    final_losses = obj.loss(x_final)
     return QuadraticRun(
-        final_gap=final_loss - obj.f_star,
-        final_loss=final_loss,
+        final_gaps=(final_losses - obj.f_star).tolist(),
+        final_losses=final_losses.tolist(),
         trace=trace,
         iterates=snapshots,
     )

@@ -16,6 +16,7 @@ lam * (t/T - silence_ratio) / (1 - silence_ratio).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class LambdaSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        # comparisons written so that a NaN fails them
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0.0 <= self.silence_ratio < 1.0:
             raise ValueError(f"silence_ratio must be in [0, 1), got {self.silence_ratio}")
         if self.total_steps < 1:
@@ -81,14 +83,15 @@ class OptimConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        # comparisons written so that a NaN fails them
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 
     def schedule(self) -> LambdaSchedule:
         return LambdaSchedule(self.lam, self.silence_ratio, self.total_steps)
@@ -96,13 +99,16 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class AdamState:
+    """Adam moments shaped like the parameters: ``(d,)``, or ``(S, d)`` for a
+    batch of S runs that share the step count and the lr."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
 def sgd_step(x: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
@@ -181,10 +187,13 @@ def cage_adamw_coupled_step(
 
 
 def grad_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
-    """Global-norm clipping: g * min(1, max_norm / ||g||)."""
-    if max_norm <= 0:
+    """Norm clipping g * min(1, max_norm / ||g||) of a gradient ``(d,)``, or
+    of each row of a batch ``(S, d)`` on its own.
+
+    The row norm sqrt(vecdot(g, g)) is ``np.linalg.norm``'s sqrt(g.dot(g)), so
+    each row is bitwise its lone clip; a row with a NaN norm is scaled by NaN.
+    """
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    norm = float(np.linalg.norm(g))
-    if norm <= max_norm:
-        return g
-    return g * (max_norm / norm)
+    # a row within the bound divides max_norm by itself: a factor of exactly 1
+    return g * (max_norm / np.maximum(np.sqrt(np.vecdot(g, g)), max_norm))[..., None]

@@ -23,9 +23,11 @@ from .numerics import make_rng
 
 __all__ = [
     "FP_LABEL",
+    "RESIDUAL_SPACES",
     "ScalingDatum",
     "ScalingFit",
     "predict_loss",
+    "check_scaling_data",
     "build_residual_system",
     "fit_scaling",
     "synthesize_scaling_data",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 FP_LABEL = "FP"
+RESIDUAL_SPACES = ("log", "linear")
 CSV_HEADER = ("method", "P", "N", "D", "loss")
 
 
@@ -93,7 +96,10 @@ def _canonical(data: list[ScalingDatum]) -> list[ScalingDatum]:
     return sorted(data, key=lambda r: (r.method, r.precision, r.N, r.D, r.loss))
 
 
-def _validate(data: list[ScalingDatum]) -> list[tuple[str, str]]:
+def check_scaling_data(data: list[ScalingDatum]) -> list[tuple[str, str]]:
+    """ValueError unless the rows can pin the law: at least 2 distinct N and
+    2 distinct D, a full-precision group, and >= 2 points per group.
+    Returns the sorted (method, precision) groups whose eff is fitted."""
     if len({r.N for r in data}) < 2:
         raise ValueError("insufficient data diversity: need at least 2 distinct N")
     if len({r.D for r in data}) < 2:
@@ -123,10 +129,10 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     data misfit followed by the two prior rows sqrt(w) log alpha and
     sqrt(w) log beta.  Returns (residuals, jacobian, groups).
     """
-    if residual_space not in ("log", "linear"):
+    if residual_space not in RESIDUAL_SPACES:
         raise ValueError(f"unknown residual_space {residual_space!r}")
     data = _canonical(list(data))
-    groups = _validate(data)
+    groups = check_scaling_data(data)
     g_index = {key: i for i, key in enumerate(groups)}
     n = len(data)
     log_n = np.array([math.log(r.N) for r in data])

@@ -121,6 +121,7 @@ def test_criterion_5_quadratic_ordering():
     spec = int_spec("int-hadamard", 4)
     details = {}
     for kappa in (1.0, 10.0, 100.0):
+        obj, x0 = make_quadratic_problem(64, kappa, range(10), 1.0)
         gaps = {}
         for name in ("adamw", "cage-adamw-dec"):
             cfg = OptimConfig(
@@ -131,20 +132,17 @@ def test_criterion_5_quadratic_ordering():
                 total_steps=2000,
             )
             gaps[name] = np.array(
-                [
-                    run_quadratic(
-                        obj=make_quadratic_problem(64, kappa, seed, 1.0)[0],
-                        x0=make_quadratic_problem(64, kappa, seed, 1.0)[1],
-                        optimizer=name,
-                        steps=2000,
-                        spec=spec,
-                        cfg=cfg,
-                        lr_schedule="constant",
-                        ste_kind="trust-masked",
-                        grad_clip_norm=1.0,
-                    ).final_gap
-                    for seed in range(10)
-                ]
+                run_quadratic(
+                    obj=obj,
+                    x0=x0,
+                    optimizer=name,
+                    steps=2000,
+                    spec=spec,
+                    cfg=cfg,
+                    lr_schedule="constant",
+                    ste_kind="trust-masked",
+                    grad_clip_norm=1.0,
+                ).final_gaps
             )
         adam, cage = gaps["adamw"], gaps["cage-adamw-dec"]
         wins = int((cage < adam).sum())

@@ -14,6 +14,17 @@ def run_cli(*args):
     return main(list(args))
 
 
+def write_fp_only_csv(path):
+    """A valid fit-scaling input: one full-precision group on a 3 x 3 grid."""
+    path.write_text(
+        "method,P,N,D,loss\n"
+        + "\n".join(f"m,FP,{n},{d},{2.0 + 0.8 / n ** 0.3 + 1.5 / d ** 0.3}"
+                    for n in (10, 100, 1000) for d in (100, 1000, 10000))
+        + "\n"
+    )
+    return path
+
+
 class TestParseQuant:
     def test_none(self):
         assert parse_quant("none") is None
@@ -233,13 +244,7 @@ class TestFitScaling:
         assert "residual_rms" in printed and "m2" in printed
 
     def test_fp_only_file(self, tmp_path):
-        path = tmp_path / "fp.csv"
-        path.write_text(
-            "method,P,N,D,loss\n"
-            + "\n".join(f"m,FP,{n},{d},{2.0 + 0.8 / n ** 0.3 + 1.5 / d ** 0.3}"
-                        for n in (10, 100, 1000) for d in (100, 1000, 10000))
-            + "\n"
-        )
+        path = write_fp_only_csv(tmp_path / "fp.csv")
         out = tmp_path / "fit"
         assert run_cli("fit-scaling", "--input", str(path), "--out", str(out)) == 0
         doc = json.loads((out / "fit.json").read_text())
@@ -254,6 +259,7 @@ class TestFitScaling:
         )
         assert run_cli("fit-scaling", "--input", str(path), "--out", str(tmp_path / "f")) == 2
         assert "FP" in capsys.readouterr().err
+        assert not (tmp_path / "f" / "config.json").exists()
 
     def test_malformed_csv_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -339,6 +345,26 @@ def test_module_entrypoint_smoke(tmp_path):
         ["calibrate-clip", "--n-grid", "0"],
         ["quadratic", "--quant", "int-hadamard:four"],
         ["convergence", "--quant", "floor-toy:0"],
+        ["fit-scaling", "--residual-space", "foo"],
+        ["fit-scaling", "--starts", "0"],
+        ["fit-scaling", "--prior-weight=-1"],
+        ["fit-scaling", "--prior-weight", "nan"],
+        ["fit-scaling", "--fit-seed=-1"],
+        ["toy-pareto", "--alpha", "0"],
+        ["toy-pareto", "--alpha=-0.1"],
+        ["toy-pareto", "--alpha", "nan"],
+        ["toy-pareto", "--alpha", "inf"],
+        ["toy-pareto", "--lambdas", "1,nan"],
+        ["quadratic", "--lr", "nan"],
+        ["quadratic", "--weight-decay", "nan"],
+        ["quadratic", "--lambda", "nan"],
+        ["quadratic", "--silence-ratio", "nan"],
+        ["quadratic", "--grad-clip", "nan"],
+        ["quadratic", "--sigma0", "nan"],
+        ["convergence", "--x0-std", "nan"],
+        ["convergence", "--noise-std", "inf"],
+        ["quadratic", "--kappas", "1,inf"],
+        ["toy-pareto", "--x0", "nan"],
     ],
     ids=[
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
@@ -346,10 +372,18 @@ def test_module_entrypoint_smoke(tmp_path):
         "quadratic-unknown-ste", "quadratic-steps-list", "toy-steps-list", "conv-negative-noise",
         "conv-negative-lambda", "quadratic-unknown-lr-schedule", "quadratic-negative-lr",
         "quadratic-silence-above-1", "conv-lipschitz0", "calibrate-n-grid0", "quant-bad-bits",
-        "quant-zero-grid",
+        "quant-zero-grid", "fit-unknown-residual-space", "fit-starts0", "fit-negative-prior",
+        "fit-nan-prior", "fit-negative-seed", "toy-alpha0", "toy-negative-alpha", "toy-nan-alpha",
+        "toy-inf-alpha", "toy-nan-lambda", "quadratic-nan-lr", "quadratic-nan-weight-decay",
+        "quadratic-nan-lambda", "quadratic-nan-silence", "quadratic-nan-grad-clip",
+        "quadratic-nan-sigma0", "conv-nan-x0-std", "conv-inf-noise", "quadratic-inf-kappa",
+        "toy-nan-x0",
     ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
+    if argv[0] == "fit-scaling":
+        # a valid input, so that only the bad setting can stop the run
+        argv = [*argv, "--input", str(write_fp_only_csv(tmp_path / "losses.csv"))]
     out = tmp_path / "run"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert not (out / "config.json").exists()
@@ -365,3 +399,15 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(qatkit.cli, "run_toy_pareto", broken)
     with pytest.raises(ValueError, match="internal"):
         run_cli("toy-pareto", "--steps", "5", "--out", str(tmp_path / "run"))
+
+
+def test_internal_fit_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # the fit settings and the input are checked before config.json; a
+    # ValueError from inside the fit is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(qatkit.cli, "fit_scaling", broken)
+    path = write_fp_only_csv(tmp_path / "losses.csv")
+    with pytest.raises(ValueError, match="internal"):
+        run_cli("fit-scaling", "--input", str(path), "--out", str(tmp_path / "run"))

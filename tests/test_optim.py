@@ -318,6 +318,17 @@ class TestGradClip:
     def test_bad_max_norm(self):
         with pytest.raises(ValueError):
             grad_clip(np.ones(2), 0.0)
+        with pytest.raises(ValueError):
+            grad_clip(np.ones(2), float("nan"))
+
+
+@pytest.mark.parametrize("field", ["lr", "beta1", "beta2", "eps", "weight_decay", "lam", "silence_ratio"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_bad_hyperparameter_rejected(field, value):
+    # a NaN fails every check, as an out-of-range value does
+    settings = {"lr": 0.1, "lam": 1.0, "silence_ratio": 0.5, "total_steps": 10, field: value}
+    with pytest.raises(ValueError):
+        OptimConfig(**settings).schedule()
 
 
 def test_toy_fixed_points_random_lambda_property():

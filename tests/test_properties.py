@@ -1,5 +1,5 @@
-"""Hypothesis properties of the quantizer core, the batched objectives and the
-seed-batched rate lane.
+"""Hypothesis properties of the quantizer core, the batched objectives, the
+batched gradient clip and the seed-batched rate and quadratic lanes.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -12,11 +12,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qatkit.experiments import _STREAM_INIT, _STREAM_NOISE, run_convergence_run
+from qatkit.experiments import (
+    _STREAM_INIT,
+    _STREAM_NOISE,
+    _STREAM_PROBLEM,
+    OPTIMIZERS,
+    lr_at,
+    make_quadratic_problem,
+    run_convergence_run,
+    run_quadratic,
+)
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
+from qatkit.optim import (
+    AdamState,
+    OptimConfig,
+    adamw_step,
+    cage_adamw_coupled_step,
+    cage_adamw_decoupled_step,
+    cage_sgd_step,
+    grad_clip,
+    lambda_at,
+    sgd_step,
+)
 from qatkit.pareto import ParetoMeasure
-from qatkit.qat_grad import ste_backward, trust_masked_policy
+from qatkit.qat_grad import identity_policy, ste_backward, trust_masked_policy
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize, quantize_int_row
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -269,6 +289,37 @@ def test_batched_objectives_match_each_vector(case):
 
 
 @PROPERTY
+@given(
+    st.sampled_from((2, 3, 8, 33, 64)).flatmap(
+        lambda d: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 4), st.just(d)), elements=st.floats(-10.0, 10.0)),
+            st.floats(1.0, 1000.0),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_stacked_quadratic_matches_each_problem(case):
+    # a stack of S problems evaluates row i of a batch (k <= S rows) against
+    # problem i, bitwise that problem's lone value, with its own x* and f*
+    X, kappa, seed = case
+    S, dim = X.shape
+    rng = make_rng(seed)
+    A = np.stack([make_spd(dim, kappa, rng) for _ in range(S)])
+    b = rng.standard_normal((S, dim))
+    stack = quadratic(A, b)
+    for k in range(1, S + 1):
+        losses, grads = stack.value_and_grad(X[:k])
+        assert losses.shape == (k,) and grads.shape == (k, dim)
+        for i in range(k):
+            lone = quadratic(A[i], b[i])
+            loss, g = lone.value_and_grad(X[i])
+            assert loss == losses[i] and np.array_equal(g, grads[i])
+            assert np.array_equal(g, A[i] @ X[i] - b[i])
+            if k == S:
+                assert stack.f_star[i] == lone.f_star and np.array_equal(stack.x_star[i], lone.x_star)
+
+
+@PROPERTY
 @given(arrays(np.float64, st.integers(1, 64), elements=st.one_of(st.floats(0.0, 6.0), st.sampled_from(E2M1_EDGES))))
 @example(E2M1_EDGES)
 def test_e2m1_round_matches_distance_matrix(u):
@@ -313,3 +364,124 @@ def test_seed_batched_rate_lane_matches_lone_runs(name, spec, lam, noise_std, ho
         assert run.ergodic_means[i] == mean
         if i == 0:
             assert run.trace == trace
+
+
+def lone_grad_clip(g, max_norm):
+    """Norm clipping of one gradient with np.linalg.norm: the oracle for the
+    row-wise batched ``grad_clip``."""
+    norm = float(np.linalg.norm(g))
+    if norm <= max_norm:
+        return g
+    return g * (max_norm / norm)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 64).flatmap(
+        lambda d: arrays(np.float64, st.tuples(st.integers(1, 4), st.just(d)), elements=st.floats(-1e3, 1e3))
+    ),
+    st.sampled_from((0.5, 1.0, 5.0)),
+)
+@example(np.array([[3.0, 4.0], [0.0, 0.0], [30.0, 40.0], [0.3, 0.4]]), 5.0)
+def test_batched_grad_clip_matches_each_row(G, max_norm):
+    clipped = grad_clip(G, max_norm)
+    for s, g in enumerate(G):
+        assert np.array_equal(clipped[s], lone_grad_clip(g, max_norm))
+        assert np.array_equal(grad_clip(g, max_norm), lone_grad_clip(g, max_norm))
+
+
+def lone_quadratic_problem(dim, kappa, seed):
+    """One seed's problem drawn on its own, as a plain (d, d) quadratic."""
+    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
+    A = make_spd(dim, kappa, rng)
+    b = rng.standard_normal(dim)
+    return quadratic(A, b), rng.standard_normal(dim)
+
+
+def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
+    """One seed's quadratic-lane run, stepped alone on a vector with
+    ``lone_grad_clip``: the oracle for the seed-batched ``run_quadratic``.
+    Returns (final gap, final loss, trace, iterates)."""
+    if spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES:
+        policy = trust_masked_policy(spec)
+    else:
+        policy = identity_policy()
+    trace = ParetoMeasure(lam=cfg.lam if optimizer.startswith("cage") else 0.0)
+    x = np.array(x0, dtype=np.float64)
+    state = AdamState.zeros(obj.dim)
+    iterates = np.empty((steps, obj.dim))
+    for t in range(1, steps + 1):
+        a_t = lr_at(cfg.lr, t, steps, lr_schedule)
+        if spec is not None:
+            qres = quantize(spec, x)
+            loss, g_at_q = obj.value_and_grad(qres.quantized)
+            g = ste_backward(policy, g_at_q, qres)
+            e = qres.error
+        else:
+            loss, g = obj.value_and_grad(x)
+            e = np.zeros_like(x)
+        if clip:
+            g = lone_grad_clip(g, clip)
+        if optimizer.startswith("cage"):
+            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg.schedule(), t)
+        else:
+            lam_t = 0.0
+        trace.record(loss, obj.grad(x), e, lam_t)
+        if optimizer == "sgd":
+            x = sgd_step(x, g, a_t)
+        elif optimizer == "adamw":
+            state, x = adamw_step(state, x, g, cfg, lr=a_t)
+        elif optimizer == "cage-sgd":
+            x = cage_sgd_step(x, g, e, a_t, lam_t)
+        elif optimizer == "cage-adamw-dec":
+            state, x = cage_adamw_decoupled_step(state, x, g, cfg, t, spec=spec, lr=a_t)
+        else:
+            state, x = cage_adamw_coupled_step(state, x, g, e, cfg, t, lr=a_t)
+        iterates[t - 1] = x
+    final_loss = obj.loss(quantize(spec, x).quantized if spec is not None else x)
+    return final_loss - obj.f_star, final_loss, trace, iterates
+
+
+QUADRATIC_SPECS = {
+    "int-hadamard": int_spec("int-hadamard", 4),
+    "int-plain-rows": int_spec("int-plain", 3, row_length=4),
+    "mxfp4": QuantSpec(scheme="mxfp4", block_size=8),
+    "none": None,
+}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.sampled_from(OPTIMIZERS),
+    st.sampled_from(tuple(QUADRATIC_SPECS)),
+    st.sampled_from(("trust-masked", "identity")),
+    st.sampled_from(("constant", "cosine")),
+    st.sampled_from((None, 1.0, 5.0)),
+    st.sampled_from((8, 12, 20)),
+    st.sampled_from((1.0, 10.0, 100.0)),
+    st.sampled_from((0.0, 0.1)),
+    st.integers(2, 40),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+)
+@example("cage-adamw-dec", "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3])
+@example("cage-adamw-cpl", "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2])
+def test_seed_batched_quadratic_lane_matches_lone_runs(
+    optimizer, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds
+):
+    # every seed's final gap and loss, and the first seed's trace and
+    # iterates, are bitwise those of the seed run alone on its own draw
+    spec = QUADRATIC_SPECS[quant]
+    cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5, total_steps=steps)
+    obj, x0 = make_quadratic_problem(dim, kappa, seeds)
+    run = run_quadratic(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip, record_iterates=True)
+    assert len(run.final_gaps) == len(run.final_losses) == len(seeds)
+    for i, seed in enumerate(seeds):
+        lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed)
+        assert np.array_equal(x0[i], lone_x0)
+        gap, loss, trace, iterates = lone_quadratic_run(
+            lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
+        )
+        assert run.final_gaps[i] == gap and run.final_losses[i] == loss
+        if i == 0:
+            assert run.trace == trace
+            assert np.array_equal(run.iterates, iterates)
