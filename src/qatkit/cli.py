@@ -15,7 +15,6 @@ numerical failure; any other exception is a bug and surfaces as one.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import statistics
@@ -23,10 +22,10 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    LR_SCHEDULES,
     OPTIMIZERS,
-    STE_KINDS,
+    RATE_OBJECTIVES,
     NumericalFailure,
-    lr_at,
     make_quadratic_problem,
     make_rate_objective,
     run_convergence_run,
@@ -36,6 +35,7 @@ from .experiments import (
 from .numerics import pca_project
 from .optim import OptimConfig
 from .pareto import loglog_fit, write_trace_csv
+from .qat_grad import STE_KINDS
 from .quantize import (
     INT_SCHEMES,
     QuantSpec,
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# option parsing
+# option parsing and checks; a check raises ConfigError on a value it rejects
 # ---------------------------------------------------------------------------
 
 def _parse(parse, text: str, what: str):
@@ -65,16 +65,55 @@ def _parse(parse, text: str, what: str):
         raise ConfigError(f"bad {what}: {text!r}") from err
 
 
-def _parse_int_list(v: str) -> list[int]:
-    return [int(p) for p in str(v).split(",") if p.strip()]
+def _finite(text: str) -> float:
+    """A float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def _parse_float_list(v: str) -> list[float]:
-    return [float(p) for p in str(v).split(",") if p.strip()]
+def _list(parse_item):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda text: [parse_item(p) for p in str(text).split(",") if p.strip()]
 
 
-def _parse_str_list(v: str) -> list[str]:
-    return [p.strip() for p in str(v).split(",") if p.strip()]
+def _rule(desc: str, ok):
+    """Check that rejects a value for which ``ok`` is false."""
+
+    def check(value):
+        if not ok(value):
+            raise ConfigError(f"must be {desc}, got {value!r}")
+
+    return check
+
+
+def at_least(n):
+    return _rule(f">= {n}", lambda v: v >= n)
+
+
+def one_of(names):
+    return _rule(f"one of {' | '.join(names)}", lambda v: v in names)
+
+
+positive = _rule("> 0", lambda v: v > 0)
+nonneg = at_least(0)
+bit_width = _rule("a bit-width in range [2, 8]", lambda b: 2 <= b <= 8)
+
+
+def each(check):
+    """List check: at least one entry, no entry twice (each names an output
+    file or a sample member), and every entry passing ``check``."""
+
+    def check_list(values):
+        if not values:
+            raise ConfigError("needs at least one entry")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"has a duplicate entry: {values}")
+        for value in values:
+            check(value)
+
+    return check_list
 
 
 def parse_quant(v: str) -> QuantSpec | None:
@@ -89,73 +128,79 @@ def parse_quant(v: str) -> QuantSpec | None:
         if len(parts) != 2:
             raise ConfigError(f"int schemes need a bit-width, e.g. {scheme}:4")
         bits = _parse(int, parts[1], "bit-width")
-        if not 2 <= bits <= 8:
-            raise ConfigError(f"bits out of supported range [2, 8]: {bits}")
+        bit_width(bits)
         return int_spec(scheme, bits)
     if scheme == "mxfp4":
         return QuantSpec(scheme="mxfp4")
     if scheme == "floor-toy":
-        grid = _parse(float, parts[1], "floor-toy grid") if len(parts) > 1 else 1.0
-        if not grid > 0:
+        grid = _parse(_finite, parts[1], "floor-toy grid") if len(parts) > 1 else 1.0
+        if grid <= 0:
             raise ConfigError(f"floor-toy grid must be positive, got {grid}")
         return QuantSpec(scheme="floor-toy", grid=grid)
     raise ConfigError(f"unknown quantizer scheme {scheme!r}")
 
 
-# option tables: name -> (parser, default, help); None default means "must be
-# given by config or flag" only where noted
-_OUT = {"out": (str, None, "output directory")}
-_SEEDED = {**_OUT, "seed": (_parse_int_list, [0], "comma-separated seed list")}
+# option tables: name -> (parser, default, help, check); the check runs on
+# the resolved value, from a flag, the config file or the default
+_OUT = {"out": (str, None, "output directory", None)}
+_SEEDED = {**_OUT, "seed": (_list(int), [0], "comma-separated seed list", each(nonneg))}
 
 _OPTIONS: dict[str, dict] = {
     "calibrate-clip": {
         **_OUT,
-        "bits": (_parse_int_list, [2, 3, 4], "bit-widths to calibrate"),
-        "n_grid": (int, 96, "coarse-scan resolution over the clip range"),
-        "quadrature": (int, 100001, "quadrature node count"),
+        "bits": (_list(int), [2, 3, 4], "bit-widths to calibrate", each(bit_width)),
+        "n_grid": (int, 96, "coarse-scan resolution over the clip range", at_least(2)),
+        "quadrature": (int, 100001, "quadrature node count", at_least(2)),
     },
     "toy-pareto": {
         **_OUT,
-        "lambdas": (_parse_float_list, [0.5, 1.0, 2.0, 3.0], "correction coefficients"),
-        "alpha": (float, 0.05, "learning rate"),
-        "steps": (int, 5000, "step budget"),
-        "x0": (float, 0.9, "initial point"),
+        "lambdas": (_list(_finite), [0.5, 1.0, 2.0, 3.0], "correction coefficients", each(nonneg)),
+        "alpha": (_finite, 0.05, "learning rate", positive),
+        "steps": (int, 5000, "step budget", positive),
+        "x0": (_finite, 0.9, "initial point", None),
     },
     "quadratic": {
         **_SEEDED,
-        "kappas": (_parse_float_list, [1.0, 10.0, 100.0], "condition numbers"),
-        "dim": (int, 64, "problem dimension"),
-        "steps": (int, 2000, "step budget"),
-        "opt": (_parse_str_list, ["adamw", "cage-adamw-dec"], "optimizers to compare"),
-        "quant": (str, "int-hadamard:4", "quantizer spec"),
-        "lr": (float, 0.03, "base learning rate"),
-        "lr_schedule": (str, "constant", "constant | cosine"),
-        "lam": (float, 2.0, "correction coefficient"),
-        "silence_ratio": (float, 0.9, "fraction of steps before the ramp"),
-        "weight_decay": (float, 0.0, "decoupled weight decay"),
-        "grad_clip": (float, 1.0, "gradient clip norm, 0 disables"),
-        "sigma0": (float, 1.0, "init scale"),
-        "ste": (str, "trust-masked", "identity | trust-masked"),
+        "kappas": (_list(_finite), [1.0, 10.0, 100.0], "condition numbers", each(at_least(1.0))),
+        # dim, steps >= 2: the first seed's trajectory goes through a two-component PCA
+        "dim": (int, 64, "problem dimension", at_least(2)),
+        "steps": (int, 2000, "step budget", at_least(2)),
+        "opt": (
+            _list(str.strip), ["adamw", "cage-adamw-dec"], "optimizers to compare", each(one_of(OPTIMIZERS))
+        ),
+        "quant": (str, "int-hadamard:4", "quantizer spec", parse_quant),
+        "lr": (_finite, 0.03, "base learning rate", positive),
+        "lr_schedule": (str, "constant", " | ".join(LR_SCHEDULES), one_of(LR_SCHEDULES)),
+        "lam": (_finite, 2.0, "correction coefficient", nonneg),
+        "silence_ratio": (
+            _finite, 0.9, "fraction of steps before the ramp", _rule("in [0, 1)", lambda v: 0 <= v < 1)
+        ),
+        "weight_decay": (_finite, 0.0, "decoupled weight decay", nonneg),
+        "grad_clip": (_finite, 1.0, "gradient clip norm, 0 disables", nonneg),
+        "sigma0": (_finite, 1.0, "init scale", nonneg),
+        "ste": (str, "trust-masked", " | ".join(STE_KINDS), one_of(STE_KINDS)),
     },
     "convergence": {
         **_SEEDED,
-        "objective": (str, "rosenbrock", "rosenbrock | quadratic"),
-        "dim": (int, 10, "problem dimension"),
-        "kappa": (float, 10.0, "condition number (quadratic objective)"),
-        "quant": (str, "floor-toy:0.25", "quantizer spec"),
-        "lam": (float, 1.0, "correction coefficient"),
-        "noise_std": (float, 0.1, "gradient noise std"),
-        "steps": (_parse_int_list, [100, 1000, 10000, 100000], "horizon list"),
-        "lipschitz": (float, 1000.0, "smoothness constant for non-quadratic objectives"),
-        "x0_std": (float, 0.25, "init scale"),
+        "objective": (str, "rosenbrock", " | ".join(RATE_OBJECTIVES), one_of(RATE_OBJECTIVES)),
+        "dim": (int, 10, "problem dimension", positive),
+        "kappa": (_finite, 10.0, "condition number (quadratic objective)", at_least(1.0)),
+        "quant": (str, "floor-toy:0.25", "quantizer spec", parse_quant),
+        "lam": (_finite, 1.0, "correction coefficient", nonneg),
+        "noise_std": (_finite, 0.1, "gradient noise std", nonneg),
+        "steps": (_list(int), [100, 1000, 10000, 100000], "horizon list", each(positive)),
+        "lipschitz": (_finite, 1000.0, "smoothness constant for non-quadratic objectives", positive),
+        "x0_std": (_finite, 0.25, "init scale", nonneg),
     },
     "fit-scaling": {
         **_OUT,
-        "input": (str, None, "input CSV path (method, P, N, D, loss)"),
-        "prior_weight": (float, 1e-3, "log-prior strength on the exponents"),
-        "residual_space": (str, "log", "log | linear"),
-        "starts": (int, 8, "multi-start count"),
-        "fit_seed": (int, 0, "seed for the start draws"),
+        "input": (
+            str, None, "input CSV path (method, P, N, D, loss)", _rule("given", lambda v: v is not None)
+        ),
+        "prior_weight": (_finite, 1e-3, "log-prior strength on the exponents", nonneg),
+        "residual_space": (str, "log", " | ".join(RESIDUAL_SPACES), one_of(RESIDUAL_SPACES)),
+        "starts": (int, 8, "multi-start count", positive),
+        "fit_seed": (int, 0, "seed for the start draws", nonneg),
     },
 }
 
@@ -186,14 +231,20 @@ def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config key(s) for {subcommand}: {', '.join(unknown)}")
     resolved = {}
-    for name, (parse, default, _help) in table.items():
+    for name, (parse, default, _help, check) in table.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
-            resolved[name] = _parse(parse, cli_value, name)
+            value = _parse(parse, cli_value, name)
         elif name in file_values:
-            resolved[name] = _parse(parse, file_values[name], name)
+            value = _parse(parse, file_values[name], name)
         else:
-            resolved[name] = default
+            value = default
+        if check is not None:
+            try:
+                check(value)
+            except ConfigError as err:
+                raise ConfigError(f"bad {name}: {err}") from err
+        resolved[name] = value
     if resolved.get("out") is None:
         resolved["out"] = f"runs/{subcommand}"
     return resolved
@@ -211,30 +262,14 @@ def _write_summary(out: Path, payload: dict) -> None:
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_quadratic_problem(dim: int, kappas: list[float]) -> None:
-    """The settings ``make_spd`` needs: dim >= 1, every kappa finite and
-    >= 1, and kappa 1 for a 1x1 matrix."""
-    if dim < 1:
-        raise ConfigError(f"quadratic problems need dim >= 1, got {dim}")
-    bad = [k for k in kappas if not 1.0 <= k < math.inf or (dim == 1 and k != 1.0)]
-    if bad:
-        raise ConfigError(f"condition numbers must be finite and >= 1 (exactly 1 at dim 1), got {bad}")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks only what spans several options
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate_clip(opts: dict) -> int:
-    bits = opts["bits"]
-    bad = [b for b in bits if not 2 <= b <= 8]
-    if bad:
-        raise ConfigError(f"bits out of supported range [2, 8]: {bad}")
-    if opts["n_grid"] < 2 or opts["quadrature"] < 2:
-        raise ConfigError(f"n_grid and quadrature need >= 2 points, got {opts['n_grid']}, {opts['quadrature']}")
     out = _prepare_out(opts, "calibrate-clip")
     rows = []
-    for b in sorted(bits):
+    for b in sorted(opts["bits"]):
         k = calibrate_clip(b, n_grid=opts["n_grid"], quadrature=opts["quadrature"])
         mse = gaussian_clip_mse(b, k, opts["quadrature"])
         rows.append((b, k, mse))
@@ -245,21 +280,10 @@ def cmd_calibrate_clip(opts: dict) -> int:
 
 
 def cmd_toy_pareto(opts: dict) -> int:
-    lambdas = opts["lambdas"]
-    # comparisons written so that a NaN fails them
-    if not all(0.0 <= lam < math.inf for lam in lambdas):
-        raise ConfigError(f"lambda values must be non-negative and finite, got {lambdas}")
-    if not 0.0 < opts["alpha"] < math.inf:
-        raise ConfigError(f"toy-pareto needs a positive finite learning rate, got alpha={opts['alpha']}")
-    if not math.isfinite(opts["x0"]):
-        raise ConfigError(f"toy-pareto needs a finite x0, got {opts['x0']}")
-    steps = opts["steps"]
-    if steps < 1:
-        raise ConfigError(f"toy-pareto needs steps >= 1, got {steps}")
     out = _prepare_out(opts, "toy-pareto")
     results = []
-    for lam in lambdas:
-        res = run_toy_pareto(lam, lr=opts["alpha"], steps=steps, x0=opts["x0"])
+    for lam in opts["lambdas"]:
+        res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
         results.append(res)
         write_trace_csv(out / f"trace_lambda{lam:g}.csv", res.trace)
         print(
@@ -284,57 +308,30 @@ def cmd_toy_pareto(opts: dict) -> int:
 
 
 def cmd_quadratic(opts: dict) -> int:
-    seeds = opts["seed"]
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    optimizers = opts["opt"]
-    unknown = [o for o in optimizers if o not in OPTIMIZERS]
-    if unknown:
-        raise ConfigError(f"unknown optimizer(s): {', '.join(unknown)} (choose from {', '.join(OPTIMIZERS)})")
-    # the first seed's trajectory is projected onto two principal components
-    if opts["dim"] < 2:
-        raise ConfigError(f"quadratic needs dim >= 2 for the trajectory PCA, got {opts['dim']}")
-    steps = opts["steps"]
-    if steps < 2:
-        raise ConfigError(f"quadratic needs steps >= 2 for the trajectory PCA, got {steps}")
-    _check_quadratic_problem(opts["dim"], opts["kappas"])
-    if opts["ste"] not in STE_KINDS:
-        raise ConfigError(f"unknown ste {opts['ste']!r} (choose from {', '.join(STE_KINDS)})")
-    # comparisons written so that a NaN fails them
-    if not (0.0 <= opts["grad_clip"] < math.inf and 0.0 <= opts["sigma0"] < math.inf):
-        raise ConfigError(f"grad_clip and sigma0 must be finite and >= 0, got {opts['grad_clip']}, {opts['sigma0']}")
-    # the config, its lambda schedule and a first lr_at call run the library's
-    # own checks on lr, weight decay, lam, silence ratio and lr schedule
-    try:
-        cfg = OptimConfig(
-            lr=opts["lr"],
-            weight_decay=opts["weight_decay"],
-            lam=opts["lam"],
-            silence_ratio=opts["silence_ratio"],
-            total_steps=steps,
-        )
-        cfg.schedule()
-        lr_at(cfg.lr, 1, steps, opts["lr_schedule"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    seeds, steps = opts["seed"], opts["steps"]
+    cfg = OptimConfig(
+        lr=opts["lr"],
+        weight_decay=opts["weight_decay"],
+        lam=opts["lam"],
+        silence_ratio=opts["silence_ratio"],
+        total_steps=steps,
+    )
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "quadratic")
-    clip = opts["grad_clip"] if opts["grad_clip"] > 0 else None
     cells = []
     for kappa in opts["kappas"]:
         obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
-        for name in optimizers:
-            opt_cfg = cfg if name.startswith("cage") else dataclasses.replace(cfg, lam=0.0)
+        for name in opts["opt"]:
             run = run_quadratic(
                 obj,
                 x0,
                 name,
                 steps,
                 spec,
-                opt_cfg,
+                cfg,
                 lr_schedule=opts["lr_schedule"],
                 ste_kind=opts["ste"],
-                grad_clip_norm=clip,
+                grad_clip_norm=opts["grad_clip"],
                 record_iterates=True,
             )
             write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
@@ -362,27 +359,13 @@ def cmd_quadratic(opts: dict) -> int:
 
 def cmd_convergence(opts: dict) -> int:
     seeds = opts["seed"]
-    if not seeds:
-        raise ConfigError("need at least one seed")
     horizons = sorted(opts["steps"])
-    if not horizons or horizons[0] < 1:
-        raise ConfigError(f"horizons must be positive, got {horizons}")
-    if len(horizons) >= 2 and max(horizons) / min(horizons) < 100.0:
+    if len(horizons) >= 2 and horizons[-1] / horizons[0] < 100.0:
         raise ConfigError("horizon list must span at least two decades")
-    if opts["objective"] not in ("rosenbrock", "quadratic"):
-        raise ConfigError(f"unknown rate objective {opts['objective']!r} (rosenbrock | quadratic)")
     if opts["objective"] == "rosenbrock" and opts["dim"] < 2:
         raise ConfigError(f"rosenbrock needs dim >= 2, got {opts['dim']}")
-    if opts["objective"] == "quadratic":
-        _check_quadratic_problem(opts["dim"], [opts["kappa"]])
-    # comparisons written so that a NaN fails them
-    if not (
-        0.0 <= opts["lam"] < math.inf
-        and 0.0 <= opts["noise_std"] < math.inf
-        and 0.0 <= opts["x0_std"] < math.inf
-        and 0.0 < opts["lipschitz"] < math.inf
-    ):
-        raise ConfigError("convergence needs finite lambda, noise_std and x0_std >= 0 and a finite lipschitz > 0")
+    if opts["objective"] == "quadratic" and opts["dim"] == 1 and opts["kappa"] != 1.0:
+        raise ConfigError(f"a quadratic at dim 1 needs kappa = 1, got {opts['kappa']}")
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "convergence")
     obj, lhat = make_rate_objective(
@@ -417,16 +400,6 @@ def cmd_convergence(opts: dict) -> int:
 
 
 def cmd_fit_scaling(opts: dict) -> int:
-    if opts["input"] is None:
-        raise ConfigError("fit-scaling needs an input CSV (--input)")
-    if opts["residual_space"] not in RESIDUAL_SPACES:
-        raise ConfigError(f"unknown residual space {opts['residual_space']!r} ({' | '.join(RESIDUAL_SPACES)})")
-    if opts["starts"] < 1:
-        raise ConfigError(f"fit-scaling needs starts >= 1, got {opts['starts']}")
-    if not 0.0 <= opts["prior_weight"] < math.inf:
-        raise ConfigError(f"prior weight must be non-negative and finite, got {opts['prior_weight']}")
-    if opts["fit_seed"] < 0:
-        raise ConfigError(f"fit seed must be non-negative, got {opts['fit_seed']}")
     # an unreadable file, a malformed row and too little data diversity are
     # input errors; a ValueError from the fit itself is a bug
     try:
@@ -470,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, table in _OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="plain-text key = value config file")
-        for key, (_parse, default, help_text) in table.items():
+        for key, (_parse, default, help_text, _check) in table.items():
             flag = _FLAG_ALIASES.get(key, key).replace("_", "-")
             p.add_argument(f"--{flag}", dest=key, default=None, help=f"{help_text} (default: {default})")
     return parser

@@ -39,13 +39,14 @@ from .optim import (
     sgd_step,
 )
 from .pareto import ParetoMeasure
-from .qat_grad import identity_policy, trust_masked_policy, ste_backward
+from .qat_grad import STE_KINDS, identity_policy, trust_masked_policy, ste_backward
 from .quantize import INT_SCHEMES, QuantSpec, quantize
 
 __all__ = [
     "NumericalFailure",
     "OPTIMIZERS",
-    "STE_KINDS",
+    "LR_SCHEDULES",
+    "RATE_OBJECTIVES",
     "lr_at",
     "ToyParetoResult",
     "run_toy_pareto",
@@ -58,7 +59,8 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl")
-STE_KINDS = ("identity", "trust-masked")
+LR_SCHEDULES = ("constant", "cosine")
+RATE_OBJECTIVES = ("rosenbrock", "quadratic")
 
 # seed-stream labels so the problem draw, init, and noise never alias
 _STREAM_PROBLEM = 11
@@ -76,10 +78,10 @@ class NumericalFailure(RuntimeError):
 
 def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") -> float:
     """Step-t learning rate; cosine decay includes a 10% linear warmup."""
+    if schedule not in LR_SCHEDULES:
+        raise ValueError(f"unknown lr schedule {schedule!r}")
     if schedule == "constant":
         return base_lr
-    if schedule != "cosine":
-        raise ValueError(f"unknown lr schedule {schedule!r}")
     warm = max(1, math.ceil(0.1 * total_steps))
     if t <= warm:
         return base_lr * t / warm
@@ -149,16 +151,15 @@ class ToyParetoResult:
     trace: ParetoMeasure
 
 
-def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 0.9,
-                   grid: float = 1.0) -> ToyParetoResult:
-    """Corrected SGD with constant lam on the scalar problem under a floor grid.
+def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 0.9) -> ToyParetoResult:
+    """Corrected SGD with constant lam on the scalar problem, floor grid 1.
 
     The iterate moves by x - lr (grad f(x) + lam (x - Q(x))); for lam > 0 it
     converges to the balance point 1 / (2 (1 + lam)) from x0 = 0.9, while the
     straight-through gradient at Q(x) stays bounded away from zero.
     """
     obj = toy_scalar()
-    spec = QuantSpec(scheme="floor-toy", grid=grid)
+    spec = QuantSpec(scheme="floor-toy")
     trace = ParetoMeasure(lam=lam)
     (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
     fwd = quantize(spec, x)
@@ -225,11 +226,13 @@ def run_quadratic(
     ``x0`` ``(S, d)``, all rows stepped together as one ``(S, d)`` state.
 
     Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
-    and is bitwise its lone run: clipping is per row, and the lr and lambda
-    schedules are shared scalars.  The loss and gradient are evaluated at
-    Q(x) with the gradient transported back by the chosen estimator; the
-    reported gap is f(Q(x_T)) - f* (or f(x_T) - f* when quantization is
-    disabled), one per row.  The trace and the iterates are the first row's.
+    and is bitwise its lone run: clipping is per row (off when
+    ``grad_clip_norm`` is None or 0), and the lr and lambda schedules are
+    shared scalars; a non-corrected optimizer ignores ``cfg.lam``.  The loss
+    and gradient are evaluated at Q(x) with the gradient transported back by
+    the chosen estimator; the reported gap is f(Q(x_T)) - f* (or f(x_T) - f*
+    when quantization is disabled), one per row.  The trace and the iterates
+    are the first row's.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -241,7 +244,6 @@ def run_quadratic(
         policy = identity_policy()
     lam_for_measure = cfg.lam if optimizer.startswith("cage") else 0.0
     trace = ParetoMeasure(lam=lam_for_measure)
-    sched = cfg.schedule()
     x = np.array(x0, dtype=np.float64, ndmin=2)
     state = AdamState.zeros(x.shape)
     snapshots = np.empty((steps, x.shape[1])) if record_iterates else None
@@ -260,7 +262,7 @@ def run_quadratic(
             g = grad_clip(g, grad_clip_norm)
 
         if optimizer.startswith("cage"):
-            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(sched, t)
+            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t)
         else:
             lam_t = 0.0
         # the trace's gradient at x is taken for the first row alone
@@ -296,8 +298,6 @@ def run_quadratic(
 
 @dataclass(frozen=True)
 class ConvergenceRun:
-    horizon: int
-    seeds: tuple[int, ...]
     alpha: float
     ergodic_means: list[float]
     trace: ParetoMeasure | None  # the first seed's
@@ -310,14 +310,14 @@ def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
     Quadratics get a power-iteration estimate of the top curvature; the
     non-convex objective uses the configured constant.
     """
+    if name not in RATE_OBJECTIVES:
+        raise ValueError(f"unknown rate objective {name!r}")
     if name == "rosenbrock":
         return rosenbrock(dim), lipschitz
-    if name == "quadratic":
-        rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-        A = make_spd(dim, kappa, rng)
-        lhat = power_iteration_lmax(A, make_rng((_STREAM_PROBLEM, seed, 7)))
-        return quadratic(A, rng.standard_normal(dim)), lhat
-    raise ValueError(f"unknown rate objective {name!r}")
+    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
+    A = make_spd(dim, kappa, rng)
+    lhat = power_iteration_lmax(A, make_rng((_STREAM_PROBLEM, seed, 7)))
+    return quadratic(A, rng.standard_normal(dim)), lhat
 
 
 def run_convergence_run(
@@ -350,8 +350,6 @@ def run_convergence_run(
     noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
     _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
     return ConvergenceRun(
-        horizon=horizon,
-        seeds=seeds,
         alpha=alpha,
         # rows are contiguous, so each mean sums in the order of a lone run
         ergodic_means=pareto_sq.mean(axis=1).tolist(),

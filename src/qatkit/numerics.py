@@ -1,32 +1,17 @@
-"""Dense vector/matrix primitives, seeded randomness, and numerical oracles.
+"""Seeded randomness and dense-matrix helpers.
 
-Everything here works on plain float64 ``numpy`` arrays: a ``Vector`` is a
-1-d array, a ``Matrix`` a 2-d array.  All computation is in doubles so that
-the optimizer and convergence checks elsewhere in the package are not
-confounded by precision.
+Everything here works on plain float64 ``numpy`` arrays, so that the
+optimizer and convergence checks elsewhere in the package are not confounded
+by precision.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 
-Vector = np.ndarray
-Matrix = np.ndarray
-
-__all__ = [
-    "Vector",
-    "Matrix",
-    "make_rng",
-    "matvec",
-    "finite_diff_grad",
-    "make_spd",
-    "pca_project",
-    "gaussian_vector",
-    "power_iteration_lmax",
-]
+__all__ = ["make_rng", "make_spd", "pca_project", "power_iteration_lmax"]
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -39,45 +24,7 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _as_vector(x, name: str = "x") -> Vector:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    return v
-
-
-def matvec(A: Matrix, x: Vector) -> Vector:
-    """Dense matrix-vector product with shape validation."""
-    A = np.asarray(A, dtype=np.float64)
-    x = _as_vector(x)
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-dimensional, got shape {A.shape}")
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has dim {x.shape[0]}")
-    return A @ x
-
-
-def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float = 1e-5) -> Vector:
-    """Central-difference gradient, the oracle for analytic-gradient checks.
-
-    result_i = (f(x + h e_i) - f(x - h e_i)) / (2 h)
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x = _as_vector(x)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = float(f(x + e))
-        fm = float(f(x - e))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError(f"non-finite objective value at coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
-def make_spd(dim: int, kappa: float, rng: np.random.Generator) -> Matrix:
+def make_spd(dim: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
     """Random symmetric positive definite matrix with condition number ``kappa``.
 
     Eigenvalues are log-spaced in [1, kappa]; the eigenbasis is a random
@@ -132,14 +79,7 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     return Xc @ comps.T, comps
 
 
-def gaussian_vector(dim: int, mean: float, std: float, rng: np.random.Generator) -> Vector:
-    """I.i.d. normal entries; std = 0 returns the constant vector ``mean``."""
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    return rng.normal(mean, std, size=dim)
-
-
-def power_iteration_lmax(A: Matrix, rng: np.random.Generator, iters: int = 200) -> float:
+def power_iteration_lmax(A: np.ndarray, rng: np.random.Generator, iters: int = 200) -> float:
     """Largest-eigenvalue estimate of a symmetric PSD matrix via power iteration."""
     A = np.asarray(A, dtype=np.float64)
     v = rng.standard_normal(A.shape[0])

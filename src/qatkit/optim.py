@@ -26,7 +26,6 @@ from .quantize import QuantSpec, quant_error
 __all__ = [
     "AdamState",
     "OptimConfig",
-    "LambdaSchedule",
     "lambda_at",
     "sgd_step",
     "cage_sgd_step",
@@ -35,34 +34,6 @@ __all__ = [
     "cage_adamw_coupled_step",
     "grad_clip",
 ]
-
-
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Silence-then-linear-ramp schedule for the correction coefficient."""
-
-    lam: float
-    silence_ratio: float
-    total_steps: int
-
-    def __post_init__(self):
-        # comparisons written so that a NaN fails them
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-        if not 0.0 <= self.silence_ratio < 1.0:
-            raise ValueError(f"silence_ratio must be in [0, 1), got {self.silence_ratio}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
-
-
-def lambda_at(sched: LambdaSchedule, t: int) -> float:
-    """Coefficient at step t (1-based): zero through the silence period, then
-    a linear ramp reaching ``lam`` at t = total_steps."""
-    r = min(max(t / sched.total_steps, 0.0), 1.0)
-    s = sched.silence_ratio
-    if r <= s:
-        return 0.0
-    return sched.lam * (r - s) / (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -92,9 +63,22 @@ class OptimConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
+        if not 0.0 <= self.silence_ratio < 1.0:
+            raise ValueError(f"silence_ratio must be in [0, 1), got {self.silence_ratio}")
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
 
-    def schedule(self) -> LambdaSchedule:
-        return LambdaSchedule(self.lam, self.silence_ratio, self.total_steps)
+
+def lambda_at(cfg: OptimConfig, t: int) -> float:
+    """Correction coefficient at step t (1-based): zero through the silence
+    period, then a linear ramp reaching ``cfg.lam`` at t = ``cfg.total_steps``."""
+    r = min(max(t / cfg.total_steps, 0.0), 1.0)
+    s = cfg.silence_ratio
+    if r <= s:
+        return 0.0
+    return cfg.lam * (r - s) / (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def cage_adamw_decoupled_step(
     None, so e_t = 0), the step is bitwise identical to plain AdamW.
     """
     a = cfg.lr if lr is None else lr
-    lam_t = lambda_at(cfg.schedule(), t)
+    lam_t = lambda_at(cfg, t)
     new_state, x_tilde = adamw_step(state, x, g, cfg, lr=lr)
     if lam_t == 0.0 or spec is None:
         return new_state, x_tilde
@@ -180,7 +164,7 @@ def cage_adamw_coupled_step(
     The error rides through the moment estimates, so the correction is
     effectively preconditioned by the Adam statistics.
     """
-    lam_t = lambda_at(cfg.schedule(), t)
+    lam_t = lambda_at(cfg, t)
     if lam_t == 0.0:
         return adamw_step(state, x, g, cfg, lr=lr)
     return adamw_step(state, x, g + lam_t * e, cfg, lr=lr)

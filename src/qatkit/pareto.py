@@ -4,8 +4,8 @@ The balance gradient grad f(x) + lam (x - Q(x)) vanishes exactly at the
 points where loss descent and quantization-error reduction trade off; its
 squared norm, averaged over the iterates, is the convergence measure used by
 the rate study.  The module also carries the three-line error-feedback
-recursion that mirrors straight-through SGD, and the ergodic/rate-fit
-helpers.
+recursion that mirrors straight-through SGD, the ergodic series and the
+log-log fit of a rate study.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "ef_step",
     "ergodic_series",
     "loglog_fit",
-    "rate_fit",
     "write_trace_csv",
 ]
 
@@ -107,23 +106,6 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
-
-
-def rate_fit(horizons, final_ergodic_values) -> float:
-    """Log-log slope of the ergodic means against the horizon T.
-
-    Requires at least 4 horizons spanning two decades and positive values;
-    exact c/sqrt(T) data returns -0.5.
-    """
-    Ts = np.asarray(horizons, dtype=np.float64)
-    vals = np.asarray(final_ergodic_values, dtype=np.float64)
-    if Ts.size < 4:
-        raise ValueError(f"need at least 4 horizons, got {Ts.size}")
-    if Ts.max() / Ts.min() < 100.0:
-        raise ValueError("horizons must span at least two decades")
-    if np.any(vals <= 0):
-        raise ValueError("ergodic values must be positive")
-    return loglog_fit(Ts, vals)[0]
 
 
 def write_trace_csv(path, measure: ParetoMeasure) -> None:

@@ -18,16 +18,18 @@ import numpy as np
 from .quantize import INT_SCHEMES, QuantResult, QuantSpec
 from .transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
-__all__ = ["StePolicy", "identity_policy", "trust_masked_policy", "ste_backward"]
+__all__ = ["STE_KINDS", "StePolicy", "identity_policy", "trust_masked_policy", "ste_backward"]
+
+STE_KINDS = ("identity", "trust-masked")
 
 
 @dataclass(frozen=True)
 class StePolicy:
-    kind: str  # "identity" | "trust-masked"
+    kind: str  # one of STE_KINDS
     spec: QuantSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "trust-masked"):
+        if self.kind not in STE_KINDS:
             raise ValueError(f"unknown STE policy {self.kind!r}")
         if self.kind == "trust-masked":
             if self.spec is None or self.spec.scheme not in INT_SCHEMES:

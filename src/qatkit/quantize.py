@@ -36,7 +36,6 @@ __all__ = [
     "QuantResult",
     "int_spec",
     "quantize",
-    "quantize_int_row",
     "quantize_mxfp4",
     "quantize_floor",
     "quant_error",
@@ -141,7 +140,9 @@ def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
 def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResult:
     """Single pass over ``x`` viewed as (rows, row_length), the rows of every
     vector of a batch stacked: one transform, one sigma per row, and from
-    them the codes, the reconstruction and the keep-mask."""
+    them the codes, the reconstruction and the keep-mask.  z = Hx (x for
+    int-plain), sigma = rms(z) over the padded row, scale = clip_factor *
+    sigma / q_max, codes = round-half-even(z / scale) clipped to [q_min, q_max]."""
     rows = x.reshape(-1, row_length)
     plan = hadamard_plan(row_length) if spec.scheme == "int-hadamard" else None
     z = rows if plan is None else hadamard_forward(plan, rows)
@@ -165,22 +166,6 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResul
         # a row whose sigma underflowed to 0 has all codes 0: nothing clipped
         keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(lead + (-1,)),
     )
-
-
-def quantize_int_row(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Symmetric integer quantization of one row (transform-domain for int-hadamard).
-
-    z = Hx (int-hadamard) or z = x (int-plain); sigma = rms over the padded
-    entries; scale = clip_factor * sigma / q_max; codes = clip(round-half-even
-    (z / scale), q_min, q_max); the reconstruction is transformed back and the
-    error taken in the original domain.
-    """
-    if spec.scheme not in INT_SCHEMES:
-        raise ValueError(f"quantize_int_row needs an int scheme, got {spec.scheme!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if spec.row_length is not None and x.shape[0] != spec.row_length:
-        raise ValueError(f"expected row of length {spec.row_length}, got {x.shape[0]}")
-    return _quantize_int(spec, x, x.shape[0])
 
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:

@@ -297,6 +297,19 @@ class TestConfigFile:
         assert run_cli("toy-pareto", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        [("quadratic", "lr = nan"), ("quadratic", "kappas = 10,10"), ("toy-pareto", "steps = 0")],
+    )
+    def test_bad_value_from_file_rejected_before_snapshot(self, tmp_path, capsys, subcommand, line):
+        # a file value passes the same checks as the flag it stands for
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        assert run_cli(subcommand, "--config", str(cfg), "--out", str(out)) == 2
+        assert not (out / "config.json").exists()
+        assert line.split(" =")[0] in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lambdas 1\n")
@@ -365,6 +378,18 @@ def test_module_entrypoint_smoke(tmp_path):
         ["convergence", "--noise-std", "inf"],
         ["quadratic", "--kappas", "1,inf"],
         ["toy-pareto", "--x0", "nan"],
+        ["calibrate-clip", "--bits", ","],
+        ["toy-pareto", "--lambdas", ","],
+        ["quadratic", "--kappas", ","],
+        ["quadratic", "--opt", ","],
+        ["quadratic", "--seed", "0,0"],
+        ["quadratic", "--kappas", "10,10"],
+        ["quadratic", "--opt", "adamw,adamw"],
+        ["convergence", "--seed", "1,1"],
+        ["convergence", "--steps", "10,10,1000"],
+        ["toy-pareto", "--lambdas", "1,1"],
+        ["calibrate-clip", "--bits", "3,3"],
+        ["quadratic", "--seed=-1"],
     ],
     ids=[
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
@@ -377,7 +402,10 @@ def test_module_entrypoint_smoke(tmp_path):
         "toy-inf-alpha", "toy-nan-lambda", "quadratic-nan-lr", "quadratic-nan-weight-decay",
         "quadratic-nan-lambda", "quadratic-nan-silence", "quadratic-nan-grad-clip",
         "quadratic-nan-sigma0", "conv-nan-x0-std", "conv-inf-noise", "quadratic-inf-kappa",
-        "toy-nan-x0",
+        "toy-nan-x0", "calibrate-empty-bits", "toy-empty-lambdas", "quadratic-empty-kappas",
+        "quadratic-empty-opt", "quadratic-duplicate-seed", "quadratic-duplicate-kappa",
+        "quadratic-duplicate-opt", "conv-duplicate-seed", "conv-duplicate-horizon", "toy-duplicate-lambda",
+        "calibrate-duplicate-bits", "quadratic-negative-seed",
     ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):

@@ -1,33 +1,9 @@
 import numpy as np
 import pytest
 
-from qatkit.numerics import (
-    finite_diff_grad,
-    gaussian_vector,
-    make_rng,
-    make_spd,
-    matvec,
-    pca_project,
-    power_iteration_lmax,
-)
+from oracles import finite_diff_grad
+from qatkit.numerics import make_rng, make_spd, pca_project, power_iteration_lmax
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_diagonal_scaling(self):
-        A = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(matvec(A, np.array([1.0, -1.0])), [2.0, -2.0])
-
-    def test_hand_arithmetic(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(A, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(3), np.ones(2))
 
 
 class TestFiniteDiff:
@@ -144,26 +120,6 @@ class TestPca:
         with pytest.warns(RuntimeWarning):
             proj, _ = pca_project(pts, 2)
         assert np.abs(proj).max() == 0.0
-
-
-class TestGaussianVector:
-    def test_zero_std_is_constant(self):
-        v = gaussian_vector(5, 2.5, 0.0, make_rng(8))
-        assert np.array_equal(v, np.full(5, 2.5))
-
-    def test_moments(self):
-        v = gaussian_vector(100_000, 0.0, 1.0, make_rng(9))
-        assert abs(v.mean()) <= 0.02
-        assert abs(v.std() - 1.0) <= 0.02
-
-    def test_same_seed_same_vector(self):
-        a = gaussian_vector(100, 1.0, 2.0, make_rng(10))
-        b = gaussian_vector(100, 1.0, 2.0, make_rng(10))
-        assert np.array_equal(a, b)
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(3, 0.0, -1.0, make_rng(0))
 
 
 class TestPowerIteration:

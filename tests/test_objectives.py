@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qatkit.numerics import finite_diff_grad, make_rng, make_spd
+from oracles import finite_diff_grad
+from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.quantize import QuantSpec, int_spec, quantize
 

@@ -5,7 +5,6 @@ from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
 from qatkit.optim import (
     AdamState,
-    LambdaSchedule,
     OptimConfig,
     adamw_step,
     cage_adamw_coupled_step,
@@ -20,16 +19,16 @@ from qatkit.quantize import QuantSpec, quantize
 
 class TestLambdaSchedule:
     def test_ramp_value(self):
-        sched = LambdaSchedule(lam=2.0, silence_ratio=0.9, total_steps=100)
-        assert lambda_at(sched, 95) == pytest.approx(1.0, abs=1e-12)
+        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.9, total_steps=100)
+        assert lambda_at(cfg, 95) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_silence_boundary(self):
-        sched = LambdaSchedule(lam=2.0, silence_ratio=0.5, total_steps=10)
-        assert lambda_at(sched, 5) == 0.0
+        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.5, total_steps=10)
+        assert lambda_at(cfg, 5) == 0.0
 
     def test_full_lambda_at_end(self):
-        sched = LambdaSchedule(lam=3.0, silence_ratio=0.25, total_steps=16)
-        assert lambda_at(sched, 16) == pytest.approx(3.0, abs=1e-12)
+        cfg = OptimConfig(lr=0.1, lam=3.0, silence_ratio=0.25, total_steps=16)
+        assert lambda_at(cfg, 16) == pytest.approx(3.0, abs=1e-12)
 
     def test_continuity_property(self):
         rng = make_rng(0)
@@ -37,8 +36,8 @@ class TestLambdaSchedule:
             lam = float(rng.uniform(0.1, 5.0))
             s = float(rng.uniform(0.0, 0.95))
             T = int(rng.integers(10, 500))
-            sched = LambdaSchedule(lam=lam, silence_ratio=s, total_steps=T)
-            vals = [lambda_at(sched, t) for t in range(1, T + 1)]
+            cfg = OptimConfig(lr=0.1, lam=lam, silence_ratio=s, total_steps=T)
+            vals = [lambda_at(cfg, t) for t in range(1, T + 1)]
             max_jump = lam / ((1.0 - s) * T)
             for a, b in zip(vals, vals[1:]):
                 assert b >= a - 1e-15  # non-decreasing
@@ -47,9 +46,11 @@ class TestLambdaSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LambdaSchedule(lam=-1.0, silence_ratio=0.5, total_steps=10)
+            OptimConfig(lr=0.1, lam=-1.0, silence_ratio=0.5, total_steps=10)
         with pytest.raises(ValueError):
-            LambdaSchedule(lam=1.0, silence_ratio=1.0, total_steps=10)
+            OptimConfig(lr=0.1, lam=1.0, silence_ratio=1.0, total_steps=10)
+        with pytest.raises(ValueError):
+            OptimConfig(lr=0.1, lam=1.0, silence_ratio=0.5, total_steps=0)
 
 
 class TestSgd:
@@ -328,7 +329,7 @@ def test_bad_hyperparameter_rejected(field, value):
     # a NaN fails every check, as an out-of-range value does
     settings = {"lr": 0.1, "lam": 1.0, "silence_ratio": 0.5, "total_steps": 10, field: value}
     with pytest.raises(ValueError):
-        OptimConfig(**settings).schedule()
+        OptimConfig(**settings)
 
 
 def test_toy_fixed_points_random_lambda_property():

@@ -37,7 +37,7 @@ from qatkit.optim import (
 )
 from qatkit.pareto import ParetoMeasure
 from qatkit.qat_grad import identity_policy, ste_backward, trust_masked_policy
-from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize, quantize_int_row
+from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -204,7 +204,7 @@ def test_row_batched_quantize_matches_per_row(case):
     res = quantize(spec, x)
     rl = spec.row_length or x.shape[0]
     row_spec = QuantSpec(scheme=spec.scheme, bits=spec.bits, clip_factor=spec.clip_factor)
-    parts = [quantize_int_row(row_spec, row) for row in x.reshape(-1, rl)]
+    parts = [quantize(row_spec, row) for row in x.reshape(-1, rl)]
     for field in ("quantized", "error", "codes", "keep"):
         assert np.array_equal(getattr(res, field), np.concatenate([getattr(p, field) for p in parts]))
     assert np.array_equal(np.atleast_1d(res.scale), [p.scale for p in parts])
@@ -423,7 +423,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         if clip:
             g = lone_grad_clip(g, clip)
         if optimizer.startswith("cage"):
-            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg.schedule(), t)
+            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t)
         else:
             lam_t = 0.0
         trace.record(loss, obj.grad(x), e, lam_t)

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import qatkit.quantize as qz
 from qatkit.numerics import make_rng
 from qatkit.quantize import (
     QuantSpec,
@@ -13,14 +12,10 @@ from qatkit.quantize import (
     quant_error,
     quantize,
     quantize_floor,
-    quantize_int_row,
     quantize_mxfp4,
     read_clip_table,
     write_clip_table,
 )
-
-# the module, not the ``quantize`` function the package re-exports under its name
-qz = importlib.import_module("qatkit.quantize")
 
 ALL_SPECS = [
     QuantSpec(scheme="floor-toy"),
@@ -35,7 +30,7 @@ ALL_SPECS = [
 class TestIntRow:
     def test_zero_row(self):
         spec = int_spec("int-plain", 4)
-        res = quantize_int_row(spec, np.zeros(8))
+        res = quantize(spec, np.zeros(8))
         assert np.array_equal(res.quantized, np.zeros(8))
         assert np.array_equal(res.error, np.zeros(8))
         assert res.scale == SIGMA_FLOOR
@@ -49,7 +44,7 @@ class TestIntRow:
         # z = x = (1,-1,1,-1): sigma = 1, scale = k4/7, codes = clip(round(+-7/k4))
         spec = int_spec("int-plain", 4)
         x = np.array([1.0, -1.0, 1.0, -1.0])
-        res = quantize_int_row(spec, x)
+        res = quantize(spec, x)
         k4 = spec.clip_factor
         s = k4 / 7.0
         assert res.scale == pytest.approx(s, rel=1e-12)
@@ -63,7 +58,7 @@ class TestIntRow:
 
         spec = int_spec("int-hadamard", 4)
         x = make_rng(0).standard_normal(16)
-        res = quantize_int_row(spec, x)
+        res = quantize(spec, x)
         plan = hadamard_plan(16)
         z = hadamard_forward(plan, x)
         sigma = np.sqrt(np.mean(z * z))
@@ -79,7 +74,7 @@ class TestIntRow:
         x = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 1.0, -1.0])
         sigma = float(np.sqrt(np.mean(x * x)))
         spec = QuantSpec(scheme="int-plain", bits=4, clip_factor=7.0 / sigma)
-        res = quantize_int_row(spec, x)
+        res = quantize(spec, x)
         # scale is exactly 1: ties 0.5->0, 1.5->2, 2.5->2 (to even)
         assert res.scale == pytest.approx(1.0, rel=1e-12)
         assert list(res.codes) == [0, 2, 2, 0, -2, -2, 1, -1]
@@ -87,7 +82,7 @@ class TestIntRow:
     def test_row_length_validation(self):
         spec = int_spec("int-plain", 4, row_length=4)
         with pytest.raises(ValueError):
-            quantize_int_row(spec, np.ones(6))
+            quantize(spec, np.ones(6))
 
     def test_unpartitioned_and_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +95,7 @@ class TestIntRow:
         rng = make_rng(1)
         x = rng.standard_normal(24)
         res = quantize(spec, x)
-        per_row = [quantize_int_row(spec, row) for row in x.reshape(3, 8)]
+        per_row = [quantize(spec, row) for row in x.reshape(3, 8)]
         assert np.array_equal(res.quantized, np.concatenate([r.quantized for r in per_row]))
         assert np.array_equal(np.asarray(res.scale), [r.scale for r in per_row])
 
