@@ -103,12 +103,14 @@ bit_width = _rule("a bit-width in range [2, 8]", lambda b: 2 <= b <= 8)
 
 def each(check):
     """List check: at least one entry, no entry twice (each names an output
-    file or a sample member), and every entry passing ``check``."""
+    file or a sample member), and every entry passing ``check``.  A float
+    names its files as ``f"{v:g}"``, so two floats that agree there repeat."""
 
     def check_list(values):
         if not values:
             raise ConfigError("needs at least one entry")
-        if len(set(values)) < len(values):
+        names = [f"{v:g}" if isinstance(v, float) else v for v in values]
+        if len(set(values)) < len(values) or len(set(names)) < len(names):
             raise ConfigError(f"has a duplicate entry: {values}")
         for value in values:
             check(value)
@@ -149,8 +151,6 @@ _OPTIONS: dict[str, dict] = {
     "calibrate-clip": {
         **_OUT,
         "bits": (_list(int), [2, 3, 4], "bit-widths to calibrate", each(bit_width)),
-        "n_grid": (int, 96, "coarse-scan resolution over the clip range", at_least(2)),
-        "quadrature": (int, 100001, "quadrature node count", at_least(2)),
     },
     "toy-pareto": {
         **_OUT,
@@ -270,8 +270,8 @@ def cmd_calibrate_clip(opts: dict) -> int:
     out = _prepare_out(opts, "calibrate-clip")
     rows = []
     for b in sorted(opts["bits"]):
-        k = calibrate_clip(b, n_grid=opts["n_grid"], quadrature=opts["quadrature"])
-        mse = gaussian_clip_mse(b, k, opts["quadrature"])
+        k = calibrate_clip(b)
+        mse = gaussian_clip_mse(b, k)
         rows.append((b, k, mse))
         print(f"{b}\t{k!r}\t{mse!r}")
     write_clip_table(out / "clip_factors.tsv", rows)

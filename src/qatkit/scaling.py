@@ -32,7 +32,6 @@ __all__ = [
     "fit_scaling",
     "synthesize_scaling_data",
     "read_scaling_csv",
-    "write_scaling_csv",
     "fit_to_json_dict",
     "write_fit_json",
 ]
@@ -334,14 +333,6 @@ def read_scaling_csv(path) -> list[ScalingDatum]:
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from err
     return rows
-
-
-def write_scaling_csv(path, data: list[ScalingDatum]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in data:
-            writer.writerow([r.method, r.precision, repr(r.N), repr(r.D), repr(r.loss)])
 
 
 def fit_to_json_dict(fit: ScalingFit, data: list[ScalingDatum]) -> dict:

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qatkit.cli
+from oracles import write_scaling_csv
 from qatkit.cli import load_config_file, main, parse_quant
 from qatkit.quantize import read_clip_table
 
@@ -51,10 +53,7 @@ class TestParseQuant:
 class TestCalibrateClip:
     def test_three_row_monotone_table(self, tmp_path, capsys):
         out = tmp_path / "cal"
-        # low-resolution settings keep the test quick; monotonicity is robust
-        code = run_cli("calibrate-clip", "--bits", "2,3,4", "--out", str(out),
-                       "--n-grid", "48", "--quadrature", "20001")
-        assert code == 0
+        assert run_cli("calibrate-clip", "--bits", "2,3,4", "--out", str(out)) == 0
         table = read_clip_table(out / "clip_factors.tsv")
         assert list(table) == [2, 3, 4]
         ks = [table[b][0] for b in (2, 3, 4)]
@@ -64,10 +63,15 @@ class TestCalibrateClip:
     def test_rerun_identical_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run_cli("calibrate-clip", "--bits", "3", "--out", str(out),
-                           "--n-grid", "32", "--quadrature", "10001") == 0
+            assert run_cli("calibrate-clip", "--bits", "3", "--out", str(out)) == 0
         assert (out1 / "clip_factors.tsv").read_bytes() == (out2 / "clip_factors.tsv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_packaged_table_is_a_fresh_calibration(self, tmp_path):
+        out = tmp_path / "cal"
+        assert run_cli("calibrate-clip", "--bits", "2,3,4,5,6,7,8", "--out", str(out)) == 0
+        packaged = Path(qatkit.cli.__file__).parent / "data" / "clip_factors.tsv"
+        assert (out / "clip_factors.tsv").read_bytes() == packaged.read_bytes()
 
     def test_out_of_range_bits_rejected(self, tmp_path, capsys):
         assert run_cli("calibrate-clip", "--bits", "9", "--out", str(tmp_path / "x")) == 2
@@ -220,7 +224,7 @@ class TestFitScaling:
     @pytest.fixture()
     def synth_csv(self, tmp_path):
         from qatkit.numerics import make_rng
-        from qatkit.scaling import synthesize_scaling_data, write_scaling_csv
+        from qatkit.scaling import synthesize_scaling_data
 
         data = synthesize_scaling_data(
             A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
@@ -299,10 +303,16 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "subcommand, line",
-        [("quadratic", "lr = nan"), ("quadratic", "kappas = 10,10"), ("toy-pareto", "steps = 0")],
+        [
+            ("quadratic", "lr = nan"),
+            ("quadratic", "kappas = 10,10"),
+            ("toy-pareto", "steps = 0"),
+            ("calibrate-clip", "quadrature = 100001"),
+        ],
     )
     def test_bad_value_from_file_rejected_before_snapshot(self, tmp_path, capsys, subcommand, line):
-        # a file value passes the same checks as the flag it stands for
+        # a file value passes the same checks as the flag it stands for, and
+        # a key with no flag, such as the old quadrature resolution, is unknown
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "run"
@@ -355,7 +365,6 @@ def test_module_entrypoint_smoke(tmp_path):
         ["quadratic", "--lr=-1"],
         ["quadratic", "--silence-ratio", "1.5"],
         ["convergence", "--lipschitz", "0"],
-        ["calibrate-clip", "--n-grid", "0"],
         ["quadratic", "--quant", "int-hadamard:four"],
         ["convergence", "--quant", "floor-toy:0"],
         ["fit-scaling", "--residual-space", "foo"],
@@ -390,13 +399,15 @@ def test_module_entrypoint_smoke(tmp_path):
         ["toy-pareto", "--lambdas", "1,1"],
         ["calibrate-clip", "--bits", "3,3"],
         ["quadratic", "--seed=-1"],
+        ["toy-pareto", "--lambdas", "0.1234567,0.1234568"],
+        ["quadratic", "--kappas", "10.0000001,10.0000002"],
     ],
     ids=[
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
         "quadratic-kappa-below-1", "conv-quadratic-kappa-below-1", "conv-rosenbrock-dim1",
         "quadratic-unknown-ste", "quadratic-steps-list", "toy-steps-list", "conv-negative-noise",
         "conv-negative-lambda", "quadratic-unknown-lr-schedule", "quadratic-negative-lr",
-        "quadratic-silence-above-1", "conv-lipschitz0", "calibrate-n-grid0", "quant-bad-bits",
+        "quadratic-silence-above-1", "conv-lipschitz0", "quant-bad-bits",
         "quant-zero-grid", "fit-unknown-residual-space", "fit-starts0", "fit-negative-prior",
         "fit-nan-prior", "fit-negative-seed", "toy-alpha0", "toy-negative-alpha", "toy-nan-alpha",
         "toy-inf-alpha", "toy-nan-lambda", "quadratic-nan-lr", "quadratic-nan-weight-decay",
@@ -405,7 +416,8 @@ def test_module_entrypoint_smoke(tmp_path):
         "toy-nan-x0", "calibrate-empty-bits", "toy-empty-lambdas", "quadratic-empty-kappas",
         "quadratic-empty-opt", "quadratic-duplicate-seed", "quadratic-duplicate-kappa",
         "quadratic-duplicate-opt", "conv-duplicate-seed", "conv-duplicate-horizon", "toy-duplicate-lambda",
-        "calibrate-duplicate-bits", "quadratic-negative-seed",
+        "calibrate-duplicate-bits", "quadratic-negative-seed", "toy-same-lambda-file",
+        "quadratic-same-kappa-file",
     ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):

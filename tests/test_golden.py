@@ -16,26 +16,26 @@ from qatkit.cli import main
 
 GOLDEN = {
     "quadratic-int-hadamard": {
-        "summary.json": "08815bd72aeff3693fcacb0c5952119ba742833c0ed1a0f2972f68e41d66d5c1",
-        "trace_kappa100_adamw_seed0.csv": "f401a6fe103acb04e8275ac5839107f649f53e2610782f024275988572323825",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "0c56f5136ad425ee2482864f7eddb2521ab8ab803dd55c632f35ccf679c6aa84",
-        "trace_kappa100_cage-sgd_seed0.csv": "bb689e2db79be88b2e6abb4ce710fa7654cd8e47c52c1f80596c6c57bf7aa252",
-        "trace_kappa1_adamw_seed0.csv": "0bfb8450b1e1d48e6231ff97e73e80445716d4bbb600a969147017e150754bac",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "6340767961655da98a157892079b01ef1c3071273dbafc93cbdef610aafef123",
-        "trace_kappa1_cage-sgd_seed0.csv": "92ee673f14c3f1051844aeff706673959b1fc6e8f825b67ffe8eb41ec3de1299",
-        "traj_kappa100_adamw_seed0.csv": "a7ccd180546c5d7ea97b20e383fa2bc17582e53f5d8c0bb84efb0298894a2930",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "ae36df9546270c3ed49756b8fcc16a55ce970cf9e371fb91c6afbca74ba1be9f",
-        "traj_kappa100_cage-sgd_seed0.csv": "35ced5cb25e198ae41ed1e1ae047708347a8a757339266e767b46fc1cb1bac9e",
-        "traj_kappa1_adamw_seed0.csv": "71e24adbd4e92baefc4af3c7d4dc2a475e300af626b918fb9dbff028329293ca",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "e107e69dc38cb6027e7b6032dc554b0ffbe5703abf725276a38d8c80c947c61b",
-        "traj_kappa1_cage-sgd_seed0.csv": "cbc9aada92f3141c0b92416c631ca79092c8ced59d44a533b34366c82eebc046",
+        "summary.json": "b4a9d887dfcfecadd3560efe06cabce7ebbb0a66637583c7ee2cb10d77c51264",
+        "trace_kappa100_adamw_seed0.csv": "ffa05ccfb712a09339a297aa6593b8821220442d51aaf667d5eadb14bd47fe72",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "42993b25d74558b471d4235daa3c1f07fb266548a6fdeebc0c721b941473abef",
+        "trace_kappa100_cage-sgd_seed0.csv": "aa81fc8bd1e517b133823a543a6c6674783fa58c1c36744e021e6128911e6245",
+        "trace_kappa1_adamw_seed0.csv": "904974e7b572e56cb210c1af144de83359d43a31b21ca362724b0807ba329c14",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "ff08f1c7ca13889d9938b5750956dc4b1bf62188859ffb7d62a9e0f0341928de",
+        "trace_kappa1_cage-sgd_seed0.csv": "0eb42ad4fbaca6de141d675daebc9ffdf4f92f477fef427dffc80f72acde3f8f",
+        "traj_kappa100_adamw_seed0.csv": "49c936036da076def306f75271336e0d24661dc1047b930a0bcd266cbce88d4b",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "060c01b8766eabb0a6aa2c51d09299786294de52135601a67c1e28d122dfb2c0",
+        "traj_kappa100_cage-sgd_seed0.csv": "a70c657e02578b295860d1bb8007b23b96fe98eeb51dad21003945c10ff985f6",
+        "traj_kappa1_adamw_seed0.csv": "1b1a599d9e39cfd4777514dddb81a77aec39415bc0e109229e8d3b0a7832a97f",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "39bdfb6ba14af1dd3b9ad4468069ceb39ee3925740918de2c0426700ff2c414f",
+        "traj_kappa1_cage-sgd_seed0.csv": "dd5ec96f779dc44cd40139df0cecb0fe265ecbd7cb9ffd0f5e85375330ddbfe9",
     },
     "quadratic-int-plain-rows": {
-        "summary.json": "b28d6aabadc5af9dc1820640e1e4cf67a76e7a6ae0d37c7dd84f32e64194bbe8",
-        "trace_kappa10_adamw_seed2.csv": "5c4d772bca512e6311fdc9fc14b613dd7dab37b27a374e2b0c368e93341eeadd",
-        "trace_kappa10_cage-adamw-cpl_seed2.csv": "54022b72a30e98f8233c3a9e647902239fa7b1df98eeaf448f78962944e7ecbe",
-        "traj_kappa10_adamw_seed2.csv": "10e9e0a8af0c0fa7eda64b26945662230c8ee48483388b3120503f19ece577ce",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "c5946711359ccd8346051ba1ec323326cbb7a14e1d2215a7ad7e32c4a9660470",
+        "summary.json": "2445e3b9d9eb203bbdc0f7c967ad006b8783826946ff4a78f67eb19a7c840c29",
+        "trace_kappa10_adamw_seed2.csv": "28cc58f8e3a1ecdb9e9e21e234a3d53060ce66a1c930daab6eb0f04fb057a912",
+        "trace_kappa10_cage-adamw-cpl_seed2.csv": "6f6b479ffe544fb5d3029f1b435bd03224ace0d089f8005ad1b2a2e8c9957230",
+        "traj_kappa10_adamw_seed2.csv": "12210385677af7316b802334bd8d07746248fdfd39246a3c33e567e140da5e42",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "0305594af66786d4f88792fbe02c217b90d7fd15ac2e0d9ae0369f2bf0f692f0",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -44,9 +44,9 @@ GOLDEN = {
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
     "convergence-quadratic-int": {
-        "summary.json": "21aba25511ea51afa3ac8230e175748975a6a101f597bc7d6ae9495be1dc819b",
-        "trace_T500_seed0.csv": "e54bac9ef9467b182e6ba955abf458901bb6a284dcb3cba1131f19081e9dc330",
-        "trace_T5_seed0.csv": "c0628a11edaf4bfcbdbc9372fb9bb4fceccb4cd99cf312f26dc6fac73bcd20e4",
+        "summary.json": "f9ba821be97d4a1a173e03e108e7d4baf3f8784e4993feb8d558886b520e42e9",
+        "trace_T500_seed0.csv": "ef741b52c81f11774dd506f9db58b690abdbb079fbd9fec8cac4e01d738fbf56",
+        "trace_T5_seed0.csv": "89a6060e843206a7936ab42c6684382cb2166c27efb74754755a7002ee814075",
     },
     "toy-pareto": {
         "summary.json": "221a5b76f019080f5064c9426aab235bcc54df28e143439dd8972ad1af042fd8",

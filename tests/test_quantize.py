@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qatkit.quantize as qz
+from oracles import gaussian_clip_mse_trapezoid
 from qatkit.numerics import make_rng
 from qatkit.quantize import (
     QuantSpec,
@@ -122,10 +123,11 @@ class TestCalibration:
         m_mc = float(np.mean((z - deq) ** 2))
         assert abs(m_mc - m_quad) <= 0.02 * m_quad
 
-    def test_stable_across_resolutions(self):
-        a = calibrate_clip(3, quadrature=100001)
-        b = calibrate_clip(3, quadrature=400001)
-        assert abs(a - b) <= 1e-4
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_closed_form_matches_quadrature(self, bits):
+        for k in (1.0, 2.5, 4.0):
+            exact = gaussian_clip_mse(bits, k)
+            assert abs(exact - gaussian_clip_mse_trapezoid(bits, k)) <= 1e-6 * exact, (bits, k)
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):

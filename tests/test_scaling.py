@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import write_scaling_csv
 from qatkit.numerics import make_rng
 from qatkit.scaling import (
     ScalingDatum,
@@ -14,7 +15,6 @@ from qatkit.scaling import (
     read_scaling_csv,
     synthesize_scaling_data,
     write_fit_json,
-    write_scaling_csv,
 )
 
 TRUE = dict(A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2)
