@@ -26,33 +26,22 @@ SEEDS = (0, 1, 2)
 STEPS = 2000
 
 
-def run_cell(problem, optimizer):
-    """All seeds of one cell as one batched run on a problem stacked last
-    seed first; returns the gaps in seed order and the run, whose iterates
-    are the last seed's."""
-    cfg = OptimConfig(
-        lr=0.03,
-        weight_decay=0.0,
-        lam=2.0 if optimizer.startswith("cage") else 0.0,
-        silence_ratio=0.9,
-        total_steps=STEPS,
-    )
-    obj, x0 = problem
-    run = run_quadratic(
-        obj, x0, optimizer, STEPS, SPEC, cfg,
-        lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
-        record_iterates=True,
-    )
-    return np.array(run.final_gaps[::-1]), run
-
+# adamw never reads lam, so one config serves both optimizers
+CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9, total_steps=STEPS)
 
 print(f"{'kappa':>6} {'adam gap':>12} {'corrected':>12} {'reduction':>10}")
 for kappa in (1.0, 10.0, 100.0):
-    # one draw per kappa, shared by both optimizers; the seeds are stacked
-    # last first because a run records the iterates of its first row
-    problem = make_quadratic_problem(64, kappa, SEEDS[::-1], sigma0=1.0)
-    adam, _ = run_cell(problem, "adamw")
-    cage, last = run_cell(problem, "cage-adamw-dec")
+    # one draw per kappa and one batched run of both optimizers on all its
+    # seeds; the seeds are stacked last first because a run records the
+    # iterates of its first row
+    obj, x0 = make_quadratic_problem(64, kappa, SEEDS[::-1], sigma0=1.0)
+    runs = run_quadratic(
+        obj, x0, ("adamw", "cage-adamw-dec"), STEPS, SPEC, CFG,
+        lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
+        record_iterates=True,
+    )
+    adam, cage = (np.array(run.final_gaps[::-1]) for run in runs)  # seed order
+    last = runs[1]
     print(
         f"{kappa:6.0f} {adam.mean():12.4f} {cage.mean():12.4f} "
         f"{(adam.mean() - cage.mean()) / adam.mean():9.1%}"

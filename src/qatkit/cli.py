@@ -321,19 +321,12 @@ def cmd_quadratic(opts: dict) -> int:
     cells = []
     for kappa in opts["kappas"]:
         obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
-        for name in opts["opt"]:
-            run = run_quadratic(
-                obj,
-                x0,
-                name,
-                steps,
-                spec,
-                cfg,
-                lr_schedule=opts["lr_schedule"],
-                ste_kind=opts["ste"],
-                grad_clip_norm=opts["grad_clip"],
-                record_iterates=True,
-            )
+        runs = run_quadratic(
+            obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
+            ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"], record_iterates=True,
+        )
+        del obj, x0  # the problem is not live during the PCAs or the next draw
+        for name, run in zip(opts["opt"], runs):
             write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
             proj, _ = pca_project(run.iterates, 2)
             with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
@@ -353,6 +346,7 @@ def cmd_quadratic(opts: dict) -> int:
                 }
             )
             print(f"kappa={kappa:g} opt={name} mean_gap={mean!r} std={std!r}")
+        del runs, run  # nor are this kappa's runs during the next draw
     _write_summary(out, {"cells": cells})
     return 0
 

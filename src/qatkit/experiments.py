@@ -6,8 +6,8 @@ Three lanes:
   closed-form balance points x(lam) = 1 / (2 (1 + lam));
 * condition-number-swept quadratics with a 4-bit quantized forward pass,
   comparing plain and corrected optimizers on the final optimality gap; the
-  seeds of one (kappa, optimizer) cell run as one ``(S, d)`` state on a
-  stack of their problems;
+  optimizers and seeds of one kappa run as one ``(O, S, d)`` state on a
+  stack of the seeds' problems;
 * the ergodic-rate study, which runs corrected SGD over a grid of horizons
   and fits the log-log decay of the mean squared balance gradient; the
   seeds of one horizon run as a batch, one ``(S, d)`` state, through the
@@ -213,7 +213,7 @@ def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0:
 def run_quadratic(
     obj: Objective,
     x0: np.ndarray,
-    optimizer: str,
+    optimizers: Sequence[str],
     steps: int,
     spec: QuantSpec | None,
     cfg: OptimConfig,
@@ -221,74 +221,89 @@ def run_quadratic(
     ste_kind: str = "trust-masked",
     grad_clip_norm: float | None = 1.0,
     record_iterates: bool = False,
-) -> QuadraticRun:
-    """Run one optimizer on quantized-forward quadratics, one run per row of
-    ``x0`` ``(S, d)``, all rows stepped together as one ``(S, d)`` state.
+) -> tuple[QuadraticRun, ...]:
+    """Run each of ``optimizers`` on quantized-forward quadratics from every
+    row of ``x0`` ``(S, d)``, all stepped as one ``(O, S, d)`` state; returns
+    one run per optimizer, in order.
 
     Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
-    and is bitwise its lone run: clipping is per row (off when
-    ``grad_clip_norm`` is None or 0), and the lr and lambda schedules are
-    shared scalars; a non-corrected optimizer ignores ``cfg.lam``.  The loss
-    and gradient are evaluated at Q(x) with the gradient transported back by
-    the chosen estimator; the reported gap is f(Q(x_T)) - f* (or f(x_T) - f*
-    when quantization is disabled), one per row.  The trace and the iterates
-    are the first row's.
+    and is bitwise its lone run.  Each step quantizes, evaluates, transports
+    and clips (per row; off when ``grad_clip_norm`` is None or 0) all rows at
+    once, then each optimizer steps its own ``(S, d)`` block with its own Adam
+    moments.  The lr and lambda schedules are shared scalars; a non-corrected
+    optimizer ignores ``cfg.lam``.  The loss and gradient are evaluated at
+    Q(x) with the gradient transported back by the chosen estimator; the gap
+    is f(Q(x_T)) - f* (or f(x_T) - f* when quantization is disabled), one per
+    row.  A run's trace and iterates are its first row's.  A non-finite loss
+    or iterate stops the whole group; the ``NumericalFailure`` names the
+    optimizers whose rows it hit.
     """
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if isinstance(optimizers, str) or not optimizers:
+        raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
+    for name in optimizers:
+        if name not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {name!r}")
     if ste_kind not in STE_KINDS:
         raise ValueError(f"unknown ste_kind {ste_kind!r}")
     if spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES:
         policy = trust_masked_policy(spec)
     else:
         policy = identity_policy()
-    lam_for_measure = cfg.lam if optimizer.startswith("cage") else 0.0
-    trace = ParetoMeasure(lam=lam_for_measure)
-    x = np.array(x0, dtype=np.float64, ndmin=2)
-    state = AdamState.zeros(x.shape)
-    snapshots = np.empty((steps, x.shape[1])) if record_iterates else None
+    x0 = np.array(x0, dtype=np.float64, ndmin=2)
+    x = np.repeat(x0[None], len(optimizers), axis=0)
+    rows = x.reshape(-1, x.shape[-1])  # the (O S, d) view of x
+    states = [AdamState.zeros(x0.shape) for _ in optimizers]
+    traces = [ParetoMeasure(lam=cfg.lam if name.startswith("cage") else 0.0) for name in optimizers]
+    snapshots = np.empty((len(optimizers), steps, x.shape[-1])) if record_iterates else None
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         if spec is not None:
-            qres = quantize(spec, x)
-            loss, g_at_q = obj.value_and_grad(qres.quantized)
-            g = ste_backward(policy, g_at_q, qres)
-            e = qres.error
+            qres = quantize(spec, rows)
+            loss, g_at_q = obj.value_and_grad(qres.quantized.reshape(x.shape))
+            g = ste_backward(policy, g_at_q.reshape(rows.shape), qres).reshape(x.shape)
+            e = qres.error.reshape(x.shape)
         else:
             loss, g = obj.value_and_grad(x)
             e = np.zeros_like(x)
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
+        # the traces' gradient at x is taken for the first rows alone
+        g_trace = obj.grad(x[:, :1])
 
-        if optimizer.startswith("cage"):
-            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t)
-        else:
-            lam_t = 0.0
-        # the trace's gradient at x is taken for the first row alone
-        trace.record(loss[0], obj.grad(x[:1])[0], e[0], lam_t)
-
-        if optimizer == "sgd":
-            x = sgd_step(x, g, a_t)
-        elif optimizer == "adamw":
-            state, x = adamw_step(state, x, g, cfg, lr=a_t)
-        elif optimizer == "cage-sgd":
-            x = cage_sgd_step(x, g, e, a_t, lam_t)
-        elif optimizer == "cage-adamw-dec":
-            state, x = cage_adamw_decoupled_step(state, x, g, cfg, t, spec=spec, lr=a_t)
-        else:
-            state, x = cage_adamw_coupled_step(state, x, g, e, cfg, t, lr=a_t)
-        _check_finite(x, loss, "quadratic run")
+        for o, name in enumerate(optimizers):
+            if name.startswith("cage"):
+                lam_t = cfg.lam if name == "cage-sgd" else lambda_at(cfg, t)
+            else:
+                lam_t = 0.0
+            traces[o].record(loss[o, 0], g_trace[o, 0], e[o, 0], lam_t)
+            if name == "sgd":
+                x[o] = sgd_step(x[o], g[o], a_t)
+            elif name == "adamw":
+                states[o], x[o] = adamw_step(states[o], x[o], g[o], cfg, lr=a_t)
+            elif name == "cage-sgd":
+                x[o] = cage_sgd_step(x[o], g[o], e[o], a_t, lam_t)
+            elif name == "cage-adamw-dec":
+                states[o], x[o] = cage_adamw_decoupled_step(states[o], x[o], g[o], cfg, t, spec=spec, lr=a_t)
+            else:
+                states[o], x[o] = cage_adamw_coupled_step(states[o], x[o], g[o], e[o], cfg, t, lr=a_t)
+        bad = ~(np.isfinite(loss).all(axis=1) & np.isfinite(x).all(axis=(1, 2)))
+        if bad.any():
+            names = ", ".join(name for name, b in zip(optimizers, bad) if b)
+            raise NumericalFailure(f"non-finite value during quadratic run ({names})")
         if snapshots is not None:
-            snapshots[t - 1] = x[0]
+            snapshots[:, t - 1] = x[:, 0]
 
-    x_final = quantize(spec, x).quantized if spec is not None else x
+    x_final = quantize(spec, rows).quantized.reshape(x.shape) if spec is not None else x
     final_losses = obj.loss(x_final)
-    return QuadraticRun(
-        final_gaps=(final_losses - obj.f_star).tolist(),
-        final_losses=final_losses.tolist(),
-        trace=trace,
-        iterates=snapshots,
+    return tuple(
+        QuadraticRun(
+            final_gaps=(losses - obj.f_star).tolist(),
+            final_losses=losses.tolist(),
+            trace=trace,
+            iterates=None if snapshots is None else snapshots[o],
+        )
+        for o, (losses, trace) in enumerate(zip(final_losses, traces))
     )
 
 

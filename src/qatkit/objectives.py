@@ -17,9 +17,10 @@ class Objective:
 
     ``eval_fn`` maps a point to ``(loss, grad)``.  ``x_star`` / ``f_star`` are
     the known minimizer and minimum when available (one per problem for a
-    stack of quadratics).  Every objective here also takes a batch ``(S, d)``
-    and returns the ``(S,)`` losses and ``(S, d)`` gradients, each row bitwise
-    equal to the call on that row alone; a vector ``(d,)`` gives a float loss.
+    stack of quadratics).  Every objective here also takes a batch ``(..., d)``
+    and returns the ``(...)`` losses and ``(..., d)`` gradients, each row
+    bitwise equal to the call on that row alone; a vector ``(d,)`` gives a
+    float loss.
     """
 
     dim: int
@@ -58,8 +59,8 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     The minimizer A^{-1} b is solved once per problem by Cholesky
     factorization; f* = -1/2 b^T x*.  A stack has one minimizer and minimum
     per problem (``x_star`` ``(S, d)``, ``f_star`` ``(S,)``) and evaluates a
-    batch ``(k, d)``, k <= S, row i against problem i; each row is bitwise
-    that problem's lone value.
+    batch ``(..., k, d)``, k <= S, row i of every leading index against
+    problem i; each row is bitwise that problem's lone value.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -79,10 +80,10 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     def eval_fn(x):
         if A.ndim == 2:
             Ak, bk = A, b
-        elif x.ndim == 2 and len(x) <= len(A):
-            Ak, bk = A[: len(x)], b[: len(x)]
+        elif x.ndim >= 2 and x.shape[-2] <= len(A):
+            Ak, bk = A[: x.shape[-2]], b[: x.shape[-2]]
         else:
-            raise ValueError(f"a stack of {len(A)} problems takes a batch (k <= {len(A)}, d), got {x.shape}")
+            raise ValueError(f"a stack of {len(A)} problems takes a batch (..., k <= {len(A)}, d), got {x.shape}")
         Ax = np.matvec(Ak, x)
         loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(bk, x)
         return (float(loss) if x.ndim == 1 else loss), Ax - bk

@@ -122,29 +122,22 @@ def test_criterion_5_quadratic_ordering():
     details = {}
     for kappa in (1.0, 10.0, 100.0):
         obj, x0 = make_quadratic_problem(64, kappa, range(10), 1.0)
-        gaps = {}
-        for name in ("adamw", "cage-adamw-dec"):
-            cfg = OptimConfig(
-                lr=0.03,
-                weight_decay=0.0,
-                lam=2.0 if name.startswith("cage") else 0.0,
-                silence_ratio=0.9,
-                total_steps=2000,
+        # adamw never reads lam, so one config serves both optimizers
+        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9, total_steps=2000)
+        adam, cage = (
+            np.array(run.final_gaps)
+            for run in run_quadratic(
+                obj=obj,
+                x0=x0,
+                optimizers=("adamw", "cage-adamw-dec"),
+                steps=2000,
+                spec=spec,
+                cfg=cfg,
+                lr_schedule="constant",
+                ste_kind="trust-masked",
+                grad_clip_norm=1.0,
             )
-            gaps[name] = np.array(
-                run_quadratic(
-                    obj=obj,
-                    x0=x0,
-                    optimizer=name,
-                    steps=2000,
-                    spec=spec,
-                    cfg=cfg,
-                    lr_schedule="constant",
-                    ste_kind="trust-masked",
-                    grad_clip_norm=1.0,
-                ).final_gaps
-            )
-        adam, cage = gaps["adamw"], gaps["cage-adamw-dec"]
+        )
         wins = int((cage < adam).sum())
         assert cage.mean() < adam.mean(), (kappa, cage.mean(), adam.mean())
         assert wins >= 8, (kappa, wins)

@@ -164,6 +164,19 @@ class TestQuadratic:
         # the config snapshot was written before the run started
         assert (out / "config.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_names_the_optimizer(self, tmp_path, capsys):
+        # the optimizers of a kappa stop together; the message says which diverged
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "quadratic", "--kappas", "1", "--dim", "8", "--steps", "50",
+            "--opt", "adamw,sgd", "--quant", "none", "--lr", "1e200", "--seed", "0",
+            "--grad-clip", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert (out / "config.json").exists() and not (out / "summary.json").exists()
+        assert "sgd" in capsys.readouterr().err
+
 
 class TestConvergence:
     def test_quadratic_lane_monotone_means(self, tmp_path):

@@ -45,6 +45,29 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             quadratic(A, np.zeros(2))
 
+    @pytest.mark.parametrize("m,S,k,dim", [(2, 2, 2, 64), (2, 1, 1, 512), (3, 2, 2, 12), (2, 10, 7, 64), (2, 3, 3, 512)])
+    def test_stack_broadcasts_leading_axes(self, m, S, k, dim):
+        # a stack of S problems evaluates an (m, k, d) batch with entry [o, i]
+        # against problem i, bitwise that problem's lone value
+        rng = make_rng((m, S, dim))
+        A = np.stack([make_spd(dim, 10.0, rng) for _ in range(S)])
+        b = rng.standard_normal((S, dim))
+        X = rng.standard_normal((m, k, dim))
+        losses, grads = quadratic(A, b).value_and_grad(X)
+        assert losses.shape == (m, k) and grads.shape == (m, k, dim)
+        for i in range(k):
+            lone = quadratic(A[i], b[i])
+            for o in range(m):
+                loss, g = lone.value_and_grad(X[o, i])
+                assert loss == losses[o, i] and np.array_equal(g, grads[o, i])
+
+    def test_stack_rejects_bad_batches(self):
+        rng = make_rng(3)
+        stack = quadratic(np.stack([make_spd(4, 5.0, rng) for _ in range(2)]), rng.standard_normal((2, 4)))
+        for shape in ((3, 4), (2, 3, 4), (2, 2, 5), (2, 5), (4,)):
+            with pytest.raises(ValueError):
+                stack.value_and_grad(np.zeros(shape))
+
 
 class TestToyScalar:
     def test_minimum(self):

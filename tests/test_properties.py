@@ -452,7 +452,7 @@ QUADRATIC_SPECS = {
 
 @settings(PROPERTY, max_examples=40)
 @given(
-    st.sampled_from(OPTIMIZERS),
+    st.lists(st.sampled_from(OPTIMIZERS), min_size=1, max_size=5, unique=True),
     st.sampled_from(tuple(QUADRATIC_SPECS)),
     st.sampled_from(("trust-masked", "identity")),
     st.sampled_from(("constant", "cosine")),
@@ -463,25 +463,32 @@ QUADRATIC_SPECS = {
     st.integers(2, 40),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
 )
-@example("cage-adamw-dec", "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3])
-@example("cage-adamw-cpl", "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2])
+@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3])
+@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2])
+@example(
+    ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
+    "int-hadamard", "trust-masked", "cosine", 1.0, 12, 10.0, 0.1, 30, [5, 1],
+)
 def test_seed_batched_quadratic_lane_matches_lone_runs(
-    optimizer, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds
+    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds
 ):
-    # every seed's final gap and loss, and the first seed's trace and
-    # iterates, are bitwise those of the seed run alone on its own draw
+    # every (optimizer, seed) final gap and loss, and each optimizer's first
+    # seed trace and iterates, are bitwise those of the seed run alone on its
+    # own draw
     spec = QUADRATIC_SPECS[quant]
     cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5, total_steps=steps)
     obj, x0 = make_quadratic_problem(dim, kappa, seeds)
-    run = run_quadratic(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip, record_iterates=True)
-    assert len(run.final_gaps) == len(run.final_losses) == len(seeds)
-    for i, seed in enumerate(seeds):
-        lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed)
-        assert np.array_equal(x0[i], lone_x0)
-        gap, loss, trace, iterates = lone_quadratic_run(
-            lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
-        )
-        assert run.final_gaps[i] == gap and run.final_losses[i] == loss
-        if i == 0:
-            assert run.trace == trace
-            assert np.array_equal(run.iterates, iterates)
+    runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip, record_iterates=True)
+    assert len(runs) == len(optimizers)
+    for optimizer, run in zip(optimizers, runs):
+        assert len(run.final_gaps) == len(run.final_losses) == len(seeds)
+        for i, seed in enumerate(seeds):
+            lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed)
+            assert np.array_equal(x0[i], lone_x0)
+            gap, loss, trace, iterates = lone_quadratic_run(
+                lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
+            )
+            assert run.final_gaps[i] == gap and run.final_losses[i] == loss
+            if i == 0:
+                assert run.trace == trace
+                assert np.array_equal(run.iterates, iterates)
