@@ -27,7 +27,7 @@ STEPS = 2000
 
 
 # adamw never reads lam, so one config serves both optimizers
-CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9, total_steps=STEPS)
+CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
 
 print(f"{'kappa':>6} {'adam gap':>12} {'corrected':>12} {'reduction':>10}")
 for kappa in (1.0, 10.0, 100.0):
@@ -38,7 +38,6 @@ for kappa in (1.0, 10.0, 100.0):
     runs = run_quadratic(
         obj, x0, ("adamw", "cage-adamw-dec"), STEPS, SPEC, CFG,
         lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
-        record_iterates=True,
     )
     adam, cage = (np.array(run.final_gaps[::-1]) for run in runs)  # seed order
     last = runs[1]

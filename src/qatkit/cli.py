@@ -209,16 +209,23 @@ _FLAG_ALIASES = {"lam": "lambda"}
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and '#' comments are skipped."""
+    """Read ``key = value`` lines of a UTF-8 file; blank lines and '#'
+    comments are skipped, and a key may be given once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {err}") from err
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -314,7 +321,6 @@ def cmd_quadratic(opts: dict) -> int:
         weight_decay=opts["weight_decay"],
         lam=opts["lam"],
         silence_ratio=opts["silence_ratio"],
-        total_steps=steps,
     )
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts, "quadratic")
@@ -323,7 +329,7 @@ def cmd_quadratic(opts: dict) -> int:
         obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
         runs = run_quadratic(
             obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
-            ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"], record_iterates=True,
+            ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
         )
         del obj, x0  # the problem is not live during the PCAs or the next draw
         for name, run in zip(opts["opt"], runs):

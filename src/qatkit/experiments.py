@@ -39,7 +39,7 @@ from .optim import (
     sgd_step,
 )
 from .pareto import ParetoMeasure
-from .qat_grad import STE_KINDS, identity_policy, trust_masked_policy, ste_backward
+from .qat_grad import STE_KINDS, ste_backward
 from .quantize import INT_SCHEMES, QuantSpec, quantize
 
 __all__ = [
@@ -160,7 +160,7 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     """
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy")
-    trace = ParetoMeasure(lam=lam)
+    trace = ParetoMeasure()
     (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
     fwd = quantize(spec, x)
     return ToyParetoResult(
@@ -181,7 +181,7 @@ class QuadraticRun:
     final_gaps: list[float]
     final_losses: list[float]
     trace: ParetoMeasure  # the first row's
-    iterates: np.ndarray | None = None  # the first row's
+    iterates: np.ndarray  # the first row's, (steps, d)
 
 
 def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0: float = 1.0):
@@ -220,7 +220,6 @@ def run_quadratic(
     lr_schedule: str = "constant",
     ste_kind: str = "trust-masked",
     grad_clip_norm: float | None = 1.0,
-    record_iterates: bool = False,
 ) -> tuple[QuadraticRun, ...]:
     """Run each of ``optimizers`` on quantized-forward quadratics from every
     row of ``x0`` ``(S, d)``, all stepped as one ``(O, S, d)`` state; returns
@@ -230,9 +229,12 @@ def run_quadratic(
     and is bitwise its lone run.  Each step quantizes, evaluates, transports
     and clips (per row; off when ``grad_clip_norm`` is None or 0) all rows at
     once, then each optimizer steps its own ``(S, d)`` block with its own Adam
-    moments.  The lr and lambda schedules are shared scalars; a non-corrected
-    optimizer ignores ``cfg.lam``.  The loss and gradient are evaluated at
-    Q(x) with the gradient transported back by the chosen estimator; the gap
+    moments.  The lane computes every per-step value the steps take: the lr
+    a_t of ``lr_schedule`` and the ramp ``lambda_at(cfg, t, steps)``, which
+    both AdamW corrections and the traces share; cage-sgd takes the constant
+    ``cfg.lam`` and the plain optimizers 0.  The loss and gradient are
+    evaluated at Q(x), the gradient transported back trust-masked only for
+    ``ste_kind`` "trust-masked" with an int scheme (else as is); the gap
     is f(Q(x_T)) - f* (or f(x_T) - f* when quantization is disabled), one per
     row.  A run's trace and iterates are its first row's.  A non-finite loss
     or iterate stops the whole group; the ``NumericalFailure`` names the
@@ -245,23 +247,21 @@ def run_quadratic(
             raise ValueError(f"unknown optimizer {name!r}")
     if ste_kind not in STE_KINDS:
         raise ValueError(f"unknown ste_kind {ste_kind!r}")
-    if spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES:
-        policy = trust_masked_policy(spec)
-    else:
-        policy = identity_policy()
+    masked = spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     x0 = np.array(x0, dtype=np.float64, ndmin=2)
     x = np.repeat(x0[None], len(optimizers), axis=0)
     rows = x.reshape(-1, x.shape[-1])  # the (O S, d) view of x
     states = [AdamState.zeros(x0.shape) for _ in optimizers]
-    traces = [ParetoMeasure(lam=cfg.lam if name.startswith("cage") else 0.0) for name in optimizers]
-    snapshots = np.empty((len(optimizers), steps, x.shape[-1])) if record_iterates else None
+    traces = [ParetoMeasure() for _ in optimizers]
+    snapshots = np.empty((len(optimizers), steps, x.shape[-1]))
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
+        ramp_t = lambda_at(cfg, t, steps)
         if spec is not None:
             qres = quantize(spec, rows)
             loss, g_at_q = obj.value_and_grad(qres.quantized.reshape(x.shape))
-            g = ste_backward(policy, g_at_q.reshape(rows.shape), qres).reshape(x.shape)
+            g = ste_backward(spec, g_at_q.reshape(rows.shape), qres).reshape(x.shape) if masked else g_at_q
             e = qres.error.reshape(x.shape)
         else:
             loss, g = obj.value_and_grad(x)
@@ -272,27 +272,23 @@ def run_quadratic(
         g_trace = obj.grad(x[:, :1])
 
         for o, name in enumerate(optimizers):
-            if name.startswith("cage"):
-                lam_t = cfg.lam if name == "cage-sgd" else lambda_at(cfg, t)
-            else:
-                lam_t = 0.0
+            lam_t = cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0
             traces[o].record(loss[o, 0], g_trace[o, 0], e[o, 0], lam_t)
             if name == "sgd":
                 x[o] = sgd_step(x[o], g[o], a_t)
             elif name == "adamw":
-                states[o], x[o] = adamw_step(states[o], x[o], g[o], cfg, lr=a_t)
+                states[o], x[o] = adamw_step(states[o], x[o], g[o], cfg, a_t)
             elif name == "cage-sgd":
                 x[o] = cage_sgd_step(x[o], g[o], e[o], a_t, lam_t)
             elif name == "cage-adamw-dec":
-                states[o], x[o] = cage_adamw_decoupled_step(states[o], x[o], g[o], cfg, t, spec=spec, lr=a_t)
+                states[o], x[o] = cage_adamw_decoupled_step(states[o], x[o], g[o], cfg, a_t, lam_t, spec)
             else:
-                states[o], x[o] = cage_adamw_coupled_step(states[o], x[o], g[o], e[o], cfg, t, lr=a_t)
+                states[o], x[o] = cage_adamw_coupled_step(states[o], x[o], g[o], e[o], cfg, a_t, lam_t)
         bad = ~(np.isfinite(loss).all(axis=1) & np.isfinite(x).all(axis=(1, 2)))
         if bad.any():
             names = ", ".join(name for name, b in zip(optimizers, bad) if b)
             raise NumericalFailure(f"non-finite value during quadratic run ({names})")
-        if snapshots is not None:
-            snapshots[:, t - 1] = x[:, 0]
+        snapshots[:, t - 1] = x[:, 0]
 
     x_final = quantize(spec, rows).quantized.reshape(x.shape) if spec is not None else x
     final_losses = obj.loss(x_final)
@@ -301,7 +297,7 @@ def run_quadratic(
             final_gaps=(losses - obj.f_star).tolist(),
             final_losses=losses.tolist(),
             trace=trace,
-            iterates=None if snapshots is None else snapshots[o],
+            iterates=snapshots[o],
         )
         for o, (losses, trace) in enumerate(zip(final_losses, traces))
     )
@@ -361,7 +357,7 @@ def run_convergence_run(
         raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
-    trace = ParetoMeasure(lam=lam) if keep_trace else None
+    trace = ParetoMeasure() if keep_trace else None
     noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
     _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
     return ConvergenceRun(

@@ -1,5 +1,11 @@
 """Optimizer steps: SGD, AdamW, and their Pareto-corrected variants.
 
+Each step is a plain update rule: it takes the step's learning rate ``lr``
+and, for a corrected step, its correction coefficient ``lam_t`` as arguments,
+and reads no schedule or step index.  The caller computes both, and
+``lambda_at`` gives the ramp lam_t = 0 while t/T <= silence_ratio, then
+lam * (t/T - silence_ratio) / (1 - silence_ratio).
+
 The corrected SGD step folds the weighted quantization error into the
 gradient, x' = x - lr (g + lam_t e); with an SGD base the coupled (error
 added to the gradient) and decoupled (error subtracted after the update)
@@ -9,9 +15,7 @@ implementation so their outputs are bitwise identical.
 For AdamW the two orderings genuinely differ.  The decoupled variant runs the
 plain AdamW update and then subtracts lr * lam_t * e outside the
 preconditioning path; the coupled variant feeds g + lam_t e through the
-moment estimates.  The correction coefficient ramps linearly after a silence
-period: lam_t = 0 while t/T <= silence_ratio, then
-lam * (t/T - silence_ratio) / (1 - silence_ratio).
+moment estimates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import QuantSpec, quant_error
+from .quantize import QuantSpec, quantize
 
 __all__ = [
     "AdamState",
@@ -51,7 +55,6 @@ class OptimConfig:
     weight_decay: float = 0.1
     lam: float = 0.0
     silence_ratio: float = 0.0
-    total_steps: int = 1
 
     def __post_init__(self):
         # comparisons written so that a NaN fails them
@@ -67,14 +70,13 @@ class OptimConfig:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0.0 <= self.silence_ratio < 1.0:
             raise ValueError(f"silence_ratio must be in [0, 1), got {self.silence_ratio}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
 
 
-def lambda_at(cfg: OptimConfig, t: int) -> float:
-    """Correction coefficient at step t (1-based): zero through the silence
-    period, then a linear ramp reaching ``cfg.lam`` at t = ``cfg.total_steps``."""
-    r = min(max(t / cfg.total_steps, 0.0), 1.0)
+def lambda_at(cfg: OptimConfig, t: int, total_steps: int) -> float:
+    """Correction coefficient at step t (1-based) of a ``total_steps`` run:
+    zero through the silence period, then a linear ramp reaching ``cfg.lam``
+    at t = ``total_steps``."""
+    r = min(max(t / total_steps, 0.0), 1.0)
     s = cfg.silence_ratio
     if r <= s:
         return 0.0
@@ -109,19 +111,16 @@ def cage_sgd_step(x: np.ndarray, g: np.ndarray, e: np.ndarray, lr: float, lam_t:
     return sgd_step(x, g + lam_t * e, lr)
 
 
-def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig, lr: float | None = None):
-    """One AdamW step with decoupled weight decay applied before the update.
-
-    Returns ``(state', x')``.  ``lr`` overrides ``cfg.lr`` for schedules.
-    """
-    a = cfg.lr if lr is None else lr
+def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig, lr: float):
+    """One AdamW step at learning rate ``lr``, with decoupled weight decay
+    applied before the update.  Returns ``(state', x')``."""
     t = state.t + 1
-    xd = (1.0 - a * cfg.weight_decay) * x
+    xd = (1.0 - lr * cfg.weight_decay) * x
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
     m_hat = m / (1.0 - cfg.beta1**t)
     v_hat = v / (1.0 - cfg.beta2**t)
-    x_new = xd - a * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    x_new = xd - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return AdamState(m=m, v=v, t=t), x_new
 
 
@@ -130,24 +129,22 @@ def cage_adamw_decoupled_step(
     x: np.ndarray,
     g: np.ndarray,
     cfg: OptimConfig,
-    t: int,
-    spec: QuantSpec | None = None,
-    lr: float | None = None,
+    lr: float,
+    lam_t: float,
+    spec: QuantSpec | None,
 ):
     """AdamW step followed by the out-of-preconditioner correction.
 
     x' = adamw(x, g) - lr * lam_t * e_t, with e_t the quantization error of
     the decayed parameters (1 - lr * weight_decay) x, the literal update
-    order.  During the silence period, and without a quantizer (``spec``
-    None, so e_t = 0), the step is bitwise identical to plain AdamW.
+    order.  With ``lam_t`` 0, or without a quantizer (``spec`` None, so
+    e_t = 0), the step is bitwise identical to plain AdamW.
     """
-    a = cfg.lr if lr is None else lr
-    lam_t = lambda_at(cfg, t)
-    new_state, x_tilde = adamw_step(state, x, g, cfg, lr=lr)
+    new_state, x_tilde = adamw_step(state, x, g, cfg, lr)
     if lam_t == 0.0 or spec is None:
         return new_state, x_tilde
-    e_t = quant_error(spec, (1.0 - a * cfg.weight_decay) * x)
-    return new_state, x_tilde - a * lam_t * e_t
+    e_t = quantize(spec, (1.0 - lr * cfg.weight_decay) * x).error
+    return new_state, x_tilde - lr * lam_t * e_t
 
 
 def cage_adamw_coupled_step(
@@ -156,18 +153,17 @@ def cage_adamw_coupled_step(
     g: np.ndarray,
     e: np.ndarray,
     cfg: OptimConfig,
-    t: int,
-    lr: float | None = None,
+    lr: float,
+    lam_t: float,
 ):
     """AdamW on the augmented gradient g + lam_t e; no post-step correction.
 
     The error rides through the moment estimates, so the correction is
     effectively preconditioned by the Adam statistics.
     """
-    lam_t = lambda_at(cfg, t)
     if lam_t == 0.0:
-        return adamw_step(state, x, g, cfg, lr=lr)
-    return adamw_step(state, x, g + lam_t * e, cfg, lr=lr)
+        return adamw_step(state, x, g, cfg, lr)
+    return adamw_step(state, x, g + lam_t * e, cfg, lr)
 
 
 def grad_clip(g: np.ndarray, max_norm: float) -> np.ndarray:

@@ -36,15 +36,13 @@ TRACE_COLUMNS = ("step", "loss", "pareto_sq_norm", "grad_sq_norm", "err_sq_norm"
 class ParetoMeasure:
     """Per-step record of the balance-gradient, gradient, and error norms."""
 
-    lam: float
     loss: list[float] = field(default_factory=list)
     pareto_sq: list[float] = field(default_factory=list)
     grad_sq: list[float] = field(default_factory=list)
     err_sq: list[float] = field(default_factory=list)
     lambda_t: list[float] = field(default_factory=list)
 
-    def record(self, loss: float, g: np.ndarray, e: np.ndarray, lam_t: float | None = None) -> None:
-        lam_t = self.lam if lam_t is None else lam_t
+    def record(self, loss: float, g: np.ndarray, e: np.ndarray, lam_t: float) -> None:
         p = g + lam_t * e
         self.loss.append(float(loss))
         self.pareto_sq.append(float(p @ p))

@@ -37,9 +37,6 @@ __all__ = [
     "QuantResult",
     "int_spec",
     "quantize",
-    "quantize_mxfp4",
-    "quantize_floor",
-    "quant_error",
     "calibrate_clip",
     "gaussian_clip_mse",
     "default_clip_factor",
@@ -174,7 +171,7 @@ def _e2m1_round(u: np.ndarray) -> np.ndarray:
     return np.searchsorted(_E2M1_BOUNDS, u, side="left")
 
 
-def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
+def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     """Block floating-point quantization: E2M1 elements, shared scale per block.
 
     Each block of ``block_size`` shares the power-of-two scale
@@ -183,9 +180,6 @@ def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     mantissa.  An all-zero block gets scale 1 and codes 0.  Each vector of a
     batch ``(S, d)`` is zero-padded to whole blocks on its own.
     """
-    if spec.scheme != "mxfp4":
-        raise ValueError(f"quantize_mxfp4 needs scheme 'mxfp4', got {spec.scheme!r}")
-    x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     bs = spec.block_size
     n_blocks = max(1, -(-n // bs))
@@ -207,11 +201,8 @@ def quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     return QuantResult(quantized=quantized, error=x - quantized, codes=codes, scale=scales)
 
 
-def quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
+def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     """Elementwise floor onto the fixed grid ``spec.grid``."""
-    if spec.scheme != "floor-toy":
-        raise ValueError(f"quantize_floor needs scheme 'floor-toy', got {spec.scheme!r}")
-    x = np.asarray(x, dtype=np.float64)
     codes = np.floor(x / spec.grid)
     _reject_nonfinite(codes, x)
     quantized = codes * spec.grid
@@ -228,20 +219,15 @@ def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a vector or a batch of vectors, got shape {x.shape}")
     if spec.scheme == "floor-toy":
-        return quantize_floor(spec, x)
+        return _quantize_floor(spec, x)
     if spec.scheme == "mxfp4":
-        return quantize_mxfp4(spec, x)
+        return _quantize_mxfp4(spec, x)
     if x.shape[-1] == 0:
         raise ValueError("cannot quantize an empty vector with an int scheme")
     rl = spec.row_length or x.shape[-1]
     if x.shape[-1] % rl:
         raise ValueError(f"input dim {x.shape[-1]} is not a multiple of row_length {rl}")
     return _quantize_int(spec, x, rl)
-
-
-def quant_error(spec: QuantSpec, x: np.ndarray) -> np.ndarray:
-    """e = x - Q(x), a pure value with no gradient semantics."""
-    return quantize(spec, x).error
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_5_quadratic_ordering():
     for kappa in (1.0, 10.0, 100.0):
         obj, x0 = make_quadratic_problem(64, kappa, range(10), 1.0)
         # adamw never reads lam, so one config serves both optimizers
-        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9, total_steps=2000)
+        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
         adam, cage = (
             np.array(run.final_gaps)
             for run in run_quadratic(

@@ -333,6 +333,24 @@ class TestConfigFile:
         assert not (out / "config.json").exists()
         assert line.split(" =")[0] in capsys.readouterr().err
 
+    def test_repeated_key_rejected_before_snapshot(self, tmp_path, capsys):
+        # a key given twice is an error, not its last value
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("# settings\nlr = 0.1\nlr = 0.2\n")
+        out = tmp_path / "run"
+        assert run_cli("quadratic", "--config", str(cfg), "--out", str(out)) == 2
+        assert not (out / "config.json").exists()
+        err = capsys.readouterr().err
+        assert "'lr'" in err and f"{cfg}:3" in err
+
+    def test_non_utf8_file_rejected_before_snapshot(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("steps = 50 # \u00e9t\u00e9\n".encode("latin-1"))
+        out = tmp_path / "run"
+        assert run_cli("toy-pareto", "--config", str(cfg), "--out", str(out)) == 2
+        assert not (out / "config.json").exists()
+        assert str(cfg) in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lambdas 1\n")

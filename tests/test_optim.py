@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
 from qatkit.optim import (
@@ -14,21 +15,30 @@ from qatkit.optim import (
     lambda_at,
     sgd_step,
 )
-from qatkit.quantize import QuantSpec, quantize
+from qatkit.quantize import QuantSpec, int_spec, quantize
 
 
 class TestLambdaSchedule:
     def test_ramp_value(self):
-        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.9, total_steps=100)
-        assert lambda_at(cfg, 95) == pytest.approx(1.0, abs=1e-12)
+        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.9)
+        assert lambda_at(cfg, 95, 100) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_silence_boundary(self):
-        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.5, total_steps=10)
-        assert lambda_at(cfg, 5) == 0.0
+        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.5)
+        assert lambda_at(cfg, 5, 10) == 0.0
 
     def test_full_lambda_at_end(self):
-        cfg = OptimConfig(lr=0.1, lam=3.0, silence_ratio=0.25, total_steps=16)
-        assert lambda_at(cfg, 16) == pytest.approx(3.0, abs=1e-12)
+        cfg = OptimConfig(lr=0.1, lam=3.0, silence_ratio=0.25)
+        assert lambda_at(cfg, 16, 16) == pytest.approx(3.0, abs=1e-12)
+
+    def test_lane_ramp_follows_its_own_steps(self):
+        # the ramp's horizon is the lane's step count, for the trace and the step
+        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
+        obj, x0 = make_quadratic_problem(16, 10.0, (0,))
+        (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, int_spec("int-hadamard", 4), cfg)
+        assert run.trace.lambda_t[:5] == [0.0] * 5
+        assert run.trace.lambda_t[-1] == cfg.lam
+        assert run.trace.lambda_t == [lambda_at(cfg, t, 10) for t in range(1, 11)]
 
     def test_continuity_property(self):
         rng = make_rng(0)
@@ -36,8 +46,8 @@ class TestLambdaSchedule:
             lam = float(rng.uniform(0.1, 5.0))
             s = float(rng.uniform(0.0, 0.95))
             T = int(rng.integers(10, 500))
-            cfg = OptimConfig(lr=0.1, lam=lam, silence_ratio=s, total_steps=T)
-            vals = [lambda_at(cfg, t) for t in range(1, T + 1)]
+            cfg = OptimConfig(lr=0.1, lam=lam, silence_ratio=s)
+            vals = [lambda_at(cfg, t, T) for t in range(1, T + 1)]
             max_jump = lam / ((1.0 - s) * T)
             for a, b in zip(vals, vals[1:]):
                 assert b >= a - 1e-15  # non-decreasing
@@ -46,11 +56,9 @@ class TestLambdaSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, lam=-1.0, silence_ratio=0.5, total_steps=10)
+            OptimConfig(lr=0.1, lam=-1.0, silence_ratio=0.5)
         with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, lam=1.0, silence_ratio=1.0, total_steps=10)
-        with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, lam=1.0, silence_ratio=0.5, total_steps=0)
+            OptimConfig(lr=0.1, lam=1.0, silence_ratio=1.0)
 
 
 class TestSgd:
@@ -143,7 +151,7 @@ class TestAdamW:
     def test_first_step_sign_move(self):
         cfg = OptimConfig(lr=0.01, weight_decay=0.0)
         g = np.array([0.5, -2.0])
-        state, x = adamw_step(AdamState.zeros(2), np.zeros(2), g, cfg)
+        state, x = adamw_step(AdamState.zeros(2), np.zeros(2), g, cfg, cfg.lr)
         expected = -cfg.lr * g / (np.abs(g) + cfg.eps)
         assert np.allclose(x, expected, atol=1e-15)
         assert state.t == 1
@@ -153,7 +161,7 @@ class TestAdamW:
         state = AdamState.zeros(3)
         x = np.array([1.0, -2.0, 3.0])
         for _ in range(25):
-            state, x = adamw_step(state, x, np.zeros(3), cfg)
+            state, x = adamw_step(state, x, np.zeros(3), cfg, cfg.lr)
         assert np.array_equal(x, [1.0, -2.0, 3.0])
 
     def test_three_step_hand_trace(self):
@@ -162,14 +170,14 @@ class TestAdamW:
         x = np.array([0.5])
         seen = []
         for _ in range(3):
-            state, x = adamw_step(state, x, np.array([1.0]), cfg)
+            state, x = adamw_step(state, x, np.array([1.0]), cfg, cfg.lr)
             seen.append(x[0])
         manual = _manual_adamw_trace(0.5, [1.0, 1.0, 1.0], 0.1, 0.9, 0.95, 1e-8, 0.0)
         assert np.allclose(seen, manual, atol=1e-12)
 
     def test_decay_applied_before_update(self):
         cfg = OptimConfig(lr=0.1, weight_decay=0.5)
-        state, x = adamw_step(AdamState.zeros(1), np.array([2.0]), np.zeros(1), cfg)
+        state, x = adamw_step(AdamState.zeros(1), np.array([2.0]), np.zeros(1), cfg, cfg.lr)
         # zero gradient: only the decay acts
         assert x[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
 
@@ -181,7 +189,7 @@ class TestAdamW:
             g = rng.standard_normal(4)
             x = rng.standard_normal(4)
             state = AdamState(m=rng.standard_normal(4), v=np.abs(rng.standard_normal(4)), t=int(rng.integers(1, 50)))
-            new_state, x_new = adamw_step(state, x, g, cfg)
+            new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
             t = state.t + 1
             m = cfg.beta1 * state.m + (1 - cfg.beta1) * g
             v = cfg.beta2 * state.v + (1 - cfg.beta2) * (g * g)
@@ -196,7 +204,7 @@ class TestAdamW:
         cfg = OptimConfig(lr=0.05, beta1=0.0, beta2=0.0, eps=10.0, weight_decay=0.0)
         for _ in range(100):
             g = rng.standard_normal(6)
-            _, x = adamw_step(AdamState.zeros(6), np.zeros(6), g, cfg)
+            _, x = adamw_step(AdamState.zeros(6), np.zeros(6), g, cfg, cfg.lr)
             moved = g != 0
             assert np.all(np.sign(x[moved]) == -np.sign(g[moved]))
 
@@ -207,13 +215,13 @@ class TestAdamW:
         x = rng.standard_normal(5)
         for _ in range(300):
             g = rng.standard_normal(5) * 10 ** rng.uniform(-6, 4)
-            state, x = adamw_step(state, x, g, cfg)
+            state, x = adamw_step(state, x, g, cfg, cfg.lr)
             assert np.all(state.v >= 0)
 
 
 class TestCageAdamW:
-    def _setup(self, lam=2.0, silence=0.0, T=10):
-        cfg = OptimConfig(lr=0.05, weight_decay=0.1, lam=lam, silence_ratio=silence, total_steps=T)
+    def _setup(self, lam=2.0, silence=0.0):
+        cfg = OptimConfig(lr=0.05, weight_decay=0.1, lam=lam, silence_ratio=silence)
         spec = QuantSpec(scheme="floor-toy", grid=0.5)
         return cfg, spec
 
@@ -223,31 +231,33 @@ class TestCageAdamW:
         x = rng.standard_normal(6)
         g = rng.standard_normal(6)
         state = AdamState.zeros(6)
-        s_ref, x_ref = adamw_step(state, x, g, cfg)
-        s_dec, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=5, spec=spec)
-        s_cpl, x_cpl = cage_adamw_coupled_step(state, x, g, quantize(spec, x).error, cfg, t=5)
+        s_ref, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        lam_t = lambda_at(cfg, 5, 10)
+        s_dec, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_t, spec)
+        s_cpl, x_cpl = cage_adamw_coupled_step(state, x, g, quantize(spec, x).error, cfg, cfg.lr, lam_t)
         assert np.array_equal(x_ref, x_dec) and np.array_equal(x_ref, x_cpl)
         assert np.array_equal(s_ref.m, s_dec.m) and np.array_equal(s_ref.v, s_cpl.v)
 
     def test_silence_period_bitwise_adamw(self):
-        cfg, spec = self._setup(lam=2.0, silence=0.9, T=100)
+        cfg, spec = self._setup(lam=2.0, silence=0.9)
         rng = make_rng(8)
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=90, spec=spec)  # r = 0.9 <= s
+        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        lam_90, lam_91 = lambda_at(cfg, 90, 100), lambda_at(cfg, 91, 100)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_90, spec)  # r = 0.9 <= s
         assert np.array_equal(x_ref, x_dec)
-        _, x_after = cage_adamw_decoupled_step(state, x, g, cfg, t=91, spec=spec)
+        _, x_after = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_91, spec)
         assert not np.array_equal(x_ref, x_after)
 
     def test_on_grid_error_vanishes(self):
-        cfg, spec = self._setup(lam=2.0, T=10)
+        cfg, spec = self._setup(lam=2.0)
         x = np.array([1.0, -0.5, 2.5, 0.0])  # already on the 0.5 grid
         g = make_rng(9).standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10, spec=spec)
+        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
         # decay shifts x off the grid, so recompute the residual there
         xd = (1.0 - cfg.lr * cfg.weight_decay) * x
         manual = x_ref - cfg.lr * 2.0 * quantize(spec, xd).error
@@ -255,46 +265,46 @@ class TestCageAdamW:
 
     def test_decoupled_without_quantizer_is_adamw(self):
         # no quantizer means no quantization error, so no correction
-        cfg, _ = self._setup(lam=1.0, T=10)
+        cfg, _ = self._setup(lam=1.0)
         rng = make_rng(10)
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10)
+        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 1.0, None)
         assert np.array_equal(x_dec, x_ref)
 
     def test_coupled_zero_error_is_adamw(self):
-        cfg, _ = self._setup(lam=2.0, T=10)
+        cfg, _ = self._setup(lam=2.0)
         rng = make_rng(14)
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_cpl = cage_adamw_coupled_step(state, x, g, np.zeros(4), cfg, t=10)
+        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_cpl = cage_adamw_coupled_step(state, x, g, np.zeros(4), cfg, cfg.lr, 2.0)
         assert np.array_equal(x_ref, x_cpl)
 
     def test_decoupled_on_grid_no_decay_is_adamw(self):
         # without decay the parameters stay on the grid, the residual is zero,
         # and the correction vanishes entirely
-        cfg = OptimConfig(lr=0.05, weight_decay=0.0, lam=2.0, silence_ratio=0.0, total_steps=10)
+        cfg = OptimConfig(lr=0.05, weight_decay=0.0, lam=2.0, silence_ratio=0.0)
         spec = QuantSpec(scheme="floor-toy", grid=0.5)
         x = np.array([1.0, -0.5, 2.5, 0.0])
         g = make_rng(15).standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10, spec=spec)
+        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
         assert np.array_equal(x_ref, x_dec)
 
     def test_coupled_differs_from_decoupled_for_adam(self):
-        cfg, spec = self._setup(lam=2.0, T=10)
+        cfg, spec = self._setup(lam=2.0)
         rng = make_rng(11)
         x = rng.standard_normal(4) + 0.3
         g = rng.standard_normal(4)
         e = quantize(spec, x).error
         state = AdamState.zeros(4)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, t=10, spec=spec)
-        _, x_cpl = cage_adamw_coupled_step(state, x, g, e, cfg, t=10)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_cpl = cage_adamw_coupled_step(state, x, g, e, cfg, cfg.lr, 2.0)
         assert not np.array_equal(x_dec, x_cpl)
 
 
@@ -327,7 +337,7 @@ class TestGradClip:
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bad_hyperparameter_rejected(field, value):
     # a NaN fails every check, as an out-of-range value does
-    settings = {"lr": 0.1, "lam": 1.0, "silence_ratio": 0.5, "total_steps": 10, field: value}
+    settings = {"lr": 0.1, "lam": 1.0, "silence_ratio": 0.5, field: value}
     with pytest.raises(ValueError):
         OptimConfig(**settings)
 

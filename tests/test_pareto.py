@@ -166,10 +166,10 @@ class TestRateFit:
 
 class TestMeasureAndTrace:
     def test_record_counts_and_values(self):
-        m = ParetoMeasure(lam=2.0)
+        m = ParetoMeasure()
         g = np.array([1.0, 0.0])
         e = np.array([0.0, 1.0])
-        m.record(0.5, g, e)
+        m.record(0.5, g, e, 2.0)
         assert len(m) == 1
         assert m.pareto_sq[0] == pytest.approx(float(g @ g) + 4.0, abs=1e-15)
         assert m.grad_sq[0] == 1.0
@@ -177,7 +177,7 @@ class TestMeasureAndTrace:
         assert m.lambda_t[0] == 2.0
 
     def test_trace_csv_roundtrip(self, tmp_path):
-        m = ParetoMeasure(lam=1.0)
+        m = ParetoMeasure()
         rng = make_rng(6)
         for _ in range(5):
             m.record(float(rng.uniform()), rng.standard_normal(3), rng.standard_normal(3), 0.7)

@@ -36,7 +36,7 @@ from qatkit.optim import (
     sgd_step,
 )
 from qatkit.pareto import ParetoMeasure
-from qatkit.qat_grad import identity_policy, ste_backward, trust_masked_policy
+from qatkit.qat_grad import ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -225,7 +225,7 @@ def test_mxfp4_block_scales_match_loop(x):
 def test_forward_mask_ste_matches_recomputed_mask(case, seed):
     spec, x = case
     grad = np.random.default_rng(seed).standard_normal(x.shape[0])
-    out = ste_backward(trust_masked_policy(spec), grad, quantize(spec, x))
+    out = ste_backward(spec, grad, quantize(spec, x))
     assert np.array_equal(out, recomputed_mask_ste(spec, grad, x))
 
 
@@ -238,9 +238,8 @@ def test_batched_quantize_matches_each_vector(case, seed):
     res = quantize(spec, X)
     scales = np.broadcast_to(res.scale, X.shape[:1] + np.shape(quantize(spec, X[0]).scale))
     if spec.scheme in INT_SCHEMES:
-        policy = trust_masked_policy(spec)
         G = np.random.default_rng(seed).standard_normal(X.shape)
-        G_back = ste_backward(policy, G, res)
+        G_back = ste_backward(spec, G, res)
     for s, x in enumerate(X):
         one = quantize(spec, x)
         for field in ("quantized", "error", "codes"):
@@ -248,7 +247,7 @@ def test_batched_quantize_matches_each_vector(case, seed):
         assert np.array_equal(scales[s], one.scale)
         if spec.scheme in INT_SCHEMES:
             assert np.array_equal(res.keep[s], one.keep)
-            assert np.array_equal(G_back[s], ste_backward(policy, G[s], one))
+            assert np.array_equal(G_back[s], ste_backward(spec, G[s], one))
         else:
             assert res.keep is None and one.keep is None
 
@@ -333,7 +332,7 @@ def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim)
     rng = make_rng((_STREAM_NOISE, seed, horizon))
-    trace = ParetoMeasure(lam=lam)
+    trace = ParetoMeasure()
     for _ in range(horizon):
         loss, g = obj.value_and_grad(x)
         e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
@@ -402,11 +401,8 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
     """One seed's quadratic-lane run, stepped alone on a vector with
     ``lone_grad_clip``: the oracle for the seed-batched ``run_quadratic``.
     Returns (final gap, final loss, trace, iterates)."""
-    if spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES:
-        policy = trust_masked_policy(spec)
-    else:
-        policy = identity_policy()
-    trace = ParetoMeasure(lam=cfg.lam if optimizer.startswith("cage") else 0.0)
+    masked = spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
+    trace = ParetoMeasure()
     x = np.array(x0, dtype=np.float64)
     state = AdamState.zeros(obj.dim)
     iterates = np.empty((steps, obj.dim))
@@ -415,7 +411,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         if spec is not None:
             qres = quantize(spec, x)
             loss, g_at_q = obj.value_and_grad(qres.quantized)
-            g = ste_backward(policy, g_at_q, qres)
+            g = ste_backward(spec, g_at_q, qres) if masked else g_at_q
             e = qres.error
         else:
             loss, g = obj.value_and_grad(x)
@@ -423,20 +419,20 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         if clip:
             g = lone_grad_clip(g, clip)
         if optimizer.startswith("cage"):
-            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t)
+            lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t, steps)
         else:
             lam_t = 0.0
         trace.record(loss, obj.grad(x), e, lam_t)
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
         elif optimizer == "adamw":
-            state, x = adamw_step(state, x, g, cfg, lr=a_t)
+            state, x = adamw_step(state, x, g, cfg, a_t)
         elif optimizer == "cage-sgd":
             x = cage_sgd_step(x, g, e, a_t, lam_t)
         elif optimizer == "cage-adamw-dec":
-            state, x = cage_adamw_decoupled_step(state, x, g, cfg, t, spec=spec, lr=a_t)
+            state, x = cage_adamw_decoupled_step(state, x, g, cfg, a_t, lam_t, spec)
         else:
-            state, x = cage_adamw_coupled_step(state, x, g, e, cfg, t, lr=a_t)
+            state, x = cage_adamw_coupled_step(state, x, g, e, cfg, a_t, lam_t)
         iterates[t - 1] = x
     final_loss = obj.loss(quantize(spec, x).quantized if spec is not None else x)
     return final_loss - obj.f_star, final_loss, trace, iterates
@@ -476,9 +472,9 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
     # seed trace and iterates, are bitwise those of the seed run alone on its
     # own draw
     spec = QUADRATIC_SPECS[quant]
-    cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5, total_steps=steps)
+    cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5)
     obj, x0 = make_quadratic_problem(dim, kappa, seeds)
-    runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip, record_iterates=True)
+    runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip)
     assert len(runs) == len(optimizers)
     for optimizer, run in zip(optimizers, runs):
         assert len(run.final_gaps) == len(run.final_losses) == len(seeds)

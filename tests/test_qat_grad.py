@@ -5,33 +5,27 @@ from qatkit.numerics import make_rng
 from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
 from qatkit.pareto import EfState, ef_step
-from qatkit.qat_grad import StePolicy, identity_policy, ste_backward, trust_masked_policy
+from qatkit.qat_grad import ste_backward
 from qatkit.quantize import QuantSpec, int_spec, quantize
 from qatkit.transform import hadamard_inverse, hadamard_plan
 
 
-def test_identity_passes_through():
-    rng = make_rng(0)
-    g = rng.standard_normal(16)
-    out = ste_backward(identity_policy(), g, quantize(QuantSpec(scheme="floor-toy"), rng.standard_normal(16)))
-    assert np.array_equal(out, g)
-
-
 def test_trust_mask_requires_int_scheme():
+    spec = QuantSpec(scheme="floor-toy")
+    fwd = quantize(spec, make_rng(0).standard_normal(16))
     with pytest.raises(ValueError):
-        trust_masked_policy(QuantSpec(scheme="floor-toy"))
+        ste_backward(spec, np.ones(16), fwd)
     with pytest.raises(ValueError):
-        StePolicy(kind="trust-masked")
+        ste_backward(None, np.ones(16), fwd)
 
 
 def test_trust_mask_needs_matching_int_forward():
     spec = int_spec("int-hadamard", 4)
-    policy = trust_masked_policy(spec)
     x = make_rng(6).standard_normal(8)
     with pytest.raises(ValueError):
-        ste_backward(policy, np.ones(8), quantize(QuantSpec(scheme="floor-toy"), x))
+        ste_backward(spec, np.ones(8), quantize(QuantSpec(scheme="floor-toy"), x))
     with pytest.raises(ValueError):
-        ste_backward(policy, np.ones(4), quantize(spec, x))
+        ste_backward(spec, np.ones(4), quantize(spec, x))
 
 
 def test_no_clipping_is_identity():
@@ -42,7 +36,7 @@ def test_no_clipping_is_identity():
     x = hadamard_inverse(plan, z)
     rng = make_rng(1)
     g = rng.standard_normal(16)
-    out = ste_backward(trust_masked_policy(spec), g, quantize(spec, x))
+    out = ste_backward(spec, g, quantize(spec, x))
     assert np.abs(out - g).max() <= 1e-10
     # precondition: forward pass really has no clipped channels
     res = quantize(spec, x)
@@ -62,16 +56,15 @@ def test_clipped_channel_zeroed_by_basis_probe():
     sigma = 1.0 / np.sqrt(d)
     assert 1.0 > spec.clip_factor * sigma  # channel j clips
 
-    policy = trust_masked_policy(spec)
     probe = hadamard_inverse(plan, zj)  # upstream grad living on channel j
-    out = ste_backward(policy, probe, quantize(spec, x))
+    out = ste_backward(spec, probe, quantize(spec, x))
     assert np.abs(out).max() <= 1e-12
 
     # a complementary channel passes through untouched
     zk = np.zeros(d)
     zk[11] = 1.0
     probe_k = hadamard_inverse(plan, zk)
-    out_k = ste_backward(policy, probe_k, quantize(spec, x))
+    out_k = ste_backward(spec, probe_k, quantize(spec, x))
     assert np.abs(out_k - probe_k).max() <= 1e-10
 
 
@@ -82,14 +75,13 @@ def test_int_plain_mask_is_elementwise():
     clipped = (res.codes == spec.q_min) | (res.codes == spec.q_max)
     assert clipped[0] and not clipped[1:].any()
     g = make_rng(2).standard_normal(8)
-    out = ste_backward(trust_masked_policy(spec), g, res)
+    out = ste_backward(spec, g, res)
     assert out[0] == 0.0
     assert np.array_equal(out[1:], g[1:])
 
 
 def test_linearity_property():
     spec = int_spec("int-hadamard", 4)
-    policy = trust_masked_policy(spec)
     rng = make_rng(3)
     for _ in range(100):
         x = rng.standard_normal(32)
@@ -97,8 +89,8 @@ def test_linearity_property():
         g2 = rng.standard_normal(32)
         a, b = rng.standard_normal(2)
         fwd = quantize(spec, x)
-        lhs = ste_backward(policy, a * g1 + b * g2, fwd)
-        rhs = a * ste_backward(policy, g1, fwd) + b * ste_backward(policy, g2, fwd)
+        lhs = ste_backward(spec, a * g1 + b * g2, fwd)
+        rhs = a * ste_backward(spec, g1, fwd) + b * ste_backward(spec, g2, fwd)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -106,31 +98,29 @@ def test_norm_nonexpansive_property():
     rng = make_rng(4)
     for scheme in ("int-hadamard", "int-plain"):
         spec = int_spec(scheme, 3)
-        policy = trust_masked_policy(spec)
         for _ in range(100):
             x = rng.standard_normal(24) * 10 ** rng.uniform(-1, 1)
             g = rng.standard_normal(24)
-            out = ste_backward(policy, g, quantize(spec, x))
+            out = ste_backward(spec, g, quantize(spec, x))
             assert np.linalg.norm(out) <= np.linalg.norm(g) + 1e-12
 
 
 def test_chunked_rows():
     spec = int_spec("int-hadamard", 4, row_length=8)
-    policy = trust_masked_policy(spec)
     rng = make_rng(5)
     x = rng.standard_normal(16)
     g = rng.standard_normal(16)
-    out = ste_backward(policy, g, quantize(spec, x))
+    out = ste_backward(spec, g, quantize(spec, x))
     row_spec = int_spec("int-hadamard", 4, row_length=8)
     parts = [
-        ste_backward(trust_masked_policy(row_spec), g[:8], quantize(row_spec, x[:8])),
-        ste_backward(trust_masked_policy(row_spec), g[8:], quantize(row_spec, x[8:])),
+        ste_backward(row_spec, g[:8], quantize(row_spec, x[:8])),
+        ste_backward(row_spec, g[8:], quantize(row_spec, x[8:])),
     ]
     assert np.array_equal(out, np.concatenate(parts))
 
 
 def test_identity_ste_sgd_matches_error_feedback():
-    # straight-through SGD (identity policy, no correction) against the
+    # straight-through SGD (identity STE, no correction) against the
     # three-line error-feedback recursion with a shared noise stream
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy")
@@ -142,7 +132,7 @@ def test_identity_ste_sgd_matches_error_feedback():
         ef = EfState(w=quantize(spec, x).quantized, e=quantize(spec, x).error)
         for _ in range(20):
             xq = quantize(spec, x).quantized
-            g_ste = ste_backward(identity_policy(), obj.grad(xq), quantize(spec, x))
+            g_ste = obj.grad(xq)  # the identity STE: the gradient at Q(x) as is
             g_noisy = g_ste + 0.05 * rng_a.standard_normal(1)
             x = cage_sgd_step(x, g_noisy, np.zeros(1), lr, 0.0)
 

@@ -10,10 +10,7 @@ from qatkit.quantize import (
     calibrate_clip,
     gaussian_clip_mse,
     int_spec,
-    quant_error,
     quantize,
-    quantize_floor,
-    quantize_mxfp4,
     read_clip_table,
     write_clip_table,
 )
@@ -141,7 +138,7 @@ class TestMxfp4:
         spec = QuantSpec(scheme="mxfp4")
         grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
         x = np.concatenate([grid, -grid, np.zeros(16)]) * 0.25  # scale 2^-2
-        res = quantize_mxfp4(spec, x)
+        res = quantize(spec, x)
         assert np.array_equal(res.quantized, x)
         assert np.array_equal(res.error, np.zeros_like(x))
 
@@ -149,7 +146,7 @@ class TestMxfp4:
         spec = QuantSpec(scheme="mxfp4")
         x = np.zeros(32)
         x[0] = 6.0
-        res = quantize_mxfp4(spec, x)
+        res = quantize(spec, x)
         assert res.scale[0] == 1.0
         assert res.quantized[0] == 6.0
         assert np.array_equal(res.error, np.zeros(32))
@@ -159,11 +156,11 @@ class TestMxfp4:
         x = np.zeros(32)
         x[0] = 2.4
         x[1] = 6.0  # pins the block scale at 1
-        res = quantize_mxfp4(spec, x)
+        res = quantize(spec, x)
         assert res.quantized[0] == 2.0  # distance 0.4 vs 0.6 to 3.0
 
     def test_all_zero_block(self):
-        res = quantize_mxfp4(QuantSpec(scheme="mxfp4"), np.zeros(32))
+        res = quantize(QuantSpec(scheme="mxfp4"), np.zeros(32))
         assert res.scale[0] == 1.0
         assert np.array_equal(res.codes, np.zeros(32, dtype=np.int64))
 
@@ -172,13 +169,13 @@ class TestMxfp4:
         x = np.zeros(32)
         x[:7] = [0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0]
         x[7] = 6.0
-        res = quantize_mxfp4(spec, x)
+        res = quantize(spec, x)
         assert list(res.quantized[:7]) == [0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0]
 
     def test_nonmultiple_padding(self):
         spec = QuantSpec(scheme="mxfp4")
         x = make_rng(2).standard_normal(40)
-        res = quantize_mxfp4(spec, x)
+        res = quantize(spec, x)
         assert res.quantized.shape == (40,)
         assert res.scale.shape == (2,)
 
@@ -187,7 +184,7 @@ class TestMxfp4:
         spec = QuantSpec(scheme="mxfp4")
         for _ in range(100):
             x = rng.standard_normal(32) * 10 ** rng.uniform(-3, 3)
-            res = quantize_mxfp4(spec, x)
+            res = quantize(spec, x)
             assert np.abs(res.quantized).max() <= 6.0 * res.scale[0] + 1e-300
 
     def test_idempotent_property(self):
@@ -195,29 +192,29 @@ class TestMxfp4:
         spec = QuantSpec(scheme="mxfp4")
         for _ in range(100):
             x = rng.standard_normal(64) * 10 ** rng.uniform(-2, 2)
-            once = quantize_mxfp4(spec, x).quantized
-            twice = quantize_mxfp4(spec, once).quantized
+            once = quantize(spec, x).quantized
+            twice = quantize(spec, once).quantized
             assert np.array_equal(once, twice)
 
 
 class TestFloor:
     def test_paper_point_nine(self):
-        res = quantize_floor(QuantSpec(scheme="floor-toy"), np.array([0.9]))
+        res = quantize(QuantSpec(scheme="floor-toy"), np.array([0.9]))
         assert res.quantized[0] == 0.0
         assert res.error[0] == 0.9
 
     def test_negative(self):
-        res = quantize_floor(QuantSpec(scheme="floor-toy"), np.array([-0.25]))
+        res = quantize(QuantSpec(scheme="floor-toy"), np.array([-0.25]))
         assert res.quantized[0] == -1.0
         assert res.error[0] == 0.75
 
     def test_exact_integer(self):
-        res = quantize_floor(QuantSpec(scheme="floor-toy"), np.array([3.0]))
+        res = quantize(QuantSpec(scheme="floor-toy"), np.array([3.0]))
         assert res.quantized[0] == 3.0
         assert res.error[0] == 0.0
 
     def test_quarter_grid(self):
-        res = quantize_floor(QuantSpec(scheme="floor-toy", grid=0.25), np.array([0.6]))
+        res = quantize(QuantSpec(scheme="floor-toy", grid=0.25), np.array([0.6]))
         assert res.quantized[0] == 0.5
         assert res.error[0] == pytest.approx(0.1, abs=1e-15)
 
@@ -226,18 +223,18 @@ class TestFloor:
         spec = QuantSpec(scheme="floor-toy", grid=0.25)
         for _ in range(100):
             x = rng.standard_normal(16) * 5
-            once = quantize_floor(spec, x).quantized
-            twice = quantize_floor(spec, once).quantized
+            once = quantize(spec, x).quantized
+            twice = quantize(spec, once).quantized
             assert np.array_equal(once, twice)
 
 
 class TestQuantError:
     def test_fixed_point_zero_error(self):
         spec = QuantSpec(scheme="floor-toy")
-        assert np.array_equal(quant_error(spec, np.array([2.0, -3.0])), np.zeros(2))
+        assert np.array_equal(quantize(spec, np.array([2.0, -3.0])).error, np.zeros(2))
 
     def test_point_nine(self):
-        assert quant_error(QuantSpec(scheme="floor-toy"), np.array([0.9]))[0] == 0.9
+        assert quantize(QuantSpec(scheme="floor-toy"), np.array([0.9])).error[0] == 0.9
 
     def test_int_plain_unclipped_error_bound(self):
         spec = int_spec("int-plain", 4)
