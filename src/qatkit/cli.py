@@ -99,6 +99,8 @@ def one_of(names):
 positive = _rule("> 0", lambda v: v > 0)
 nonneg = at_least(0)
 bit_width = _rule("a bit-width in range [2, 8]", lambda b: 2 <= b <= 8)
+# past 1/eps of float64 a drawn SPD matrix need not be positive definite
+condition_number = _rule("in [1, 2**52)", lambda k: 1.0 <= k < 2.0**52)
 
 
 def each(check):
@@ -118,12 +120,12 @@ def each(check):
     return check_list
 
 
-def parse_quant(v: str) -> QuantSpec | None:
-    """Parse a quantizer spec string: ``none``, ``int-hadamard:4``,
+def parse_quant(v: str) -> QuantSpec:
+    """Parse a quantizer spec string: ``none`` (the identity), ``int-hadamard:4``,
     ``int-plain:3``, ``mxfp4``, or ``floor-toy[:grid]``."""
     v = v.strip()
     if v == "none":
-        return None
+        return QuantSpec(scheme="none")
     parts = v.split(":")
     scheme = parts[0]
     if scheme in INT_SCHEMES:
@@ -161,7 +163,7 @@ _OPTIONS: dict[str, dict] = {
     },
     "quadratic": {
         **_SEEDED,
-        "kappas": (_list(_finite), [1.0, 10.0, 100.0], "condition numbers", each(at_least(1.0))),
+        "kappas": (_list(_finite), [1.0, 10.0, 100.0], "condition numbers", each(condition_number)),
         # dim, steps >= 2: the first seed's trajectory goes through a two-component PCA
         "dim": (int, 64, "problem dimension", at_least(2)),
         "steps": (int, 2000, "step budget", at_least(2)),
@@ -184,7 +186,7 @@ _OPTIONS: dict[str, dict] = {
         **_SEEDED,
         "objective": (str, "rosenbrock", " | ".join(RATE_OBJECTIVES), one_of(RATE_OBJECTIVES)),
         "dim": (int, 10, "problem dimension", positive),
-        "kappa": (_finite, 10.0, "condition number (quadratic objective)", at_least(1.0)),
+        "kappa": (_finite, 10.0, "condition number (quadratic objective)", condition_number),
         "quant": (str, "floor-toy:0.25", "quantizer spec", parse_quant),
         "lam": (_finite, 1.0, "correction coefficient", nonneg),
         "noise_std": (_finite, 0.1, "gradient noise std", nonneg),

@@ -89,16 +89,9 @@ def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") 
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _check_finite(x: np.ndarray, loss, where: str) -> None:
-    """NumericalFailure unless the loss (a float, or one per seed) and the
-    iterate are finite."""
-    if not (np.isfinite(loss).all() and np.isfinite(x).all()):
-        raise NumericalFailure(f"non-finite value during {where}")
-
-
 def _corrected_sgd(
     obj: Objective,
-    spec: QuantSpec | None,
+    spec: QuantSpec,
     x: np.ndarray,
     lr: float,
     lam: float,
@@ -119,7 +112,7 @@ def _corrected_sgd(
     pareto_sq = np.empty((len(x), steps))
     for t in range(steps):
         loss, g = obj.value_and_grad(x)
-        e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
+        e = quantize(spec, x).error
         p = g + lam * e
         pareto_sq[:, t] = np.vecdot(p, p)
         if trace is not None:
@@ -134,7 +127,8 @@ def _corrected_sgd(
                     rng.standard_normal(out=block[:k])
             g_tilde = g + noise_std * noise[:, i]
         x = cage_sgd_step(x, g_tilde, e, lr, lam)
-        _check_finite(x, loss, "corrected-SGD run")
+        if not (np.isfinite(loss).all() and np.isfinite(x).all()):
+            raise NumericalFailure("non-finite value during corrected-SGD run")
     return x, pareto_sq
 
 
@@ -215,7 +209,7 @@ def run_quadratic(
     x0: np.ndarray,
     optimizers: Sequence[str],
     steps: int,
-    spec: QuantSpec | None,
+    spec: QuantSpec,
     cfg: OptimConfig,
     lr_schedule: str = "constant",
     ste_kind: str = "trust-masked",
@@ -235,10 +229,10 @@ def run_quadratic(
     ``cfg.lam`` and the plain optimizers 0.  The loss and gradient are
     evaluated at Q(x), the gradient transported back trust-masked only for
     ``ste_kind`` "trust-masked" with an int scheme (else as is); the gap
-    is f(Q(x_T)) - f* (or f(x_T) - f* when quantization is disabled), one per
-    row.  A run's trace and iterates are its first row's.  A non-finite loss
-    or iterate stops the whole group; the ``NumericalFailure`` names the
-    optimizers whose rows it hit.
+    is f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
+    identity and e = 0: full-precision training.  A run's trace and iterates
+    are its first row's.  A non-finite loss or iterate stops the whole group;
+    the ``NumericalFailure`` names the optimizers whose rows it hit.
     """
     if isinstance(optimizers, str) or not optimizers:
         raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
@@ -247,10 +241,9 @@ def run_quadratic(
             raise ValueError(f"unknown optimizer {name!r}")
     if ste_kind not in STE_KINDS:
         raise ValueError(f"unknown ste_kind {ste_kind!r}")
-    masked = spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
+    masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     x0 = np.array(x0, dtype=np.float64, ndmin=2)
     x = np.repeat(x0[None], len(optimizers), axis=0)
-    rows = x.reshape(-1, x.shape[-1])  # the (O S, d) view of x
     states = [AdamState.zeros(x0.shape) for _ in optimizers]
     traces = [ParetoMeasure() for _ in optimizers]
     snapshots = np.empty((len(optimizers), steps, x.shape[-1]))
@@ -258,18 +251,13 @@ def run_quadratic(
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         ramp_t = lambda_at(cfg, t, steps)
-        if spec is not None:
-            qres = quantize(spec, rows)
-            loss, g_at_q = obj.value_and_grad(qres.quantized.reshape(x.shape))
-            g = ste_backward(spec, g_at_q.reshape(rows.shape), qres).reshape(x.shape) if masked else g_at_q
-            e = qres.error.reshape(x.shape)
-        else:
-            loss, g = obj.value_and_grad(x)
-            e = np.zeros_like(x)
+        qres = quantize(spec, x)
+        loss, g = obj.value_and_grad(qres.quantized)
+        g = ste_backward(spec, g, qres) if masked else g
+        e = qres.error
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
-        # the traces' gradient at x is taken for the first rows alone
-        g_trace = obj.grad(x[:, :1])
+        g_trace = obj.grad(x)
 
         for o, name in enumerate(optimizers):
             lam_t = cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0
@@ -290,8 +278,7 @@ def run_quadratic(
             raise NumericalFailure(f"non-finite value during quadratic run ({names})")
         snapshots[:, t - 1] = x[:, 0]
 
-    x_final = quantize(spec, rows).quantized.reshape(x.shape) if spec is not None else x
-    final_losses = obj.loss(x_final)
+    final_losses = obj.loss(quantize(spec, x).quantized)
     return tuple(
         QuadraticRun(
             final_gaps=(losses - obj.f_star).tolist(),
@@ -333,7 +320,7 @@ def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
 
 def run_convergence_run(
     obj: Objective,
-    spec: QuantSpec | None,
+    spec: QuantSpec,
     lam: float,
     noise_std: float,
     horizon: int,

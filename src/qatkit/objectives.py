@@ -18,9 +18,9 @@ class Objective:
     ``eval_fn`` maps a point to ``(loss, grad)``.  ``x_star`` / ``f_star`` are
     the known minimizer and minimum when available (one per problem for a
     stack of quadratics).  Every objective here also takes a batch ``(..., d)``
-    and returns the ``(...)`` losses and ``(..., d)`` gradients, each row
-    bitwise equal to the call on that row alone; a vector ``(d,)`` gives a
-    float loss.
+    (a stack of S quadratics: ``(..., S, d)``) and returns the ``(...)``
+    losses and ``(..., d)`` gradients, each row bitwise equal to the call on
+    that row alone; a vector ``(d,)`` gives a float loss.
     """
 
     dim: int
@@ -59,8 +59,8 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     The minimizer A^{-1} b is solved once per problem by Cholesky
     factorization; f* = -1/2 b^T x*.  A stack has one minimizer and minimum
     per problem (``x_star`` ``(S, d)``, ``f_star`` ``(S,)``) and evaluates a
-    batch ``(..., k, d)``, k <= S, row i of every leading index against
-    problem i; each row is bitwise that problem's lone value.
+    batch ``(..., S, d)``, row i of every leading index against problem i;
+    each row is bitwise that problem's lone value.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -78,15 +78,11 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     # np.matvec / np.vecdot give each row of a batch bitwise the values of
     # A @ x and x @ y on that row alone; X @ A.T and (X * Y).sum(-1) do not
     def eval_fn(x):
-        if A.ndim == 2:
-            Ak, bk = A, b
-        elif x.ndim >= 2 and x.shape[-2] <= len(A):
-            Ak, bk = A[: x.shape[-2]], b[: x.shape[-2]]
-        else:
-            raise ValueError(f"a stack of {len(A)} problems takes a batch (..., k <= {len(A)}, d), got {x.shape}")
-        Ax = np.matvec(Ak, x)
-        loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(bk, x)
-        return (float(loss) if x.ndim == 1 else loss), Ax - bk
+        if A.ndim == 3 and x.shape[-2:] != b.shape:
+            raise ValueError(f"a stack of {len(A)} problems takes a batch (..., {len(A)}, d), got {x.shape}")
+        Ax = np.matvec(A, x)
+        loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(b, x)
+        return (float(loss) if x.ndim == 1 else loss), Ax - b
 
     return Objective(dim=A.shape[-1], eval_fn=eval_fn, x_star=x_star, f_star=f_star)
 

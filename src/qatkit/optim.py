@@ -131,17 +131,17 @@ def cage_adamw_decoupled_step(
     cfg: OptimConfig,
     lr: float,
     lam_t: float,
-    spec: QuantSpec | None,
+    spec: QuantSpec,
 ):
     """AdamW step followed by the out-of-preconditioner correction.
 
     x' = adamw(x, g) - lr * lam_t * e_t, with e_t the quantization error of
     the decayed parameters (1 - lr * weight_decay) x, the literal update
-    order.  With ``lam_t`` 0, or without a quantizer (``spec`` None, so
-    e_t = 0), the step is bitwise identical to plain AdamW.
+    order.  With ``lam_t`` 0, or under the identity scheme ``none`` (e_t = +0.0),
+    the step is bitwise identical to plain AdamW.
     """
     new_state, x_tilde = adamw_step(state, x, g, cfg, lr)
-    if lam_t == 0.0 or spec is None:
+    if lam_t == 0.0:
         return new_state, x_tilde
     e_t = quantize(spec, (1.0 - lr * cfg.weight_decay) * x).error
     return new_state, x_tilde - lr * lam_t * e_t

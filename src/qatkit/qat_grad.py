@@ -29,16 +29,16 @@ def ste_backward(spec: QuantSpec, upstream_grad: np.ndarray, fwd: QuantResult) -
     Returns H^T (keep * (H upstream_grad)), row by row over the rows of
     ``fwd``, with ``keep`` the forward keep-mask (int-plain skips the
     transform).  A batched forward pass takes a gradient of the same
-    ``(S, d)`` shape.
+    ``(..., d)`` shape.
     """
-    if spec is None or spec.scheme not in INT_SCHEMES or fwd.keep is None:
+    if spec.scheme not in INT_SCHEMES or fwd.keep is None:
         raise ValueError("trust-masked STE needs an int-scheme QuantSpec and its forward pass")
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if fwd.quantized.shape != upstream_grad.shape:
         raise ValueError(f"shape mismatch: grad {upstream_grad.shape} vs forward {fwd.quantized.shape}")
-    g = upstream_grad.reshape(np.size(fwd.scale), -1)  # one scale per forward row
-    keep = fwd.keep.reshape(g.shape[0], -1)
     if spec.scheme == "int-plain":
-        return (keep * g).reshape(upstream_grad.shape)
+        return fwd.keep * upstream_grad
+    g = upstream_grad.reshape(np.size(fwd.scale), -1)  # one scale per forward row
+    keep = fwd.keep.reshape(len(g), -1)  # rows padded to the transform length
     plan = hadamard_plan(g.shape[1])
     return hadamard_inverse(plan, keep * hadamard_forward(plan, g)).reshape(upstream_grad.shape)

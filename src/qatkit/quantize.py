@@ -8,13 +8,14 @@ int-plain    : same grid without the transform
 mxfp4        : 4-bit E2M1 elements with a shared power-of-two scale per
                32-element block
 floor-toy    : elementwise floor onto a fixed grid (default cell 1.0)
+none         : the identity, Q(x) = x and e = 0: full-precision training
 
 Every scheme returns a ``QuantResult`` whose error is computed as
 ``x - quantized`` in the original domain, so ``quantized + error`` equals the
 input bitwise wherever that difference is representable.  Every scheme raises
 ``FloatingPointError`` on an input with a NaN or inf entry.
 
-``quantize`` takes one vector ``(d,)`` or a batch ``(S, d)``; each row of a
+``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
 """
 
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 INT_SCHEMES = ("int-hadamard", "int-plain")
-SCHEMES = INT_SCHEMES + ("mxfp4", "floor-toy")
+SCHEMES = INT_SCHEMES + ("mxfp4", "floor-toy", "none")
 
 # degenerate-row scale floor: an all-zero row quantizes to zeros with this scale
 SIGMA_FLOOR = 1e-12
@@ -108,17 +109,17 @@ class QuantResult:
 
     ``scale`` is a scalar for a single integer row, an array of per-row values
     for chunked input, and an array of per-block values for mxfp4.  A batch
-    ``(S, d)`` gives ``codes``, ``keep`` and the int and mxfp4 ``scale`` a
-    leading axis of length S (a single row's scalar becomes an ``(S,)``
-    array).  ``keep`` (int schemes only, else None) is aligned with ``codes``
-    and True where the transform-domain value was not clipped:
-    |z_i| <= clip_factor * sigma.
+    ``(..., d)`` gives ``codes``, ``keep`` and the int and mxfp4 ``scale`` its
+    leading axes (a single row's scalar becomes an ``(...)`` array).  ``keep``
+    (int schemes only, else None) is aligned with ``codes`` and True where the
+    transform-domain value was not clipped: |z_i| <= clip_factor * sigma.
+    The identity scheme ``none`` has no ``codes`` or ``scale`` (both None).
     """
 
     quantized: np.ndarray
     error: np.ndarray
-    codes: np.ndarray
-    scale: float | np.ndarray
+    codes: np.ndarray | None
+    scale: float | np.ndarray | None
     keep: np.ndarray | None = None
 
 
@@ -129,8 +130,8 @@ def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec
 
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
     """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (row sigma,
-    block amax, floor codes) and so its sum are non-finite whenever ``x`` is,
-    so ``x`` is scanned only when that sum is off (or merely overflowed)."""
+    block amax, floor codes, x - x) and so its sum are non-finite whenever ``x``
+    is, so ``x`` is scanned only when that sum is off (or merely overflowed)."""
     if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
         raise FloatingPointError("quantizer input has a NaN or inf entry")
 
@@ -212,12 +213,18 @@ def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 
 def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Quantize a vector ``(d,)``, or each row of a batch ``(S, d)``, under
+    """Quantize a vector ``(d,)``, or each row of a batch ``(..., d)``, under
     ``spec``; int schemes treat each vector as rows of ``spec.row_length``
-    (one row when unset) and quantize all rows at once."""
+    (one row when unset) and quantize all rows at once.  ``none`` returns a
+    copy of x and the error x - x, +0.0 wherever x is finite."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a batch of vectors, got shape {x.shape}")
+    if x.ndim == 0:
+        raise ValueError("expected a vector or a batch of vectors, got a scalar")
+    if spec.scheme == "none":
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected next
+            error = x - x
+        _reject_nonfinite(error, x)
+        return QuantResult(quantized=x.copy(), error=error, codes=None, scale=None)
     if spec.scheme == "floor-toy":
         return _quantize_floor(spec, x)
     if spec.scheme == "mxfp4":

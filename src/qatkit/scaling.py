@@ -11,6 +11,7 @@ seeded multi-start.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -52,10 +53,11 @@ class ScalingDatum:
     loss: float
 
     def __post_init__(self):
-        if self.N <= 0 or self.D <= 0:
-            raise ValueError(f"N and D must be positive, got N={self.N}, D={self.D}")
-        if self.loss <= 0:
-            raise ValueError(f"loss must be positive, got {self.loss}")
+        # comparisons written so that NaN and inf fail them
+        if not (0.0 < self.N < math.inf and 0.0 < self.D < math.inf):
+            raise ValueError(f"N and D must be positive and finite, got N={self.N}, D={self.D}")
+        if not 0.0 < self.loss < math.inf:
+            raise ValueError(f"loss must be positive and finite, got {self.loss}")
 
 
 @dataclass(frozen=True)
@@ -243,17 +245,15 @@ def fit_scaling(
         raise RuntimeError("all fit starts failed")
 
     A, alpha, B, beta, E, eff = _unpack_theta(best.x)
-    data_resid = best.fun[:n]
-    fit = ScalingFit(
+    return ScalingFit(
         A=A,
         alpha=alpha,
         B=B,
         beta=beta,
         E=E,
         eff={key: float(eff[g_index[key]]) for key in groups},
-        residual_rms=float(np.sqrt(np.mean(data_resid**2))),
+        residual_rms=float(np.sqrt(np.mean(best.fun[:n] ** 2))),
     )
-    return fit
 
 
 DEFAULT_SYNTH_GRID = (
@@ -307,31 +307,34 @@ def synthesize_scaling_data(
 
 
 def read_scaling_csv(path) -> list[ScalingDatum]:
-    """Parse the (method, P, N, D, loss) CSV; errors carry the line number."""
+    """Parse the (method, P, N, D, loss) CSV of a UTF-8 file; errors name the path and line."""
     path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not a UTF-8 text file: {err}") from err
     rows: list[ScalingDatum] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}:1: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                rows.append(
-                    ScalingDatum(
-                        method=row[0].strip(),
-                        precision=row[1].strip(),
-                        N=float(row[2]),
-                        D=float(row[3]),
-                        loss=float(row[4]),
-                    )
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ValueError(f"{path}:1: expected header {','.join(CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+        try:
+            rows.append(
+                ScalingDatum(
+                    method=row[0].strip(),
+                    precision=row[1].strip(),
+                    N=float(row[2]),
+                    D=float(row[3]),
+                    loss=float(row[4]),
                 )
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
+            )
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
     return rows
 
 

@@ -9,7 +9,7 @@ import pytest
 import qatkit.cli
 from oracles import write_scaling_csv
 from qatkit.cli import load_config_file, main, parse_quant
-from qatkit.quantize import read_clip_table
+from qatkit.quantize import QuantSpec, read_clip_table
 
 
 def run_cli(*args):
@@ -29,7 +29,7 @@ def write_fp_only_csv(path):
 
 class TestParseQuant:
     def test_none(self):
-        assert parse_quant("none") is None
+        assert parse_quant("none") == QuantSpec(scheme="none")
 
     def test_int_schemes(self):
         spec = parse_quant("int-hadamard:4")
@@ -279,10 +279,22 @@ class TestFitScaling:
         assert not (tmp_path / "f" / "config.json").exists()
 
     def test_malformed_csv_line_number(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("method,P,N,D,loss\nm,FP,10,100,2.0\nm,FP,oops,100,2.0\n")
-        assert run_cli("fit-scaling", "--input", str(path), "--out", str(tmp_path / "f")) == 2
-        assert ":3" in capsys.readouterr().err
+        # a NaN or inf size or loss is as malformed as a word
+        for bad in ("m,FP,oops,100,2.0", "fp,FP,30,1000,nan", "fp,FP,inf,1000,2.0"):
+            path = tmp_path / "bad.csv"
+            path.write_text(f"method,P,N,D,loss\nm,FP,10,100,2.0\n{bad}\n")
+            out = tmp_path / "f"
+            assert run_cli("fit-scaling", "--input", str(path), "--out", str(out)) == 2
+            assert f"{path}:3" in capsys.readouterr().err
+            assert not (out / "config.json").exists()
+
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("method,P,N,D,loss\nm\u00e9,FP,10,100,2.0\n".encode("latin-1"))
+        out = tmp_path / "f"
+        assert run_cli("fit-scaling", "--input", str(path), "--out", str(out)) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "config.json").exists()
 
     def test_missing_input_flag(self, tmp_path, capsys):
         assert run_cli("fit-scaling", "--out", str(tmp_path / "f")) == 2
@@ -432,6 +444,8 @@ def test_module_entrypoint_smoke(tmp_path):
         ["quadratic", "--seed=-1"],
         ["toy-pareto", "--lambdas", "0.1234567,0.1234568"],
         ["quadratic", "--kappas", "10.0000001,10.0000002"],
+        ["quadratic", "--kappas", "1e18", "--dim", "8"],
+        ["convergence", "--objective", "quadratic", "--kappa", "1e18"],
     ],
     ids=[
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
@@ -448,7 +462,7 @@ def test_module_entrypoint_smoke(tmp_path):
         "quadratic-empty-opt", "quadratic-duplicate-seed", "quadratic-duplicate-kappa",
         "quadratic-duplicate-opt", "conv-duplicate-seed", "conv-duplicate-horizon", "toy-duplicate-lambda",
         "calibrate-duplicate-bits", "quadratic-negative-seed", "toy-same-lambda-file",
-        "quadratic-same-kappa-file",
+        "quadratic-same-kappa-file", "quadratic-kappa-past-float64", "conv-quadratic-kappa-past-float64",
     ],
 )
 def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):

@@ -48,6 +48,34 @@ GOLDEN = {
         "trace_T500_seed0.csv": "ef741b52c81f11774dd506f9db58b690abdbb079fbd9fec8cac4e01d738fbf56",
         "trace_T5_seed0.csv": "89a6060e843206a7936ab42c6684382cb2166c27efb74754755a7002ee814075",
     },
+    "quadratic-none": {
+        "summary.json": "488705d58ed7f590a0a5bdbd349197e7f1f121d9039b9454bca9f6731145cf08",
+        "trace_kappa100_adamw_seed0.csv": "6eba4c2529c1684ba1bf61a7f830587a68e349c77687301eedd724d510735339",
+        "trace_kappa100_cage-adamw-cpl_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",
+        "trace_kappa100_cage-sgd_seed0.csv": "d3f78c56d3f3a4749de610ed3a86a1d01b5b289bdafd50df5905872bc1b252b5",
+        "trace_kappa100_sgd_seed0.csv": "fc9d0a26cdb21f3e6caf5b3a2218728ab90a2df51d2b3c1311d86fcdccbd8056",
+        "trace_kappa1_adamw_seed0.csv": "13844d75aec46ab002251b9181cc17945268cf01c283165f6b493c87d815ac6f",
+        "trace_kappa1_cage-adamw-cpl_seed0.csv": "da780dfc0b711054b67f38f9860304033165e9078d7c1bdbe135b88768064279",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "da780dfc0b711054b67f38f9860304033165e9078d7c1bdbe135b88768064279",
+        "trace_kappa1_cage-sgd_seed0.csv": "723021ad695c84d4db7bc106db2e1643989900364d35c6f2538bcfc6f4d97779",
+        "trace_kappa1_sgd_seed0.csv": "e09a8a188dcb92eb553be509d80c940e54ab5f5a35fcee7c986bce1ce2d90c75",
+        "traj_kappa100_adamw_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
+        "traj_kappa100_cage-adamw-cpl_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
+        "traj_kappa100_cage-sgd_seed0.csv": "5275d9fd50002ec838542031b85c91c8b781542064043b95e6a45d10aaedcf45",
+        "traj_kappa100_sgd_seed0.csv": "5275d9fd50002ec838542031b85c91c8b781542064043b95e6a45d10aaedcf45",
+        "traj_kappa1_adamw_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
+        "traj_kappa1_cage-adamw-cpl_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
+        "traj_kappa1_cage-sgd_seed0.csv": "c56004c027712d32c6c8a7561e194637edd9b308ab51e0a1bf3d6e525f8c64a7",
+        "traj_kappa1_sgd_seed0.csv": "c56004c027712d32c6c8a7561e194637edd9b308ab51e0a1bf3d6e525f8c64a7",
+    },
+    "convergence-quadratic-none": {
+        "summary.json": "a4fc06ea543e4c31eb6bbac17427f5e626a8d94178d854da07b335d0ceea1928",
+        "trace_T500_seed0.csv": "621b86adca5bf2029c7a0514c1244c8753da6ed440d7b52d802b5a7f65ee6210",
+        "trace_T5_seed0.csv": "ebfa6a52893dddd1cc903daa445c59ae2d310d983fa21410939bea19cd1d4859",
+    },
     "toy-pareto": {
         "summary.json": "221a5b76f019080f5064c9426aab235bcc54df28e143439dd8972ad1af042fd8",
         "trace_lambda0.5.csv": "94a0deb7e6726480ec629bc74ff3ca2a9d3841cb7e0e24d4a28c24b861f3d31f",
@@ -75,6 +103,17 @@ RUNS = {
     # np.matvec / np.vecdot, recorded with the per-seed loop
     "convergence-quadratic-int": [
         "convergence", "--objective", "quadratic", "--dim", "8", "--quant", "int-hadamard:4",
+        "--steps", "5,500", "--seed", "0,1,2",
+    ],
+    # the identity quantizer through every optimizer: e = 0, so each cage
+    # variant steps as its base; recorded when no quantizer was a separate path
+    "quadratic-none": [
+        "quadratic", "--kappas", "1,100", "--dim", "12", "--steps", "60",
+        "--opt", "sgd,adamw,cage-sgd,cage-adamw-dec,cage-adamw-cpl", "--quant", "none",
+        "--weight-decay", "0.1", "--silence-ratio", "0.5", "--seed", "0,1",
+    ],
+    "convergence-quadratic-none": [
+        "convergence", "--objective", "quadratic", "--dim", "8", "--quant", "none",
         "--steps", "5,500", "--seed", "0,1,2",
     ],
     # the balance-point lane: one scalar through the floor quantizer and the

@@ -45,9 +45,11 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             quadratic(A, np.zeros(2))
 
-    @pytest.mark.parametrize("m,S,k,dim", [(2, 2, 2, 64), (2, 1, 1, 512), (3, 2, 2, 12), (2, 10, 7, 64), (2, 3, 3, 512)])
+    @pytest.mark.parametrize(
+        "m,S,k,dim", [(2, 2, 2, 64), (2, 1, 1, 512), (3, 2, 2, 12), (2, 10, 10, 64), (2, 3, 3, 512)]
+    )
     def test_stack_broadcasts_leading_axes(self, m, S, k, dim):
-        # a stack of S problems evaluates an (m, k, d) batch with entry [o, i]
+        # a stack of S problems evaluates an (m, S, d) batch with entry [o, i]
         # against problem i, bitwise that problem's lone value
         rng = make_rng((m, S, dim))
         A = np.stack([make_spd(dim, 10.0, rng) for _ in range(S)])
@@ -64,7 +66,8 @@ class TestQuadratic:
     def test_stack_rejects_bad_batches(self):
         rng = make_rng(3)
         stack = quadratic(np.stack([make_spd(4, 5.0, rng) for _ in range(2)]), rng.standard_normal((2, 4)))
-        for shape in ((3, 4), (2, 3, 4), (2, 2, 5), (2, 5), (4,)):
+        # a stack takes exactly (..., S, d): fewer rows than problems is no batch
+        for shape in ((3, 4), (2, 3, 4), (2, 2, 5), (2, 5), (4,), (1, 4), (2, 1, 4)):
             with pytest.raises(ValueError):
                 stack.value_and_grad(np.zeros(shape))
 

@@ -264,14 +264,14 @@ class TestCageAdamW:
         assert np.array_equal(x_dec, manual)
 
     def test_decoupled_without_quantizer_is_adamw(self):
-        # no quantizer means no quantization error, so no correction
+        # the identity quantizer has no quantization error, so no correction
         cfg, _ = self._setup(lam=1.0)
         rng = make_rng(10)
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 1.0, None)
+        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 1.0, QuantSpec(scheme="none"))
         assert np.array_equal(x_dec, x_ref)
 
     def test_coupled_zero_error_is_adamw(self):

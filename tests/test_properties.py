@@ -102,21 +102,23 @@ def int_cases(draw):
 @st.composite
 def any_cases(draw):
     """(spec, x) for every scheme."""
-    kind = draw(st.sampled_from(("int", "mxfp4", "floor-toy")))
+    kind = draw(st.sampled_from(("int", "mxfp4", "floor-toy", "none")))
     if kind == "int":
         return draw(int_cases())
     x = draw(arrays(np.float64, draw(st.integers(1, 80)), elements=FLOATS))
     if kind == "mxfp4":
         return QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), x
+    if kind == "none":
+        return QuantSpec(scheme="none"), x
     return QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0, 3.0)))), x
 
 
 @st.composite
 def batch_cases(draw):
-    """(spec, X) with X a batch of 1..4 vectors for every scheme: int schemes
-    with and without ``row_length``, mxfp4 with lengths that are not whole
-    blocks."""
-    scheme = draw(st.sampled_from(INT_SCHEMES + ("mxfp4", "floor-toy")))
+    """(spec, X) with X a batch ``(S, d)`` of 1..4 vectors, or ``(O, S, d)``
+    of 1..3 such batches, for every scheme: int schemes with and without
+    ``row_length``, mxfp4 with lengths that are not whole blocks."""
+    scheme = draw(st.sampled_from(INT_SCHEMES + ("mxfp4", "floor-toy", "none")))
     if scheme in INT_SCHEMES:
         row_length = draw(st.sampled_from((1, 3, 4, 8, 12)))
         per_vector = draw(st.integers(1, 3))
@@ -124,9 +126,12 @@ def batch_cases(draw):
         spec, dim = int_spec(scheme, draw(st.integers(2, 8)), row_length=rl), row_length * per_vector
     elif scheme == "mxfp4":
         spec, dim = QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), draw(st.integers(1, 80))
-    else:
+    elif scheme == "floor-toy":
         spec, dim = QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0)))), draw(st.integers(1, 40))
-    return spec, draw(arrays(np.float64, (draw(st.integers(1, 4)), dim), elements=FLOATS))
+    else:
+        spec, dim = QuantSpec(scheme="none"), draw(st.integers(1, 40))
+    lead = draw(st.one_of(st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 4))))
+    return spec, draw(arrays(np.float64, lead + (dim,), elements=FLOATS))
 
 
 def recomputed_mask_ste(spec, grad, x):
@@ -233,18 +238,24 @@ def test_forward_mask_ste_matches_recomputed_mask(case, seed):
 @given(batch_cases(), st.integers(0, 2**32 - 1))
 @example((QuantSpec(scheme="mxfp4"), np.linspace(-7.0, 7.0, 90).reshape(2, 45)), 0)
 @example((int_spec("int-plain", 4, row_length=4), np.linspace(-3.0, 3.0, 36).reshape(3, 12)), 0)
+@example((int_spec("int-hadamard", 4), np.linspace(-3.0, 3.0, 72).reshape(2, 3, 12)), 0)
 def test_batched_quantize_matches_each_vector(case, seed):
     spec, X = case
     res = quantize(spec, X)
-    scales = np.broadcast_to(res.scale, X.shape[:1] + np.shape(quantize(spec, X[0]).scale))
+    lead = X.shape[:-1]
+    if spec.scheme != "none":
+        scales = np.broadcast_to(res.scale, lead + np.shape(quantize(spec, X[(0,) * len(lead)]).scale))
     if spec.scheme in INT_SCHEMES:
         G = np.random.default_rng(seed).standard_normal(X.shape)
         G_back = ste_backward(spec, G, res)
-    for s, x in enumerate(X):
-        one = quantize(spec, x)
-        for field in ("quantized", "error", "codes"):
+    for s in np.ndindex(lead):
+        one = quantize(spec, X[s])
+        for field in ("quantized", "error"):
             assert np.array_equal(getattr(res, field)[s], getattr(one, field))
-        assert np.array_equal(scales[s], one.scale)
+        if spec.scheme == "none":
+            assert res.codes is res.scale is one.codes is one.scale is None
+        else:
+            assert np.array_equal(res.codes[s], one.codes) and np.array_equal(scales[s], one.scale)
         if spec.scheme in INT_SCHEMES:
             assert np.array_equal(res.keep[s], one.keep)
             assert np.array_equal(G_back[s], ste_backward(spec, G[s], one))
@@ -298,7 +309,7 @@ def test_batched_objectives_match_each_vector(case):
     )
 )
 def test_stacked_quadratic_matches_each_problem(case):
-    # a stack of S problems evaluates row i of a batch (k <= S rows) against
+    # a stack of S problems evaluates row i of an (S, d) batch against
     # problem i, bitwise that problem's lone value, with its own x* and f*
     X, kappa, seed = case
     S, dim = X.shape
@@ -306,16 +317,14 @@ def test_stacked_quadratic_matches_each_problem(case):
     A = np.stack([make_spd(dim, kappa, rng) for _ in range(S)])
     b = rng.standard_normal((S, dim))
     stack = quadratic(A, b)
-    for k in range(1, S + 1):
-        losses, grads = stack.value_and_grad(X[:k])
-        assert losses.shape == (k,) and grads.shape == (k, dim)
-        for i in range(k):
-            lone = quadratic(A[i], b[i])
-            loss, g = lone.value_and_grad(X[i])
-            assert loss == losses[i] and np.array_equal(g, grads[i])
-            assert np.array_equal(g, A[i] @ X[i] - b[i])
-            if k == S:
-                assert stack.f_star[i] == lone.f_star and np.array_equal(stack.x_star[i], lone.x_star)
+    losses, grads = stack.value_and_grad(X)
+    assert losses.shape == (S,) and grads.shape == (S, dim)
+    for i in range(S):
+        lone = quadratic(A[i], b[i])
+        loss, g = lone.value_and_grad(X[i])
+        assert loss == losses[i] and np.array_equal(g, grads[i])
+        assert np.array_equal(g, A[i] @ X[i] - b[i])
+        assert stack.f_star[i] == lone.f_star and np.array_equal(stack.x_star[i], lone.x_star)
 
 
 @PROPERTY
@@ -328,14 +337,15 @@ def test_e2m1_round_matches_distance_matrix(u):
 def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
     """One seed's corrected-SGD rate run, stepped alone with one
     ``standard_normal(d)`` noise draw per step and none at noise 0: the oracle
-    for the seed-batched, block-drawn lane."""
+    for the seed-batched, block-drawn lane.  Under ``none`` it takes e = 0
+    without calling the quantizer."""
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim)
     rng = make_rng((_STREAM_NOISE, seed, horizon))
     trace = ParetoMeasure()
     for _ in range(horizon):
         loss, g = obj.value_and_grad(x)
-        e = quantize(spec, x).error if spec is not None else np.zeros_like(x)
+        e = np.zeros_like(x) if spec.scheme == "none" else quantize(spec, x).error
         trace.record(loss, g, e, lam)
         if noise_std != 0.0:
             g = g + noise_std * rng.standard_normal(obj.dim)
@@ -346,7 +356,7 @@ def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
 @settings(PROPERTY, max_examples=25)
 @given(
     st.sampled_from(("rosenbrock", "quadratic")),
-    st.sampled_from((None, QuantSpec(scheme="floor-toy", grid=0.25), int_spec("int-hadamard", 4))),
+    st.sampled_from((QuantSpec(scheme="none"), QuantSpec(scheme="floor-toy", grid=0.25), int_spec("int-hadamard", 4))),
     st.sampled_from((0.0, 0.5, 2.0)),
     st.sampled_from((0.0, 0.1)),
     st.integers(1, 300),
@@ -400,15 +410,17 @@ def lone_quadratic_problem(dim, kappa, seed):
 def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
     """One seed's quadratic-lane run, stepped alone on a vector with
     ``lone_grad_clip``: the oracle for the seed-batched ``run_quadratic``.
-    Returns (final gap, final loss, trace, iterates)."""
-    masked = spec is not None and ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
+    Under ``none`` it steps at x with e = 0 and no quantizer call.  Returns
+    (final gap, final loss, trace, iterates)."""
+    plain = spec.scheme == "none"
+    masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     trace = ParetoMeasure()
     x = np.array(x0, dtype=np.float64)
     state = AdamState.zeros(obj.dim)
     iterates = np.empty((steps, obj.dim))
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
-        if spec is not None:
+        if not plain:
             qres = quantize(spec, x)
             loss, g_at_q = obj.value_and_grad(qres.quantized)
             g = ste_backward(spec, g_at_q, qres) if masked else g_at_q
@@ -425,7 +437,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         trace.record(loss, obj.grad(x), e, lam_t)
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
-        elif optimizer == "adamw":
+        elif optimizer == "adamw" or (optimizer == "cage-adamw-dec" and plain):
             state, x = adamw_step(state, x, g, cfg, a_t)
         elif optimizer == "cage-sgd":
             x = cage_sgd_step(x, g, e, a_t, lam_t)
@@ -434,7 +446,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         else:
             state, x = cage_adamw_coupled_step(state, x, g, e, cfg, a_t, lam_t)
         iterates[t - 1] = x
-    final_loss = obj.loss(quantize(spec, x).quantized if spec is not None else x)
+    final_loss = obj.loss(x if plain else quantize(spec, x).quantized)
     return final_loss - obj.f_star, final_loss, trace, iterates
 
 
@@ -442,7 +454,7 @@ QUADRATIC_SPECS = {
     "int-hadamard": int_spec("int-hadamard", 4),
     "int-plain-rows": int_spec("int-plain", 3, row_length=4),
     "mxfp4": QuantSpec(scheme="mxfp4", block_size=8),
-    "none": None,
+    "none": QuantSpec(scheme="none"),
 }
 
 

@@ -16,7 +16,7 @@ def test_trust_mask_requires_int_scheme():
     with pytest.raises(ValueError):
         ste_backward(spec, np.ones(16), fwd)
     with pytest.raises(ValueError):
-        ste_backward(None, np.ones(16), fwd)
+        ste_backward(QuantSpec(scheme="none"), np.ones(16), quantize(QuantSpec(scheme="none"), np.ones(16)))
 
 
 def test_trust_mask_needs_matching_int_forward():

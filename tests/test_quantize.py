@@ -22,6 +22,7 @@ ALL_SPECS = [
     int_spec("int-plain", 4),
     int_spec("int-hadamard", 4),
     int_spec("int-hadamard", 3),
+    QuantSpec(scheme="none"),
 ]
 
 
@@ -232,6 +233,13 @@ class TestQuantError:
     def test_fixed_point_zero_error(self):
         spec = QuantSpec(scheme="floor-toy")
         assert np.array_equal(quantize(spec, np.array([2.0, -3.0])).error, np.zeros(2))
+        # every point is a fixed point of the identity: Q(x) is a copy of x, bit
+        # for bit, and the error is +0.0 everywhere, -0.0 inputs included
+        x = np.array([[0.9, -0.0, -3.5], [1e-310, 0.0, -1e300]])
+        res = quantize(QuantSpec(scheme="none"), x)
+        assert res.quantized is not x and res.quantized.tobytes() == x.tobytes()
+        assert res.error.tobytes() == np.zeros_like(x).tobytes()
+        assert res.codes is None and res.scale is None and res.keep is None
 
     def test_point_nine(self):
         assert quantize(QuantSpec(scheme="floor-toy"), np.array([0.9])).error[0] == 0.9
@@ -321,6 +329,9 @@ class TestNonFinite:
     def test_floor_toy(self):
         self._check(QuantSpec(scheme="floor-toy"))
         self._check(QuantSpec(scheme="floor-toy", grid=0.25))
+
+    def test_none(self):
+        self._check(QuantSpec(scheme="none"))
 
     def test_finite_overflow_is_not_rejected(self):
         # |x| near the float max overflows the row and block statistics, but

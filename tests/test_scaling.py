@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,10 @@ class TestValidation:
             ScalingDatum("m", "FP", -1.0, 100.0, 2.0)
         with pytest.raises(ValueError):
             ScalingDatum("m", "FP", 10.0, 100.0, 0.0)
+        # NaN and inf fail the checks too
+        for N, D, loss in ((30.0, 1000.0, math.nan), (math.inf, 1000.0, 2.0), (30.0, math.nan, 2.0)):
+            with pytest.raises(ValueError):
+                ScalingDatum("fp", "FP", N, D, loss)
 
     def test_bad_residual_space(self):
         with pytest.raises(ValueError):
