@@ -25,14 +25,13 @@ from .experiments import (
     LR_SCHEDULES,
     OPTIMIZERS,
     RATE_OBJECTIVES,
-    NumericalFailure,
     make_quadratic_problem,
     make_rate_objective,
     run_convergence_run,
     run_quadratic,
     run_toy_pareto,
 )
-from .numerics import pca_project
+from .numerics import NumericalFailure, pca_project
 from .optim import OptimConfig
 from .pareto import loglog_fit, write_trace_csv
 from .qat_grad import STE_KINDS
@@ -135,8 +134,12 @@ def parse_quant(v: str) -> QuantSpec:
         bit_width(bits)
         return int_spec(scheme, bits)
     if scheme == "mxfp4":
+        if len(parts) != 1:
+            raise ConfigError(f"mxfp4 takes no fields, got {v!r}")
         return QuantSpec(scheme="mxfp4")
     if scheme == "floor-toy":
+        if len(parts) > 2:
+            raise ConfigError(f"floor-toy takes at most a grid, e.g. floor-toy:0.25, got {v!r}")
         grid = _parse(_finite, parts[1], "floor-toy grid") if len(parts) > 1 else 1.0
         if grid <= 0:
             raise ConfigError(f"floor-toy grid must be positive, got {grid}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import make_rng, power_iteration_lmax, make_spd
+from .numerics import NumericalFailure, make_rng, power_iteration_lmax, make_spd
 from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .optim import (
     AdamState,
@@ -38,12 +38,11 @@ from .optim import (
     lambda_at,
     sgd_step,
 )
-from .pareto import ParetoMeasure
+from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
 from .quantize import INT_SCHEMES, QuantSpec, quantize
 
 __all__ = [
-    "NumericalFailure",
     "OPTIMIZERS",
     "LR_SCHEDULES",
     "RATE_OBJECTIVES",
@@ -72,8 +71,16 @@ _STREAM_NOISE = 13
 _NOISE_BLOCK = 128
 
 
-class NumericalFailure(RuntimeError):
-    """A run produced a non-finite loss or iterate."""
+def _empty_trace(*steps_shape: int) -> np.ndarray:
+    """An unfilled trace: one row of ``TRACE_COLUMNS[1:]`` per step."""
+    return np.empty((*steps_shape, len(TRACE_COLUMNS) - 1))
+
+
+def _check_init(x: np.ndarray) -> None:
+    """NumericalFailure if a lane's initial state has a NaN or inf entry (an
+    init scale times a normal draw can overflow)."""
+    if not np.isfinite(x).all():
+        raise NumericalFailure("non-finite initial point")
 
 
 def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") -> float:
@@ -96,7 +103,7 @@ def _corrected_sgd(
     lr: float,
     lam: float,
     steps: int,
-    trace: ParetoMeasure | None = None,
+    trace: np.ndarray | None = None,
     noise_std: float = 0.0,
     noise_rngs: Sequence[np.random.Generator] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,17 +113,20 @@ def _corrected_sgd(
 
     Returns the final state and the ``(S, steps)`` squared balance-gradient
     norms ||g + lam e||^2, taken at each iterate before its step; ``trace``
-    records the first row.
+    ``(steps, 5)`` is filled with the first row's.
     """
+    _check_init(x)
     noise = np.empty((len(x), _NOISE_BLOCK, obj.dim))
     pareto_sq = np.empty((len(x), steps))
     for t in range(steps):
         loss, g = obj.value_and_grad(x)
         e = quantize(spec, x).error
-        p = g + lam * e
-        pareto_sq[:, t] = np.vecdot(p, p)
+        pareto_sq[:, t] = balance_sq_norm(g, e, lam)
         if trace is not None:
-            trace.record(loss[0], g[0], e[0], lam)
+            g0, e0 = g[0], e[0]
+            trace[t, 0] = loss[0]
+            trace[t, 2] = g0.dot(g0)
+            trace[t, 3] = e0.dot(e0)
         if noise_std == 0.0:
             g_tilde = g
         else:
@@ -129,6 +139,9 @@ def _corrected_sgd(
         x = cage_sgd_step(x, g_tilde, e, lr, lam)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
             raise NumericalFailure("non-finite value during corrected-SGD run")
+    if trace is not None:
+        trace[:, 1] = pareto_sq[0]
+        trace[:, 4] = lam
     return x, pareto_sq
 
 
@@ -142,7 +155,7 @@ class ToyParetoResult:
     final_x: float
     pareto_grad_abs: float
     ste_grad_abs: float
-    trace: ParetoMeasure
+    trace: np.ndarray  # (steps, 5)
 
 
 def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 0.9) -> ToyParetoResult:
@@ -154,13 +167,14 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     """
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy")
-    trace = ParetoMeasure()
+    trace = _empty_trace(steps)
     (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
     fwd = quantize(spec, x)
     return ToyParetoResult(
         lam=lam,
         final_x=float(x[0]),
-        pareto_grad_abs=float(np.abs(obj.grad(x) + lam * fwd.error)[0]),
+        # at d = 1, sqrt(p p) is |p| bitwise while p p neither under- nor overflows
+        pareto_grad_abs=math.sqrt(balance_sq_norm(obj.grad(x), fwd.error, lam)),
         ste_grad_abs=float(np.abs(obj.grad(fwd.quantized))[0]),
         trace=trace,
     )
@@ -174,7 +188,7 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 class QuadraticRun:
     final_gaps: list[float]
     final_losses: list[float]
-    trace: ParetoMeasure  # the first row's
+    trace: np.ndarray  # the first row's, (steps, 5)
     iterates: np.ndarray  # the first row's, (steps, d)
 
 
@@ -243,9 +257,10 @@ def run_quadratic(
         raise ValueError(f"unknown ste_kind {ste_kind!r}")
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     x0 = np.array(x0, dtype=np.float64, ndmin=2)
+    _check_init(x0)
     x = np.repeat(x0[None], len(optimizers), axis=0)
     states = [AdamState.zeros(x0.shape) for _ in optimizers]
-    traces = [ParetoMeasure() for _ in optimizers]
+    traces = _empty_trace(len(optimizers), steps)
     snapshots = np.empty((len(optimizers), steps, x.shape[-1]))
 
     for t in range(1, steps + 1):
@@ -257,11 +272,18 @@ def run_quadratic(
         e = qres.error
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
-        g_trace = obj.grad(x)
+        g0, e0 = obj.grad(x)[:, 0], e[:, 0]
+        lams = [
+            cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in optimizers
+        ]
+        row = traces[:, t - 1]
+        row[:, 0] = loss[:, 0]
+        row[:, 1] = balance_sq_norm(g0, e0, np.array(lams)[:, None])
+        row[:, 2] = np.vecdot(g0, g0)
+        row[:, 3] = np.vecdot(e0, e0)
+        row[:, 4] = lams
 
-        for o, name in enumerate(optimizers):
-            lam_t = cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0
-            traces[o].record(loss[o, 0], g_trace[o, 0], e[o, 0], lam_t)
+        for o, (name, lam_t) in enumerate(zip(optimizers, lams)):
             if name == "sgd":
                 x[o] = sgd_step(x[o], g[o], a_t)
             elif name == "adamw":
@@ -298,7 +320,7 @@ def run_quadratic(
 class ConvergenceRun:
     alpha: float
     ergodic_means: list[float]
-    trace: ParetoMeasure | None  # the first seed's
+    trace: np.ndarray | None  # the first seed's, (horizon, 5)
 
 
 def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
@@ -344,7 +366,7 @@ def run_convergence_run(
         raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
-    trace = ParetoMeasure() if keep_trace else None
+    trace = _empty_trace(horizon) if keep_trace else None
     noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
     _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
     return ConvergenceRun(

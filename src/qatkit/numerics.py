@@ -11,7 +11,11 @@ import warnings
 
 import numpy as np
 
-__all__ = ["make_rng", "make_spd", "pca_project", "power_iteration_lmax"]
+__all__ = ["NumericalFailure", "make_rng", "make_spd", "pca_project", "power_iteration_lmax"]
+
+
+class NumericalFailure(RuntimeError):
+    """A run produced a non-finite loss, iterate or statistic."""
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -55,7 +59,8 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     (k, dim) with orthonormal rows ordered by descending eigenvalue of the
     centered covariance.  Sign convention: the first nonzero entry of each
     component is positive.  Zero-variance input yields all-zero projections
-    and a ``RuntimeWarning`` rather than an error.
+    and a ``RuntimeWarning`` rather than an error; a covariance that
+    overflows raises ``NumericalFailure``.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
@@ -67,6 +72,8 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"component count {k} out of range [1, {dim}]")
     Xc = X - X.mean(axis=0)
     cov = (Xc.T @ Xc) / (n - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalFailure("non-finite covariance in the trajectory PCA")
     evals, evecs = np.linalg.eigh(cov)
     if evals[-1] <= 1e-15 * max(1.0, float(np.abs(X).max())):
         warnings.warn("zero-variance data: projections are all zero", RuntimeWarning)

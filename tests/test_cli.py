@@ -177,6 +177,27 @@ class TestQuadratic:
         assert (out / "config.json").exists() and not (out / "summary.json").exists()
         assert "sgd" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # sigma0 N(0, 1) overflows to inf, which the first quantize would reject
+            ["quadratic", "--kappas", "1", "--dim", "2", "--steps", "2", "--sigma0", "1e308"],
+            # the iterates stay finite, but their centred covariance overflows in the PCA
+            [
+                "quadratic", "--kappas", "1", "--dim", "5", "--steps", "3", "--quant", "floor-toy:0.25",
+                "--lr", "0.5", "--lambda", "1e308", "--weight-decay", "0", "--ste", "identity",
+            ],
+            ["convergence", "--quant", "int-hadamard:4", "--x0-std", "1.7e308", "--steps", "10,1000"],
+        ],
+        ids=["quadratic-init-overflow", "quadratic-pca-covariance-overflow", "conv-init-overflow"],
+    )
+    def test_overflow_is_a_numerical_failure(self, argv, tmp_path, capsys):
+        out = tmp_path / "blowup"
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert (out / "config.json").exists() and not (out / "summary.json").exists()
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestConvergence:
     def test_quadratic_lane_monotone_means(self, tmp_path):
@@ -410,6 +431,8 @@ def test_module_entrypoint_smoke(tmp_path):
         ["convergence", "--lipschitz", "0"],
         ["quadratic", "--quant", "int-hadamard:four"],
         ["convergence", "--quant", "floor-toy:0"],
+        ["convergence", "--quant", "mxfp4:7", "--steps", "10,1000"],
+        ["convergence", "--quant", "floor-toy:0.25:9"],
         ["fit-scaling", "--residual-space", "foo"],
         ["fit-scaling", "--starts", "0"],
         ["fit-scaling", "--prior-weight=-1"],
@@ -453,7 +476,7 @@ def test_module_entrypoint_smoke(tmp_path):
         "quadratic-unknown-ste", "quadratic-steps-list", "toy-steps-list", "conv-negative-noise",
         "conv-negative-lambda", "quadratic-unknown-lr-schedule", "quadratic-negative-lr",
         "quadratic-silence-above-1", "conv-lipschitz0", "quant-bad-bits",
-        "quant-zero-grid", "fit-unknown-residual-space", "fit-starts0", "fit-negative-prior",
+        "quant-zero-grid", "quant-mxfp4-field", "quant-floor-toy-extra-field", "fit-unknown-residual-space", "fit-starts0", "fit-negative-prior",
         "fit-nan-prior", "fit-negative-seed", "toy-alpha0", "toy-negative-alpha", "toy-nan-alpha",
         "toy-inf-alpha", "toy-nan-lambda", "quadratic-nan-lr", "quadratic-nan-weight-decay",
         "quadratic-nan-lambda", "quadratic-nan-silence", "quadratic-nan-grad-clip",

@@ -36,9 +36,10 @@ class TestLambdaSchedule:
         cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
         obj, x0 = make_quadratic_problem(16, 10.0, (0,))
         (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, int_spec("int-hadamard", 4), cfg)
-        assert run.trace.lambda_t[:5] == [0.0] * 5
-        assert run.trace.lambda_t[-1] == cfg.lam
-        assert run.trace.lambda_t == [lambda_at(cfg, t, 10) for t in range(1, 11)]
+        lambda_t = run.trace[:, 4].tolist()
+        assert lambda_t[:5] == [0.0] * 5
+        assert lambda_t[-1] == cfg.lam
+        assert lambda_t == [lambda_at(cfg, t, 10) for t in range(1, 11)]
 
     def test_continuity_property(self):
         rng = make_rng(0)

@@ -7,28 +7,22 @@ from qatkit.experiments import run_toy_pareto
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
 from qatkit.optim import cage_sgd_step
-from qatkit.pareto import (
-    EfState,
-    ParetoMeasure,
-    ef_step,
-    ergodic_series,
-    loglog_fit,
-    pareto_gradient,
-    write_trace_csv,
-)
+from qatkit.pareto import EfState, balance_sq_norm, ef_step, loglog_fit, write_trace_csv
 from qatkit.quantize import QuantSpec, int_spec, quantize
+
+
+def toy_balance_sq_norm(x, lam):
+    """||grad f(x) + lam (x - Q(x))||^2 of the scalar problem on floor grid 1."""
+    x = np.array([x])
+    return balance_sq_norm(toy_scalar().grad(x), quantize(QuantSpec(scheme="floor-toy"), x).error, lam)
 
 
 class TestParetoGradient:
     def test_quarter_vanishes(self):
-        obj = toy_scalar()
-        spec = QuantSpec(scheme="floor-toy")
-        g = pareto_gradient(obj, spec, np.array([0.25]), 1.0)
-        assert g[0] == 0.0
+        assert toy_balance_sq_norm(0.25, 1.0) == 0.0
 
     def test_negative_quarter_vanishes(self):
-        g = pareto_gradient(toy_scalar(), QuantSpec(scheme="floor-toy"), np.array([-0.25]), 1.0)
-        assert g[0] == 0.0
+        assert toy_balance_sq_norm(-0.25, 1.0) == 0.0
 
     def test_lambda_zero_is_true_gradient_property(self):
         rng = make_rng(0)
@@ -37,11 +31,8 @@ class TestParetoGradient:
         spec = int_spec("int-plain", 4)
         for _ in range(100):
             x = rng.standard_normal(6)
-            assert np.array_equal(pareto_gradient(obj, spec, x, 0.0), obj.grad(x))
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            pareto_gradient(toy_scalar(), QuantSpec(scheme="floor-toy"), np.array([0.1]), -1.0)
+            g = obj.grad(x)
+            assert balance_sq_norm(g, quantize(spec, x).error, 0.0) == g @ g
 
 
 class TestErrorFeedback:
@@ -131,25 +122,14 @@ class TestErrorFeedback:
 
 
 class TestErgodic:
-    def test_constant_series(self):
-        out = ergodic_series([3.0, 3.0, 3.0])
-        assert np.array_equal(out, [3.0, 3.0, 3.0])
-
-    def test_four_zero(self):
-        assert np.array_equal(ergodic_series([4.0, 0.0]), [4.0, 2.0])
-
     def test_inverse_sqrt_prefix_means(self):
         t = np.arange(1, 100_001)
-        means = ergodic_series(1.0 / np.sqrt(t))
+        means = np.cumsum(1.0 / np.sqrt(t)) / t
         Ts = [100, 1000, 10_000, 100_000]
         vals = [means[T - 1] for T in Ts]
         slope, _, r2 = loglog_fit(Ts, vals)
         assert r2 > 0.99
         assert slope == pytest.approx(-0.5, abs=0.02)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ergodic_series([])
 
 
 class TestRateFit:
@@ -166,28 +146,39 @@ class TestRateFit:
 
 class TestMeasureAndTrace:
     def test_record_counts_and_values(self):
-        m = ParetoMeasure()
-        g = np.array([1.0, 0.0])
-        e = np.array([0.0, 1.0])
-        m.record(0.5, g, e, 2.0)
-        assert len(m) == 1
-        assert m.pareto_sq[0] == pytest.approx(float(g @ g) + 4.0, abs=1e-15)
-        assert m.grad_sq[0] == 1.0
-        assert m.err_sq[0] == 1.0
-        assert m.lambda_t[0] == 2.0
+        # one value per row, with one lam per row given as (..., 1)
+        g = np.array([[1.0, 0.0], [3.0, 0.0]])
+        e = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert balance_sq_norm(g[0], e[0], 2.0) == 5.0
+        assert np.array_equal(balance_sq_norm(g, e, 2.0), [5.0, 13.0])
+        assert np.array_equal(balance_sq_norm(g, e, np.array([[2.0], [0.0]])), [5.0, 9.0])
+
+    def test_rows_are_their_lone_values_property(self):
+        rng = make_rng(8)
+        for d in (1, 3, 64, 257):
+            g, e = rng.standard_normal((2, 3, 4, d))
+            lam = rng.uniform(0.0, 3.0, (3, 4, 1))
+            out = balance_sq_norm(g, e, lam)
+            assert out.shape == (3, 4)
+            for i in np.ndindex(3, 4):
+                p = g[i] + lam[i][0] * e[i]
+                assert out[i] == p @ p
 
     def test_trace_csv_roundtrip(self, tmp_path):
-        m = ParetoMeasure()
         rng = make_rng(6)
-        for _ in range(5):
-            m.record(float(rng.uniform()), rng.standard_normal(3), rng.standard_normal(3), 0.7)
+        trace = rng.standard_normal((5, 5))
+        trace[0, :3] = -0.0, 5e-324, 1.7976931348623157e308
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, m)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
+        write_trace_csv(path, trace)
+        text = path.read_text()
+        assert "np.float64" not in text
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["step", "loss", "pareto_sq_norm", "grad_sq_norm", "err_sq_norm", "lambda_t"]
-        assert len(rows) == 6
-        assert float(rows[1][1]) == m.loss[0]  # round-trippable floats
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4", "5"]
+        assert rows[1][1:4] == ["-0.0", "5e-324", "1.7976931348623157e+308"]
+        back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        # round-trippable floats, the sign of zero included
+        assert np.array_equal(back, trace) and np.signbit(back[0, 0])
 
 
 def test_rate_fit_on_artifact_run():

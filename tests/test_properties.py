@@ -35,7 +35,6 @@ from qatkit.optim import (
     lambda_at,
     sgd_step,
 )
-from qatkit.pareto import ParetoMeasure
 from qatkit.qat_grad import ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
 from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
@@ -334,6 +333,13 @@ def test_e2m1_round_matches_distance_matrix(u):
     assert np.array_equal(_e2m1_round(u), distance_matrix_e2m1_round(u))
 
 
+def trace_row(loss, g, e, lam):
+    """One trace row (loss, ||g + lam e||^2, ||g||^2, ||e||^2, lam) of a lone
+    vector run, with one ``@`` per norm: the lanes' reference."""
+    p = g + lam * e
+    return [loss, p @ p, g @ g, e @ e, lam]
+
+
 def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
     """One seed's corrected-SGD rate run, stepped alone with one
     ``standard_normal(d)`` noise draw per step and none at noise 0: the oracle
@@ -342,15 +348,17 @@ def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim)
     rng = make_rng((_STREAM_NOISE, seed, horizon))
-    trace = ParetoMeasure()
+    trace = []
     for _ in range(horizon):
         loss, g = obj.value_and_grad(x)
         e = np.zeros_like(x) if spec.scheme == "none" else quantize(spec, x).error
-        trace.record(loss, g, e, lam)
+        trace.append(trace_row(loss, g, e, lam))
         if noise_std != 0.0:
             g = g + noise_std * rng.standard_normal(obj.dim)
         x = x - alpha * (g + lam * e)
-    return float(np.mean(trace.pareto_sq)), trace
+    trace = np.array(trace)
+    # a contiguous copy sums in the order the lane's contiguous per-seed row does
+    return float(np.mean(np.ascontiguousarray(trace[:, 1]))), trace
 
 
 @settings(PROPERTY, max_examples=25)
@@ -372,7 +380,7 @@ def test_seed_batched_rate_lane_matches_lone_runs(name, spec, lam, noise_std, ho
         mean, trace = lone_rate_run(obj, spec, lam, noise_std, horizon, seed, 1000.0, 0.5)
         assert run.ergodic_means[i] == mean
         if i == 0:
-            assert run.trace == trace
+            assert np.array_equal(run.trace, trace)
 
 
 def lone_grad_clip(g, max_norm):
@@ -414,7 +422,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
     (final gap, final loss, trace, iterates)."""
     plain = spec.scheme == "none"
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
-    trace = ParetoMeasure()
+    trace = []
     x = np.array(x0, dtype=np.float64)
     state = AdamState.zeros(obj.dim)
     iterates = np.empty((steps, obj.dim))
@@ -434,7 +442,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
             lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t, steps)
         else:
             lam_t = 0.0
-        trace.record(loss, obj.grad(x), e, lam_t)
+        trace.append(trace_row(loss, obj.grad(x), e, lam_t))
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
         elif optimizer == "adamw" or (optimizer == "cage-adamw-dec" and plain):
@@ -447,7 +455,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
             state, x = cage_adamw_coupled_step(state, x, g, e, cfg, a_t, lam_t)
         iterates[t - 1] = x
     final_loss = obj.loss(x if plain else quantize(spec, x).quantized)
-    return final_loss - obj.f_star, final_loss, trace, iterates
+    return final_loss - obj.f_star, final_loss, np.array(trace), iterates
 
 
 QUADRATIC_SPECS = {
@@ -498,5 +506,5 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
             )
             assert run.final_gaps[i] == gap and run.final_losses[i] == loss
             if i == 0:
-                assert run.trace == trace
+                assert np.array_equal(run.trace, trace)
                 assert np.array_equal(run.iterates, iterates)
