@@ -1,7 +1,7 @@
 """Quantization-aware-training optimization toolkit.
 
 Library layers, bottom to top: seeded generators and dense-matrix helpers
-(``numerics``), the fast Walsh-Hadamard rotation (``transform``), quantizers
+(``numerics``), the Walsh-Hadamard rotation (``transform``), quantizers
 with exact error decomposition (``quantize``), straight-through gradient
 policies (``qat_grad``), optimizer steps with the error-correction family
 (``optim``), analytic test objectives (``objectives``), stationarity

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["Objective", "quadratic", "toy_scalar", "rosenbrock"]
 
@@ -39,16 +38,17 @@ class Objective:
 
 
 def _spd_minimum(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x*, f*) of 1/2 x^T A x - b^T x for one symmetric positive definite A,
-    by Cholesky factorization; f* = -1/2 b^T x*."""
+    """(x*, f*) of 1/2 x^T A x - b^T x for one symmetric positive definite A:
+    a Cholesky factorization checks definiteness, then x* = A^{-1} b by
+    ``np.linalg.solve``; f* = -1/2 b^T x*."""
     scale = float(np.abs(A).max())
     if scale == 0 or float(np.abs(A - A.T).max()) > 1e-12 * scale:
         raise ValueError("A must be symmetric")
     try:
-        factor = cho_factor(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:
         raise ValueError("A must be positive definite") from err
-    x_star = cho_solve(factor, b)
+    x_star = np.linalg.solve(A, b)
     return x_star, -0.5 * float(b @ x_star)
 
 
@@ -56,11 +56,11 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     """f(x) = 1/2 x^T A x - b^T x for symmetric positive definite A, or for a
     stack of S such problems, A ``(S, d, d)`` and b ``(S, d)``.
 
-    The minimizer A^{-1} b is solved once per problem by Cholesky
-    factorization; f* = -1/2 b^T x*.  A stack has one minimizer and minimum
-    per problem (``x_star`` ``(S, d)``, ``f_star`` ``(S,)``) and evaluates a
-    batch ``(..., S, d)``, row i of every leading index against problem i;
-    each row is bitwise that problem's lone value.
+    The minimizer A^{-1} b is solved once per problem, after a Cholesky
+    factorization checks definiteness; f* = -1/2 b^T x*.  A stack has one
+    minimizer and minimum per problem (``x_star`` ``(S, d)``, ``f_star``
+    ``(S,)``) and evaluates a batch ``(..., S, d)``, row i of every leading
+    index against problem i; each row is bitwise that problem's lone value.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

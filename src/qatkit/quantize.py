@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr
 
 from .transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -248,6 +246,8 @@ def gaussian_clip_mse(bits: int, k: float) -> float:
     (1 + c^2)(Phi(b) - Phi(a)) + (a - 2c) phi(a) - (b - 2c) phi(b), and the two
     outer cells are open to -inf / +inf, where phi vanishes.
     """
+    from scipy.special import ndtr  # scipy loads only when calibrating
+
     q_max = 2 ** (bits - 1) - 1
     s = k / q_max
     c = s * np.arange(-q_max - 1, q_max + 1)
@@ -271,6 +271,8 @@ def calibrate_clip(bits: int) -> float:
     """
     if not 2 <= bits <= 8:
         raise ValueError(f"bits out of supported range [2, 8]: {bits}")
+    from scipy.optimize import minimize_scalar  # scipy loads only when calibrating
+
     i = int(np.argmin([gaussian_clip_mse(bits, float(k)) for k in _CLIP_SCAN]))
     bracket = (float(_CLIP_SCAN[max(i - 1, 0)]), float(_CLIP_SCAN[min(i + 1, _CLIP_SCAN.size - 1)]))
     res = minimize_scalar(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .numerics import make_rng
 
@@ -182,6 +181,15 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
         return J
 
     return residuals, jacobian, groups
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call so that only a
+    fit loads scipy.  It stays a module attribute for ``bench/tracing.py``,
+    which swaps it to count residual and Jacobian evaluations."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def fit_scaling(

@@ -16,22 +16,22 @@ from qatkit.cli import main
 
 GOLDEN = {
     "quadratic-int-hadamard": {
-        "summary.json": "b4a9d887dfcfecadd3560efe06cabce7ebbb0a66637583c7ee2cb10d77c51264",
-        "trace_kappa100_adamw_seed0.csv": "ffa05ccfb712a09339a297aa6593b8821220442d51aaf667d5eadb14bd47fe72",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "42993b25d74558b471d4235daa3c1f07fb266548a6fdeebc0c721b941473abef",
-        "trace_kappa100_cage-sgd_seed0.csv": "aa81fc8bd1e517b133823a543a6c6674783fa58c1c36744e021e6128911e6245",
-        "trace_kappa1_adamw_seed0.csv": "904974e7b572e56cb210c1af144de83359d43a31b21ca362724b0807ba329c14",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "ff08f1c7ca13889d9938b5750956dc4b1bf62188859ffb7d62a9e0f0341928de",
-        "trace_kappa1_cage-sgd_seed0.csv": "0eb42ad4fbaca6de141d675daebc9ffdf4f92f477fef427dffc80f72acde3f8f",
-        "traj_kappa100_adamw_seed0.csv": "49c936036da076def306f75271336e0d24661dc1047b930a0bcd266cbce88d4b",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "060c01b8766eabb0a6aa2c51d09299786294de52135601a67c1e28d122dfb2c0",
-        "traj_kappa100_cage-sgd_seed0.csv": "a70c657e02578b295860d1bb8007b23b96fe98eeb51dad21003945c10ff985f6",
-        "traj_kappa1_adamw_seed0.csv": "1b1a599d9e39cfd4777514dddb81a77aec39415bc0e109229e8d3b0a7832a97f",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "39bdfb6ba14af1dd3b9ad4468069ceb39ee3925740918de2c0426700ff2c414f",
-        "traj_kappa1_cage-sgd_seed0.csv": "dd5ec96f779dc44cd40139df0cecb0fe265ecbd7cb9ffd0f5e85375330ddbfe9",
+        "summary.json": "2acfc4c3bd19933daee768286a85359c8e6812fa85da97674de7b631047214b6",
+        "trace_kappa100_adamw_seed0.csv": "464513b0cf77dc6bb76ec9d873dfb17998a92551d17c0ca7bf10dd2f49362bfb",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "165eb653cb398581ee4160ffc043b103780ef90aad1d075ba73c1cef57cd6df2",
+        "trace_kappa100_cage-sgd_seed0.csv": "f7494d2cb5dc2167d9f7cba6bd5f8bab63da9e5afe6943c523fdc9ab69e32e1f",
+        "trace_kappa1_adamw_seed0.csv": "5fe61cb65374f043ec6f0076671f4ebf6fbfa33c0889403728f769fad1873cb5",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "9fb0a2793f716a3a310a24a6051cbae26da4cf4b6529fe6b0e69b60157f36623",
+        "trace_kappa1_cage-sgd_seed0.csv": "bfe8f42ca066c293e3707396d0d976faa9db5955d40542b4af9d0f87a55d9f35",
+        "traj_kappa100_adamw_seed0.csv": "b0d5f12e3b24aec1ecbb5bae0ff77550b6c46cf9b7a1e7292d2b24ab3cc1fa33",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "871d9f69e280130de5688e69489fb5abb83e0f98ab0be74c5239860d8b1fcfbb",
+        "traj_kappa100_cage-sgd_seed0.csv": "9f8e0c88a42dd58500ce67c06e230c58e5819e4fd76760646fb4303788f3c695",
+        "traj_kappa1_adamw_seed0.csv": "2a29d1b6afdad3f2ecffad4aa616e4c5cf7eac8b141ebd432953a0497652a627",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "e64de9cbf5b98801e2420c6006fbf675870eaade211164eafe97d673cbc594bb",
+        "traj_kappa1_cage-sgd_seed0.csv": "a546369b2d88239e8ee3372988e816bbfa4812c8eb8ea70d0a72791073dbb281",
     },
     "quadratic-int-plain-rows": {
-        "summary.json": "2445e3b9d9eb203bbdc0f7c967ad006b8783826946ff4a78f67eb19a7c840c29",
+        "summary.json": "e5604fbdf2486d1dcf9bead09c4225385c460ace438e7966e3b3df557d3646df",
         "trace_kappa10_adamw_seed2.csv": "28cc58f8e3a1ecdb9e9e21e234a3d53060ce66a1c930daab6eb0f04fb057a912",
         "trace_kappa10_cage-adamw-cpl_seed2.csv": "6f6b479ffe544fb5d3029f1b435bd03224ace0d089f8005ad1b2a2e8c9957230",
         "traj_kappa10_adamw_seed2.csv": "12210385677af7316b802334bd8d07746248fdfd39246a3c33e567e140da5e42",
@@ -44,12 +44,12 @@ GOLDEN = {
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
     "convergence-quadratic-int": {
-        "summary.json": "f9ba821be97d4a1a173e03e108e7d4baf3f8784e4993feb8d558886b520e42e9",
-        "trace_T500_seed0.csv": "ef741b52c81f11774dd506f9db58b690abdbb079fbd9fec8cac4e01d738fbf56",
-        "trace_T5_seed0.csv": "89a6060e843206a7936ab42c6684382cb2166c27efb74754755a7002ee814075",
+        "summary.json": "03b5e7a4e33cfd2e83d7d011dc42dd357217aa4118692709e2c86a62d689a6f4",
+        "trace_T500_seed0.csv": "c2f04d58a6feacb02a60531f6e8ac17e8c1e53b540691c81300ec9b827bdfd9b",
+        "trace_T5_seed0.csv": "26e14c29db0ffac64166e064da1a812ca356a251b1a2ce654ca20ad5b1cbef82",
     },
     "quadratic-none": {
-        "summary.json": "488705d58ed7f590a0a5bdbd349197e7f1f121d9039b9454bca9f6731145cf08",
+        "summary.json": "ccf0d53f51d2b29a6edac0953484292d5a49a1a367bb256e3f090b13861eb6e4",
         "trace_kappa100_adamw_seed0.csv": "6eba4c2529c1684ba1bf61a7f830587a68e349c77687301eedd724d510735339",
         "trace_kappa100_cage-adamw-cpl_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",
         "trace_kappa100_cage-adamw-dec_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import SUBNORMAL_ULP, fwht_unnormalized, hadamard_tolerance, norm2
 from qatkit.experiments import (
     _STREAM_INIT,
     _STREAM_NOISE,
@@ -37,7 +38,7 @@ from qatkit.optim import (
 )
 from qatkit.qat_grad import ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
-from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
+from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -199,6 +200,43 @@ def test_batched_butterfly_matches_rows_and_stack_oracle(rows):
         single = fwht_unnormalized(row)
         assert np.array_equal(batched[i], single)
         assert np.array_equal(single, stack_butterfly(row))
+
+
+# any (..., n) batch: 0..3 leading axes, lengths up to 4096 with and without padding
+TRANSFORM_BATCHES = st.tuples(
+    st.lists(st.integers(1, 3), max_size=3),
+    st.one_of(st.integers(1, 80), st.sampled_from((100, 128, 300, 512, 1000, 2048, 4096))),
+).flatmap(lambda s: arrays(np.float64, tuple(s[0]) + (s[1],), elements=FLOATS))
+
+
+@PROPERTY
+@given(TRANSFORM_BATCHES)
+def test_batched_transform_rows_are_their_lone_calls(x):
+    plan = hadamard_plan(x.shape[-1])
+    z = hadamard_forward(plan, x)
+    back = hadamard_inverse(plan, z)
+    assert z.shape == x.shape[:-1] + (plan.padded_dim,) and back.shape == x.shape
+    for i in np.ndindex(x.shape[:-1]):
+        assert np.array_equal(z[i], hadamard_forward(plan, x[i]))
+        assert np.array_equal(back[i], hadamard_inverse(plan, z[i]))
+
+
+@PROPERTY
+@given(TRANSFORM_BATCHES)
+def test_transform_matches_butterfly_oracle_and_inverts(x):
+    plan = hadamard_plan(x.shape[-1])
+    n = plan.padded_dim
+    rows = x.reshape(-1, x.shape[-1])
+    padded = np.zeros((len(rows), n))
+    padded[:, : rows.shape[1]] = rows
+    z = hadamard_forward(plan, rows)
+    oracle = fwht_unnormalized(padded) * plan.scale
+    back = hadamard_inverse(plan, z)
+    for row, z_row, o_row, b_row in zip(rows, z, oracle, back):
+        tol = hadamard_tolerance(n) * norm2(row)
+        assert np.abs(z_row - o_row).max() <= tol + SUBNORMAL_ULP
+        # a round trip is two transforms
+        assert np.abs(b_row - row).max() <= 2 * tol + SUBNORMAL_ULP
 
 
 @PROPERTY

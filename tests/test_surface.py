@@ -1,9 +1,13 @@
 """The package's public surface: the root exports nothing, so every
 ``qatkit.<submodule>`` attribute is the submodule itself, and every name a
-submodule lists in ``__all__`` exists."""
+submodule lists in ``__all__`` exists; and the CLI's run paths load no scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +32,34 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"qatkit.{name}")
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert missing == []
+
+
+# scipy loads only for calibrate-clip, fit-scaling and on-demand clip
+# calibration; a cold start and the quadratic, convergence and toy lanes
+# (with the packaged clip table) never import it
+NO_SCIPY_RUN = """
+import sys
+import qatkit.cli
+from qatkit.quantize import default_clip_factor
+
+default_clip_factor(4)
+out = sys.argv[1]
+for argv in (
+    ["quadratic", "--kappas", "1,10", "--dim", "12", "--steps", "5", "--quant", "int-hadamard:4"],
+    ["convergence", "--objective", "quadratic", "--dim", "4", "--quant", "int-hadamard:4", "--steps", "5,500"],
+    ["toy-pareto", "--lambdas", "1", "--steps", "5"],
+):
+    assert qatkit.cli.main(argv + ["--out", f"{out}/{argv[0]}"]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,10 +1,19 @@
+"""The Kronecker-factored Hadamard transform, checked against the butterfly
+oracle ``oracles.fwht_unnormalized``.
+
+Tolerance: a row of padded length n agrees with ``fwht_unnormalized(x) /
+sqrt(n)`` to ``hadamard_tolerance(n) * ||x||_2`` (3.2e-14 relative at n =
+4096; derivation in ``oracles.hadamard_tolerance``), plus one subnormal ulp.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
+from oracles import SUBNORMAL_ULP, fwht_unnormalized, hadamard_tolerance, norm2
 from qatkit.numerics import make_rng
-from qatkit.transform import fwht_unnormalized, hadamard_forward, hadamard_inverse, hadamard_plan
+from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 
 def test_plan_padding():
@@ -83,6 +92,35 @@ def test_unnormalized_involution_property():
         x = rng.standard_normal(n)
         twice = fwht_unnormalized(fwht_unnormalized(x))
         assert np.allclose(twice, n * x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2**k for k in range(13)] + [5, 24, 37, 65])
+def test_matches_butterfly_oracle(dim):
+    rng = make_rng(4)
+    plan = hadamard_plan(dim)
+    n = plan.padded_dim
+    # three rows of magnitudes 1e-3, 1 and 1e3
+    x = rng.standard_normal((3, dim)) * np.array([[1e-3], [1.0], [1e3]])
+    padded = np.zeros((3, n))
+    padded[:, :dim] = x
+    z = hadamard_forward(plan, x)
+    assert z.shape == (3, n)
+    dev = np.abs(z - fwht_unnormalized(padded) * plan.scale).max(axis=1)
+    assert (dev <= [hadamard_tolerance(n) * norm2(row) + SUBNORMAL_ULP for row in x]).all(), (dim, dev)
+    back = hadamard_inverse(plan, z)
+    assert back.shape == x.shape
+    err = np.abs(back - x).max(axis=1)
+    assert (err <= [2 * hadamard_tolerance(n) * norm2(row) + SUBNORMAL_ULP for row in x]).all(), (dim, err)
+
+
+def test_plan_factors_are_cached_read_only_sylvester_kronecker_factors():
+    plan = hadamard_plan(37)
+    assert hadamard_plan(37) is plan
+    assert not plan.left.flags.writeable and not plan.right.flags.writeable
+    plans = [hadamard_plan(n) for n in (1, 2, 8, 37, 512, 4096)]
+    assert [(len(p.left), len(p.right)) for p in plans] == [(1, 1), (1, 2), (2, 4), (8, 8), (16, 32), (64, 64)]
+    for p in plans[:5]:
+        assert np.array_equal(np.kron(p.left, p.right), fwht_unnormalized(np.eye(p.padded_dim)))
 
 
 def test_linearity():
