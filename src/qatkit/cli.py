@@ -332,18 +332,21 @@ def cmd_quadratic(opts: dict) -> int:
     cells = []
     for kappa in opts["kappas"]:
         obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
-        runs = run_quadratic(
-            obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
-            ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
-        )
+        try:
+            runs = run_quadratic(
+                obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
+                ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
+            )
+        except NumericalFailure as err:
+            raise NumericalFailure(f"{err}, kappa {kappa:g}") from err
         del obj, x0  # the problem is not live during the PCAs or the next draw
         for name, run in zip(opts["opt"], runs):
             write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
             proj, _ = pca_project(run.iterates, 2)
             with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
                 fh.write("pc1,pc2\n")
-                for row in proj:
-                    fh.write(f"{row[0]!r},{row[1]!r}\n")
+                for pc1, pc2 in proj.tolist():
+                    fh.write(f"{pc1!r},{pc2!r}\n")
             gaps = run.final_gaps
             mean = statistics.fmean(gaps)
             std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0
@@ -379,10 +382,13 @@ def cmd_convergence(opts: dict) -> int:
     )
     per_horizon = []
     for T in horizons:
-        run = run_convergence_run(
-            obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
-            x0_std=opts["x0_std"], keep_trace=True,
-        )
+        try:
+            run = run_convergence_run(
+                obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
+                x0_std=opts["x0_std"], keep_trace=True,
+            )
+        except NumericalFailure as err:
+            raise NumericalFailure(f"{err}, horizon {T}") from err
         write_trace_csv(out / f"trace_T{T}_seed{seeds[0]}.csv", run.trace)
         per_horizon.append(
             {

@@ -83,6 +83,12 @@ def _check_init(x: np.ndarray) -> None:
         raise NumericalFailure("non-finite initial point")
 
 
+def _bad_rows(loss: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Which rows of a ``(..., d)`` state, with their ``(...)`` losses, hold a
+    NaN or inf."""
+    return ~(np.isfinite(loss) & np.isfinite(x).all(axis=-1))
+
+
 def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") -> float:
     """Step-t learning rate; cosine decay includes a 10% linear warmup."""
     if schedule not in LR_SCHEDULES:
@@ -113,7 +119,9 @@ def _corrected_sgd(
 
     Returns the final state and the ``(S, steps)`` squared balance-gradient
     norms ||g + lam e||^2, taken at each iterate before its step; ``trace``
-    ``(steps, 5)`` is filled with the first row's.
+    ``(steps, 5)`` is filled with the first row's.  A non-finite loss or
+    iterate raises ``NumericalFailure`` naming the step and the first bad
+    row's seed index.
     """
     _check_init(x)
     noise = np.empty((len(x), _NOISE_BLOCK, obj.dim))
@@ -138,7 +146,9 @@ def _corrected_sgd(
             g_tilde = g + noise_std * noise[:, i]
         x = cage_sgd_step(x, g_tilde, e, lr, lam)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
-            raise NumericalFailure("non-finite value during corrected-SGD run")
+            raise NumericalFailure(
+                f"non-finite value during corrected-SGD run at step {t + 1}, seed index {np.argmax(_bad_rows(loss, x))}"
+            )
     if trace is not None:
         trace[:, 1] = pareto_sq[0]
         trace[:, 4] = lam
@@ -240,13 +250,16 @@ def run_quadratic(
     moments.  The lane computes every per-step value the steps take: the lr
     a_t of ``lr_schedule`` and the ramp ``lambda_at(cfg, t, steps)``, which
     both AdamW corrections and the traces share; cage-sgd takes the constant
-    ``cfg.lam`` and the plain optimizers 0.  The loss and gradient are
-    evaluated at Q(x), the gradient transported back trust-masked only for
-    ``ste_kind`` "trust-masked" with an int scheme (else as is); the gap
-    is f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
+    ``cfg.lam`` and the plain optimizers 0.  One paired evaluation
+    (``obj.value_and_grads``, a stacked quadratic's one read of each matrix)
+    gives the loss and gradient at Q(x) and the trace's gradient at x; the
+    gradient at Q(x) is transported back trust-masked only for ``ste_kind``
+    "trust-masked" with an int scheme (else as is).  The gap is
+    f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
     identity and e = 0: full-precision training.  A run's trace and iterates
     are its first row's.  A non-finite loss or iterate stops the whole group;
-    the ``NumericalFailure`` names the optimizers whose rows it hit.
+    the ``NumericalFailure`` names the optimizers whose rows it hit, the step
+    and the first such row's seed index.
     """
     if isinstance(optimizers, str) or not optimizers:
         raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
@@ -267,12 +280,12 @@ def run_quadratic(
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         ramp_t = lambda_at(cfg, t, steps)
         qres = quantize(spec, x)
-        loss, g = obj.value_and_grad(qres.quantized)
+        loss, g, g_x = obj.value_and_grads(qres.quantized, x)
         g = ste_backward(spec, g, qres) if masked else g
         e = qres.error
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
-        g0, e0 = obj.grad(x)[:, 0], e[:, 0]
+        g0, e0 = g_x[:, 0], e[:, 0]
         lams = [
             cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in optimizers
         ]
@@ -294,10 +307,12 @@ def run_quadratic(
                 states[o], x[o] = cage_adamw_decoupled_step(states[o], x[o], g[o], cfg, a_t, lam_t, spec)
             else:
                 states[o], x[o] = cage_adamw_coupled_step(states[o], x[o], g[o], e[o], cfg, a_t, lam_t)
-        bad = ~(np.isfinite(loss).all(axis=1) & np.isfinite(x).all(axis=(1, 2)))
+        bad = _bad_rows(loss, x)
         if bad.any():
-            names = ", ".join(name for name, b in zip(optimizers, bad) if b)
-            raise NumericalFailure(f"non-finite value during quadratic run ({names})")
+            names = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
+            raise NumericalFailure(
+                f"non-finite value during quadratic run ({names}) at step {t}, seed index {np.argmax(bad.any(axis=0))}"
+            )
         snapshots[:, t - 1] = x[:, 0]
 
     final_losses = obj.loss(quantize(spec, x).quantized)

@@ -20,6 +20,10 @@ class Objective:
     (a stack of S quadratics: ``(..., S, d)``) and returns the ``(...)``
     losses and ``(..., d)`` gradients, each row bitwise equal to the call on
     that row alone; a vector ``(d,)`` gives a float loss.
+
+    ``quadratic``'s ``eval_fn`` alone also takes a second batch ``at`` of the
+    same shape, the paired evaluation ``value_and_grads``: one sweep of A
+    gives the loss and gradient at x and the gradient at ``at``.
     """
 
     dim: int
@@ -29,6 +33,10 @@ class Objective:
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return self.eval_fn(np.asarray(x, dtype=np.float64))
+
+    def value_and_grads(self, x: np.ndarray, at: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(loss, grad)`` at x and the gradient at ``at`` (quadratics only)."""
+        return self.eval_fn(np.asarray(x, dtype=np.float64), np.asarray(at, dtype=np.float64))
 
     def loss(self, x: np.ndarray) -> float:
         return self.value_and_grad(x)[0]
@@ -61,6 +69,13 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     minimizer and minimum per problem (``x_star`` ``(S, d)``, ``f_star``
     ``(S,)``) and evaluates a batch ``(..., S, d)``, row i of every leading
     index against problem i; each row is bitwise that problem's lone value.
+
+    The paired evaluation ``value_and_grads(x, at)`` multiplies A by the
+    ``(d, 2)`` right-hand side ``[x at]``, so one gemm reads each matrix once
+    for both gradients.  Each row is bitwise its lone paired call.  It rounds
+    differently from two ``np.matvec`` calls: entry i of either gradient is
+    within (d + 3) eps (sum_j |A_ij| |v_j| + |b_i|) of the ``value_and_grad``
+    one at the same point v.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -76,13 +91,24 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
             x_star[i], f_star[i] = _spd_minimum(A[i], b[i])
 
     # np.matvec / np.vecdot give each row of a batch bitwise the values of
-    # A @ x and x @ y on that row alone; X @ A.T and (X * Y).sum(-1) do not
-    def eval_fn(x):
+    # A @ x and x @ y on that row alone, and A @ V each (d, 2) right-hand side
+    # its lone gemm; X @ A.T and (X * Y).sum(-1) do not
+    def eval_fn(x, at=None):
         if A.ndim == 3 and x.shape[-2:] != b.shape:
             raise ValueError(f"a stack of {len(A)} problems takes a batch (..., {len(A)}, d), got {x.shape}")
-        Ax = np.matvec(A, x)
+        if at is None:
+            Ax = np.matvec(A, x)
+        elif at.shape != x.shape:
+            raise ValueError(f"paired batches differ in shape: {x.shape} and {at.shape}")
+        else:
+            # filled in place: np.stack costs more than a 64-dim gemm
+            V = np.empty((*x.shape, 2))
+            V[..., 0], V[..., 1] = x, at
+            AV = A @ V
+            Ax, A_at = AV[..., 0], AV[..., 1]
         loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(b, x)
-        return (float(loss) if x.ndim == 1 else loss), Ax - b
+        loss = float(loss) if x.ndim == 1 else loss
+        return (loss, Ax - b) if at is None else (loss, Ax - b, A_at - b)
 
     return Objective(dim=A.shape[-1], eval_fn=eval_fn, x_star=x_star, f_star=f_star)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -141,10 +142,12 @@ class TestQuadratic:
             "--out", str(out),
         )
         assert code == 0
-        traj = (out / "traj_kappa10_adamw_seed3.csv").read_text().strip().splitlines()
+        text = (out / "traj_kappa10_adamw_seed3.csv").read_text()
+        assert "np.float64" not in text
+        traj = text.strip().splitlines()
         assert traj[0] == "pc1,pc2"
         assert len(traj) == 51  # header + one row per step
-        assert all(len(row.split(",")) == 2 for row in traj[1:])
+        assert all(len([float(v) for v in row.split(",")]) == 2 for row in traj[1:])
         trace = (out / "trace_kappa10_adamw_seed3.csv").read_text().strip().splitlines()
         assert len(trace) == 51
 
@@ -176,6 +179,22 @@ class TestQuadratic:
         assert code == 3
         assert (out / "config.json").exists() and not (out / "summary.json").exists()
         assert "sgd" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mid_run_failure_names_step_seed_and_kappa(self, tmp_path, capsys):
+        # sgd at lr 1e10 grows by about 1e10 a step and overflows first in
+        # the fourth seed's row; adamw's normalised steps stay finite
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "quadratic", "--kappas", "10", "--dim", "8", "--steps", "50",
+            "--opt", "sgd,adamw", "--quant", "none", "--lr", "1e10", "--seed", "0,1,2,3",
+            "--grad-clip", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert not (out / "summary.json").exists()
+        assert capsys.readouterr().err.strip().endswith(
+            "non-finite value during quadratic run (sgd) at step 15, seed index 3, kappa 10"
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -224,6 +243,22 @@ class TestConvergence:
         lhat = doc["lipschitz"]
         for h in doc["per_horizon"]:
             assert h["alpha"] == min(1.0 / lhat, 1.0 / np.sqrt(h["T"]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mid_run_failure_names_step_seed_and_horizon(self, tmp_path, capsys):
+        # Rosenbrock from a wide init at lr 1/200: the fourth seed's iterate
+        # overflows first, nine steps into the run
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "convergence", "--objective", "rosenbrock", "--dim", "4", "--quant", "none",
+            "--lambda", "0", "--noise-std", "0", "--lipschitz", "200", "--x0-std", "0.5",
+            "--steps", "100", "--seed", "0,1,2,3", "--out", str(out),
+        )
+        assert code == 3
+        assert not (out / "summary.json").exists()
+        assert capsys.readouterr().err.strip().endswith(
+            "non-finite value during corrected-SGD run at step 9, seed index 3, horizon 100"
+        )
 
     def test_horizon_span_validated(self, tmp_path, capsys):
         assert run_cli("convergence", "--steps", "100,1000", "--out", str(tmp_path / "x")) == 2
@@ -396,6 +431,24 @@ class TestConfigFile:
         snap = json.loads((out / "config.json").read_text())
         assert snap["subcommand"] == "toy-pareto"
         assert snap["out"] == str(out)
+
+
+def test_traces_do_not_depend_on_blas_threads(tmp_path):
+    # the lane's matrix products give the same bits at one and two OpenBLAS
+    # threads; summary.json (f* by np.linalg.solve) and the PCA trajectories
+    # are only reproducible at a fixed thread count, so only traces are compared
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qatkit", "quadratic", "--kappas", "10", "--dim", "512",
+             "--steps", "20", "--opt", "adamw,cage-adamw-cpl", "--quant", "mxfp4",
+             "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append({f.name: f.read_bytes() for f in sorted(out.glob("trace_*.csv"))})
+    assert len(outs[0]) == 2 and outs[0] == outs[1]
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -16,26 +16,26 @@ from qatkit.cli import main
 
 GOLDEN = {
     "quadratic-int-hadamard": {
-        "summary.json": "2acfc4c3bd19933daee768286a85359c8e6812fa85da97674de7b631047214b6",
-        "trace_kappa100_adamw_seed0.csv": "464513b0cf77dc6bb76ec9d873dfb17998a92551d17c0ca7bf10dd2f49362bfb",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "165eb653cb398581ee4160ffc043b103780ef90aad1d075ba73c1cef57cd6df2",
-        "trace_kappa100_cage-sgd_seed0.csv": "f7494d2cb5dc2167d9f7cba6bd5f8bab63da9e5afe6943c523fdc9ab69e32e1f",
-        "trace_kappa1_adamw_seed0.csv": "5fe61cb65374f043ec6f0076671f4ebf6fbfa33c0889403728f769fad1873cb5",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "9fb0a2793f716a3a310a24a6051cbae26da4cf4b6529fe6b0e69b60157f36623",
-        "trace_kappa1_cage-sgd_seed0.csv": "bfe8f42ca066c293e3707396d0d976faa9db5955d40542b4af9d0f87a55d9f35",
-        "traj_kappa100_adamw_seed0.csv": "b0d5f12e3b24aec1ecbb5bae0ff77550b6c46cf9b7a1e7292d2b24ab3cc1fa33",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "871d9f69e280130de5688e69489fb5abb83e0f98ab0be74c5239860d8b1fcfbb",
-        "traj_kappa100_cage-sgd_seed0.csv": "9f8e0c88a42dd58500ce67c06e230c58e5819e4fd76760646fb4303788f3c695",
-        "traj_kappa1_adamw_seed0.csv": "2a29d1b6afdad3f2ecffad4aa616e4c5cf7eac8b141ebd432953a0497652a627",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "e64de9cbf5b98801e2420c6006fbf675870eaade211164eafe97d673cbc594bb",
-        "traj_kappa1_cage-sgd_seed0.csv": "a546369b2d88239e8ee3372988e816bbfa4812c8eb8ea70d0a72791073dbb281",
+        "summary.json": "1c270114bd02e443893fb3fb874d2b792aeaf38c4edb1b412d2e3f6b57338c72",
+        "trace_kappa100_adamw_seed0.csv": "9e7af6660c13793dca73894ec4d6a51527d3856b4afc8dfcb029938f8a148c66",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "56d3651f401334c2dbd9af8a613681c49f8c0afdf6ae73e71135f438f9102854",
+        "trace_kappa100_cage-sgd_seed0.csv": "51f41ddd4edfb5688cdb47a82c280ce9dda02cf073b2dd0843c8d2e2a18b8f8e",
+        "trace_kappa1_adamw_seed0.csv": "5f55d5df894978ec876383b948f2a40f60f3cf7890f08de359b1ccfffc9e7803",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "3cff04f49a44358eeb23c49d8615789a1626ce2a8f4b09d32ac9ec3fa82100eb",
+        "trace_kappa1_cage-sgd_seed0.csv": "96630036e14ca6a8305b4bf7885e6c70b0081dbbc8e27c5515dc42a8c3bb4b45",
+        "traj_kappa100_adamw_seed0.csv": "01b4d81dea38c4b062cbc705d4970899cce9a182da3ea1405d4dc71df259fd9d",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "6305dbd9b840f174677c04bd30a50e9aa8864f82b32b0d4541bfe6307235c215",
+        "traj_kappa100_cage-sgd_seed0.csv": "9d1baa9304424f72a76fbc927844f71c152b7438951fb2274f54d8071a354cc7",
+        "traj_kappa1_adamw_seed0.csv": "da9cd253de0574f09715f56999f1fa2a81ddb750e7f42dd904cd0e7836ff21e1",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "892c15ead92fb107c7596904b884ee1ddd1f2f3242f2f21b0e8ea5e3476eecc8",
+        "traj_kappa1_cage-sgd_seed0.csv": "f73b2ce7592dc09e555d7b6d169d8156bc7d668149509876d2a10cc5f3703606",
     },
     "quadratic-int-plain-rows": {
-        "summary.json": "e5604fbdf2486d1dcf9bead09c4225385c460ace438e7966e3b3df557d3646df",
-        "trace_kappa10_adamw_seed2.csv": "28cc58f8e3a1ecdb9e9e21e234a3d53060ce66a1c930daab6eb0f04fb057a912",
-        "trace_kappa10_cage-adamw-cpl_seed2.csv": "6f6b479ffe544fb5d3029f1b435bd03224ace0d089f8005ad1b2a2e8c9957230",
-        "traj_kappa10_adamw_seed2.csv": "12210385677af7316b802334bd8d07746248fdfd39246a3c33e567e140da5e42",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "0305594af66786d4f88792fbe02c217b90d7fd15ac2e0d9ae0369f2bf0f692f0",
+        "summary.json": "99c915b3a2418affad0986d144dee14ec060e97461770910a3ec05c18c245bee",
+        "trace_kappa10_adamw_seed2.csv": "a01a15e738d8d5d2f96dee061d91d0bee86d6a7178c9ec61a4a657aacadcf78d",
+        "trace_kappa10_cage-adamw-cpl_seed2.csv": "0724e8101cf5e20bff7b509ce526b531d3a2a0803286d94f6e9b25def4f0e3cf",
+        "traj_kappa10_adamw_seed2.csv": "72caeb92a3533c4c710a755824de070fea170ed84407004868cc4f9f03279060",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "1cbd0e75cbf035d728653ffdc14988c408530211ee8407227e89b5414d0294cc",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -49,27 +49,27 @@ GOLDEN = {
         "trace_T5_seed0.csv": "26e14c29db0ffac64166e064da1a812ca356a251b1a2ce654ca20ad5b1cbef82",
     },
     "quadratic-none": {
-        "summary.json": "ccf0d53f51d2b29a6edac0953484292d5a49a1a367bb256e3f090b13861eb6e4",
-        "trace_kappa100_adamw_seed0.csv": "6eba4c2529c1684ba1bf61a7f830587a68e349c77687301eedd724d510735339",
-        "trace_kappa100_cage-adamw-cpl_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "35b8bd91a951ab880e76cd3e95819c0262a9b243c5ab21344596bf2c6f089022",
-        "trace_kappa100_cage-sgd_seed0.csv": "d3f78c56d3f3a4749de610ed3a86a1d01b5b289bdafd50df5905872bc1b252b5",
-        "trace_kappa100_sgd_seed0.csv": "fc9d0a26cdb21f3e6caf5b3a2218728ab90a2df51d2b3c1311d86fcdccbd8056",
-        "trace_kappa1_adamw_seed0.csv": "13844d75aec46ab002251b9181cc17945268cf01c283165f6b493c87d815ac6f",
-        "trace_kappa1_cage-adamw-cpl_seed0.csv": "da780dfc0b711054b67f38f9860304033165e9078d7c1bdbe135b88768064279",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "da780dfc0b711054b67f38f9860304033165e9078d7c1bdbe135b88768064279",
-        "trace_kappa1_cage-sgd_seed0.csv": "723021ad695c84d4db7bc106db2e1643989900364d35c6f2538bcfc6f4d97779",
-        "trace_kappa1_sgd_seed0.csv": "e09a8a188dcb92eb553be509d80c940e54ab5f5a35fcee7c986bce1ce2d90c75",
-        "traj_kappa100_adamw_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
-        "traj_kappa100_cage-adamw-cpl_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "911067b3605b8bcf6c927e60dcf37551e59f6847608e18b2505cd08127a204f2",
-        "traj_kappa100_cage-sgd_seed0.csv": "5275d9fd50002ec838542031b85c91c8b781542064043b95e6a45d10aaedcf45",
-        "traj_kappa100_sgd_seed0.csv": "5275d9fd50002ec838542031b85c91c8b781542064043b95e6a45d10aaedcf45",
-        "traj_kappa1_adamw_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
-        "traj_kappa1_cage-adamw-cpl_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "57e4fad87676fc3985f44b889a3b0a2caae86e20ad90df37b22a3d155aa34da7",
-        "traj_kappa1_cage-sgd_seed0.csv": "c56004c027712d32c6c8a7561e194637edd9b308ab51e0a1bf3d6e525f8c64a7",
-        "traj_kappa1_sgd_seed0.csv": "c56004c027712d32c6c8a7561e194637edd9b308ab51e0a1bf3d6e525f8c64a7",
+        "summary.json": "7f2a5f35c0df4d9297395643415691b5563837a73faa0b71735bfa0085c38393",
+        "trace_kappa100_adamw_seed0.csv": "4129b6a3d6ca7473391389eed475ce482c5b5b00c11676599b0eda21c86801db",
+        "trace_kappa100_cage-adamw-cpl_seed0.csv": "796619409ad25525765f31ceada811d2e585d5b604d13cf160db267bd14460be",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "796619409ad25525765f31ceada811d2e585d5b604d13cf160db267bd14460be",
+        "trace_kappa100_cage-sgd_seed0.csv": "12095cbaff8da108fe92db82c10cbcdbae0d0abff44875ed6bf356e4d2c711c6",
+        "trace_kappa100_sgd_seed0.csv": "22adf972e04434c6feb50c1cb3f3f123eb2f67bf47a9f17141ba7ea1980a6728",
+        "trace_kappa1_adamw_seed0.csv": "4e7738c224219779a19e8aa8e27fbc9f1b4b03cce0c4fe455d20ea57b222ec23",
+        "trace_kappa1_cage-adamw-cpl_seed0.csv": "75992e1666cec26f0deae2c526fb30c9e433f24502536cc52db0e1d9e27abe69",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "75992e1666cec26f0deae2c526fb30c9e433f24502536cc52db0e1d9e27abe69",
+        "trace_kappa1_cage-sgd_seed0.csv": "c13976e2e962ede24d80e89d1411eb2255f6ed888c2271fb0beca0690d1a0b22",
+        "trace_kappa1_sgd_seed0.csv": "752160b86b5b6cdf64e9ba23fbf07245c58f87c705d450a8cd51bc1e6be9d875",
+        "traj_kappa100_adamw_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
+        "traj_kappa100_cage-adamw-cpl_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
+        "traj_kappa100_cage-sgd_seed0.csv": "e5e861c7bef9a18d02602173e76e4c88d276631f473584cce142a8f5dcce591a",
+        "traj_kappa100_sgd_seed0.csv": "e5e861c7bef9a18d02602173e76e4c88d276631f473584cce142a8f5dcce591a",
+        "traj_kappa1_adamw_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
+        "traj_kappa1_cage-adamw-cpl_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
+        "traj_kappa1_cage-sgd_seed0.csv": "a0c122206f62e8a5ccae0a5e8ca43fcc6e5595b3a7a85a61600ce9681f6f4a47",
+        "traj_kappa1_sgd_seed0.csv": "a0c122206f62e8a5ccae0a5e8ca43fcc6e5595b3a7a85a61600ce9681f6f4a47",
     },
     "convergence-quadratic-none": {
         "summary.json": "a4fc06ea543e4c31eb6bbac17427f5e626a8d94178d854da07b335d0ceea1928",
@@ -106,7 +106,7 @@ RUNS = {
         "--steps", "5,500", "--seed", "0,1,2",
     ],
     # the identity quantizer through every optimizer: e = 0, so each cage
-    # variant steps as its base; recorded when no quantizer was a separate path
+    # variant steps as its base
     "quadratic-none": [
         "quadratic", "--kappas", "1,100", "--dim", "12", "--steps", "60",
         "--opt", "sgd,adamw,cage-sgd,cage-adamw-dec,cage-adamw-cpl", "--quant", "none",

@@ -70,6 +70,10 @@ class TestQuadratic:
         for shape in ((3, 4), (2, 3, 4), (2, 2, 5), (2, 5), (4,), (1, 4), (2, 1, 4)):
             with pytest.raises(ValueError):
                 stack.value_and_grad(np.zeros(shape))
+        # the paired evaluation takes two batches of one shape
+        for shape in ((3, 2, 4), (2, 5), (1, 2, 4)):
+            with pytest.raises(ValueError):
+                stack.value_and_grads(np.zeros((2, 4)), np.zeros(shape))
 
 
 class TestToyScalar:

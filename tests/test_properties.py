@@ -364,6 +364,63 @@ def test_stacked_quadratic_matches_each_problem(case):
         assert stack.f_star[i] == lone.f_star and np.array_equal(stack.x_star[i], lone.x_star)
 
 
+def paired_tolerance(A, b, v):
+    """Forward-error bound on how far the paired and the ``value_and_grad``
+    loss and gradient at v may differ.  Any order of the d products and sums
+    puts each gradient entry within gamma_(d+2) (|A| |v| + |b|)_i of the exact
+    one, and the loss within gamma_(d+1) (|v| . |A| |v| + |b| . |v|); two such
+    results differ by at most twice that, and 2 gamma_(d+2) <= (d + 3) eps."""
+    dim = v.shape[-1]
+    Av_abs = np.matvec(np.abs(A), np.abs(v))
+    eps = (dim + 3) * np.finfo(np.float64).eps
+    return (
+        eps * (np.vecdot(np.abs(v), Av_abs) + np.vecdot(np.abs(b), np.abs(v))),
+        eps * (Av_abs + np.abs(b)),
+    )
+
+
+@PROPERTY
+@given(
+    st.sampled_from((1, 2, 5, 12, 64)),
+    st.sampled_from((None, 1, 2, 3)),
+    st.sampled_from(((), (2,), (2, 3))),
+    st.sampled_from((1e-3, 1.0, 1e3)),
+    st.integers(0, 2**32 - 1),
+)
+def test_paired_quadratic_matches_lone_calls_and_value_and_grad(dim, stack, lead, scale, seed):
+    # the paired evaluation gives each row bitwise its lone paired call, and
+    # agrees with value_and_grad at both points within a forward-error bound;
+    # stack None is one (d, d) problem with a vector or a batch, else a stack
+    # of S problems with one or two leading axes
+    rng = make_rng(seed)
+    kappa = 1.0 if dim == 1 else 100.0
+    S = 1 if stack is None else stack
+    A = np.stack([make_spd(dim, kappa, rng) for _ in range(S)])
+    b = rng.standard_normal((S, dim))
+    if stack is None:
+        obj, A, b = quadratic(A[0], b[0]), A[:1], b[:1]
+        shape = lead + (dim,)
+    else:
+        obj = quadratic(A, b)
+        shape = lead[:1] + (S, dim)
+    X = scale * rng.standard_normal(shape)
+    At = scale * rng.standard_normal(shape)
+    loss, g, g_at = obj.value_and_grads(X, At)
+    assert g.shape == g_at.shape == shape and np.shape(loss) == shape[:-1]
+    assert (type(loss) is float) == (X.ndim == 1)
+    for idx in np.ndindex(shape[:-1]):
+        s = idx[-1] if stack is not None else 0
+        lone = quadratic(A[s], b[s])
+        one_loss, one_g, one_g_at = lone.value_and_grads(X[idx], At[idx])
+        assert type(one_loss) is float and one_loss == np.asarray(loss)[idx]
+        assert np.array_equal(one_g, g[idx]) and np.array_equal(one_g_at, g_at[idx])
+        ref_loss, ref_g = lone.value_and_grad(X[idx])
+        loss_tol, g_tol = paired_tolerance(A[s], b[s], X[idx])
+        assert abs(one_loss - ref_loss) <= loss_tol and np.all(np.abs(one_g - ref_g) <= g_tol)
+        _, g_at_tol = paired_tolerance(A[s], b[s], At[idx])
+        assert np.all(np.abs(one_g_at - lone.grad(At[idx])) <= g_at_tol)
+
+
 @PROPERTY
 @given(arrays(np.float64, st.integers(1, 64), elements=st.one_of(st.floats(0.0, 6.0), st.sampled_from(E2M1_EDGES))))
 @example(E2M1_EDGES)
@@ -456,8 +513,9 @@ def lone_quadratic_problem(dim, kappa, seed):
 def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
     """One seed's quadratic-lane run, stepped alone on a vector with
     ``lone_grad_clip``: the oracle for the seed-batched ``run_quadratic``.
-    Under ``none`` it steps at x with e = 0 and no quantizer call.  Returns
-    (final gap, final loss, trace, iterates)."""
+    Each step makes one paired evaluation at (Q(x), x).  Under ``none`` it
+    steps at x with e = 0 and no quantizer call.  Returns (final gap, final
+    loss, trace, iterates)."""
     plain = spec.scheme == "none"
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     trace = []
@@ -468,11 +526,11 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         if not plain:
             qres = quantize(spec, x)
-            loss, g_at_q = obj.value_and_grad(qres.quantized)
+            loss, g_at_q, g_x = obj.value_and_grads(qres.quantized, x)
             g = ste_backward(spec, g_at_q, qres) if masked else g_at_q
             e = qres.error
         else:
-            loss, g = obj.value_and_grad(x)
+            loss, g, g_x = obj.value_and_grads(x, x)
             e = np.zeros_like(x)
         if clip:
             g = lone_grad_clip(g, clip)
@@ -480,7 +538,7 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
             lam_t = cfg.lam if optimizer == "cage-sgd" else lambda_at(cfg, t, steps)
         else:
             lam_t = 0.0
-        trace.append(trace_row(loss, obj.grad(x), e, lam_t))
+        trace.append(trace_row(loss, g_x, e, lam_t))
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
         elif optimizer == "adamw" or (optimizer == "cage-adamw-dec" and plain):
