@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalFailure, make_rng, power_iteration_lmax, make_spd
+from .numerics import NumericalFailure, make_rng, make_spd
 from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .optim import (
     AdamState,
@@ -237,7 +237,7 @@ def run_quadratic(
     cfg: OptimConfig,
     lr_schedule: str = "constant",
     ste_kind: str = "trust-masked",
-    grad_clip_norm: float | None = 1.0,
+    grad_clip_norm: float = 1.0,
 ) -> tuple[QuadraticRun, ...]:
     """Run each of ``optimizers`` on quantized-forward quadratics from every
     row of ``x0`` ``(S, d)``, all stepped as one ``(O, S, d)`` state; returns
@@ -245,7 +245,7 @@ def run_quadratic(
 
     Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
     and is bitwise its lone run.  Each step quantizes, evaluates, transports
-    and clips (per row; off when ``grad_clip_norm`` is None or 0) all rows at
+    and clips (per row; ``grad_clip_norm`` 0 disables it) all rows at
     once, then each optimizer steps its own ``(S, d)`` block with its own Adam
     moments.  The lane computes every per-step value the steps take: the lr
     a_t of ``lr_schedule`` and the ramp ``lambda_at(cfg, t, steps)``, which
@@ -340,10 +340,11 @@ class ConvergenceRun:
 
 def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
                         lipschitz: float = 1000.0) -> tuple[Objective, float]:
-    """Objective for the rate study plus its gradient-Lipschitz estimate.
+    """Objective for the rate study plus its gradient-Lipschitz constant L.
 
-    Quadratics get a power-iteration estimate of the top curvature; the
-    non-convex objective uses the configured constant.
+    For the quadratic L is ``kappa``: ``make_spd`` sets the spectrum exactly,
+    log-spaced on [1, kappa].  The non-convex objective uses the configured
+    constant.
     """
     if name not in RATE_OBJECTIVES:
         raise ValueError(f"unknown rate objective {name!r}")
@@ -351,8 +352,7 @@ def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
         return rosenbrock(dim), lipschitz
     rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
     A = make_spd(dim, kappa, rng)
-    lhat = power_iteration_lmax(A, make_rng((_STREAM_PROBLEM, seed, 7)))
-    return quadratic(A, rng.standard_normal(dim)), lhat
+    return quadratic(A, rng.standard_normal(dim)), kappa
 
 
 def run_convergence_run(

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["NumericalFailure", "make_rng", "make_spd", "pca_project", "power_iteration_lmax"]
+__all__ = ["NumericalFailure", "make_rng", "make_spd", "pca_project"]
 
 
 class NumericalFailure(RuntimeError):
@@ -84,17 +84,3 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
     return Xc @ comps.T, comps
-
-
-def power_iteration_lmax(A: np.ndarray, rng: np.random.Generator, iters: int = 200) -> float:
-    """Largest-eigenvalue estimate of a symmetric PSD matrix via power iteration."""
-    A = np.asarray(A, dtype=np.float64)
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(v @ (A @ v))

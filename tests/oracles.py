@@ -1,12 +1,18 @@
 """Numerical oracles and fixture writers shared by the test modules."""
 
 import csv
+import functools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 
+from qatkit.experiments import make_rate_objective, run_convergence_run
+from qatkit.quantize import QuantSpec
 from qatkit.scaling import CSV_HEADER
+
+RATE_STUDY_HORIZONS = (100, 1000, 10_000, 100_000)
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
@@ -99,3 +105,24 @@ def write_scaling_csv(path, data) -> None:
         writer.writerow(CSV_HEADER)
         for r in data:
             writer.writerow([r.method, r.precision, repr(r.N), repr(r.D), repr(r.loss)])
+
+
+@functools.cache
+def rosenbrock_rate_study():
+    """The ergodic-rate study on 10-d Rosenbrock, run once per session.
+
+    Floor grid 0.25, lambda = 1, step 0.1, ten seeds at each horizon of
+    ``RATE_STUDY_HORIZONS``.  Returns ``(per_horizon_vals, elapsed)``: one
+    array of per-seed ergodic means per horizon, and the wall time of the
+    runs.  Seeds run independently in the batch, so ``vals[:k]`` is exactly
+    a k-seed run, and the acceptance criterion and the 3-seed bracket check
+    read the same runs.
+    """
+    start = time.perf_counter()
+    spec = QuantSpec(scheme="floor-toy", grid=0.25)
+    obj, lhat = make_rate_objective("rosenbrock", 10)
+    per_horizon_vals = tuple(
+        run_convergence_run(obj, spec, 1.0, 0.1, T, range(10), lhat, x0_std=0.25).ergodic_means
+        for T in RATE_STUDY_HORIZONS
+    )
+    return per_horizon_vals, time.perf_counter() - start

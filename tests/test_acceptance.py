@@ -3,22 +3,19 @@
 Each test enforces its stated tolerance and prints a single PASS line with
 the measured values, so ``pytest tests/test_acceptance.py -s`` doubles as the
 acceptance report.  Criteria 1-5 exercise the full experiment lanes; 6-7 are
-oracle round trips; 8 is covered by the per-module property suites and
-asserted here as a roll-up.
+oracle round trips.  Criterion 8 is the per-module property suites
+themselves, as ``pytest`` collects and runs them; ``pytest -s`` prints every
+report line.
 """
 
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study
 from qatkit.experiments import (
     make_quadratic_problem,
-    make_rate_objective,
-    run_convergence_run,
     run_quadratic,
     run_toy_pareto,
 )
@@ -100,20 +97,22 @@ def test_criterion_3_sgd_coupling_identity():
 
 
 def test_criterion_4_ergodic_rate():
-    start = time.perf_counter()
-    spec = QuantSpec(scheme="floor-toy", grid=0.25)
-    obj, lhat = make_rate_objective("rosenbrock", 10)
-    horizons = [100, 1000, 10_000, 100_000]
-    means = []
-    for T in horizons:
-        vals = run_convergence_run(obj, spec, 1.0, 0.1, T, range(10), lhat, x0_std=0.25).ergodic_means
-        means.append(float(np.mean(vals)))
-    slope, _, r2 = loglog_fit(horizons, means)
-    elapsed = time.perf_counter() - start
+    # the study runs once per session; tests/test_pareto.py's
+    # test_rate_fit_on_artifact_run reads the same runs
+    per_horizon_vals, elapsed = rosenbrock_rate_study()
+    means = [float(np.mean(vals)) for vals in per_horizon_vals]
+    slope, _, r2 = loglog_fit(RATE_STUDY_HORIZONS, means)
+    # the first three seeds are exactly a 3-seed run; their exponent must sit
+    # in the bracket derived from the artifact's own seed spread
+    slope3 = loglog_fit(RATE_STUDY_HORIZONS, [float(np.mean(vals[:3])) for vals in per_horizon_vals])[0]
     assert slope <= -0.3, f"slope {slope}"
     assert r2 >= 0.9, f"r2 {r2}"
+    assert -1.05 <= slope3 <= -0.85, f"3-seed slope {slope3}"
     assert elapsed < 300.0, f"runtime {elapsed:.0f}s exceeds 5min"
-    _report("4 ergodic rate", f"slope={slope:.3f} r2={r2:.4f} means={means} in {elapsed:.0f}s")
+    _report(
+        "4 ergodic rate",
+        f"slope={slope:.3f} (3 seeds {slope3:.3f}) r2={r2:.4f} means={means} in {elapsed:.0f}s",
+    )
 
 
 def test_criterion_5_quadratic_ordering():
@@ -195,30 +194,3 @@ def test_criterion_7_scaling_law_recovery():
         "7 scaling-law recovery",
         f"worst param rel err {worst_param:.3f}, worst eff abs err {worst_eff:.3f} in {elapsed:.1f}s",
     )
-
-
-def test_criterion_8_invariant_suites_pass():
-    # the per-module property suites are the substance of this criterion;
-    # run them as a child pytest so this report line covers the roll-up
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-q",
-            "tests/test_numerics.py",
-            "tests/test_transform.py",
-            "tests/test_quantize.py",
-            "tests/test_qat_grad.py",
-            "tests/test_optim.py",
-            "tests/test_objectives.py",
-            "tests/test_pareto.py",
-            "tests/test_scaling.py",
-        ],
-        cwd=Path(__file__).resolve().parent.parent,
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    tail = result.stdout.strip().splitlines()[-1]
-    _report("8 invariant suites", tail)

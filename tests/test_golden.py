@@ -44,9 +44,9 @@ GOLDEN = {
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
     "convergence-quadratic-int": {
-        "summary.json": "03b5e7a4e33cfd2e83d7d011dc42dd357217aa4118692709e2c86a62d689a6f4",
+        "summary.json": "529964cebf31d9a58811cd3b64389e77528afa8641ce610144f3d0d37375eebd",
         "trace_T500_seed0.csv": "c2f04d58a6feacb02a60531f6e8ac17e8c1e53b540691c81300ec9b827bdfd9b",
-        "trace_T5_seed0.csv": "26e14c29db0ffac64166e064da1a812ca356a251b1a2ce654ca20ad5b1cbef82",
+        "trace_T5_seed0.csv": "025962bb9e0f0ad8a3e8f4188e3f0d253fe687265453cc962c60e0ea3eaae055",
     },
     "quadratic-none": {
         "summary.json": "7f2a5f35c0df4d9297395643415691b5563837a73faa0b71735bfa0085c38393",
@@ -72,9 +72,9 @@ GOLDEN = {
         "traj_kappa1_sgd_seed0.csv": "a0c122206f62e8a5ccae0a5e8ca43fcc6e5595b3a7a85a61600ce9681f6f4a47",
     },
     "convergence-quadratic-none": {
-        "summary.json": "a4fc06ea543e4c31eb6bbac17427f5e626a8d94178d854da07b335d0ceea1928",
+        "summary.json": "b09de3a25b4027122cdb99495d0d4a5f8d5864492584b817c95a07bb330c48a8",
         "trace_T500_seed0.csv": "621b86adca5bf2029c7a0514c1244c8753da6ed440d7b52d802b5a7f65ee6210",
-        "trace_T5_seed0.csv": "ebfa6a52893dddd1cc903daa445c59ae2d310d983fa21410939bea19cd1d4859",
+        "trace_T5_seed0.csv": "a6ad846cb2c7208023f3ea90d83b082ae58f664db3701c0dab6382cc24eb031c",
     },
     "toy-pareto": {
         "summary.json": "221a5b76f019080f5064c9426aab235bcc54df28e143439dd8972ad1af042fd8",
@@ -100,7 +100,7 @@ RUNS = {
         "--steps", "20,200,2000", "--seed", "0,1",
     ],
     # the seed-batched rate lane through the int quantizer and the quadratic's
-    # np.matvec / np.vecdot, recorded with the per-seed loop
+    # np.matvec / np.vecdot, with L = kappa (alpha = 1/10 at T = 5)
     "convergence-quadratic-int": [
         "convergence", "--objective", "quadratic", "--dim", "8", "--quant", "int-hadamard:4",
         "--steps", "5,500", "--seed", "0,1,2",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_diff_grad
-from qatkit.numerics import make_rng, make_spd, pca_project, power_iteration_lmax
+from qatkit.numerics import make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 
 
@@ -120,14 +120,6 @@ class TestPca:
         with pytest.warns(RuntimeWarning):
             proj, _ = pca_project(pts, 2)
         assert np.abs(proj).max() == 0.0
-
-
-class TestPowerIteration:
-    def test_matches_eigsolver(self):
-        rng = make_rng(12)
-        M = make_spd(6, 40.0, rng)
-        est = power_iteration_lmax(M, rng)
-        assert abs(est - np.linalg.eigvalsh(M)[-1]) <= 1e-6 * 40.0
 
 
 def test_fd_agreement_invariant_over_objectives():

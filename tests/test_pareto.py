@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from qatkit.experiments import run_toy_pareto
+from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study
+from qatkit.experiments import make_rate_objective, run_toy_pareto
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
 from qatkit.optim import cage_sgd_step
@@ -182,22 +183,27 @@ class TestMeasureAndTrace:
 
 
 def test_rate_fit_on_artifact_run():
-    # the full study (10 seeds) runs in the acceptance suite; this samples the
-    # same configuration with 3 seeds and asserts the exponent against the
-    # bracket derived from the artifact's own seed spread.  At the stable step
-    # size the decay is transient-dominated (close to 1/T); see the decisions
-    # log for why the illustrative [-0.75, -0.3] window is not attainable.
-    from qatkit.experiments import make_rate_objective, run_convergence_run
-
-    spec = QuantSpec(scheme="floor-toy", grid=0.25)
-    obj, lhat = make_rate_objective("rosenbrock", 10)
-    horizons = [100, 1000, 10_000, 100_000]
-    means = []
-    for T in horizons:
-        vals = run_convergence_run(obj, spec, 1.0, 0.1, T, range(3), lhat, x0_std=0.25).ergodic_means
-        means.append(float(np.mean(vals)))
-    p = loglog_fit(horizons, means)[0]
+    # the full study (10 seeds) is acceptance criterion 4; this reads its
+    # first 3 seeds, exactly a 3-seed run, and asserts the exponent against
+    # the bracket derived from the artifact's own seed spread.  With L = 1000
+    # the step is 1/L at every horizon here, so the ergodic mean is
+    # transient-dominated and decays close to 1/T: an exponent in the
+    # illustrative [-0.75, -0.3] window, the 1/sqrt(T) regime, is not
+    # attainable at this scale.
+    per_horizon_vals, _ = rosenbrock_rate_study()
+    means = [float(np.mean(vals[:3])) for vals in per_horizon_vals]
+    p = loglog_fit(RATE_STUDY_HORIZONS, means)[0]
     assert -1.05 <= p <= -0.85, p
+
+
+def test_rate_quadratic_lipschitz_is_kappa():
+    # make_spd sets the spectrum on [1, kappa], so L is kappa exactly; A is
+    # read back column by column through the gradient, g(e_i) - g(0)
+    for kappa in (1.0, 10.0, 100.0):
+        obj, lip = make_rate_objective("quadratic", 8, kappa=kappa)
+        assert lip == kappa
+        A = obj.grad(np.eye(8)) - obj.grad(np.zeros(8))
+        assert abs(lip - np.linalg.eigvalsh((A + A.T) / 2)[-1]) <= 1e-12 * kappa
 
 
 def test_converged_run_gap_between_measures():
