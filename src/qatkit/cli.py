@@ -43,7 +43,7 @@ from .quantize import (
     int_spec,
     write_clip_table,
 )
-from .scaling import RESIDUAL_SPACES, check_scaling_data, fit_scaling, read_scaling_csv, write_fit_json
+from .scaling import RESIDUAL_SPACES, check_scaling_data, fit_scaling, fit_to_json_dict, read_scaling_csv
 
 __all__ = ["main", "entrypoint", "parse_quant", "load_config_file"]
 
@@ -426,7 +426,7 @@ def cmd_fit_scaling(opts: dict) -> int:
         n_starts=opts["starts"],
         seed=opts["fit_seed"],
     )
-    doc = write_fit_json(out / "fit.json", fit, data)
+    doc = fit_to_json_dict(fit, data)
     _write_summary(out, doc)
     print("method\tP\teff")
     print(f"*\tFP\t{1.0!r}")

@@ -127,9 +127,10 @@ def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec
 
 
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
-    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (row sigma,
-    block amax, floor codes, x - x) and so its sum are non-finite whenever ``x``
-    is, so ``x`` is scanned only when that sum is off (or merely overflowed)."""
+    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (``x``
+    itself, block amax, floor codes, x - x) and so its sum are non-finite
+    whenever ``x`` is, so ``x`` is scanned only when that sum is off (or merely
+    overflowed)."""
     if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
         raise FloatingPointError("quantizer input has a NaN or inf entry")
 
@@ -140,12 +141,13 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResul
     them the codes, the reconstruction and the keep-mask.  z = Hx (x for
     int-plain), sigma = rms(z) over the padded row, scale = clip_factor *
     sigma / q_max, codes = round-half-even(z / scale) clipped to [q_min, q_max]."""
+    # checked before the transform, which would warn on a NaN or inf
+    _reject_nonfinite(x, x)
     rows = x.reshape(-1, row_length)
     plan = hadamard_plan(row_length) if spec.scheme == "int-hadamard" else None
     z = rows if plan is None else hadamard_forward(plan, rows)
     # np.add.reduce / n: np.mean's value at half its dispatch cost
     sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
-    _reject_nonfinite(sigma, x)
     bound = spec.clip_factor * sigma
     scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
     # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,12 +32,13 @@ __all__ = [
     "synthesize_scaling_data",
     "read_scaling_csv",
     "fit_to_json_dict",
-    "write_fit_json",
 ]
 
 FP_LABEL = "FP"
 RESIDUAL_SPACES = ("log", "linear")
 CSV_HEADER = ("method", "P", "N", "D", "loss")
+# residual evaluations allowed per Levenberg-Marquardt start
+MAX_NFEV = 2000
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,11 @@ class ScalingFit:
     residual_rms: float
 
 
-def _eff_for(fit_eff: dict[tuple[str, str], float], method: str, precision: str) -> float:
-    if precision == FP_LABEL:
-        return 1.0
-    key = (method, precision)
-    if key not in fit_eff:
-        raise KeyError(f"no fitted eff for group {key}")
-    return fit_eff[key]
-
-
 def predict_loss(fit: ScalingFit, N: float, D: float, method: str, precision: str) -> float:
     """Evaluate the fitted law at (N, D) for one method/precision group."""
-    eff = _eff_for(fit.eff, method, precision)
+    eff = 1.0 if precision == FP_LABEL else fit.eff.get((method, precision))
+    if eff is None:
+        raise KeyError(f"no fitted eff for group {(method, precision)}")
     return fit.A / (N * eff) ** fit.alpha + fit.B / D**fit.beta + fit.E
 
 
@@ -127,7 +120,9 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     The parameter vector is theta = (log A, log alpha, log B, log beta, log E,
     u_1..u_G) with eff_g = sigmoid(u_g); the residual vector is the per-point
     data misfit followed by the two prior rows sqrt(w) log alpha and
-    sqrt(w) log beta.  Returns (residuals, jacobian, groups).
+    sqrt(w) log beta.  The rows are canonically sorted first, so the system
+    is independent of input ordering.  Returns (residuals, jacobian, groups,
+    rows), ``rows`` in that canonical order.
     """
     if residual_space not in RESIDUAL_SPACES:
         raise ValueError(f"unknown residual_space {residual_space!r}")
@@ -148,9 +143,12 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     sqrt_w = math.sqrt(prior_weight)
 
     def terms(theta):
-        A, alpha, B, beta, E, eff = _unpack_theta(theta)
-        eff_row = np.where(in_group, member @ eff, 1.0)
-        t1 = A * np.exp(-alpha * (log_n + np.log(eff_row)))
+        # a trial step far out (u << 0) underflows eff to 0: the residual is
+        # +inf and LM rejects the step, so that overflow and log(0) are expected
+        with np.errstate(over="ignore", divide="ignore"):
+            A, alpha, B, beta, E, eff = _unpack_theta(theta)
+            eff_row = np.where(in_group, member @ eff, 1.0)
+            t1 = A * np.exp(-alpha * (log_n + np.log(eff_row)))
         t2 = B * np.exp(-beta * log_d)
         return A, alpha, B, beta, E, eff, eff_row, t1, t2
 
@@ -180,7 +178,7 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
         J[n + 1, 3] = sqrt_w
         return J
 
-    return residuals, jacobian, groups
+    return residuals, jacobian, groups, data
 
 
 def least_squares(*args, **kwargs):
@@ -198,7 +196,6 @@ def fit_scaling(
     residual_space: str = "log",
     n_starts: int = 8,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> ScalingFit:
     """Jointly fit A, alpha, B, beta, E shared across methods plus per-group eff.
 
@@ -207,16 +204,13 @@ def fit_scaling(
     (log beta)^2), by Levenberg-Marquardt with an analytic Jacobian in the
     reparametrized variables.  ``n_starts`` seeded initializations are run and
     the best final objective wins, ties broken by lowest start index.  The
-    rows are canonically sorted first, so the result is independent of input
-    ordering.
+    result is independent of input ordering (see ``build_residual_system``).
     """
-    data = _canonical(list(data))
-    residuals, jacobian, groups = build_residual_system(data, prior_weight, residual_space)
-    g_index = {key: i for i, key in enumerate(groups)}
-    n = len(data)
-    obs = np.array([r.loss for r in data])
-    log_n = np.array([math.log(r.N) for r in data])
-    log_d = np.array([math.log(r.D) for r in data])
+    residuals, jacobian, groups, rows = build_residual_system(data, prior_weight, residual_space)
+    # the start statistics sum in the canonical row order too
+    obs = np.array([r.loss for r in rows])
+    mean_log_n = np.mean([math.log(r.N) for r in rows])
+    mean_log_d = np.mean([math.log(r.D) for r in rows])
 
     spread = max(obs.max() - obs.min(), 0.1 * obs.min())
     best = None
@@ -225,9 +219,9 @@ def fit_scaling(
         theta0 = np.concatenate(
             [
                 [
-                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * np.mean(log_n),
+                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_n,
                     math.log(0.3) + rng.normal(0.0, 0.3),
-                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * np.mean(log_d),
+                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_d,
                     math.log(0.3) + rng.normal(0.0, 0.3),
                     math.log(0.8 * obs.min()) + rng.normal(0.0, 0.2),
                 ],
@@ -243,7 +237,7 @@ def fit_scaling(
                 xtol=1e-10,
                 ftol=1e-14,
                 gtol=1e-14,
-                max_nfev=max_iter * 4,
+                max_nfev=MAX_NFEV,
             )
         except (ValueError, FloatingPointError):
             continue
@@ -259,8 +253,8 @@ def fit_scaling(
         B=B,
         beta=beta,
         E=E,
-        eff={key: float(eff[g_index[key]]) for key in groups},
-        residual_rms=float(np.sqrt(np.mean(best.fun[:n] ** 2))),
+        eff={key: float(e) for key, e in zip(groups, eff)},
+        residual_rms=float(np.sqrt(np.mean(best.fun[: len(rows)] ** 2))),
     )
 
 
@@ -296,12 +290,13 @@ def synthesize_scaling_data(
     default grid carries enough distinct N and D values (5 and 3) to pin all
     five shared parameters, which two distinct D alone cannot do.
     """
+    law = ScalingFit(A=A, alpha=alpha, B=B, beta=beta, E=E, eff=eff_by_group, residual_rms=0.0)
     rows = []
     for (method, precision), eff in sorted(eff_by_group.items()):
         if precision == FP_LABEL and eff != 1.0:
             raise ValueError("FP groups must have eff = 1")
         for N, D in grid:
-            loss = A / (N * eff) ** alpha + B / D**beta + E
+            loss = predict_loss(law, N, D, method, precision)
             rows.append(
                 ScalingDatum(
                     method=method,
@@ -375,10 +370,3 @@ def fit_to_json_dict(fit: ScalingFit, data: list[ScalingDatum]) -> dict:
         "residual_rms": fit.residual_rms,
         "residuals": residuals,
     }
-
-
-def write_fit_json(path, fit: ScalingFit, data: list[ScalingDatum]) -> dict:
-    """Write ``fit_to_json_dict(fit, data)`` to ``path`` and return it."""
-    doc = fit_to_json_dict(fit, data)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc

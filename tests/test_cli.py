@@ -307,7 +307,7 @@ class TestFitScaling:
     def test_recovery_via_cli(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "fit"
         assert run_cli("fit-scaling", "--input", str(synth_csv), "--out", str(out)) == 0
-        doc = json.loads((out / "fit.json").read_text())
+        doc = json.loads((out / "summary.json").read_text())
         assert abs(doc["A"] / 0.8 - 1) <= 0.10
         assert abs(doc["alpha"] / 0.34 - 1) <= 0.10
         effs = {(e["method"], e["P"]): e["eff"] for e in doc["eff"]}
@@ -320,7 +320,7 @@ class TestFitScaling:
         path = write_fp_only_csv(tmp_path / "fp.csv")
         out = tmp_path / "fit"
         assert run_cli("fit-scaling", "--input", str(path), "--out", str(out)) == 0
-        doc = json.loads((out / "fit.json").read_text())
+        doc = json.loads((out / "summary.json").read_text())
         assert doc["eff"] == []  # no fitted groups; FP is pinned at 1
 
     def test_missing_fp_group_rejected(self, tmp_path, capsys):
@@ -361,7 +361,7 @@ class TestFitScaling:
         for name in ("f1", "f2"):
             out = tmp_path / name
             assert run_cli("fit-scaling", "--input", str(synth_csv), "--out", str(out)) == 0
-            blobs.append((out / "fit.json").read_bytes())
+            blobs.append((out / "summary.json").read_bytes())
         assert blobs[0] == blobs[1]
 
 
@@ -431,6 +431,31 @@ class TestConfigFile:
         snap = json.loads((out / "config.json").read_text())
         assert snap["subcommand"] == "toy-pareto"
         assert snap["out"] == str(out)
+
+
+# each subcommand at tiny settings, with the files its run directory holds
+# besides config.json and summary.json; None stands for a valid input CSV
+RUN_FILES = [
+    (["calibrate-clip", "--bits", "3"], {"clip_factors.tsv"}),
+    (["toy-pareto", "--lambdas", "0.5,2", "--steps", "5"], {"trace_lambda0.5.csv", "trace_lambda2.csv"}),
+    (
+        ["quadratic", "--kappas", "2,10", "--dim", "4", "--steps", "5", "--opt", "sgd,adamw", "--seed", "1,2"],
+        {f"{kind}_kappa{k}_{opt}_seed1.csv" for kind in ("trace", "traj") for k in (2, 10) for opt in ("sgd", "adamw")},
+    ),
+    (
+        ["convergence", "--objective", "quadratic", "--dim", "2", "--steps", "5,500", "--seed", "3,4"],
+        {"trace_T5_seed3.csv", "trace_T500_seed3.csv"},
+    ),
+    (["fit-scaling", "--input", None], set()),
+]
+
+
+@pytest.mark.parametrize("argv, extra", RUN_FILES, ids=[argv[0] for argv, _ in RUN_FILES])
+def test_run_directory_contents(argv, extra, tmp_path):
+    argv = [str(write_fp_only_csv(tmp_path / "losses.csv")) if a is None else a for a in argv]
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert {f.name for f in out.iterdir()} == {"config.json", "summary.json"} | extra
 
 
 def test_traces_do_not_depend_on_blas_threads(tmp_path):

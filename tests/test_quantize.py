@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,12 +308,14 @@ class TestDecompositionInvariants:
 
 
 class TestNonFinite:
-    # one policy for every scheme: a NaN or inf entry raises FloatingPointError
+    # one policy for every scheme: a NaN or inf entry raises FloatingPointError,
+    # before any arithmetic on it can warn
     BAD = (np.array([1.0, np.nan, 2.0, 0.5]), np.array([1.0, 0.5, 2.0, np.inf]), np.array([-np.inf, 0.0, 1.0, 2.0]))
 
     def _check(self, spec):
         for x in self.BAD:
-            with pytest.raises(FloatingPointError):
+            with warnings.catch_warnings(), pytest.raises(FloatingPointError):
+                warnings.simplefilter("error")
                 quantize(spec, x)
 
     def test_int_hadamard(self):

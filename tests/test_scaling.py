@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qatkit.scaling import (
     predict_loss,
     read_scaling_csv,
     synthesize_scaling_data,
-    write_fit_json,
 )
 
 TRUE = dict(A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2)
@@ -161,7 +161,7 @@ class TestValidation:
 def test_jacobian_matches_finite_differences():
     data = _synth(6)
     for space in ("log", "linear"):
-        residuals, jacobian, groups = build_residual_system(data, 1e-3, space)
+        residuals, jacobian, groups, _ = build_residual_system(data, 1e-3, space)
         rng = make_rng(7)
         for _ in range(5):
             theta = np.concatenate([rng.normal(0, 0.5, 5), rng.normal(0, 1.0, len(groups))])
@@ -174,6 +174,21 @@ def test_jacobian_matches_finite_differences():
                 col_fd = (residuals(tp) - residuals(tm)) / (2 * h)
                 scale = max(1.0, np.abs(J[:, j]).max())
                 assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * scale
+
+
+def test_rejected_trial_step_does_not_warn():
+    # a trial step with u_g far below 0 underflows eff_g to 0: the residual is
+    # +inf on that group's rows, with no overflow or log-of-zero warning
+    data = _synth(6)
+    for space in ("log", "linear"):
+        residuals, _, groups, rows = build_residual_system(data, 1e-3, space)
+        theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
+        theta[5] = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = residuals(theta)
+        hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
+        assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
 
 
 class TestIo:
@@ -202,12 +217,10 @@ class TestIo:
         with pytest.raises(ValueError, match=":2"):
             read_scaling_csv(path)
 
-    def test_fit_json_document(self, tmp_path):
+    def test_fit_json_document(self):
         data = _synth(9)
         fit = fit_scaling(data)
-        path = tmp_path / "fit.json"
-        write_fit_json(path, fit, data)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(fit_to_json_dict(fit, data)))
         assert set(doc) == {"A", "alpha", "B", "beta", "E", "eff", "residual_rms", "residuals"}
         assert len(doc["residuals"]) == len(data)
         assert [e["method"] for e in doc["eff"]] == sorted(e["method"] for e in doc["eff"])

@@ -5,6 +5,7 @@ submodule lists in ``__all__`` exists; and the CLI's run paths load no scipy."""
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,11 @@ def test_cli_runs_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_dependency_floors():
+    # src/ calls np.vecdot (numpy 2.0) and np.matvec (numpy 2.2); scipy 1.13
+    # is the first release that supports numpy 2
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]+)"', deps) == ["numpy>=2.2", "scipy>=1.13"]
