@@ -426,7 +426,11 @@ def cmd_fit_scaling(opts: dict) -> int:
         n_starts=opts["starts"],
         seed=opts["fit_seed"],
     )
-    doc = fit_to_json_dict(fit, data)
+    try:
+        doc = fit_to_json_dict(fit, data)
+    except OverflowError as err:
+        # a law fitted to extreme losses can overflow a float power at a data point
+        raise NumericalFailure(f"fitted law overflows at a data point ({err})") from err
     _write_summary(out, doc)
     print("method\tP\teff")
     print(f"*\tFP\t{1.0!r}")

@@ -27,17 +27,7 @@ import numpy as np
 
 from .numerics import NumericalFailure, make_rng, make_spd
 from .objectives import Objective, quadratic, rosenbrock, toy_scalar
-from .optim import (
-    AdamState,
-    OptimConfig,
-    adamw_step,
-    cage_adamw_coupled_step,
-    cage_adamw_decoupled_step,
-    cage_sgd_step,
-    grad_clip,
-    lambda_at,
-    sgd_step,
-)
+from .optim import AdamState, OptimConfig, cage_adamw_step, cage_sgd_step, grad_clip, lambda_at
 from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
 from .quantize import INT_SCHEMES, QuantSpec, quantize
@@ -58,6 +48,7 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl")
+_SGD_FAMILY = ("sgd", "cage-sgd")
 LR_SCHEDULES = ("constant", "cosine")
 RATE_OBJECTIVES = ("rosenbrock", "quadratic")
 
@@ -246,20 +237,25 @@ def run_quadratic(
     Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
     and is bitwise its lone run.  Each step quantizes, evaluates, transports
     and clips (per row; ``grad_clip_norm`` 0 disables it) all rows at
-    once, then each optimizer steps its own ``(S, d)`` block with its own Adam
-    moments.  The lane computes every per-step value the steps take: the lr
-    a_t of ``lr_schedule`` and the ramp ``lambda_at(cfg, t, steps)``, which
-    both AdamW corrections and the traces share; cage-sgd takes the constant
-    ``cfg.lam`` and the plain optimizers 0.  One paired evaluation
-    (``obj.value_and_grads``, a stacked quadratic's one read of each matrix)
-    gives the loss and gradient at Q(x) and the trace's gradient at x; the
-    gradient at Q(x) is transported back trust-masked only for ``ste_kind``
-    "trust-masked" with an int scheme (else as is).  The gap is
-    f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
-    identity and e = 0: full-precision training.  A run's trace and iterates
-    are its first row's.  A non-finite loss or iterate stops the whole group;
-    the ``NumericalFailure`` names the optimizers whose rows it hit, the step
-    and the first such row's seed index.
+    once.  The rows are ordered into two contiguous family blocks before the
+    loop, so each step makes one ``cage_sgd_step`` call on the SGD block and
+    one ``cage_adamw_step`` call (one ``AdamState``) on the AdamW block, with
+    per-row lambdas: cage-sgd takes the constant ``cfg.lam``, both AdamW
+    corrections the ramp ``lambda_at(cfg, t, steps)`` (as lam_cpl or
+    lam_dec) and the plain optimizers 0; the traces record the same values,
+    and the lr is a_t of ``lr_schedule``.  The decoupled error e_dec is the
+    forward pass's at ``weight_decay`` 0, where the decayed point
+    (1 - a_t 0) x is x bitwise; otherwise the decayed AdamW rows are
+    quantized again on steps where a decoupled lambda is positive.  One
+    paired evaluation (``obj.value_and_grads``, a stacked quadratic's one
+    read of each matrix) gives the loss and gradient at Q(x) and the trace's
+    gradient at x; the gradient at Q(x) is transported back trust-masked
+    only for ``ste_kind`` "trust-masked" with an int scheme (else as is).
+    The gap is f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is
+    the identity and e = 0: full-precision training.  A run's trace and
+    iterates are its first row's.  A non-finite loss or iterate stops the
+    whole group; the ``NumericalFailure`` names the optimizers whose rows it
+    hit, the step and the first such row's seed index.
     """
     if isinstance(optimizers, str) or not optimizers:
         raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
@@ -271,10 +267,16 @@ def run_quadratic(
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
     x0 = np.array(x0, dtype=np.float64, ndmin=2)
     _check_init(x0)
-    x = np.repeat(x0[None], len(optimizers), axis=0)
-    states = [AdamState.zeros(x0.shape) for _ in optimizers]
-    traces = _empty_trace(len(optimizers), steps)
-    snapshots = np.empty((len(optimizers), steps, x.shape[-1]))
+    # SGD-family rows first, then AdamW-family rows; inv restores the caller's order
+    order = sorted(range(len(optimizers)), key=lambda o: optimizers[o] not in _SGD_FAMILY)
+    inv = np.argsort(order)
+    names = [optimizers[o] for o in order]
+    n = sum(name in _SGD_FAMILY for name in names)
+    coupled = np.array([name == "cage-adamw-cpl" for name in names[n:]])[:, None, None]
+    x = np.repeat(x0[None], len(names), axis=0)
+    state = AdamState.zeros(x[n:].shape)
+    traces = _empty_trace(len(names), steps)
+    snapshots = np.empty((len(names), steps, x.shape[-1]))
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
@@ -286,44 +288,45 @@ def run_quadratic(
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
         g0, e0 = g_x[:, 0], e[:, 0]
-        lams = [
-            cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in optimizers
-        ]
+        lams = np.array(
+            [cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in names]
+        )[:, None]
         row = traces[:, t - 1]
         row[:, 0] = loss[:, 0]
-        row[:, 1] = balance_sq_norm(g0, e0, np.array(lams)[:, None])
+        row[:, 1] = balance_sq_norm(g0, e0, lams)
         row[:, 2] = np.vecdot(g0, g0)
         row[:, 3] = np.vecdot(e0, e0)
-        row[:, 4] = lams
+        row[:, 4] = lams[:, 0]
 
-        for o, (name, lam_t) in enumerate(zip(optimizers, lams)):
-            if name == "sgd":
-                x[o] = sgd_step(x[o], g[o], a_t)
-            elif name == "adamw":
-                states[o], x[o] = adamw_step(states[o], x[o], g[o], cfg, a_t)
-            elif name == "cage-sgd":
-                x[o] = cage_sgd_step(x[o], g[o], e[o], a_t, lam_t)
-            elif name == "cage-adamw-dec":
-                states[o], x[o] = cage_adamw_decoupled_step(states[o], x[o], g[o], cfg, a_t, lam_t, spec)
-            else:
-                states[o], x[o] = cage_adamw_coupled_step(states[o], x[o], g[o], e[o], cfg, a_t, lam_t)
-        bad = _bad_rows(loss, x)
+        if n:
+            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n, None])
+        if n < len(names):
+            lam_cpl = lams[n:, None] * coupled
+            lam_dec = lams[n:, None] * ~coupled
+            e_dec = e[n:]
+            if cfg.weight_decay and lam_dec.any():
+                x_dec = (1.0 - a_t * cfg.weight_decay) * x[n:]
+                # the quantizer rejects a NaN or inf; where the decayed point
+                # overflows, the step's own decay does too, and the check below fails it
+                e_dec = quantize(spec, x_dec).error if np.isfinite(x_dec).all() else x_dec
+            state, x[n:] = cage_adamw_step(state, x[n:], g[n:], e[n:], e_dec, cfg, a_t, lam_cpl, lam_dec)
+        bad = _bad_rows(loss, x)[inv]
         if bad.any():
-            names = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
+            hit = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
             raise NumericalFailure(
-                f"non-finite value during quadratic run ({names}) at step {t}, seed index {np.argmax(bad.any(axis=0))}"
+                f"non-finite value during quadratic run ({hit}) at step {t}, seed index {np.argmax(bad.any(axis=0))}"
             )
         snapshots[:, t - 1] = x[:, 0]
 
     final_losses = obj.loss(quantize(spec, x).quantized)
     return tuple(
         QuadraticRun(
-            final_gaps=(losses - obj.f_star).tolist(),
-            final_losses=losses.tolist(),
-            trace=trace,
+            final_gaps=(final_losses[o] - obj.f_star).tolist(),
+            final_losses=final_losses[o].tolist(),
+            trace=traces[o],
             iterates=snapshots[o],
         )
-        for o, (losses, trace) in enumerate(zip(final_losses, traces))
+        for o in inv
     )
 
 

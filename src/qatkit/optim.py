@@ -1,21 +1,21 @@
 """Optimizer steps: SGD, AdamW, and their Pareto-corrected variants.
 
 Each step is a plain update rule: it takes the step's learning rate ``lr``
-and, for a corrected step, its correction coefficient ``lam_t`` as arguments,
-and reads no schedule or step index.  The caller computes both, and
-``lambda_at`` gives the ramp lam_t = 0 while t/T <= silence_ratio, then
-lam * (t/T - silence_ratio) / (1 - silence_ratio).
+and, for a corrected step, its correction coefficients as arguments, and
+reads no schedule, step index or quantizer.  The caller computes all of
+them, and ``lambda_at`` gives the ramp lam_t = 0 while t/T <=
+silence_ratio, then lam * (t/T - silence_ratio) / (1 - silence_ratio).
 
-The corrected SGD step folds the weighted quantization error into the
-gradient, x' = x - lr (g + lam_t e); with an SGD base the coupled (error
-added to the gradient) and decoupled (error subtracted after the update)
-orderings are the same formula, and both entry points share one
-implementation so their outputs are bitwise identical.
+There is one corrected rule per base optimizer family; a coefficient may be
+one value per row, so one call steps rows with different corrections.
 
-For AdamW the two orderings genuinely differ.  The decoupled variant runs the
-plain AdamW update and then subtracts lr * lam_t * e outside the
-preconditioning path; the coupled variant feeds g + lam_t e through the
-moment estimates.
+* SGD: x' = x - lr (g + lam e).  With an SGD base the coupled (error added
+  to the gradient) and decoupled (error subtracted after the update)
+  orderings are the same formula.
+* AdamW: the AdamW step on g + lam_cpl e, then minus lr lam_dec e_dec, with
+  e_dec the error at the decayed point.  Here the orderings differ: coupled
+  (lam_dec = 0) feeds the error through the moment estimates, decoupled
+  (lam_cpl = 0) subtracts it outside the preconditioning path.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import QuantSpec, quantize
-
 __all__ = [
     "AdamState",
     "OptimConfig",
@@ -34,8 +32,7 @@ __all__ = [
     "sgd_step",
     "cage_sgd_step",
     "adamw_step",
-    "cage_adamw_decoupled_step",
-    "cage_adamw_coupled_step",
+    "cage_adamw_step",
     "grad_clip",
 ]
 
@@ -102,8 +99,9 @@ def sgd_step(x: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
     return x - lr * g
 
 
-def cage_sgd_step(x: np.ndarray, g: np.ndarray, e: np.ndarray, lr: float, lam_t: float) -> np.ndarray:
-    """Error-corrected SGD: x' = x - lr (g + lam_t e).
+def cage_sgd_step(x: np.ndarray, g: np.ndarray, e: np.ndarray, lr: float, lam_t) -> np.ndarray:
+    """Error-corrected SGD: x' = x - lr (g + lam_t e), with ``lam_t`` a
+    scalar or per-row ``(..., 1)``.
 
     Coupled and decoupled corrections coincide for an SGD base, so this single
     formula serves both.
@@ -124,46 +122,28 @@ def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig,
     return AdamState(m=m, v=v, t=t), x_new
 
 
-def cage_adamw_decoupled_step(
-    state: AdamState,
-    x: np.ndarray,
-    g: np.ndarray,
-    cfg: OptimConfig,
-    lr: float,
-    lam_t: float,
-    spec: QuantSpec,
-):
-    """AdamW step followed by the out-of-preconditioner correction.
-
-    x' = adamw(x, g) - lr * lam_t * e_t, with e_t the quantization error of
-    the decayed parameters (1 - lr * weight_decay) x, the literal update
-    order.  With ``lam_t`` 0, or under the identity scheme ``none`` (e_t = +0.0),
-    the step is bitwise identical to plain AdamW.
-    """
-    new_state, x_tilde = adamw_step(state, x, g, cfg, lr)
-    if lam_t == 0.0:
-        return new_state, x_tilde
-    e_t = quantize(spec, (1.0 - lr * cfg.weight_decay) * x).error
-    return new_state, x_tilde - lr * lam_t * e_t
-
-
-def cage_adamw_coupled_step(
+def cage_adamw_step(
     state: AdamState,
     x: np.ndarray,
     g: np.ndarray,
     e: np.ndarray,
+    e_dec: np.ndarray,
     cfg: OptimConfig,
     lr: float,
-    lam_t: float,
+    lam_cpl,
+    lam_dec,
 ):
-    """AdamW on the augmented gradient g + lam_t e; no post-step correction.
+    """Error-corrected AdamW: the AdamW step on g + lam_cpl e, then
+    x' - lr lam_dec e_dec.  Returns ``(state', x')``.
 
-    The error rides through the moment estimates, so the correction is
-    effectively preconditioned by the Adam statistics.
+    ``lam_cpl`` and ``lam_dec`` are scalars or per-row ``(..., 1)`` arrays.
+    ``e`` is the error at x and ``e_dec`` the error at the decayed point
+    (1 - lr weight_decay) x, the literal decoupled update order; the caller
+    quantizes.  With both coefficients 0 the step is AdamW's, up to the sign
+    of a zero entry (g + 0 e turns a -0.0 into +0.0).
     """
-    if lam_t == 0.0:
-        return adamw_step(state, x, g, cfg, lr)
-    return adamw_step(state, x, g + lam_t * e, cfg, lr)
+    new_state, x_tilde = adamw_step(state, x, g + lam_cpl * e, cfg, lr)
+    return new_state, x_tilde - lr * lam_dec * e_dec
 
 
 def grad_clip(g: np.ndarray, max_norm: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_rng
+from .numerics import NumericalFailure, make_rng
 
 __all__ = [
     "FP_LABEL",
@@ -216,19 +216,21 @@ def fit_scaling(
     best = None
     for start in range(n_starts):
         rng = make_rng((seed, start))
-        theta0 = np.concatenate(
-            [
-                [
-                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_n,
-                    math.log(0.3) + rng.normal(0.0, 0.3),
-                    math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_d,
-                    math.log(0.3) + rng.normal(0.0, 0.3),
-                    math.log(0.8 * obs.min()) + rng.normal(0.0, 0.2),
-                ],
-                rng.normal(1.0, 1.0, size=len(groups)),
-            ]
-        )
+        # extreme losses can fail a start before LM runs: log of an
+        # underflowed spread, exp of an overflowed parameter
         try:
+            theta0 = np.concatenate(
+                [
+                    [
+                        math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_n,
+                        math.log(0.3) + rng.normal(0.0, 0.3),
+                        math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_d,
+                        math.log(0.3) + rng.normal(0.0, 0.3),
+                        math.log(0.8 * obs.min()) + rng.normal(0.0, 0.2),
+                    ],
+                    rng.normal(1.0, 1.0, size=len(groups)),
+                ]
+            )
             sol = least_squares(
                 residuals,
                 theta0,
@@ -239,12 +241,12 @@ def fit_scaling(
                 gtol=1e-14,
                 max_nfev=MAX_NFEV,
             )
-        except (ValueError, FloatingPointError):
+        except (ValueError, ArithmeticError):
             continue
         if np.isfinite(sol.cost) and (best is None or sol.cost < best.cost):
             best = sol
     if best is None:
-        raise RuntimeError("all fit starts failed")
+        raise NumericalFailure("all fit starts failed")
 
     A, alpha, B, beta, E, eff = _unpack_theta(best.x)
     return ScalingFit(

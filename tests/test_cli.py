@@ -207,9 +207,16 @@ class TestQuadratic:
                 "quadratic", "--kappas", "1", "--dim", "5", "--steps", "3", "--quant", "floor-toy:0.25",
                 "--lr", "0.5", "--lambda", "1e308", "--weight-decay", "0", "--ste", "identity",
             ],
+            # the decayed point of cage-adamw-dec's correction overflows once lam_t > 0
+            ["quadratic", "--dim", "3", "--steps", "2", "--lr", "1e308", "--weight-decay", "0.5"],
             ["convergence", "--quant", "int-hadamard:4", "--x0-std", "1.7e308", "--steps", "10,1000"],
         ],
-        ids=["quadratic-init-overflow", "quadratic-pca-covariance-overflow", "conv-init-overflow"],
+        ids=[
+            "quadratic-init-overflow",
+            "quadratic-pca-covariance-overflow",
+            "quadratic-decayed-point-overflow",
+            "conv-init-overflow",
+        ],
     )
     def test_overflow_is_a_numerical_failure(self, argv, tmp_path, capsys):
         out = tmp_path / "blowup"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qatkit.experiments
+import qatkit.optim
 from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
@@ -8,8 +10,7 @@ from qatkit.optim import (
     AdamState,
     OptimConfig,
     adamw_step,
-    cage_adamw_coupled_step,
-    cage_adamw_decoupled_step,
+    cage_adamw_step,
     cage_sgd_step,
     grad_clip,
     lambda_at,
@@ -220,6 +221,17 @@ class TestAdamW:
             assert np.all(state.v >= 0)
 
 
+def decoupled(state, x, g, cfg, lr, lam_t, spec):
+    """cage-adamw-dec's literal step: e_dec is the error of the decayed point."""
+    e_dec = quantize(spec, (1.0 - lr * cfg.weight_decay) * x).error
+    return cage_adamw_step(state, x, g, quantize(spec, x).error, e_dec, cfg, lr, 0.0, lam_t)
+
+
+def coupled(state, x, g, e, cfg, lr, lam_t):
+    """cage-adamw-cpl's step: the error rides through the moments."""
+    return cage_adamw_step(state, x, g, e, e, cfg, lr, lam_t, 0.0)
+
+
 class TestCageAdamW:
     def _setup(self, lam=2.0, silence=0.0):
         cfg = OptimConfig(lr=0.05, weight_decay=0.1, lam=lam, silence_ratio=silence)
@@ -234,8 +246,8 @@ class TestCageAdamW:
         state = AdamState.zeros(6)
         s_ref, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
         lam_t = lambda_at(cfg, 5, 10)
-        s_dec, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_t, spec)
-        s_cpl, x_cpl = cage_adamw_coupled_step(state, x, g, quantize(spec, x).error, cfg, cfg.lr, lam_t)
+        s_dec, x_dec = decoupled(state, x, g, cfg, cfg.lr, lam_t, spec)
+        s_cpl, x_cpl = coupled(state, x, g, quantize(spec, x).error, cfg, cfg.lr, lam_t)
         assert np.array_equal(x_ref, x_dec) and np.array_equal(x_ref, x_cpl)
         assert np.array_equal(s_ref.m, s_dec.m) and np.array_equal(s_ref.v, s_cpl.v)
 
@@ -247,9 +259,9 @@ class TestCageAdamW:
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
         lam_90, lam_91 = lambda_at(cfg, 90, 100), lambda_at(cfg, 91, 100)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_90, spec)  # r = 0.9 <= s
+        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, lam_90, spec)  # r = 0.9 <= s
         assert np.array_equal(x_ref, x_dec)
-        _, x_after = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, lam_91, spec)
+        _, x_after = decoupled(state, x, g, cfg, cfg.lr, lam_91, spec)
         assert not np.array_equal(x_ref, x_after)
 
     def test_on_grid_error_vanishes(self):
@@ -258,11 +270,26 @@ class TestCageAdamW:
         g = make_rng(9).standard_normal(4)
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
-        # decay shifts x off the grid, so recompute the residual there
+        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
+        # decay shifts x off the grid, so the residual is the decayed point's
         xd = (1.0 - cfg.lr * cfg.weight_decay) * x
         manual = x_ref - cfg.lr * 2.0 * quantize(spec, xd).error
         assert np.array_equal(x_dec, manual)
+        assert not np.array_equal(x_dec, x_ref)
+
+    def test_lane_decoupled_uses_error_of_decayed_point(self):
+        # with weight decay the lane quantizes the decayed point for the
+        # decoupled correction; its first step is the literal rule
+        cfg = OptimConfig(lr=0.05, weight_decay=0.2, lam=2.0)
+        spec = QuantSpec(scheme="floor-toy", grid=0.5)
+        obj, x0 = make_quadratic_problem(8, 10.0, (3,))
+        (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 1, spec, cfg, grad_clip_norm=0.0)
+        fwd = quantize(spec, x0)
+        _, g, _ = obj.value_and_grads(fwd.quantized, x0)
+        _, x_ref = adamw_step(AdamState.zeros(x0.shape), x0, g, cfg, cfg.lr)
+        xd = (1.0 - cfg.lr * cfg.weight_decay) * x0
+        assert not np.array_equal(quantize(spec, xd).error, fwd.error)
+        assert np.array_equal(run.iterates[0], (x_ref - cfg.lr * cfg.lam * quantize(spec, xd).error)[0])
 
     def test_decoupled_without_quantizer_is_adamw(self):
         # the identity quantizer has no quantization error, so no correction
@@ -272,8 +299,10 @@ class TestCageAdamW:
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 1.0, QuantSpec(scheme="none"))
-        assert np.array_equal(x_dec, x_ref)
+        none = QuantSpec(scheme="none")
+        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 1.0, none)
+        _, x_cpl = coupled(state, x, g, quantize(none, x).error, cfg, cfg.lr, 1.0)
+        assert np.array_equal(x_dec, x_ref) and np.array_equal(x_cpl, x_ref)
 
     def test_coupled_zero_error_is_adamw(self):
         cfg, _ = self._setup(lam=2.0)
@@ -282,7 +311,7 @@ class TestCageAdamW:
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_cpl = cage_adamw_coupled_step(state, x, g, np.zeros(4), cfg, cfg.lr, 2.0)
+        _, x_cpl = coupled(state, x, g, np.zeros(4), cfg, cfg.lr, 2.0)
         assert np.array_equal(x_ref, x_cpl)
 
     def test_decoupled_on_grid_no_decay_is_adamw(self):
@@ -294,7 +323,7 @@ class TestCageAdamW:
         g = make_rng(15).standard_normal(4)
         state = AdamState.zeros(4)
         _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
         assert np.array_equal(x_ref, x_dec)
 
     def test_coupled_differs_from_decoupled_for_adam(self):
@@ -304,9 +333,60 @@ class TestCageAdamW:
         g = rng.standard_normal(4)
         e = quantize(spec, x).error
         state = AdamState.zeros(4)
-        _, x_dec = cage_adamw_decoupled_step(state, x, g, cfg, cfg.lr, 2.0, spec)
-        _, x_cpl = cage_adamw_coupled_step(state, x, g, e, cfg, cfg.lr, 2.0)
+        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_cpl = coupled(state, x, g, e, cfg, cfg.lr, 2.0)
         assert not np.array_equal(x_dec, x_cpl)
+
+    def test_per_row_lambdas_match_each_row(self):
+        # one call on an (O, S, d) block with (O, 1, 1) coefficients steps
+        # each row bitwise as its lone call with scalar coefficients
+        cfg, spec = self._setup(lam=2.0)
+        rng = make_rng(16)
+        x, g, m = rng.standard_normal((3, 3, 2, 5))
+        v = np.abs(rng.standard_normal((3, 2, 5)))
+        e, e_dec = quantize(spec, x).error, quantize(spec, 0.99 * x).error
+        lam_cpl, lam_dec = [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]
+        state = AdamState(m=m, v=v, t=4)
+        per_row = np.array([lam_cpl, lam_dec])[:, :, None, None]
+        s_all, x_all = cage_adamw_step(state, x, g, e, e_dec, cfg, 0.03, *per_row)
+        for o in range(3):
+            s_o, x_o = cage_adamw_step(
+                AdamState(m=m[o], v=v[o], t=4), x[o], g[o], e[o], e_dec[o], cfg, 0.03, lam_cpl[o], lam_dec[o]
+            )
+            assert np.array_equal(x_all[o], x_o) and s_all.t == s_o.t == 5
+            assert np.array_equal(s_all.m[o], s_o.m) and np.array_equal(s_all.v[o], s_o.v)
+
+
+def counted_quantize_calls(monkeypatch, cfg, steps):
+    """Per-call ``experiments.quantize`` log (the input's shape) of one
+    adamw + cage-adamw-dec lane run."""
+    # the optimizer steps take their errors as arguments, so the lane makes every call
+    assert not hasattr(qatkit.optim, "quantize")
+    calls = []
+
+    def counting(spec, x):
+        calls.append(np.shape(x))
+        return quantize(spec, x)
+
+    monkeypatch.setattr(qatkit.experiments, "quantize", counting)
+    obj, x0 = make_quadratic_problem(16, 10.0, (0, 1))
+    run_quadratic(obj, x0, ["adamw", "cage-adamw-dec"], steps, int_spec("int-hadamard", 4), cfg)
+    return calls
+
+
+def test_decoupled_lane_quantizes_once_per_step_without_decay(monkeypatch):
+    # at weight_decay 0 the decayed point is x, so the forward pass's error
+    # serves the decoupled correction: one call per step, one for the gap
+    cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
+    assert counted_quantize_calls(monkeypatch, cfg, 10) == [(2, 2, 16)] * 11
+
+
+def test_decoupled_lane_requantizes_decayed_point_only_when_lambda_positive(monkeypatch):
+    cfg = OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)
+    calls = counted_quantize_calls(monkeypatch, cfg, 10)
+    # steps 1-5 are silent (lam_t 0); steps 6-10 add the decayed AdamW rows
+    assert calls == [(2, 2, 16)] * 5 + [(2, 2, 16), (2, 2, 16)] * 5 + [(2, 2, 16)]
+    assert [lambda_at(cfg, t, 10) > 0 for t in range(1, 11)] == [False] * 5 + [True] * 5
 
 
 class TestGradClip:

@@ -6,18 +6,24 @@ changes neither which inputs are tried nor whether a property passes.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import SUBNORMAL_ULP, fwht_unnormalized, hadamard_tolerance, norm2
+from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
 from qatkit.experiments import (
     _STREAM_INIT,
     _STREAM_NOISE,
     _STREAM_PROBLEM,
+    LR_SCHEDULES,
     OPTIMIZERS,
+    RATE_OBJECTIVES,
     lr_at,
     make_quadratic_problem,
     run_convergence_run,
@@ -25,19 +31,10 @@ from qatkit.experiments import (
 )
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
-from qatkit.optim import (
-    AdamState,
-    OptimConfig,
-    adamw_step,
-    cage_adamw_coupled_step,
-    cage_adamw_decoupled_step,
-    cage_sgd_step,
-    grad_clip,
-    lambda_at,
-    sgd_step,
-)
-from qatkit.qat_grad import ste_backward
+from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
+from qatkit.qat_grad import STE_KINDS, ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
+from qatkit.scaling import RESIDUAL_SPACES
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -502,22 +499,25 @@ def test_batched_grad_clip_matches_each_row(G, max_norm):
         assert np.array_equal(grad_clip(g, max_norm), lone_grad_clip(g, max_norm))
 
 
-def lone_quadratic_problem(dim, kappa, seed):
+def lone_quadratic_problem(dim, kappa, seed, sigma0=1.0):
     """One seed's problem drawn on its own, as a plain (d, d) quadratic."""
     rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
     A = make_spd(dim, kappa, rng)
     b = rng.standard_normal(dim)
-    return quadratic(A, b), rng.standard_normal(dim)
+    return quadratic(A, b), sigma0 * rng.standard_normal(dim)
 
 
 def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
     """One seed's quadratic-lane run, stepped alone on a vector with
-    ``lone_grad_clip``: the oracle for the seed-batched ``run_quadratic``.
-    Each step makes one paired evaluation at (Q(x), x).  Under ``none`` it
-    steps at x with e = 0 and no quantizer call.  Returns (final gap, final
-    loss, trace, iterates)."""
+    ``lone_grad_clip`` and each optimizer's literal rule written out from
+    ``sgd_step`` and ``adamw_step``: the oracle for the seed-batched,
+    family-batched ``run_quadratic``.  Each step makes one paired evaluation
+    at (Q(x), x); cage-adamw-dec quantizes its decayed point on its own.
+    Under ``none`` it steps at x with e = 0 and no quantizer call.  Returns
+    (final gap, final loss, trace, iterates)."""
     plain = spec.scheme == "none"
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
+
     trace = []
     x = np.array(x0, dtype=np.float64)
     state = AdamState.zeros(obj.dim)
@@ -541,14 +541,19 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
         trace.append(trace_row(loss, g_x, e, lam_t))
         if optimizer == "sgd":
             x = sgd_step(x, g, a_t)
-        elif optimizer == "adamw" or (optimizer == "cage-adamw-dec" and plain):
-            state, x = adamw_step(state, x, g, cfg, a_t)
         elif optimizer == "cage-sgd":
-            x = cage_sgd_step(x, g, e, a_t, lam_t)
-        elif optimizer == "cage-adamw-dec":
-            state, x = cage_adamw_decoupled_step(state, x, g, cfg, a_t, lam_t, spec)
+            x = sgd_step(x, g + lam_t * e, a_t)
+        elif optimizer == "cage-adamw-cpl":
+            # coupled: AdamW on g + lam e
+            state, x = adamw_step(state, x, g + lam_t * e, cfg, a_t)
+        elif optimizer == "adamw":
+            state, x = adamw_step(state, x, g, cfg, a_t)
         else:
-            state, x = cage_adamw_coupled_step(state, x, g, e, cfg, a_t, lam_t)
+            # decoupled: AdamW, then minus lr lam e of the decayed point
+            xd = (1.0 - a_t * cfg.weight_decay) * x
+            e_dec = np.zeros_like(x) if plain else quantize(spec, xd).error
+            state, x = adamw_step(state, x, g, cfg, a_t)
+            x = x - a_t * lam_t * e_dec
         iterates[t - 1] = x
     final_loss = obj.loss(x if plain else quantize(spec, x).quantized)
     return final_loss - obj.f_star, final_loss, np.array(trace), iterates
@@ -574,28 +579,34 @@ QUADRATIC_SPECS = {
     st.sampled_from((0.0, 0.1)),
     st.integers(2, 40),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+    st.sampled_from((0.0, 1.0)),
 )
-@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3])
-@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2])
+@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3], 1.0)
+@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2], 1.0)
 @example(
     ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
-    "int-hadamard", "trust-masked", "cosine", 1.0, 12, 10.0, 0.1, 30, [5, 1],
+    "int-hadamard", "trust-masked", "cosine", 1.0, 12, 10.0, 0.1, 30, [5, 1], 1.0,
+)
+# an x0 of signed zeros: the entries where g + 0 e or x - lr 0 e could flip a sign
+@example(
+    ["adamw", "cage-sgd", "cage-adamw-dec", "sgd", "cage-adamw-cpl"],
+    "int-hadamard", "trust-masked", "constant", 1.0, 12, 10.0, 0.1, 20, [4, 0], 0.0,
 )
 def test_seed_batched_quadratic_lane_matches_lone_runs(
-    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds
+    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds, sigma0
 ):
     # every (optimizer, seed) final gap and loss, and each optimizer's first
     # seed trace and iterates, are bitwise those of the seed run alone on its
-    # own draw
+    # own draw, with each optimizer's literal update rule
     spec = QUADRATIC_SPECS[quant]
     cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5)
-    obj, x0 = make_quadratic_problem(dim, kappa, seeds)
+    obj, x0 = make_quadratic_problem(dim, kappa, seeds, sigma0)
     runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip)
     assert len(runs) == len(optimizers)
     for optimizer, run in zip(optimizers, runs):
         assert len(run.final_gaps) == len(run.final_losses) == len(seeds)
         for i, seed in enumerate(seeds):
-            lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed)
+            lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed, sigma0)
             assert np.array_equal(x0[i], lone_x0)
             gap, loss, trace, iterates = lone_quadratic_run(
                 lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
@@ -604,3 +615,132 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
             if i == 0:
                 assert np.array_equal(run.trace, trace)
                 assert np.array_equal(run.iterates, iterates)
+
+
+def edges(*values):
+    return st.sampled_from(values)
+
+
+# every option of every subcommand as command-line text, as a pair (accepted
+# values, rejected values): in-range and extreme values, then out-of-range and
+# malformed ones, over every quantizer scheme; dim <= 5 and steps <= 3 (a
+# two-decade horizon list needs a 100) keep a run short
+POSITIVE = (edges("0.5", "1", "1e308", "4.9e-324", "1e-300"), edges("0", "-1", "nan", "inf", "x"))
+NONNEG = (edges("0", "0.5", "1", "1e308", "4.9e-324", "1e-300"), edges("-1", "nan", "inf", "x"))
+SEEDS = (edges("0", "7", "0,1", str(2**63 - 1), str(2**63)), edges("-1", "3,3", "", "x"))
+QUANTS = (
+    edges(
+        "none", "int-hadamard:2", "int-hadamard:4", "int-plain:3", "int-plain:8", "mxfp4", "floor-toy",
+        "floor-toy:1e-300", "floor-toy:1e308", "floor-toy:4.9e-324",
+    ),
+    edges("int-hadamard:9", "int-plain", "mxfp4:4", "floor-toy:0", "bogus"),
+)
+
+
+def named(names):
+    return edges(*names), edges("bogus")
+
+
+CLI_VALUES = {
+    "calibrate-clip": {"bits": (edges("2", "8", "2,3"), edges("1", "9", "4,4", "", "x"))},
+    "toy-pareto": {
+        "lambdas": (edges("0", "1", "0.5,2", "1e308", "4.9e-324", "1e-300"), edges("-1", "1,1", "nan", "")),
+        "alpha": POSITIVE,
+        "steps": (edges("1", "2", "3"), edges("0", "-1")),
+        "x0": (edges("0", "-1", "0.9", "1e308", "4.9e-324"), edges("nan", "inf", "x")),
+    },
+    "quadratic": {
+        "seed": SEEDS,
+        "kappas": (edges("1", "10", "1e15", "1,100"), edges("0.5", "4503599627370496", "1e308", "nan", "1,1", "")),
+        "dim": (edges("2", "3", "5"), edges("0", "1")),
+        "steps": (edges("2", "3"), edges("0", "1", "-1")),
+        "opt": (
+            st.lists(st.sampled_from(OPTIMIZERS), min_size=1, max_size=5, unique=True).map(",".join),
+            edges("", "sgd,sgd", "bogus"),
+        ),
+        "quant": QUANTS,
+        "lr": POSITIVE,
+        "lr_schedule": named(LR_SCHEDULES),
+        "lam": NONNEG,
+        "silence_ratio": (edges("0", "0.5", "0.99"), edges("1", "-0.1", "nan")),
+        "weight_decay": NONNEG,
+        "grad_clip": NONNEG,
+        "sigma0": NONNEG,
+        "ste": named(STE_KINDS),
+    },
+    "convergence": {
+        "seed": SEEDS,
+        "objective": named(RATE_OBJECTIVES),
+        "dim": (edges("1", "2", "3", "5"), edges("0", "-1")),
+        "kappa": (edges("1", "10", "1e15"), edges("0.5", "1e308", "nan")),
+        "quant": QUANTS,
+        "lam": NONNEG,
+        "noise_std": NONNEG,
+        "steps": (edges("1", "3", "2,3", "1,100"), edges("0", "-1", "")),
+        "lipschitz": POSITIVE,
+        "x0_std": NONNEG,
+    },
+    "fit-scaling": {
+        "input": (edges("fp.csv", "groups.csv", "huge.csv", "tiny.csv"), edges("garbage.csv", "missing.csv")),
+        "prior_weight": NONNEG,
+        "residual_space": named(RESIDUAL_SPACES),
+        "starts": (edges("1", "2", "3"), edges("0", "-1")),
+        "fit_seed": (edges("0", "7", str(2**63)), edges("-1")),
+    },
+}
+# options a draw always sets: the defaults run for seconds, and fit-scaling
+# needs an input
+ALWAYS_SET = {"dim", "steps", "input"}
+GRID = [(n, d) for n in (10, 100, 1000) for d in (100, 1000, 10000)]
+FIT_INPUTS = {
+    "fp.csv": "".join(f"m,FP,{n},{d},{2.0 + 0.8 / n**0.3 + 1.5 / d**0.3}\n" for n, d in GRID),
+    "groups.csv": "".join(
+        f"m,FP,{n},{d},{2.0 + 0.8 / n**0.3 + 1.5 / d**0.3}\nq,4,{n},{d},{2.0 + 0.8 / (0.7 * n) ** 0.3 + 1.5 / d**0.3}\n"
+        for n, d in GRID
+    ),
+    "huge.csv": "".join(f"m,FP,{n},{d},1e308\n" for n, d in GRID),
+    "tiny.csv": "".join(f"m,FP,{n},{d},4.9e-324\n" for n, d in GRID),
+    "garbage.csv": "m,FP,abc,1,2\n",
+}
+
+
+def test_cli_values_cover_every_option():
+    for subcommand, table in _OPTIONS.items():
+        assert set(CLI_VALUES[subcommand]) == set(table) - {"out"}
+
+
+# the extreme settings may warn on their way to an exit code (numpy overflow
+# before a finite check exits 3, pca_project's zero-variance warning before
+# exit 0); the property is about exit codes and run directories, not warnings
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", sorted(CLI_VALUES))
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_cli_accepts_or_rejects_every_setting_cleanly(subcommand, data):
+    # exit 0, 2 or 3 and never a traceback; a rejected setting exits 2 and
+    # leaves no config.json, and a success (0) leaves summary.json.  At most
+    # one option takes a rejected value, so most draws run the subcommand
+    table = CLI_VALUES[subcommand]
+    rejected = data.draw(st.none() | st.sampled_from(sorted(table)), label="rejected option")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        argv = [subcommand, f"--out={out}"]
+        for name, (good, bad) in table.items():
+            if name == rejected:
+                value = data.draw(bad, label=name)
+            else:
+                value = data.draw(good if name in ALWAYS_SET else st.none() | good, label=name)
+            if value is None:
+                continue
+            if name == "input":
+                if value in FIT_INPUTS:
+                    (Path(tmp) / value).write_text("method,P,N,D,loss\n" + FIT_INPUTS[value])
+                value = str(Path(tmp) / value)
+            argv.append(f"--{_FLAG_ALIASES.get(name, name).replace('_', '-')}={value}")
+        code = main(argv)
+        assert code in (0, 2, 3), argv
+        assert code == 2 or rejected is None, argv
+        if code == 2:
+            assert not (out / "config.json").exists(), argv
+        if code == 0:
+            assert (out / "summary.json").exists(), argv
