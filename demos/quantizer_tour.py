@@ -48,7 +48,7 @@ spec = int_spec("int-hadamard", 4)
 row = rng.standard_normal(64)
 res = quantize(spec, row)
 print("\nint-hadamard b=4 on a Gaussian row of 64:")
-print(f"  scale s = {res.scale:.4f}, codes in [{res.codes.min()}, {res.codes.max()}]")
+print(f"  clipped share of transform-domain channels = {1.0 - res.keep.mean():.4f}")
 print(f"  rms error = {np.sqrt(np.mean(res.error**2)):.4f} (vs rms input {np.sqrt(np.mean(row**2)):.4f})")
 print(f"  decomposition is the exact fp residual: {np.array_equal(res.error, row - res.quantized)}")
 
@@ -57,6 +57,7 @@ mx = QuantSpec(scheme="mxfp4")
 block = np.array([0.07, -0.9, 2.4, -6.0, 0.0, 1.1] + [0.3] * 26)
 res = quantize(mx, block)
 print("\nmxfp4 block (shared power-of-two scale, E2M1 element grid):")
-print(f"  block max {np.abs(block).max():.2f} -> scale {res.scale[0]}")
+amax = np.abs(block).max()
+print(f"  block max {amax:.2f} -> scale 2^ceil(log2({amax:.2f} / 6)) = {2.0 ** np.ceil(np.log2(amax / 6.0))}")
 print("  in :", np.array2string(block[:6], precision=2))
 print("  out:", np.array2string(res.quantized[:6], precision=2))

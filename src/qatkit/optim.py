@@ -26,6 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BETA1",
+    "BETA2",
+    "EPS",
     "AdamState",
     "OptimConfig",
     "lambda_at",
@@ -37,18 +40,18 @@ __all__ = [
 ]
 
 
+# Adam moment decays and denominator guard: the usual low-bit pretraining setup
+BETA1 = 0.9
+BETA2 = 0.95
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimConfig:
-    """Hyperparameters shared by the optimizer family.
-
-    Defaults follow the usual low-bit pretraining setup: beta1=0.9,
-    beta2=0.95, eps=1e-8, weight_decay=0.1.
-    """
+    """Hyperparameters shared by the optimizer family; weight_decay defaults
+    to the usual low-bit pretraining 0.1."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     weight_decay: float = 0.1
     lam: float = 0.0
     silence_ratio: float = 0.0
@@ -57,10 +60,6 @@ class OptimConfig:
         # comparisons written so that a NaN fails them
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0.0 <= self.lam < math.inf:
@@ -114,11 +113,11 @@ def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig,
     applied before the update.  Returns ``(state', x')``."""
     t = state.t + 1
     xd = (1.0 - lr * cfg.weight_decay) * x
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    x_new = xd - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    x_new = xd - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return AdamState(m=m, v=v, t=t), x_new
 
 

@@ -10,10 +10,12 @@ mxfp4        : 4-bit E2M1 elements with a shared power-of-two scale per
 floor-toy    : elementwise floor onto a fixed grid (default cell 1.0)
 none         : the identity, Q(x) = x and e = 0: full-precision training
 
-Every scheme returns a ``QuantResult`` whose error is computed as
-``x - quantized`` in the original domain, so ``quantized + error`` equals the
-input bitwise wherever that difference is representable.  Every scheme raises
-``FloatingPointError`` on an input with a NaN or inf entry.
+Every scheme returns a ``QuantResult`` of Q(x), the error computed as
+``x - quantized`` in the original domain (so ``quantized + error`` equals the
+input bitwise wherever that difference is representable) and, for the int
+schemes, the keep-mask of unclipped transform-domain channels, laid out over
+each vector's padded rows.  Every scheme raises ``FloatingPointError`` on an
+input with a NaN or inf entry.
 
 ``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
@@ -103,21 +105,16 @@ class QuantSpec:
 
 @dataclass(frozen=True)
 class QuantResult:
-    """Quantized values, the exact residual, and per-row diagnostics.
+    """Q(x), the exact residual x - Q(x), and the int schemes' keep-mask.
 
-    ``scale`` is a scalar for a single integer row, an array of per-row values
-    for chunked input, and an array of per-block values for mxfp4.  A batch
-    ``(..., d)`` gives ``codes``, ``keep`` and the int and mxfp4 ``scale`` its
-    leading axes (a single row's scalar becomes an ``(...)`` array).  ``keep``
-    (int schemes only, else None) is aligned with ``codes`` and True where the
-    transform-domain value was not clipped: |z_i| <= clip_factor * sigma.
-    The identity scheme ``none`` has no ``codes`` or ``scale`` (both None).
+    ``keep`` (int schemes only, else None) is True where the transform-domain
+    value was not clipped: |z_i| <= clip_factor * sigma.  A vector's rows are
+    padded to the transform length and laid end to end, so a batch
+    ``(..., d)`` gives ``keep`` the shape ``(..., rows * padded_row)``.
     """
 
     quantized: np.ndarray
     error: np.ndarray
-    codes: np.ndarray | None
-    scale: float | np.ndarray | None
     keep: np.ndarray | None = None
 
 
@@ -138,7 +135,7 @@ def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
 def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResult:
     """Single pass over ``x`` viewed as (rows, row_length), the rows of every
     vector of a batch stacked: one transform, one sigma per row, and from
-    them the codes, the reconstruction and the keep-mask.  z = Hx (x for
+    them the reconstruction and the keep-mask.  z = Hx (x for
     int-plain), sigma = rms(z) over the padded row, scale = clip_factor *
     sigma / q_max, codes = round-half-even(z / scale) clipped to [q_min, q_max]."""
     # checked before the transform, which would warn on a NaN or inf
@@ -154,16 +151,11 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResul
     codes = np.minimum(np.maximum(np.rint(z / scale), spec.q_min), spec.q_max)
     z_hat = scale * codes
     quantized = (z_hat if plan is None else hadamard_inverse(plan, z_hat)).reshape(x.shape)
-    lead = x.shape[:-1]
-    per_vector = x.shape[-1] // row_length
-    scale = scale.reshape(lead + ((per_vector,) if per_vector > 1 else ()))
     return QuantResult(
         quantized=quantized,
         error=x - quantized,
-        codes=codes.astype(np.int64).reshape(lead + (-1,)),
-        scale=scale.item() if scale.ndim == 0 else scale,
         # a row whose sigma underflowed to 0 has all codes 0: nothing clipped
-        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(lead + (-1,)),
+        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(x.shape[:-1] + (-1,)),
     )
 
 
@@ -178,7 +170,7 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     Each block of ``block_size`` shares the power-of-two scale
     2**ceil(log2(max|x| / 6)); elements round to the nearest point of
     scale * {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4, +-6} with ties to the even
-    mantissa.  An all-zero block gets scale 1 and codes 0.  Each vector of a
+    mantissa.  An all-zero block gets scale 1 and zeros.  Each vector of a
     batch ``(S, d)`` is zero-padded to whole blocks on its own.
     """
     n = x.shape[-1]
@@ -197,9 +189,7 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     idx = _e2m1_round(absb / scales[:, None])
     mags = _E2M1_GRID[idx] * scales[:, None]
     quantized = np.copysign(mags, blocks).reshape(padded.shape)[..., :n]
-    codes = ((blocks < 0).astype(np.int64) * 8 + idx).reshape(padded.shape)[..., :n]
-    scales = scales.reshape(x.shape[:-1] + (n_blocks,))
-    return QuantResult(quantized=quantized, error=x - quantized, codes=codes, scale=scales)
+    return QuantResult(quantized=quantized, error=x - quantized)
 
 
 def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -207,9 +197,7 @@ def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     codes = np.floor(x / spec.grid)
     _reject_nonfinite(codes, x)
     quantized = codes * spec.grid
-    # diagnostic codes saturate instead of overflowing the int cast
-    safe = np.minimum(np.maximum(codes, -(2.0**62)), 2.0**62)
-    return QuantResult(quantized=quantized, error=x - quantized, codes=safe.astype(np.int64), scale=spec.grid)
+    return QuantResult(quantized=quantized, error=x - quantized)
 
 
 def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -224,7 +212,7 @@ def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected next
             error = x - x
         _reject_nonfinite(error, x)
-        return QuantResult(quantized=x.copy(), error=error, codes=None, scale=None)
+        return QuantResult(quantized=x.copy(), error=error)
     if spec.scheme == "floor-toy":
         return _quantize_floor(spec, x)
     if spec.scheme == "mxfp4":

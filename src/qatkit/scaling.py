@@ -283,13 +283,12 @@ def synthesize_scaling_data(
     eff_by_group: dict[tuple[str, str], float],
     noise: float,
     rng: np.random.Generator,
-    grid=DEFAULT_SYNTH_GRID,
 ) -> list[ScalingDatum]:
     """Generate losses from known law parameters with multiplicative noise.
 
     ``eff_by_group`` maps (method, precision) to eff; precision 'FP' entries
-    must use eff = 1.  Every group gets the full list of (N, D) pairs; the
-    default grid carries enough distinct N and D values (5 and 3) to pin all
+    must use eff = 1.  Every group gets each (N, D) pair of
+    ``DEFAULT_SYNTH_GRID``, whose 5 distinct N and 3 distinct D values pin all
     five shared parameters, which two distinct D alone cannot do.
     """
     law = ScalingFit(A=A, alpha=alpha, B=B, beta=beta, E=E, eff=eff_by_group, residual_rms=0.0)
@@ -297,7 +296,7 @@ def synthesize_scaling_data(
     for (method, precision), eff in sorted(eff_by_group.items()):
         if precision == FP_LABEL and eff != 1.0:
             raise ValueError("FP groups must have eff = 1")
-        for N, D in grid:
+        for N, D in DEFAULT_SYNTH_GRID:
             loss = predict_loss(law, N, D, method, precision)
             rows.append(
                 ScalingDatum(

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
-from qatkit.quantize import QuantSpec
+from qatkit.quantize import SIGMA_FLOOR, QuantSpec
 from qatkit.scaling import CSV_HEADER
+from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 RATE_STUDY_HORIZONS = (100, 1000, 10_000, 100_000)
 
@@ -96,6 +97,59 @@ def gaussian_clip_mse_trapezoid(bits: int, k: float, nodes: int = 100001) -> flo
     z = np.linspace(-12.0, 12.0, nodes)
     r = z - s * np.clip(np.rint(z / s), -q_max - 1, q_max)
     return float(np.trapezoid(r * r * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), z))
+
+
+def int_reference(spec, x):
+    """A vector x quantized here rather than by the quantizer, under an int
+    ``spec``: z = H x row by row (x itself for int-plain; rows padded to the
+    transform length), the row scale s = clip_factor * rms(z) / q_max
+    (``SIGMA_FLOOR`` where rms(z) is 0), codes = clip(round(z / s), q_min,
+    q_max) and Q(x) = H^T (s codes) cut back to the rows.  Returns
+    ``(q, z, s, codes)``, all but ``q`` one row per quantizer row (``s`` a
+    column)."""
+    rl = spec.row_length or x.shape[-1]
+    plan = hadamard_plan(rl) if spec.scheme == "int-hadamard" else None
+    z = x.reshape(-1, rl) if plan is None else hadamard_forward(plan, x.reshape(-1, rl))
+    sigma = np.sqrt(np.mean(z * z, axis=-1, keepdims=True))
+    s = np.where(sigma == 0.0, SIGMA_FLOOR, spec.clip_factor * sigma / spec.q_max)
+    codes = np.clip(np.rint(z / s), spec.q_min, spec.q_max)
+    q = s * codes if plan is None else hadamard_inverse(plan, s * codes)
+    return q.reshape(x.shape), z, s, codes
+
+
+def int_transform_rows(spec, v, n_rows: int):
+    """H v over each of the ``n_rows`` rows of a vector v (v itself for
+    int-plain): for v = Q(x), the transform-domain reconstruction.  Only for
+    rows of a power-of-two length, where the transform pads and cuts nothing."""
+    rows = v.reshape(n_rows, -1)
+    if spec.scheme == "int-plain":
+        return rows
+    plan = hadamard_plan(rows.shape[1])
+    assert plan.padded_dim == rows.shape[1], "a padded row drops part of H Q(x)"
+    return hadamard_forward(plan, rows)
+
+
+E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+
+
+def mxfp4_block_scale(amax: float) -> float:
+    """Shared scale of an mxfp4 block whose largest magnitude is ``amax``, as a
+    scalar loop: 2**ceil(log2(amax / 6)), and 1 for an all-zero block."""
+    if amax == 0.0:
+        return 1.0
+    m, e = math.frexp(amax / 6.0)
+    if m == 0.5:
+        e -= 1
+    return math.ldexp(1.0, e)
+
+
+def mxfp4_entry_scales(x, block_size: int = 32) -> np.ndarray:
+    """The block scale of each entry of a vector x, its last block zero-padded."""
+    n_blocks = max(1, -(-x.size // block_size))
+    padded = np.zeros(n_blocks * block_size)
+    padded[: x.size] = x
+    scales = [mxfp4_block_scale(float(np.abs(b).max())) for b in padded.reshape(-1, block_size)]
+    return np.repeat(scales, block_size)[: x.size]
 
 
 def write_scaling_csv(path, data) -> None:

@@ -131,7 +131,7 @@ class TestQuantizedObjective:
             taylor = -float(base.grad(x) @ e) + 0.5 * float(e @ A @ e)
             assert diff == pytest.approx(taylor, abs=1e-10)
             # ... and the loss perturbation is second-order small in the scale
-            s = float(np.asarray(res.scale))
+            s = spec.clip_factor * float(np.sqrt(np.mean(x * x))) / spec.q_max  # int-plain: z = x
             bound = np.linalg.norm(base.grad(x)) * np.linalg.norm(e) + 0.5 * lam_max * float(e @ e)
             assert abs(diff) <= bound + 1e-12
             assert 0.5 * lam_max * float(e @ e) <= s**2 * tr  # e is entrywise O(s)

@@ -7,6 +7,9 @@ from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, toy_scalar
 from qatkit.optim import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     OptimConfig,
     adamw_step,
@@ -154,7 +157,7 @@ class TestAdamW:
         cfg = OptimConfig(lr=0.01, weight_decay=0.0)
         g = np.array([0.5, -2.0])
         state, x = adamw_step(AdamState.zeros(2), np.zeros(2), g, cfg, cfg.lr)
-        expected = -cfg.lr * g / (np.abs(g) + cfg.eps)
+        expected = -cfg.lr * g / (np.abs(g) + EPS)
         assert np.allclose(x, expected, atol=1e-15)
         assert state.t == 1
 
@@ -167,7 +170,7 @@ class TestAdamW:
         assert np.array_equal(x, [1.0, -2.0, 3.0])
 
     def test_three_step_hand_trace(self):
-        cfg = OptimConfig(lr=0.1, beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.0)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0)
         state = AdamState.zeros(1)
         x = np.array([0.5])
         seen = []
@@ -193,17 +196,18 @@ class TestAdamW:
             state = AdamState(m=rng.standard_normal(4), v=np.abs(rng.standard_normal(4)), t=int(rng.integers(1, 50)))
             new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
             t = state.t + 1
-            m = cfg.beta1 * state.m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * state.v + (1 - cfg.beta2) * (g * g)
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            ref = 1.0 * x - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = BETA1 * state.m + (1 - BETA1) * g
+            v = BETA2 * state.v + (1 - BETA2) * (g * g)
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            ref = 1.0 * x - cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
             assert np.array_equal(x_new, ref)
             assert new_state.t == t
 
     def test_beta_zero_sign_consistency_property(self):
         rng = make_rng(5)
-        cfg = OptimConfig(lr=0.05, beta1=0.0, beta2=0.0, eps=10.0, weight_decay=0.0)
+        # the first step from zero moments moves each coordinate against its gradient
+        cfg = OptimConfig(lr=0.05, weight_decay=0.0)
         for _ in range(100):
             g = rng.standard_normal(6)
             _, x = adamw_step(AdamState.zeros(6), np.zeros(6), g, cfg, cfg.lr)
@@ -414,7 +418,7 @@ class TestGradClip:
             grad_clip(np.ones(2), float("nan"))
 
 
-@pytest.mark.parametrize("field", ["lr", "beta1", "beta2", "eps", "weight_decay", "lam", "silence_ratio"])
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "lam", "silence_ratio"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bad_hyperparameter_rejected(field, value):
     # a NaN fails every check, as an out-of-range value does

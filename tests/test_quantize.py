@@ -1,14 +1,14 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import qatkit.quantize as qz
-from oracles import gaussian_clip_mse_trapezoid
+from oracles import E2M1_GRID, gaussian_clip_mse_trapezoid, int_reference, int_transform_rows, mxfp4_entry_scales
 from qatkit.numerics import make_rng
 from qatkit.quantize import (
     QuantSpec,
-    SIGMA_FLOOR,
     calibrate_clip,
     gaussian_clip_mse,
     int_spec,
@@ -28,13 +28,19 @@ ALL_SPECS = [
 ]
 
 
+def test_result_is_q_error_and_keep():
+    # a result carries Q(x), e = x - Q(x) and the int schemes' keep-mask, nothing more
+    assert [f.name for f in dataclasses.fields(qz.QuantResult)] == ["quantized", "error", "keep"]
+
+
 class TestIntRow:
     def test_zero_row(self):
         spec = int_spec("int-plain", 4)
         res = quantize(spec, np.zeros(8))
         assert np.array_equal(res.quantized, np.zeros(8))
         assert np.array_equal(res.error, np.zeros(8))
-        assert res.scale == SIGMA_FLOOR
+        # sigma 0 takes the floor scale: exact zeros, nothing counted as clipped
+        assert res.keep.shape == (8,) and res.keep.all()
 
     def test_grid_bounds_b4(self):
         spec = int_spec("int-plain", 4)
@@ -48,10 +54,10 @@ class TestIntRow:
         res = quantize(spec, x)
         k4 = spec.clip_factor
         s = k4 / 7.0
-        assert res.scale == pytest.approx(s, rel=1e-12)
         expected_code = int(np.clip(np.rint(7.0 / k4), -8, 7))
-        assert np.array_equal(res.codes, [expected_code, -expected_code, expected_code, -expected_code])
+        assert np.allclose(res.quantized, s * expected_code * np.sign(x), rtol=1e-12, atol=0)
         # nothing clipped here, so each transform-domain residual is within s/2
+        assert res.keep.all()
         assert np.abs(x - res.quantized).max() <= s / 2 + 1e-15
 
     def test_hadamard_row_matches_manual_pipeline(self):
@@ -65,8 +71,8 @@ class TestIntRow:
         sigma = np.sqrt(np.mean(z * z))
         s = spec.clip_factor * sigma / spec.q_max
         codes = np.clip(np.rint(z / s), spec.q_min, spec.q_max)
-        assert np.array_equal(res.codes, codes.astype(np.int64))
         assert np.allclose(res.quantized, hadamard_inverse(plan, s * codes), atol=0)
+        assert np.array_equal(res.keep, np.abs(z) <= spec.clip_factor * sigma)
 
     def test_round_half_to_even(self):
         spec = QuantSpec(scheme="int-plain", bits=4, clip_factor=7.0)
@@ -75,10 +81,10 @@ class TestIntRow:
         x = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 1.0, -1.0])
         sigma = float(np.sqrt(np.mean(x * x)))
         spec = QuantSpec(scheme="int-plain", bits=4, clip_factor=7.0 / sigma)
+        assert spec.clip_factor * sigma / spec.q_max == 1.0
         res = quantize(spec, x)
-        # scale is exactly 1: ties 0.5->0, 1.5->2, 2.5->2 (to even)
-        assert res.scale == pytest.approx(1.0, rel=1e-12)
-        assert list(res.codes) == [0, 2, 2, 0, -2, -2, 1, -1]
+        # scale is exactly 1, so Q(x) is the codes: ties 0.5->0, 1.5->2, 2.5->2 (to even)
+        assert list(res.quantized) == [0, 2, 2, 0, -2, -2, 1, -1]
 
     def test_row_length_validation(self):
         spec = int_spec("int-plain", 4, row_length=4)
@@ -97,8 +103,12 @@ class TestIntRow:
         x = rng.standard_normal(24)
         res = quantize(spec, x)
         per_row = [quantize(spec, row) for row in x.reshape(3, 8)]
-        assert np.array_equal(res.quantized, np.concatenate([r.quantized for r in per_row]))
-        assert np.array_equal(np.asarray(res.scale), [r.scale for r in per_row])
+        for field in ("quantized", "error", "keep"):
+            assert np.array_equal(getattr(res, field), np.concatenate([getattr(r, field) for r in per_row]))
+        # each row has its own scale: the test's per-row s puts every row on its grid
+        _, _, s, codes = int_reference(spec, x)
+        assert s.shape == (3, 1) and len(set(s.ravel())) == 3
+        assert np.abs(int_transform_rows(spec, res.quantized, 3) / s - codes).max() <= 1e-9
 
 
 class TestCalibration:
@@ -149,8 +159,8 @@ class TestMxfp4:
         spec = QuantSpec(scheme="mxfp4")
         x = np.zeros(32)
         x[0] = 6.0
+        x[1] = 0.5  # the smallest nonzero level at scale 1; scale 2 would round it to 0
         res = quantize(spec, x)
-        assert res.scale[0] == 1.0
         assert res.quantized[0] == 6.0
         assert np.array_equal(res.error, np.zeros(32))
 
@@ -164,8 +174,9 @@ class TestMxfp4:
 
     def test_all_zero_block(self):
         res = quantize(QuantSpec(scheme="mxfp4"), np.zeros(32))
-        assert res.scale[0] == 1.0
-        assert np.array_equal(res.codes, np.zeros(32, dtype=np.int64))
+        assert np.array_equal(res.quantized, np.zeros(32))
+        assert np.array_equal(res.error, np.zeros(32))
+        assert res.keep is None
 
     def test_ties_to_even_mantissa(self):
         spec = QuantSpec(scheme="mxfp4")
@@ -180,7 +191,10 @@ class TestMxfp4:
         x = make_rng(2).standard_normal(40)
         res = quantize(spec, x)
         assert res.quantized.shape == (40,)
-        assert res.scale.shape == (2,)
+        # two blocks, the second zero-padded: each quantizes as it would alone
+        assert np.array_equal(res.quantized[:32], quantize(spec, x[:32]).quantized)
+        assert np.array_equal(res.quantized[32:], quantize(spec, x[32:]).quantized)
+        assert np.isin(np.abs(res.quantized) / mxfp4_entry_scales(x), E2M1_GRID).all()
 
     def test_reconstruction_bounded_property(self):
         rng = make_rng(3)
@@ -188,7 +202,9 @@ class TestMxfp4:
         for _ in range(100):
             x = rng.standard_normal(32) * 10 ** rng.uniform(-3, 3)
             res = quantize(spec, x)
-            assert np.abs(res.quantized).max() <= 6.0 * res.scale[0] + 1e-300
+            s = mxfp4_entry_scales(x)
+            assert np.isin(np.abs(res.quantized) / s, E2M1_GRID).all()
+            assert np.abs(res.quantized).max() <= 6.0 * s[0] + 1e-300
 
     def test_idempotent_property(self):
         rng = make_rng(4)
@@ -241,7 +257,7 @@ class TestQuantError:
         res = quantize(QuantSpec(scheme="none"), x)
         assert res.quantized is not x and res.quantized.tobytes() == x.tobytes()
         assert res.error.tobytes() == np.zeros_like(x).tobytes()
-        assert res.codes is None and res.scale is None and res.keep is None
+        assert res.keep is None
 
     def test_point_nine(self):
         assert quantize(QuantSpec(scheme="floor-toy"), np.array([0.9])).error[0] == 0.9
@@ -251,8 +267,11 @@ class TestQuantError:
         rng = make_rng(6)
         x = rng.standard_normal(64)
         res = quantize(spec, x)
-        unclipped = (res.codes > spec.q_min) & (res.codes < spec.q_max)
-        assert np.abs(res.error[unclipped]).max() <= float(np.asarray(res.scale)) / 2 + 1e-15
+        bound = spec.clip_factor * float(np.sqrt(np.mean(x * x)))
+        s = bound / spec.q_max
+        # within the clip bound k sigma = q_max s the rounding error is at most s / 2
+        assert np.array_equal(res.keep, np.abs(x) <= bound)
+        assert np.abs(res.error[res.keep]).max() <= s / 2 + 1e-15
 
 
 class TestDecompositionInvariants:
@@ -275,36 +294,34 @@ class TestDecompositionInvariants:
                 spec = int_spec(scheme, bits)
                 for _ in range(40):
                     x = rng.standard_normal(16) * 10 ** rng.uniform(-2, 2)
-                    res = quantize(spec, x)
-                    assert res.codes.min() >= spec.q_min
-                    assert res.codes.max() <= spec.q_max
+                    # H Q(x) / s, with the test's own s = k rms(Hx) / q_max, is an integer code
+                    s = int_reference(spec, x)[2]
+                    c = int_transform_rows(spec, quantize(spec, x).quantized, 1) / s
+                    assert np.abs(c - np.rint(c)).max() <= 1e-9
+                    assert np.rint(c).min() >= spec.q_min
+                    assert np.rint(c).max() <= spec.q_max
 
     def test_transform_domain_grid_membership_property(self):
-        from qatkit.transform import hadamard_forward, hadamard_plan
-
         rng = make_rng(9)
         spec = int_spec("int-hadamard", 4)
-        plan = hadamard_plan(16)
         for _ in range(100):
             x = rng.standard_normal(16)
-            res = quantize(spec, x)
-            z_hat = hadamard_forward(plan, res.quantized)
-            # reconstruction lies on the grid {scale * q} in the transform domain
-            assert np.abs(z_hat - res.scale * res.codes).max() <= 1e-12
+            _, _, s, codes = int_reference(spec, x)
+            z_hat = int_transform_rows(spec, quantize(spec, x).quantized, 1)
+            # reconstruction lies on the grid {s q}, at q = clip(round(z / s))
+            assert np.abs(z_hat - s * codes).max() <= 1e-12
 
     def test_inrange_transform_error_bound_property(self):
-        from qatkit.transform import hadamard_forward, hadamard_plan
-
         rng = make_rng(10)
         spec = int_spec("int-hadamard", 4)
-        plan = hadamard_plan(16)
         for _ in range(100):
             x = rng.standard_normal(16)
             res = quantize(spec, x)
-            z = hadamard_forward(plan, x)
-            unclipped = (res.codes > spec.q_min) & (res.codes < spec.q_max)
-            resid = np.abs(z - res.scale * res.codes)
-            assert resid[unclipped].max() <= res.scale / 2 + 1e-15
+            _, z, s, _ = int_reference(spec, x)
+            resid = np.abs(z - int_transform_rows(spec, res.quantized, 1))[0]
+            # the unclipped channels (|z| <= q_max s) round to within s / 2
+            assert np.array_equal(res.keep, np.abs(z[0]) <= spec.q_max * s[0, 0])
+            assert resid[res.keep].max() <= s[0, 0] / 2 + 1e-12
 
 
 class TestNonFinite:
