@@ -25,8 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalFailure, make_rng, make_spd
-from .objectives import Objective, quadratic, rosenbrock, toy_scalar
+from .numerics import NumericalFailure, make_rng, spd_with_eigenbasis
+from .objectives import Objective, rosenbrock, toy_scalar
+# a drawn problem knows its minimum, so it takes the unchecked factory; bound as
+# ``quadratic``, the name bench/tracing.py traces the objective factory under
+from .objectives import _quadratic as quadratic
 from .optim import AdamState, OptimConfig, cage_adamw_step, cage_sgd_step, grad_clip, lambda_at
 from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
@@ -193,10 +196,25 @@ class QuadraticRun:
     iterates: np.ndarray  # the first row's, (steps, d)
 
 
+def _draw_quadratic(dim: int, kappa: float, seed: int):
+    """One seed's quadratic from its own generator: ``(A, b, x*, f*, rng)``,
+    with ``rng`` positioned for the init draw.
+
+    A is ``make_spd``'s draw and b a normal vector; the minimizer comes from
+    A's drawn eigenbasis, x* = Q ((Q^T b) / eigs), with f* = -1/2 b^T x*:
+    two matvecs, no factorization or solve.
+    """
+    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
+    A, Q, eigs = spd_with_eigenbasis(dim, kappa, rng)
+    b = rng.standard_normal(dim)
+    x_star = Q @ ((Q.T @ b) / eigs)
+    return A, b, x_star, -0.5 * float(b @ x_star), rng
+
+
 def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0: float = 1.0):
     """Shared problem draw for the (kappa, seed) cells of a seed list: the
-    SPD matrices and targets as one stacked quadratic, and the ``(S, d)``
-    inits.
+    seeds' quadratics (``_draw_quadratic``) as one stacked objective, and the
+    ``(S, d)`` inits.
 
     Each seed draws from its own generator, so a seed's problem does not
     depend on which other seeds share the stack.  All optimizers in a cell
@@ -206,17 +224,17 @@ def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0:
     if not seeds:
         raise ValueError("need at least one seed")
     b = np.empty((len(seeds), dim))
+    x_star = np.empty((len(seeds), dim))
+    f_star = np.empty(len(seeds))
     x0 = np.empty((len(seeds), dim))
     for i, seed in enumerate(seeds):
-        rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-        spd = make_spd(dim, kappa, rng)
+        spd, b[i], x_star[i], f_star[i], rng = _draw_quadratic(dim, kappa, seed)
         if i == 0:
-            # allocated after make_spd's temporaries are gone, not next to them
+            # allocated after the draw's temporaries are gone, not next to them
             A = np.empty((len(seeds), dim, dim))
         A[i] = spd
-        b[i] = rng.standard_normal(dim)
         x0[i] = sigma0 * rng.standard_normal(dim)
-    return quadratic(A, b), x0
+    return quadratic(A, b, x_star, f_star), x0
 
 
 def run_quadratic(
@@ -345,17 +363,17 @@ def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
                         lipschitz: float = 1000.0) -> tuple[Objective, float]:
     """Objective for the rate study plus its gradient-Lipschitz constant L.
 
-    For the quadratic L is ``kappa``: ``make_spd`` sets the spectrum exactly,
-    log-spaced on [1, kappa].  The non-convex objective uses the configured
-    constant.
+    The quadratic is the quadratic lane's draw for ``seed``
+    (``_draw_quadratic``), and its L is ``kappa``: ``make_spd`` sets the
+    spectrum exactly, log-spaced on [1, kappa].  The non-convex objective
+    uses the configured constant.
     """
     if name not in RATE_OBJECTIVES:
         raise ValueError(f"unknown rate objective {name!r}")
     if name == "rosenbrock":
         return rosenbrock(dim), lipschitz
-    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-    A = make_spd(dim, kappa, rng)
-    return quadratic(A, rng.standard_normal(dim)), kappa
+    A, b, x_star, f_star, _ = _draw_quadratic(dim, kappa, seed)
+    return quadratic(A, b, x_star, f_star), kappa
 
 
 def run_convergence_run(

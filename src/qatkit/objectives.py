@@ -89,6 +89,13 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
         f_star = np.empty(len(b))
         for i in range(len(b)):
             x_star[i], f_star[i] = _spd_minimum(A[i], b[i])
+    return _quadratic(A, b, x_star, f_star)
+
+
+def _quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objective:
+    """``quadratic``'s objective for float64 A and b with a known minimizer
+    and minimum, unchecked: for a problem drawn from its eigenbasis
+    (``experiments._draw_quadratic``)."""
 
     # np.matvec / np.vecdot give each row of a batch bitwise the values of
     # A @ x and x @ y on that row alone, and A @ V each (d, 2) right-hand side

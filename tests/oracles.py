@@ -152,6 +152,22 @@ def mxfp4_entry_scales(x, block_size: int = 32) -> np.ndarray:
     return np.repeat(scales, block_size)[: x.size]
 
 
+def pca_eigh(points, k: int):
+    """Top-``k`` PCA by a full ``np.linalg.eigh`` of the centred covariance,
+    with ``pca_project``'s sign convention (the first entry above 1e-12 in
+    magnitude is positive): the oracle for its subspace iteration.  Returns
+    ``(projections, components, eigenvalues)``, the eigenvalues descending."""
+    X = np.asarray(points, dtype=np.float64)
+    Xc = X - X.mean(axis=0)
+    evals, evecs = np.linalg.eigh((Xc.T @ Xc) / (len(X) - 1))
+    comps = evecs[:, ::-1][:, :k].T.copy()
+    for row in comps:
+        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    return Xc @ comps.T, comps, evals[::-1]
+
+
 def write_scaling_csv(path, data) -> None:
     """Write ``ScalingDatum`` rows as a fit-scaling input CSV."""
     with Path(path).open("w", newline="") as fh:

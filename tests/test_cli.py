@@ -465,10 +465,10 @@ def test_run_directory_contents(argv, extra, tmp_path):
     assert {f.name for f in out.iterdir()} == {"config.json", "summary.json"} | extra
 
 
-def test_traces_do_not_depend_on_blas_threads(tmp_path):
-    # the lane's matrix products give the same bits at one and two OpenBLAS
-    # threads; summary.json (f* by np.linalg.solve) and the PCA trajectories
-    # are only reproducible at a fixed thread count, so only traces are compared
+def test_run_directory_does_not_depend_on_blas_threads(tmp_path):
+    # x* from the drawn eigenbasis and the PCA by subspace iteration give the
+    # same bits at one and two OpenBLAS threads, so every file of a dim-512
+    # run but config.json (which records --out) is byte-identical
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -479,8 +479,15 @@ def test_traces_do_not_depend_on_blas_threads(tmp_path):
             capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stderr
-        outs.append({f.name: f.read_bytes() for f in sorted(out.glob("trace_*.csv"))})
-    assert len(outs[0]) == 2 and outs[0] == outs[1]
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "config.json"})
+    assert sorted(outs[0]) == [
+        "summary.json",
+        "trace_kappa10_adamw_seed0.csv",
+        "trace_kappa10_cage-adamw-cpl_seed0.csv",
+        "traj_kappa10_adamw_seed0.csv",
+        "traj_kappa10_cage-adamw-cpl_seed0.csv",
+    ]
+    assert outs[0] == outs[1]
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -16,26 +16,26 @@ from qatkit.cli import main
 
 GOLDEN = {
     "quadratic-int-hadamard": {
-        "summary.json": "1c270114bd02e443893fb3fb874d2b792aeaf38c4edb1b412d2e3f6b57338c72",
+        "summary.json": "22fee2f910ea24405926f85f2c8a37f9609711ed3ca26d2fdb221a94dd0e042d",
         "trace_kappa100_adamw_seed0.csv": "9e7af6660c13793dca73894ec4d6a51527d3856b4afc8dfcb029938f8a148c66",
         "trace_kappa100_cage-adamw-dec_seed0.csv": "56d3651f401334c2dbd9af8a613681c49f8c0afdf6ae73e71135f438f9102854",
         "trace_kappa100_cage-sgd_seed0.csv": "51f41ddd4edfb5688cdb47a82c280ce9dda02cf073b2dd0843c8d2e2a18b8f8e",
         "trace_kappa1_adamw_seed0.csv": "5f55d5df894978ec876383b948f2a40f60f3cf7890f08de359b1ccfffc9e7803",
         "trace_kappa1_cage-adamw-dec_seed0.csv": "3cff04f49a44358eeb23c49d8615789a1626ce2a8f4b09d32ac9ec3fa82100eb",
         "trace_kappa1_cage-sgd_seed0.csv": "96630036e14ca6a8305b4bf7885e6c70b0081dbbc8e27c5515dc42a8c3bb4b45",
-        "traj_kappa100_adamw_seed0.csv": "01b4d81dea38c4b062cbc705d4970899cce9a182da3ea1405d4dc71df259fd9d",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "6305dbd9b840f174677c04bd30a50e9aa8864f82b32b0d4541bfe6307235c215",
-        "traj_kappa100_cage-sgd_seed0.csv": "9d1baa9304424f72a76fbc927844f71c152b7438951fb2274f54d8071a354cc7",
-        "traj_kappa1_adamw_seed0.csv": "da9cd253de0574f09715f56999f1fa2a81ddb750e7f42dd904cd0e7836ff21e1",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "892c15ead92fb107c7596904b884ee1ddd1f2f3242f2f21b0e8ea5e3476eecc8",
-        "traj_kappa1_cage-sgd_seed0.csv": "f73b2ce7592dc09e555d7b6d169d8156bc7d668149509876d2a10cc5f3703606",
+        "traj_kappa100_adamw_seed0.csv": "c73eeb85549cce28449bf7b84cd0f89a55b9e4cfae1468cf050628e116213967",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "ac3fedb0e6ea78c9fd680fbbafd683eff51af4ee4f5316bfdd8f32da63246a72",
+        "traj_kappa100_cage-sgd_seed0.csv": "49e901395f31d59b4259f27bd5f7c51fc99713f029137b861ae6e05e1ebde756",
+        "traj_kappa1_adamw_seed0.csv": "b2dda0a367b79f751c6f16d0a51381967a10de307479def48b46fc47e48755f0",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "30716e85378fd9cded0ee51f4b48a2df99d4ccbabacd7980c582655cecebd229",
+        "traj_kappa1_cage-sgd_seed0.csv": "8bbe0c4eea5fbc1c14edf158009c1dc5dc8db7562abd7cd8e0b31adfee82c0ee",
     },
     "quadratic-int-plain-rows": {
-        "summary.json": "99c915b3a2418affad0986d144dee14ec060e97461770910a3ec05c18c245bee",
+        "summary.json": "8c68721fb656b1ae177a91057fc2f005571ba6e6bb3dff0621771edb009e01a0",
         "trace_kappa10_adamw_seed2.csv": "a01a15e738d8d5d2f96dee061d91d0bee86d6a7178c9ec61a4a657aacadcf78d",
         "trace_kappa10_cage-adamw-cpl_seed2.csv": "0724e8101cf5e20bff7b509ce526b531d3a2a0803286d94f6e9b25def4f0e3cf",
-        "traj_kappa10_adamw_seed2.csv": "72caeb92a3533c4c710a755824de070fea170ed84407004868cc4f9f03279060",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "1cbd0e75cbf035d728653ffdc14988c408530211ee8407227e89b5414d0294cc",
+        "traj_kappa10_adamw_seed2.csv": "1354679a66fec463c7aa1fc98baf323c31c67662e7ed856637679d442152406b",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "d984288327b292bda21a4e6688374262ba6f9bdf2199b96e74da1b2ca9792640",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -49,7 +49,7 @@ GOLDEN = {
         "trace_T5_seed0.csv": "025962bb9e0f0ad8a3e8f4188e3f0d253fe687265453cc962c60e0ea3eaae055",
     },
     "quadratic-none": {
-        "summary.json": "7f2a5f35c0df4d9297395643415691b5563837a73faa0b71735bfa0085c38393",
+        "summary.json": "49ddc681a9cb3c0ff211c31d46c4dd66f7d78f4abfe3adcb6bd9ece7a90f091e",
         "trace_kappa100_adamw_seed0.csv": "4129b6a3d6ca7473391389eed475ce482c5b5b00c11676599b0eda21c86801db",
         "trace_kappa100_cage-adamw-cpl_seed0.csv": "796619409ad25525765f31ceada811d2e585d5b604d13cf160db267bd14460be",
         "trace_kappa100_cage-adamw-dec_seed0.csv": "796619409ad25525765f31ceada811d2e585d5b604d13cf160db267bd14460be",
@@ -60,16 +60,16 @@ GOLDEN = {
         "trace_kappa1_cage-adamw-dec_seed0.csv": "75992e1666cec26f0deae2c526fb30c9e433f24502536cc52db0e1d9e27abe69",
         "trace_kappa1_cage-sgd_seed0.csv": "c13976e2e962ede24d80e89d1411eb2255f6ed888c2271fb0beca0690d1a0b22",
         "trace_kappa1_sgd_seed0.csv": "752160b86b5b6cdf64e9ba23fbf07245c58f87c705d450a8cd51bc1e6be9d875",
-        "traj_kappa100_adamw_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
-        "traj_kappa100_cage-adamw-cpl_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "d2d494e6dab0076f7999d0b786d4cb99e121c3a90607205df31fec06ba72b297",
-        "traj_kappa100_cage-sgd_seed0.csv": "e5e861c7bef9a18d02602173e76e4c88d276631f473584cce142a8f5dcce591a",
-        "traj_kappa100_sgd_seed0.csv": "e5e861c7bef9a18d02602173e76e4c88d276631f473584cce142a8f5dcce591a",
-        "traj_kappa1_adamw_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
-        "traj_kappa1_cage-adamw-cpl_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "3fd330f1c905e1a1a683080cc5dc7ba63d80e89cc6f5179d73fd641baadfb4e4",
-        "traj_kappa1_cage-sgd_seed0.csv": "a0c122206f62e8a5ccae0a5e8ca43fcc6e5595b3a7a85a61600ce9681f6f4a47",
-        "traj_kappa1_sgd_seed0.csv": "a0c122206f62e8a5ccae0a5e8ca43fcc6e5595b3a7a85a61600ce9681f6f4a47",
+        "traj_kappa100_adamw_seed0.csv": "6e9bfe4083931c564d089030925981fcf7522b98d64df32a33458a943595fbf1",
+        "traj_kappa100_cage-adamw-cpl_seed0.csv": "6e9bfe4083931c564d089030925981fcf7522b98d64df32a33458a943595fbf1",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "6e9bfe4083931c564d089030925981fcf7522b98d64df32a33458a943595fbf1",
+        "traj_kappa100_cage-sgd_seed0.csv": "e56db8d6f53b688011536c8f85feb83f6b7b0f0865601495372c0b08ad8613ba",
+        "traj_kappa100_sgd_seed0.csv": "e56db8d6f53b688011536c8f85feb83f6b7b0f0865601495372c0b08ad8613ba",
+        "traj_kappa1_adamw_seed0.csv": "00f88de1b34af1fddffe0e2a46429bd31bfa625c9a9690bdc801f564201de7d1",
+        "traj_kappa1_cage-adamw-cpl_seed0.csv": "00f88de1b34af1fddffe0e2a46429bd31bfa625c9a9690bdc801f564201de7d1",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "00f88de1b34af1fddffe0e2a46429bd31bfa625c9a9690bdc801f564201de7d1",
+        "traj_kappa1_cage-sgd_seed0.csv": "b5521c93bb09870d76a146fea959c61174d145b4c1c2edf3aafbe65a5d7947db",
+        "traj_kappa1_sgd_seed0.csv": "b5521c93bb09870d76a146fea959c61174d145b4c1c2edf3aafbe65a5d7947db",
     },
     "convergence-quadratic-none": {
         "summary.json": "b09de3a25b4027122cdb99495d0d4a5f8d5864492584b817c95a07bb330c48a8",

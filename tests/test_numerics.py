@@ -1,9 +1,15 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, pca_eigh
+from qatkit.cli import parse_quant
+from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
+from qatkit.optim import OptimConfig
 
 
 class TestFiniteDiff:
@@ -115,11 +121,66 @@ class TestPca:
                 nz = np.nonzero(np.abs(row) > 1e-12)[0]
                 assert row[nz[0]] > 0
 
+    def test_covariance_near_overflow_gives_finite_components(self):
+        # two points: the covariance is t^2 / 2 u u^T, its largest entry within
+        # 2x of the largest float, where C V on it unscaled would overflow
+        fmax = np.finfo(np.float64).max
+        u = np.array([1.0, -0.5, 0.25, 0.125])
+        pts = np.vstack([np.zeros(4), np.sqrt(1.5) * np.sqrt(fmax) * u])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj, comps = pca_project(pts, 2)
+            Xc = pts - pts.mean(axis=0)
+            assert fmax / 2 < np.abs(Xc.T @ Xc).max() < fmax
+        assert np.isfinite(proj).all() and np.isfinite(comps).all()
+        assert np.abs(comps[0] - u / np.linalg.norm(u)).max() <= 1e-15
+        assert np.abs(comps @ comps.T - np.eye(2)).max() <= 1e-15
+
     def test_zero_variance_warns_not_raises(self):
         pts = np.ones((4, 3))
         with pytest.warns(RuntimeWarning):
             proj, _ = pca_project(pts, 2)
         assert np.abs(proj).max() == 0.0
+
+
+# the quadratic lanes whose first-seed trajectories the CLI projects: the bench
+# workloads (bench/workloads.py) with their steps cut, and the quadratic
+# goldens (tests/test_golden.py) as run there, each with its CLI settings:
+# (dim, quant, row_length, optimizers, kappas, steps, seeds, OptimConfig)
+CLI_CFG = OptimConfig(lr=0.03, lam=2.0, silence_ratio=0.9)
+PCA_LANES = {
+    "bench-quadratic-int4": (64, "int-hadamard:4", None, ["adamw", "cage-adamw-dec"], (1.0, 10.0, 100.0), 100,
+                             (3, 4), CLI_CFG),
+    "bench-quadratic-mxfp4": (512, "mxfp4", None, ["adamw", "cage-adamw-cpl"], (1.0, 10.0, 100.0), 200, (3,),
+                              CLI_CFG),
+    "golden-quadratic-int-hadamard": (12, "int-hadamard:4", None, ["adamw", "cage-adamw-dec", "cage-sgd"],
+                                      (1.0, 100.0), 60, (0, 1), CLI_CFG),
+    "golden-quadratic-int-plain-rows": (16, "int-plain:4", 8, ["adamw", "cage-adamw-cpl"], (10.0,), 60, (2,),
+                                        CLI_CFG),
+    "golden-quadratic-none": (12, "none", None, ["sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl"],
+                              (1.0, 100.0), 60, (0, 1),
+                              OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)),
+}
+# at kappa 1 with no quantizer, sgd and cage-sgd are gradient descent on
+# A = I, so the trajectory lies on a line: pc2 is round-off and not unique
+RANK_ONE = {("golden-quadratic-none", 1.0, "sgd"), ("golden-quadratic-none", 1.0, "cage-sgd")}
+
+
+@pytest.mark.parametrize("lane", sorted(PCA_LANES))
+def test_pca_matches_full_eigh_on_lane_trajectories(lane):
+    dim, quant, row_length, optimizers, kappas, steps, seeds, cfg = PCA_LANES[lane]
+    spec = dataclasses.replace(parse_quant(quant), row_length=row_length)
+    for kappa in kappas:
+        obj, x0 = make_quadratic_problem(dim, kappa, seeds)
+        for name, run in zip(optimizers, run_quadratic(obj, x0, optimizers, steps, spec, cfg)):
+            proj, comps = pca_project(run.iterates, 2)
+            _, ref, evals = pca_eigh(run.iterates, 2)
+            assert ((lane, kappa, name) in RANK_ONE) == (evals[1] <= 1e-12 * evals[0]), (kappa, name)
+            assert np.abs(comps[0] - ref[0]).max() <= 1e-10, (kappa, name)
+            if (lane, kappa, name) in RANK_ONE:
+                assert np.abs(proj[:, 1]).max() <= 1e-12 * np.abs(proj[:, 0]).max()
+            else:
+                assert np.abs(comps[1] - ref[1]).max() <= 1e-10, (kappa, name)
 
 
 def test_fd_agreement_invariant_over_objectives():

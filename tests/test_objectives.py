@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_diff_grad
+from qatkit.experiments import _draw_quadratic, make_quadratic_problem, make_rate_objective
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.quantize import QuantSpec, int_spec, quantize
@@ -44,6 +45,23 @@ class TestQuadratic:
         A = np.diag([1.0, -1.0])
         with pytest.raises(ValueError):
             quadratic(A, np.zeros(2))
+
+    @pytest.mark.parametrize("dim, kappa, seeds", [(1, 1.0, (0,)), (12, 100.0, (0, 1)), (64, 1000.0, (5,)),
+                                                   (512, 10.0, (3,))])
+    def test_drawn_minimum_matches_solve(self, dim, kappa, seeds):
+        # x* from the drawn eigenbasis against the Cholesky-checked solve on
+        # the same A and b, to (d + kappa) eps-scale round-off, and the lane's
+        # stack and the rate objective take each seed's x* and f* as drawn
+        obj, _ = make_quadratic_problem(dim, kappa, seeds)
+        for i, seed in enumerate(seeds):
+            A, b, x_star, f_star, _ = _draw_quadratic(dim, kappa, seed)
+            ref = quadratic(A, b)
+            tol = 1e-14 * (dim + kappa)
+            assert np.abs(x_star - ref.x_star).max() <= tol * np.abs(ref.x_star).max()
+            assert abs(f_star - ref.f_star) <= tol * abs(ref.f_star)
+            assert np.array_equal(obj.x_star[i], x_star) and obj.f_star[i] == f_star
+            rate_obj, _ = make_rate_objective("quadratic", dim, kappa=kappa, seed=seed)
+            assert np.array_equal(rate_obj.x_star, x_star) and rate_obj.f_star == f_star
 
     @pytest.mark.parametrize(
         "m,S,k,dim", [(2, 2, 2, 64), (2, 1, 1, 512), (3, 2, 2, 12), (2, 10, 10, 64), (2, 3, 3, 512)]

@@ -1,5 +1,6 @@
 """Hypothesis properties of the quantizer core, the batched objectives, the
-batched gradient clip and the seed-batched rate and quadratic lanes.
+batched gradient clip, the seed-batched rate and quadratic lanes and the
+trajectory PCA.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -24,22 +25,23 @@ from oracles import (
     int_transform_rows,
     mxfp4_entry_scales,
     norm2,
+    pca_eigh,
 )
 from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
 from qatkit.experiments import (
     _STREAM_INIT,
     _STREAM_NOISE,
-    _STREAM_PROBLEM,
     LR_SCHEDULES,
     OPTIMIZERS,
     RATE_OBJECTIVES,
+    _draw_quadratic,
     lr_at,
     make_quadratic_problem,
     run_convergence_run,
     run_quadratic,
 )
-from qatkit.numerics import make_rng, make_spd
-from qatkit.objectives import quadratic, rosenbrock, toy_scalar
+from qatkit.numerics import make_rng, make_spd, pca_project
+from qatkit.objectives import _quadratic, quadratic, rosenbrock, toy_scalar
 from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
@@ -501,11 +503,10 @@ def test_batched_grad_clip_matches_each_row(G, max_norm):
 
 
 def lone_quadratic_problem(dim, kappa, seed, sigma0=1.0):
-    """One seed's problem drawn on its own, as a plain (d, d) quadratic."""
-    rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-    A = make_spd(dim, kappa, rng)
-    b = rng.standard_normal(dim)
-    return quadratic(A, b), sigma0 * rng.standard_normal(dim)
+    """One seed's problem drawn on its own, as a plain (d, d) quadratic, with
+    x* and f* from the lane's own constructor."""
+    A, b, x_star, f_star, rng = _draw_quadratic(dim, kappa, seed)
+    return _quadratic(A, b, x_star, f_star), sigma0 * rng.standard_normal(dim)
 
 
 def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
@@ -616,6 +617,26 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
             if i == 0:
                 assert np.array_equal(run.trace, trace)
                 assert np.array_equal(run.iterates, iterates)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(4, 300), st.integers(1, 2),
+       st.sampled_from((1e-3, 1.0, 1e3)))
+def test_pca_matches_full_eigh_on_random_walks(seed, dim, n, k, step):
+    # the accuracy gate of pca_project's fixed round count: a random walk of
+    # n >= 4 points has rank min(n - 1, dim) >= min(3, dim), so its top two
+    # components are unique, and the subspace iteration's agree with a full
+    # eigh's to 1e-10, orthonormal and with the same sign convention
+    X = step * np.cumsum(make_rng(seed).standard_normal((n, dim)), axis=0)
+    k = min(k, dim)
+    proj, comps = pca_project(X, k)
+    ref_proj, ref, _ = pca_eigh(X, k)
+    assert np.abs(comps - ref).max() <= 1e-10
+    assert np.abs(comps @ comps.T - np.eye(k)).max() <= 1e-12
+    for row in comps:
+        assert row[np.nonzero(np.abs(row) > 1e-12)[0][0]] > 0
+    row_norms = np.linalg.norm(X - X.mean(axis=0), axis=1)[:, None]
+    assert (np.abs(proj - ref_proj) <= 1e-10 * math.sqrt(dim) * row_norms).all()
 
 
 def edges(*values):
