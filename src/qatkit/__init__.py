@@ -2,8 +2,8 @@
 
 Library layers, bottom to top: seeded generators and dense-matrix helpers
 (``numerics``), the Walsh-Hadamard rotation (``transform``), quantizers
-with exact error decomposition (``quantize``), straight-through gradient
-policies (``qat_grad``), optimizer steps with the error-correction family
+with exact error decomposition (``quantize``), trust-masked straight-through
+transport (``qat_grad``), optimizer steps with the error-correction family
 (``optim``), analytic test objectives (``objectives``), stationarity
 diagnostics (``pareto``), the capacity scaling-law fit (``scaling``), and the
 experiment lanes plus CLI (``experiments``, ``cli``).

@@ -385,7 +385,7 @@ def cmd_convergence(opts: dict) -> int:
         try:
             run = run_convergence_run(
                 obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
-                x0_std=opts["x0_std"], keep_trace=True,
+                x0_std=opts["x0_std"],
             )
         except NumericalFailure as err:
             raise NumericalFailure(f"{err}, horizon {T}") from err

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalFailure, make_rng, spd_with_eigenbasis
-from .objectives import Objective, rosenbrock, toy_scalar
-# a drawn problem knows its minimum, so it takes the unchecked factory; bound as
-# ``quadratic``, the name bench/tracing.py traces the objective factory under
-from .objectives import _quadratic as quadratic
+from .numerics import NumericalFailure, make_rng, make_spd
+from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .optim import AdamState, OptimConfig, cage_adamw_step, cage_sgd_step, grad_clip, lambda_at
 from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
@@ -103,7 +100,7 @@ def _corrected_sgd(
     lr: float,
     lam: float,
     steps: int,
-    trace: np.ndarray | None = None,
+    trace: np.ndarray,
     noise_std: float = 0.0,
     noise_rngs: Sequence[np.random.Generator] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +121,10 @@ def _corrected_sgd(
         loss, g = obj.value_and_grad(x)
         e = quantize(spec, x).error
         pareto_sq[:, t] = balance_sq_norm(g, e, lam)
-        if trace is not None:
-            g0, e0 = g[0], e[0]
-            trace[t, 0] = loss[0]
-            trace[t, 2] = g0.dot(g0)
-            trace[t, 3] = e0.dot(e0)
+        g0, e0 = g[0], e[0]
+        trace[t, 0] = loss[0]
+        trace[t, 2] = g0.dot(g0)
+        trace[t, 3] = e0.dot(e0)
         if noise_std == 0.0:
             g_tilde = g
         else:
@@ -143,9 +139,8 @@ def _corrected_sgd(
             raise NumericalFailure(
                 f"non-finite value during corrected-SGD run at step {t + 1}, seed index {np.argmax(_bad_rows(loss, x))}"
             )
-    if trace is not None:
-        trace[:, 1] = pareto_sq[0]
-        trace[:, 4] = lam
+    trace[:, 1] = pareto_sq[0]
+    trace[:, 4] = lam
     return x, pareto_sq
 
 
@@ -201,11 +196,12 @@ def _draw_quadratic(dim: int, kappa: float, seed: int):
     with ``rng`` positioned for the init draw.
 
     A is ``make_spd``'s draw and b a normal vector; the minimizer comes from
-    A's drawn eigenbasis, x* = Q ((Q^T b) / eigs), with f* = -1/2 b^T x*:
-    two matvecs, no factorization or solve.
+    the eigenbasis and spectrum ``make_spd`` returns with A,
+    x* = Q ((Q^T b) / eigs), with f* = -1/2 b^T x*: two matvecs, no
+    factorization or solve.
     """
     rng = make_rng((_STREAM_PROBLEM, seed, int(round(kappa * 1000))))
-    A, Q, eigs = spd_with_eigenbasis(dim, kappa, rng)
+    A, Q, eigs = make_spd(dim, kappa, rng)
     b = rng.standard_normal(dim)
     x_star = Q @ ((Q.T @ b) / eigs)
     return A, b, x_star, -0.5 * float(b @ x_star), rng
@@ -356,7 +352,7 @@ def run_quadratic(
 class ConvergenceRun:
     alpha: float
     ergodic_means: list[float]
-    trace: np.ndarray | None  # the first seed's, (horizon, 5)
+    trace: np.ndarray  # the first seed's, (horizon, 5)
 
 
 def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
@@ -364,9 +360,9 @@ def make_rate_objective(name: str, dim: int, kappa: float = 10.0, seed: int = 0,
     """Objective for the rate study plus its gradient-Lipschitz constant L.
 
     The quadratic is the quadratic lane's draw for ``seed``
-    (``_draw_quadratic``), and its L is ``kappa``: ``make_spd`` sets the
-    spectrum exactly, log-spaced on [1, kappa].  The non-convex objective
-    uses the configured constant.
+    (``_draw_quadratic``), with x* and f* from its eigenbasis, and its L is
+    ``kappa``: ``make_spd`` sets the spectrum exactly, log-spaced on
+    [1, kappa].  The non-convex objective uses the configured constant.
     """
     if name not in RATE_OBJECTIVES:
         raise ValueError(f"unknown rate objective {name!r}")
@@ -385,7 +381,6 @@ def run_convergence_run(
     seeds: Sequence[int],
     lipschitz: float,
     x0_std: float = 0.25,
-    keep_trace: bool = False,
 ) -> ConvergenceRun:
     """Corrected SGD at fixed horizon with alpha = min(1/L, 1/sqrt(T)), one
     run per seed, all seeds stepped together as one ``(S, d)`` state.
@@ -395,14 +390,14 @@ def run_convergence_run(
     observable.  The init draw depends only on the seed, so runs at different
     horizons share their starting point.  Each seed has its own noise
     generator, so a seed's run does not depend on which other seeds share
-    the batch.  ``keep_trace`` records the first seed's trace.
+    the batch.  The run's trace is the first seed's.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
     x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
-    trace = _empty_trace(horizon) if keep_trace else None
+    trace = _empty_trace(horizon)
     noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
     _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
     return ConvergenceRun(

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["NumericalFailure", "make_rng", "make_spd", "pca_project", "spd_with_eigenbasis"]
+__all__ = ["NumericalFailure", "make_rng", "make_spd", "pca_project"]
 
 # subspace-iteration rounds in pca_project, set by its accuracy gate in
 # tests/test_properties.py: over 4000 random-walk trajectories (d <= 64,
@@ -34,20 +34,16 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def make_spd(dim: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric positive definite matrix with condition number ``kappa``.
+def make_spd(dim: int, kappa: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random symmetric positive definite matrix with condition number
+    ``kappa``, with the orthogonal Q and the spectrum it is built from:
+    ``(A, Q, eigs)``.
 
     Eigenvalues are log-spaced in [1, kappa]; the eigenbasis is a random
     orthogonal matrix obtained by QR of a Gaussian matrix (sign-fixed so the
-    factorization is unique).
+    factorization is unique).  A is the symmetrized Q diag(eigs) Q^T, so a
+    caller can apply A^{-1} as Q diag(1/eigs) Q^T with two matvecs.
     """
-    return spd_with_eigenbasis(dim, kappa, rng)[0]
-
-
-def spd_with_eigenbasis(dim: int, kappa: float, rng: np.random.Generator):
-    """``make_spd``'s matrix A with the orthogonal Q and the spectrum it is
-    built from, ``(A, Q, eigs)``: A is the symmetrized Q diag(eigs) Q^T, so a
-    caller can apply A^{-1} as Q diag(1/eigs) Q^T with two matvecs."""
     if kappa < 1.0:
         raise ValueError(f"condition number must be >= 1, got {kappa}")
     if dim < 1:

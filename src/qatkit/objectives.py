@@ -45,30 +45,16 @@ class Objective:
         return self.value_and_grad(x)[1]
 
 
-def _spd_minimum(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x*, f*) of 1/2 x^T A x - b^T x for one symmetric positive definite A:
-    a Cholesky factorization checks definiteness, then x* = A^{-1} b by
-    ``np.linalg.solve``; f* = -1/2 b^T x*."""
-    scale = float(np.abs(A).max())
-    if scale == 0 or float(np.abs(A - A.T).max()) > 1e-12 * scale:
-        raise ValueError("A must be symmetric")
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("A must be positive definite") from err
-    x_star = np.linalg.solve(A, b)
-    return x_star, -0.5 * float(b @ x_star)
-
-
-def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
+def quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objective:
     """f(x) = 1/2 x^T A x - b^T x for symmetric positive definite A, or for a
-    stack of S such problems, A ``(S, d, d)`` and b ``(S, d)``.
+    stack of S such problems, A ``(S, d, d)`` and b ``(S, d)``, with the
+    caller's minimizer ``x_star`` (the shape of b) and minimum ``f_star`` (a
+    float, or ``(S,)`` for a stack).  Only the shapes are checked: A's
+    definiteness and the minimum are the caller's (``experiments`` takes them
+    from the eigenbasis it drew A from).
 
-    The minimizer A^{-1} b is solved once per problem, after a Cholesky
-    factorization checks definiteness; f* = -1/2 b^T x*.  A stack has one
-    minimizer and minimum per problem (``x_star`` ``(S, d)``, ``f_star``
-    ``(S,)``) and evaluates a batch ``(..., S, d)``, row i of every leading
-    index against problem i; each row is bitwise that problem's lone value.
+    A stack evaluates a batch ``(..., S, d)``, row i of every leading index
+    against problem i; each row is bitwise that problem's lone value.
 
     The paired evaluation ``value_and_grads(x, at)`` multiplies A by the
     ``(d, 2)`` right-hand side ``[x at]``, so one gemm reads each matrix once
@@ -79,23 +65,16 @@ def quadratic(A: np.ndarray, b: np.ndarray) -> Objective:
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or b.shape != A.shape[:-1]:
-        raise ValueError(f"bad shapes: A {A.shape}, b {b.shape}")
-    if A.ndim == 2:
-        x_star, f_star = _spd_minimum(A, b)
-    else:
-        # one problem at a time, so no temporary is larger than one matrix
-        x_star = np.empty_like(b)
-        f_star = np.empty(len(b))
-        for i in range(len(b)):
-            x_star[i], f_star[i] = _spd_minimum(A[i], b[i])
-    return _quadratic(A, b, x_star, f_star)
-
-
-def _quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objective:
-    """``quadratic``'s objective for float64 A and b with a known minimizer
-    and minimum, unchecked: for a problem drawn from its eigenbasis
-    (``experiments._draw_quadratic``)."""
+    if (
+        A.ndim not in (2, 3)
+        or A.shape[-1] != A.shape[-2]
+        or b.shape != A.shape[:-1]
+        or np.shape(x_star) != b.shape
+        or np.shape(f_star) != b.shape[:-1]
+    ):
+        raise ValueError(
+            f"bad shapes: A {A.shape}, b {b.shape}, x_star {np.shape(x_star)}, f_star {np.shape(f_star)}"
+        )
 
     # np.matvec / np.vecdot give each row of a batch bitwise the values of
     # A @ x and x @ y on that row alone, and A @ V each (d, 2) right-hand side

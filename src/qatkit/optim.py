@@ -48,13 +48,13 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Hyperparameters shared by the optimizer family; weight_decay defaults
-    to the usual low-bit pretraining 0.1."""
+    """Hyperparameters shared by the optimizer family.  Every field is
+    required: the defaults live in the CLI's option table."""
 
     lr: float
-    weight_decay: float = 0.1
-    lam: float = 0.0
-    silence_ratio: float = 0.0
+    weight_decay: float
+    lam: float
+    silence_ratio: float
 
     def __post_init__(self):
         # comparisons written so that a NaN fails them

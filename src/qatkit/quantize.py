@@ -119,7 +119,7 @@ class QuantResult:
 
 
 def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec:
-    """Integer-grid spec with the clip factor filled in from calibration."""
+    """Integer-grid spec with the clip factor from the packaged table (``default_clip_factor``)."""
     return QuantSpec(scheme=scheme, bits=bits, clip_factor=default_clip_factor(bits), row_length=row_length)
 
 
@@ -277,17 +277,17 @@ _PACKAGED_TABLE = Path(__file__).parent / "data" / "clip_factors.tsv"
 
 
 def default_clip_factor(bits: int) -> float:
-    """Calibrated clip factor from the packaged table; a missing table (or
-    bit-width) is calibrated on demand, an unreadable one raises ValueError."""
+    """Calibrated clip factor from the packaged table, which holds every
+    bit-width ``calibrate_clip`` supports; a missing or unreadable table, or a
+    bit-width it lacks, raises ValueError."""
+    if not _CLIP_CACHE:
+        try:
+            table = read_clip_table(_PACKAGED_TABLE)
+        except (OSError, ValueError) as err:
+            raise ValueError(f"unreadable clip-factor table {_PACKAGED_TABLE}: {err}") from err
+        _CLIP_CACHE.update({b: k for b, (k, _) in table.items()})
     if bits not in _CLIP_CACHE:
-        if _PACKAGED_TABLE.exists():
-            try:
-                table = read_clip_table(_PACKAGED_TABLE)
-            except (OSError, ValueError) as err:
-                raise ValueError(f"corrupt clip-factor table {_PACKAGED_TABLE}: {err}") from err
-            _CLIP_CACHE.update({b: k for b, (k, _) in table.items()})
-        if bits not in _CLIP_CACHE:
-            _CLIP_CACHE[bits] = calibrate_clip(bits)
+        raise ValueError(f"no clip factor for {bits} bits in {_PACKAGED_TABLE}")
     return _CLIP_CACHE[bits]
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
+from qatkit.objectives import quadratic
 from qatkit.quantize import SIGMA_FLOOR, QuantSpec
 from qatkit.scaling import CSV_HEADER
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
@@ -87,6 +88,21 @@ def hadamard_tolerance(n: int) -> float:
 def norm2(x) -> float:
     """||x||_2 of a 1-D array without overflow or underflow in the squares."""
     return math.hypot(*np.asarray(x, dtype=np.float64).tolist())
+
+
+def solved_quadratic(A, b):
+    """``quadratic(A, b, x*, f*)`` with x* = A^{-1} b by ``np.linalg.solve``
+    and f* = -1/2 b^T x*, one problem at a time for a stack A ``(S, d, d)``,
+    b ``(S, d)``: the oracle for the minimum the lanes take from the drawn
+    eigenbasis, and the minimum of a test's own A."""
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x_star = np.empty_like(b)
+    f_star = np.empty(b.shape[:-1])
+    for i in np.ndindex(f_star.shape):
+        x_star[i] = np.linalg.solve(A[i], b[i])
+        f_star[i] = -0.5 * float(b[i] @ x_star[i])
+    return quadratic(A, b, x_star, f_star if f_star.ndim else float(f_star))
 
 
 def gaussian_clip_mse_trapezoid(bits: int, k: float, nodes: int = 100001) -> float:

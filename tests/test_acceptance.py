@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study
+from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study, solved_quadratic
 from qatkit.experiments import (
     make_quadratic_problem,
     run_quadratic,
     run_toy_pareto,
 )
 from qatkit.numerics import make_rng
-from qatkit.objectives import quadratic
 from qatkit.optim import OptimConfig, cage_sgd_step, sgd_step
 from qatkit.pareto import EfState, ef_step, loglog_fit
 from qatkit.quantize import QuantSpec, calibrate_clip, gaussian_clip_mse, int_spec, quantize
@@ -61,7 +60,7 @@ def test_criterion_2_error_feedback_equivalence():
             rng = make_rng((201, seed))
             from qatkit.numerics import make_spd
 
-            obj = quadratic(make_spd(dim, 8.0, rng), rng.standard_normal(dim))
+            obj = solved_quadratic(make_spd(dim, 8.0, rng)[0], rng.standard_normal(dim))
             lr = 0.05
             na, nb = make_rng((202, seed)), make_rng((202, seed))
             x = rng.standard_normal(dim)

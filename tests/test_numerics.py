@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, pca_eigh
+from oracles import finite_diff_grad, pca_eigh, solved_quadratic
 from qatkit.cli import parse_quant
 from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd, pca_project
-from qatkit.objectives import quadratic, rosenbrock, toy_scalar
+from qatkit.objectives import rosenbrock, toy_scalar
 from qatkit.optim import OptimConfig
 
 
@@ -24,9 +24,9 @@ class TestFiniteDiff:
 
     def test_quadratic_matches_analytic(self):
         rng = make_rng(11)
-        A = make_spd(5, 7.0, rng)
+        A = make_spd(5, 7.0, rng)[0]
         b = rng.standard_normal(5)
-        obj = quadratic(A, b)
+        obj = solved_quadratic(A, b)
         x = rng.standard_normal(5)
         g_fd = finite_diff_grad(obj.loss, x, h=1e-5)
         g = obj.grad(x)
@@ -46,28 +46,28 @@ class TestFiniteDiff:
 
 class TestMakeSpd:
     def test_kappa_one_is_identity(self):
-        M = make_spd(3, 1.0, make_rng(0))
+        M = make_spd(3, 1.0, make_rng(0))[0]
         assert np.allclose(M, np.eye(3), atol=1e-12)
 
     def test_dim2_kappa100_eigenvalues(self):
-        M = make_spd(2, 100.0, make_rng(1))
+        M = make_spd(2, 100.0, make_rng(1))[0]
         evals = np.linalg.eigvalsh(M)
         assert np.allclose(sorted(evals), [1.0, 100.0], rtol=1e-9)
 
     def test_condition_number_dim5(self):
-        M = make_spd(5, 10.0, make_rng(2))
+        M = make_spd(5, 10.0, make_rng(2))[0]
         evals = np.linalg.eigvalsh(M)
         assert abs(evals[-1] / evals[0] - 10.0) <= 1e-4
 
     def test_measured_kappa_close(self):
         for seed, kappa in enumerate([1.0, 3.0, 10.0, 100.0]):
-            M = make_spd(8, kappa, make_rng(seed))
+            M = make_spd(8, kappa, make_rng(seed))[0]
             evals = np.linalg.eigvalsh(M)
             assert abs(evals[-1] / evals[0] - kappa) <= 1e-6 * kappa
 
     def test_positive_definite_property(self):
         rng = make_rng(3)
-        M = make_spd(6, 50.0, rng)
+        M = make_spd(6, 50.0, rng)[0]
         for _ in range(100):
             x = rng.standard_normal(6)
             while np.all(x == 0):
@@ -75,7 +75,7 @@ class TestMakeSpd:
             assert x @ M @ x > 0
 
     def test_symmetric(self):
-        M = make_spd(7, 25.0, make_rng(4))
+        M = make_spd(7, 25.0, make_rng(4))[0]
         assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
 
     def test_bad_kappa(self):
@@ -147,7 +147,7 @@ class TestPca:
 # workloads (bench/workloads.py) with their steps cut, and the quadratic
 # goldens (tests/test_golden.py) as run there, each with its CLI settings:
 # (dim, quant, row_length, optimizers, kappas, steps, seeds, OptimConfig)
-CLI_CFG = OptimConfig(lr=0.03, lam=2.0, silence_ratio=0.9)
+CLI_CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
 PCA_LANES = {
     "bench-quadratic-int4": (64, "int-hadamard:4", None, ["adamw", "cage-adamw-dec"], (1.0, 10.0, 100.0), 100,
                              (3, 4), CLI_CFG),
@@ -186,9 +186,9 @@ def test_pca_matches_full_eigh_on_lane_trajectories(lane):
 def test_fd_agreement_invariant_over_objectives():
     # 100 random points spread across the analytic objectives
     rng = make_rng(13)
-    A = make_spd(5, 12.0, rng)
+    A = make_spd(5, 12.0, rng)[0]
     b = rng.standard_normal(5)
-    objs = [quadratic(A, b), toy_scalar(), rosenbrock(6)]
+    objs = [solved_quadratic(A, b), toy_scalar(), rosenbrock(6)]
     checked = 0
     while checked < 100:
         obj = objs[checked % len(objs)]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import solved_quadratic
 import qatkit.experiments
 import qatkit.optim
 from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import make_rng, make_spd
-from qatkit.objectives import quadratic, toy_scalar
+from qatkit.objectives import toy_scalar
 from qatkit.optim import (
     BETA1,
     BETA2,
@@ -24,15 +25,15 @@ from qatkit.quantize import QuantSpec, int_spec, quantize
 
 class TestLambdaSchedule:
     def test_ramp_value(self):
-        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.9)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
         assert lambda_at(cfg, 95, 100) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_silence_boundary(self):
-        cfg = OptimConfig(lr=0.1, lam=2.0, silence_ratio=0.5)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
         assert lambda_at(cfg, 5, 10) == 0.0
 
     def test_full_lambda_at_end(self):
-        cfg = OptimConfig(lr=0.1, lam=3.0, silence_ratio=0.25)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=3.0, silence_ratio=0.25)
         assert lambda_at(cfg, 16, 16) == pytest.approx(3.0, abs=1e-12)
 
     def test_lane_ramp_follows_its_own_steps(self):
@@ -51,7 +52,7 @@ class TestLambdaSchedule:
             lam = float(rng.uniform(0.1, 5.0))
             s = float(rng.uniform(0.0, 0.95))
             T = int(rng.integers(10, 500))
-            cfg = OptimConfig(lr=0.1, lam=lam, silence_ratio=s)
+            cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=lam, silence_ratio=s)
             vals = [lambda_at(cfg, t, T) for t in range(1, T + 1)]
             max_jump = lam / ((1.0 - s) * T)
             for a, b in zip(vals, vals[1:]):
@@ -61,9 +62,9 @@ class TestLambdaSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, lam=-1.0, silence_ratio=0.5)
+            OptimConfig(lr=0.1, weight_decay=0.0, lam=-1.0, silence_ratio=0.5)
         with pytest.raises(ValueError):
-            OptimConfig(lr=0.1, lam=1.0, silence_ratio=1.0)
+            OptimConfig(lr=0.1, weight_decay=0.0, lam=1.0, silence_ratio=1.0)
 
 
 class TestSgd:
@@ -76,8 +77,8 @@ class TestSgd:
 
     def test_monotone_on_quadratic(self):
         rng = make_rng(1)
-        A = make_spd(6, 20.0, rng)
-        obj = quadratic(A, rng.standard_normal(6))
+        A = make_spd(6, 20.0, rng)[0]
+        obj = solved_quadratic(A, rng.standard_normal(6))
         lr = 1.0 / np.linalg.eigvalsh(A)[-1]
         x = rng.standard_normal(6)
         prev = obj.loss(x)
@@ -154,7 +155,7 @@ def _manual_adamw_trace(x0, grads, lr, beta1, beta2, eps, wd):
 
 class TestAdamW:
     def test_first_step_sign_move(self):
-        cfg = OptimConfig(lr=0.01, weight_decay=0.0)
+        cfg = OptimConfig(lr=0.01, weight_decay=0.0, lam=0.0, silence_ratio=0.0)
         g = np.array([0.5, -2.0])
         state, x = adamw_step(AdamState.zeros(2), np.zeros(2), g, cfg, cfg.lr)
         expected = -cfg.lr * g / (np.abs(g) + EPS)
@@ -162,7 +163,7 @@ class TestAdamW:
         assert state.t == 1
 
     def test_zero_grad_never_moves(self):
-        cfg = OptimConfig(lr=0.1, weight_decay=0.0)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=0.0, silence_ratio=0.0)
         state = AdamState.zeros(3)
         x = np.array([1.0, -2.0, 3.0])
         for _ in range(25):
@@ -170,7 +171,7 @@ class TestAdamW:
         assert np.array_equal(x, [1.0, -2.0, 3.0])
 
     def test_three_step_hand_trace(self):
-        cfg = OptimConfig(lr=0.1, weight_decay=0.0)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.0, lam=0.0, silence_ratio=0.0)
         state = AdamState.zeros(1)
         x = np.array([0.5])
         seen = []
@@ -181,7 +182,7 @@ class TestAdamW:
         assert np.allclose(seen, manual, atol=1e-12)
 
     def test_decay_applied_before_update(self):
-        cfg = OptimConfig(lr=0.1, weight_decay=0.5)
+        cfg = OptimConfig(lr=0.1, weight_decay=0.5, lam=0.0, silence_ratio=0.0)
         state, x = adamw_step(AdamState.zeros(1), np.array([2.0]), np.zeros(1), cfg, cfg.lr)
         # zero gradient: only the decay acts
         assert x[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
@@ -190,7 +191,7 @@ class TestAdamW:
         # with weight_decay = 0 the step is plain Adam: mirror implementation
         rng = make_rng(4)
         for _ in range(100):
-            cfg = OptimConfig(lr=float(rng.uniform(1e-3, 0.3)), weight_decay=0.0)
+            cfg = OptimConfig(lr=float(rng.uniform(1e-3, 0.3)), weight_decay=0.0, lam=0.0, silence_ratio=0.0)
             g = rng.standard_normal(4)
             x = rng.standard_normal(4)
             state = AdamState(m=rng.standard_normal(4), v=np.abs(rng.standard_normal(4)), t=int(rng.integers(1, 50)))
@@ -207,7 +208,7 @@ class TestAdamW:
     def test_beta_zero_sign_consistency_property(self):
         rng = make_rng(5)
         # the first step from zero moments moves each coordinate against its gradient
-        cfg = OptimConfig(lr=0.05, weight_decay=0.0)
+        cfg = OptimConfig(lr=0.05, weight_decay=0.0, lam=0.0, silence_ratio=0.0)
         for _ in range(100):
             g = rng.standard_normal(6)
             _, x = adamw_step(AdamState.zeros(6), np.zeros(6), g, cfg, cfg.lr)
@@ -216,7 +217,7 @@ class TestAdamW:
 
     def test_v_stays_nonnegative_property(self):
         rng = make_rng(6)
-        cfg = OptimConfig(lr=0.01, weight_decay=0.1)
+        cfg = OptimConfig(lr=0.01, weight_decay=0.1, lam=0.0, silence_ratio=0.0)
         state = AdamState.zeros(5)
         x = rng.standard_normal(5)
         for _ in range(300):
@@ -284,7 +285,7 @@ class TestCageAdamW:
     def test_lane_decoupled_uses_error_of_decayed_point(self):
         # with weight decay the lane quantizes the decayed point for the
         # decoupled correction; its first step is the literal rule
-        cfg = OptimConfig(lr=0.05, weight_decay=0.2, lam=2.0)
+        cfg = OptimConfig(lr=0.05, weight_decay=0.2, lam=2.0, silence_ratio=0.0)
         spec = QuantSpec(scheme="floor-toy", grid=0.5)
         obj, x0 = make_quadratic_problem(8, 10.0, (3,))
         (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 1, spec, cfg, grad_clip_norm=0.0)
@@ -422,7 +423,7 @@ class TestGradClip:
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bad_hyperparameter_rejected(field, value):
     # a NaN fails every check, as an out-of-range value does
-    settings = {"lr": 0.1, "lam": 1.0, "silence_ratio": 0.5, field: value}
+    settings = {"lr": 0.1, "weight_decay": 0.0, "lam": 1.0, "silence_ratio": 0.5, field: value}
     with pytest.raises(ValueError):
         OptimConfig(**settings)
 

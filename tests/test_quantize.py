@@ -372,11 +372,21 @@ class TestClipTable:
         with pytest.raises(ValueError, match="clip_factors.tsv"):
             qz.default_clip_factor(4)
 
-    def test_missing_packaged_table_calibrates(self, tmp_path, monkeypatch):
+    def test_missing_packaged_table_raises(self, tmp_path, monkeypatch):
         monkeypatch.setattr(qz, "_PACKAGED_TABLE", tmp_path / "absent.tsv")
         monkeypatch.setattr(qz, "_CLIP_CACHE", {})
-        monkeypatch.setattr(qz, "calibrate_clip", lambda bits: 1.0 + bits)
-        assert qz.default_clip_factor(4) == 5.0
+        with pytest.raises(ValueError, match="absent.tsv"):
+            qz.default_clip_factor(4)
+
+    def test_bit_width_missing_from_table_raises(self, monkeypatch):
+        # the table is the only source: a bit-width it lacks is never calibrated
+        def no_calibration(bits):
+            raise AssertionError(f"calibrate_clip({bits}) called")
+
+        monkeypatch.setattr(qz, "calibrate_clip", no_calibration)
+        monkeypatch.setattr(qz, "_CLIP_CACHE", {})
+        with pytest.raises(ValueError, match="clip_factors.tsv"):
+            int_spec("int-plain", 9)
 
     def test_roundtrip(self, tmp_path):
         rows = [(2, 1.0482, 0.1494), (3, 1.8054, 0.0406)]

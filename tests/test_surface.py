@@ -35,22 +35,25 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# scipy loads only for calibrate-clip, fit-scaling and on-demand clip
-# calibration; a cold start and the quadratic, convergence and toy lanes
-# (with the packaged clip table) never import it
+# scipy loads only for calibrate-clip and fit-scaling; a cold start, every
+# bit-width of the packaged clip table and the quadratic, convergence and toy
+# lanes never import it
 NO_SCIPY_RUN = """
 import sys
 import qatkit.cli
-from qatkit.quantize import default_clip_factor
+from qatkit.quantize import default_clip_factor, int_spec
 
 default_clip_factor(4)
+for bits in range(2, 9):
+    int_spec("int-plain", bits)
 out = sys.argv[1]
-for argv in (
+for i, argv in enumerate((
     ["quadratic", "--kappas", "1,10", "--dim", "12", "--steps", "5", "--quant", "int-hadamard:4"],
+    ["quadratic", "--kappas", "10", "--dim", "12", "--steps", "5", "--quant", "int-plain:8"],
     ["convergence", "--objective", "quadratic", "--dim", "4", "--quant", "int-hadamard:4", "--steps", "5,500"],
     ["toy-pareto", "--lambdas", "1", "--steps", "5"],
-):
-    assert qatkit.cli.main(argv + ["--out", f"{out}/{argv[0]}"]) == 0, argv
+)):
+    assert qatkit.cli.main(argv + ["--out", f"{out}/{i}"]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
