@@ -259,27 +259,30 @@ def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
         resolved[name] = value
     if resolved.get("out") is None:
         resolved["out"] = f"runs/{subcommand}"
+    resolved["subcommand"] = subcommand
     return resolved
 
 
-def _prepare_out(opts: dict, subcommand: str) -> Path:
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _prepare_out(opts: dict) -> Path:
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {"subcommand": subcommand, **opts}
-    (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    # a summary.json stands only beside the config of a run that finished
+    (out / "summary.json").unlink(missing_ok=True)
+    _write_json(out / "config.json", opts)
     return out
 
 
-def _write_summary(out: Path, payload: dict) -> None:
-    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands: each checks only what spans several options
+# subcommands: each checks only what spans several options, and returns the
+# document that main writes as summary.json
 # ---------------------------------------------------------------------------
 
-def cmd_calibrate_clip(opts: dict) -> int:
-    out = _prepare_out(opts, "calibrate-clip")
+def cmd_calibrate_clip(opts: dict) -> dict:
+    out = _prepare_out(opts)
     rows = []
     for b in sorted(opts["bits"]):
         k = calibrate_clip(b)
@@ -287,39 +290,31 @@ def cmd_calibrate_clip(opts: dict) -> int:
         rows.append((b, k, mse))
         print(f"{b}\t{k!r}\t{mse!r}")
     write_clip_table(out / "clip_factors.tsv", rows)
-    _write_summary(out, {"table": [{"bits": b, "k": k, "mse": m} for b, k, m in rows]})
-    return 0
+    return {"table": [{"bits": b, "k": k, "mse": m} for b, k, m in rows]}
 
 
-def cmd_toy_pareto(opts: dict) -> int:
-    out = _prepare_out(opts, "toy-pareto")
+def cmd_toy_pareto(opts: dict) -> dict:
+    out = _prepare_out(opts)
     results = []
     for lam in opts["lambdas"]:
         res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
-        results.append(res)
         write_trace_csv(out / f"trace_lambda{lam:g}.csv", res.trace)
         print(
             f"lambda={lam:g} final_x={res.final_x!r} "
             f"|pareto_grad|={res.pareto_grad_abs!r} |ste_grad|={res.ste_grad_abs!r}"
         )
-    _write_summary(
-        out,
-        {
-            "results": [
-                {
-                    "lambda": r.lam,
-                    "final_x": r.final_x,
-                    "pareto_grad_abs": r.pareto_grad_abs,
-                    "ste_grad_abs": r.ste_grad_abs,
-                }
-                for r in results
-            ]
-        },
-    )
-    return 0
+        results.append(
+            {
+                "lambda": lam,
+                "final_x": res.final_x,
+                "pareto_grad_abs": res.pareto_grad_abs,
+                "ste_grad_abs": res.ste_grad_abs,
+            }
+        )
+    return {"results": results}
 
 
-def cmd_quadratic(opts: dict) -> int:
+def cmd_quadratic(opts: dict) -> dict:
     seeds, steps = opts["seed"], opts["steps"]
     cfg = OptimConfig(
         lr=opts["lr"],
@@ -328,7 +323,7 @@ def cmd_quadratic(opts: dict) -> int:
         silence_ratio=opts["silence_ratio"],
     )
     spec = parse_quant(opts["quant"])
-    out = _prepare_out(opts, "quadratic")
+    out = _prepare_out(opts)
     cells = []
     for kappa in opts["kappas"]:
         obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
@@ -361,11 +356,10 @@ def cmd_quadratic(opts: dict) -> int:
             )
             print(f"kappa={kappa:g} opt={name} mean_gap={mean!r} std={std!r}")
         del runs, run  # nor are this kappa's runs during the next draw
-    _write_summary(out, {"cells": cells})
-    return 0
+    return {"cells": cells}
 
 
-def cmd_convergence(opts: dict) -> int:
+def cmd_convergence(opts: dict) -> dict:
     seeds = opts["seed"]
     horizons = sorted(opts["steps"])
     if len(horizons) >= 2 and horizons[-1] / horizons[0] < 100.0:
@@ -375,7 +369,7 @@ def cmd_convergence(opts: dict) -> int:
     if opts["objective"] == "quadratic" and opts["dim"] == 1 and opts["kappa"] != 1.0:
         raise ConfigError(f"a quadratic at dim 1 needs kappa = 1, got {opts['kappa']}")
     spec = parse_quant(opts["quant"])
-    out = _prepare_out(opts, "convergence")
+    out = _prepare_out(opts)
     obj, lhat = make_rate_objective(
         opts["objective"], opts["dim"], kappa=opts["kappa"], seed=seeds[0],
         lipschitz=opts["lipschitz"],
@@ -406,11 +400,10 @@ def cmd_convergence(opts: dict) -> int:
         )
         payload["rate"] = {"exponent": slope, "intercept": intercept, "r_squared": r2}
         print(f"rate exponent p={slope!r} r2={r2!r}")
-    _write_summary(out, payload)
-    return 0
+    return payload
 
 
-def cmd_fit_scaling(opts: dict) -> int:
+def cmd_fit_scaling(opts: dict) -> dict:
     # an unreadable file, a malformed row and too little data diversity are
     # input errors; a ValueError from the fit itself is a bug
     try:
@@ -418,7 +411,7 @@ def cmd_fit_scaling(opts: dict) -> int:
         check_scaling_data(data)
     except (FileNotFoundError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    out = _prepare_out(opts, "fit-scaling")
+    _prepare_out(opts)
     fit = fit_scaling(
         data,
         prior_weight=opts["prior_weight"],
@@ -431,13 +424,12 @@ def cmd_fit_scaling(opts: dict) -> int:
     except OverflowError as err:
         # a law fitted to extreme losses can overflow a float power at a data point
         raise NumericalFailure(f"fitted law overflows at a data point ({err})") from err
-    _write_summary(out, doc)
     print("method\tP\teff")
     print(f"*\tFP\t{1.0!r}")
     for entry in doc["eff"]:
         print(f"{entry['method']}\t{entry['P']}\t{entry['eff']!r}")
     print(f"residual_rms={fit.residual_rms!r}")
-    return 0
+    return doc
 
 
 _HANDLERS = {
@@ -468,7 +460,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _resolve_options(args.subcommand, args)
-        return _HANDLERS[args.subcommand](opts)
+        _write_json(Path(opts["out"]) / "summary.json", _HANDLERS[args.subcommand](opts))
+        return 0
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

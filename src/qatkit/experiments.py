@@ -150,7 +150,6 @@ def _corrected_sgd(
 
 @dataclass(frozen=True)
 class ToyParetoResult:
-    lam: float
     final_x: float
     pareto_grad_abs: float
     ste_grad_abs: float
@@ -170,7 +169,6 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
     fwd = quantize(spec, x)
     return ToyParetoResult(
-        lam=lam,
         final_x=float(x[0]),
         # at d = 1, sqrt(p p) is |p| bitwise while p p neither under- nor overflows
         pareto_grad_abs=math.sqrt(balance_sq_norm(obj.grad(x), fwd.error, lam)),
@@ -186,7 +184,6 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 @dataclass(frozen=True)
 class QuadraticRun:
     final_gaps: list[float]
-    final_losses: list[float]
     trace: np.ndarray  # the first row's, (steps, 5)
     iterates: np.ndarray  # the first row's, (steps, d)
 
@@ -332,11 +329,10 @@ def run_quadratic(
             )
         snapshots[:, t - 1] = x[:, 0]
 
-    final_losses = obj.loss(quantize(spec, x).quantized)
+    gaps = obj.loss(quantize(spec, x).quantized) - obj.f_star
     return tuple(
         QuadraticRun(
-            final_gaps=(final_losses[o] - obj.f_star).tolist(),
-            final_losses=final_losses[o].tolist(),
+            final_gaps=gaps[o].tolist(),
             trace=traces[o],
             iterates=snapshots[o],
         )

@@ -10,7 +10,9 @@ import pytest
 import qatkit.cli
 from oracles import write_scaling_csv
 from qatkit.cli import load_config_file, main, parse_quant
+from qatkit.numerics import make_rng
 from qatkit.quantize import QuantSpec, read_clip_table
+from qatkit.scaling import synthesize_scaling_data
 
 
 def run_cli(*args):
@@ -25,6 +27,17 @@ def write_fp_only_csv(path):
                     for n in (10, 100, 1000) for d in (100, 1000, 10000))
         + "\n"
     )
+    return path
+
+
+def write_synth_csv(path):
+    """A fit-scaling input from known law parameters: FP, 4-bit and 2-bit groups."""
+    data = synthesize_scaling_data(
+        A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
+        eff_by_group={("fp16", "FP"): 1.0, ("m4", "4"): 0.7, ("m2", "2"): 0.5},
+        noise=0.005, rng=make_rng((500, 0)),
+    )
+    write_scaling_csv(path, data)
     return path
 
 
@@ -168,6 +181,19 @@ class TestQuadratic:
         assert (out / "config.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_rerun_leaves_no_stale_summary(self, tmp_path):
+        # summary.json exists only when the run of the config.json beside it finished
+        out = tmp_path / "rerun"
+        argv = [
+            "quadratic", "--kappas", "1", "--dim", "4", "--steps", "5", "--opt", "sgd",
+            "--quant", "none", "--grad-clip", "0", "--out", str(out),
+        ]
+        assert run_cli(*argv) == 0 and (out / "summary.json").exists()
+        assert run_cli(*argv, "--lr", "1e200") == 3
+        assert json.loads((out / "config.json").read_text())["lr"] == 1e200
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_names_the_optimizer(self, tmp_path, capsys):
         # the optimizers of a kappa stop together; the message says which diverged
         out = tmp_path / "blowup"
@@ -299,17 +325,7 @@ def test_quadratic_determinism(tmp_path):
 class TestFitScaling:
     @pytest.fixture()
     def synth_csv(self, tmp_path):
-        from qatkit.numerics import make_rng
-        from qatkit.scaling import synthesize_scaling_data
-
-        data = synthesize_scaling_data(
-            A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
-            eff_by_group={("fp16", "FP"): 1.0, ("m4", "4"): 0.7, ("m2", "2"): 0.5},
-            noise=0.005, rng=make_rng((500, 0)),
-        )
-        path = tmp_path / "losses.csv"
-        write_scaling_csv(path, data)
-        return path
+        return write_synth_csv(tmp_path / "losses.csv")
 
     def test_recovery_via_cli(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "fit"
@@ -465,27 +481,54 @@ def test_run_directory_contents(argv, extra, tmp_path):
     assert {f.name for f in out.iterdir()} == {"config.json", "summary.json"} | extra
 
 
+# one run of each subcommand: quadratic's draw and PCA and the rate lane's
+# quadratic at dim 512, where OpenBLAS splits its work across threads
+THREAD_RUNS = {
+    "quadratic": [
+        "quadratic", "--kappas", "10", "--dim", "512", "--steps", "20", "--opt", "adamw,cage-adamw-cpl",
+        "--quant", "mxfp4", "--seed", "0",
+    ],
+    "convergence": [
+        "convergence", "--objective", "quadratic", "--dim", "512", "--quant", "int-hadamard:4",
+        "--steps", "5,500", "--seed", "0,1",
+    ],
+    "toy-pareto": ["toy-pareto", "--lambdas", "0.5,2", "--steps", "50"],
+    "calibrate-clip": ["calibrate-clip", "--bits", "2,3"],
+    "fit-scaling": ["fit-scaling", "--input", None],
+}
+RUN_ALL = "import json, sys\nfrom qatkit.cli import main\nsys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+
+
 def test_run_directory_does_not_depend_on_blas_threads(tmp_path):
     # x* from the drawn eigenbasis and the PCA by subspace iteration give the
-    # same bits at one and two OpenBLAS threads, so every file of a dim-512
-    # run but config.json (which records --out) is byte-identical
+    # same bits at one and two OpenBLAS threads, so every file of each run
+    # but config.json (which records --out) is byte-identical; one child
+    # process per thread count runs all five subcommands
+    csv_path = str(write_synth_csv(tmp_path / "losses.csv"))
     outs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+        root = tmp_path / f"threads{threads}"
+        runs = [
+            [csv_path if a is None else a for a in argv] + ["--out", str(root / name)]
+            for name, argv in THREAD_RUNS.items()
+        ]
         proc = subprocess.run(
-            [sys.executable, "-m", "qatkit", "quadratic", "--kappas", "10", "--dim", "512",
-             "--steps", "20", "--opt", "adamw,cage-adamw-cpl", "--quant", "mxfp4",
-             "--seed", "0", "--out", str(out)],
+            [sys.executable, "-c", RUN_ALL, json.dumps(runs)],
             capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stderr
-        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "config.json"})
+        outs.append({
+            f"{name}/{f.name}": f.read_bytes()
+            for name in THREAD_RUNS for f in sorted((root / name).iterdir()) if f.name != "config.json"
+        })
     assert sorted(outs[0]) == [
-        "summary.json",
-        "trace_kappa10_adamw_seed0.csv",
-        "trace_kappa10_cage-adamw-cpl_seed0.csv",
-        "traj_kappa10_adamw_seed0.csv",
-        "traj_kappa10_cage-adamw-cpl_seed0.csv",
+        "calibrate-clip/clip_factors.tsv", "calibrate-clip/summary.json",
+        "convergence/summary.json", "convergence/trace_T500_seed0.csv", "convergence/trace_T5_seed0.csv",
+        "fit-scaling/summary.json",
+        "quadratic/summary.json",
+        "quadratic/trace_kappa10_adamw_seed0.csv", "quadratic/trace_kappa10_cage-adamw-cpl_seed0.csv",
+        "quadratic/traj_kappa10_adamw_seed0.csv", "quadratic/traj_kappa10_cage-adamw-cpl_seed0.csv",
+        "toy-pareto/summary.json", "toy-pareto/trace_lambda0.5.csv", "toy-pareto/trace_lambda2.csv",
     ]
     assert outs[0] == outs[1]
 

@@ -2,7 +2,7 @@
 
 The determinism tests compare a rerun with itself, so a refactor that moves a
 single float would still pass them.  These digests were recorded once and pin
-the bytes of ``summary.json`` and every CSV a run writes; a change that is
+the bytes of ``summary.json`` and every CSV or TSV a run writes; a change that is
 meant to alter outputs must update them and say by how much the floats moved.
 """
 
@@ -12,9 +12,19 @@ import hashlib
 import pytest
 
 import qatkit.cli
+from oracles import write_scaling_csv
 from qatkit.cli import main
+from qatkit.numerics import make_rng
+from qatkit.scaling import synthesize_scaling_data
 
 GOLDEN = {
+    "calibrate-clip": {
+        "clip_factors.tsv": "73a72027556946cffd972f618466ec8f654a2482dfae5dbd550cd61d5270b834",
+        "summary.json": "e5e253c4e0f1841517137866fc87e020dee29681538852e7ec7ffe07e9c11b0b",
+    },
+    "fit-scaling": {
+        "summary.json": "3f96800711f039ca211b028822cd0521d6d9e736e801678386541ffe2f9f2aaf",
+    },
     "quadratic-int-hadamard": {
         "summary.json": "22fee2f910ea24405926f85f2c8a37f9609711ed3ca26d2fdb221a94dd0e042d",
         "trace_kappa100_adamw_seed0.csv": "9e7af6660c13793dca73894ec4d6a51527d3856b4afc8dfcb029938f8a148c66",
@@ -119,14 +129,29 @@ RUNS = {
     # the balance-point lane: one scalar through the floor quantizer and the
     # corrected-SGD loop the rate lane runs
     "toy-pareto": ["toy-pareto", "--lambdas", "0.5,3", "--steps", "300"],
+    # the Gaussian clip quadratures under the bounded Brent search
+    "calibrate-clip": ["calibrate-clip", "--bits", "2,3"],
+    # the multi-start law fit; None stands for the CSV of _scaling_input
+    "fit-scaling": ["fit-scaling", "--input", None],
 }
+
+
+def _scaling_input(path):
+    """A small fit-scaling input: one FP and one 4-bit group on the synthetic grid."""
+    data = synthesize_scaling_data(
+        A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
+        eff_by_group={("fp16", "FP"): 1.0, ("m4", "4"): 0.7},
+        noise=0.005, rng=make_rng((21, 0)),
+    )
+    write_scaling_csv(path, data)
+    return str(path)
 
 
 def _digests(out):
     return {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(out.iterdir())
-        if f.name == "summary.json" or f.suffix == ".csv"
+        if f.name == "summary.json" or f.suffix in (".csv", ".tsv")
     }
 
 
@@ -135,6 +160,7 @@ def test_golden_digests(name, tmp_path, monkeypatch):
     if name == "quadratic-int-plain-rows":
         parse = qatkit.cli.parse_quant
         monkeypatch.setattr(qatkit.cli, "parse_quant", lambda v: dataclasses.replace(parse(v), row_length=8))
+    argv = [_scaling_input(tmp_path / "losses.csv") if a is None else a for a in RUNS[name]]
     out = tmp_path / name
-    assert main(RUNS[name] + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
     assert _digests(out) == GOLDEN[name]
