@@ -23,29 +23,31 @@ from qatkit.quantize import int_spec
 
 SPEC = int_spec("int-hadamard", 4)
 SEEDS = (0, 1, 2)
+KAPPAS = (1.0, 10.0, 100.0)
 STEPS = 2000
 
 
 # adamw never reads lam, so one config serves both optimizers
 CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
 
+# one draw of every (kappa, seed) problem and one batched run of both
+# optimizers on all of them; the seeds are stacked last first because a run
+# records the iterates of its kappa's first seed
+obj, x0 = make_quadratic_problem(64, KAPPAS, SEEDS[::-1], sigma0=1.0)
+runs = run_quadratic(
+    obj, x0, ("adamw", "cage-adamw-dec"), STEPS, SPEC, CFG,
+    lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
+)
+
 print(f"{'kappa':>6} {'adam gap':>12} {'corrected':>12} {'reduction':>10}")
-for kappa in (1.0, 10.0, 100.0):
-    # one draw per kappa and one batched run of both optimizers on all its
-    # seeds; the seeds are stacked last first because a run records the
-    # iterates of its first row
-    obj, x0 = make_quadratic_problem(64, kappa, SEEDS[::-1], sigma0=1.0)
-    runs = run_quadratic(
-        obj, x0, ("adamw", "cage-adamw-dec"), STEPS, SPEC, CFG,
-        lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
-    )
-    adam, cage = (np.array(run.final_gaps[::-1]) for run in runs)  # seed order
-    last = runs[1]
+for kappa, kappa_runs in zip(KAPPAS, runs):
+    adam, cage = (np.array(run.final_gaps[::-1]) for run in kappa_runs)  # seed order
     print(
         f"{kappa:6.0f} {adam.mean():12.4f} {cage.mean():12.4f} "
         f"{(adam.mean() - cage.mean()) / adam.mean():9.1%}"
     )
 
+last = runs[-1][1]
 proj, _ = pca_project(last.iterates, 2)
 print("\nlast corrected run, trajectory footprint in its top-2 principal plane:")
 print(f"  start ({proj[0, 0]:+.2f}, {proj[0, 1]:+.2f}) -> end ({proj[-1, 0]:+.2f}, {proj[-1, 1]:+.2f})")

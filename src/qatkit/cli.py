@@ -314,6 +314,20 @@ def cmd_toy_pareto(opts: dict) -> dict:
     return {"results": results}
 
 
+# bytes one chunk of quadratic kappas may hold at once: its (K S, d, d) stack
+# of matrices and its K O recorded (steps, d) trajectories
+_CHUNK_BYTES = 8 << 20
+
+
+def _kappa_chunks(kappas: list, dim: int, n_seeds: int, n_opts: int, steps: int) -> list[list]:
+    """``kappas`` in order, cut into the longest runs of kappas whose stack and
+    trajectories fit in ``_CHUNK_BYTES``; a kappa too large for it is a chunk
+    of one."""
+    per_kappa = 8 * dim * (n_seeds * dim + n_opts * steps)
+    size = max(1, _CHUNK_BYTES // per_kappa)
+    return [kappas[i:i + size] for i in range(0, len(kappas), size)]
+
+
 def cmd_quadratic(opts: dict) -> dict:
     seeds, steps = opts["seed"], opts["steps"]
     cfg = OptimConfig(
@@ -325,37 +339,38 @@ def cmd_quadratic(opts: dict) -> dict:
     spec = parse_quant(opts["quant"])
     out = _prepare_out(opts)
     cells = []
-    for kappa in opts["kappas"]:
-        obj, x0 = make_quadratic_problem(opts["dim"], kappa, seeds, opts["sigma0"])
+    for chunk in _kappa_chunks(opts["kappas"], opts["dim"], len(seeds), len(opts["opt"]), steps):
+        obj, x0 = make_quadratic_problem(opts["dim"], chunk, seeds, opts["sigma0"])
         try:
             runs = run_quadratic(
                 obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
                 ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
             )
         except NumericalFailure as err:
-            raise NumericalFailure(f"{err}, kappa {kappa:g}") from err
-        del obj, x0  # the problem is not live during the PCAs or the next draw
-        for name, run in zip(opts["opt"], runs):
-            write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
-            proj, _ = pca_project(run.iterates, 2)
-            with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
-                fh.write("pc1,pc2\n")
-                for pc1, pc2 in proj.tolist():
-                    fh.write(f"{pc1!r},{pc2!r}\n")
-            gaps = run.final_gaps
-            mean = statistics.fmean(gaps)
-            std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0
-            cells.append(
-                {
-                    "kappa": kappa,
-                    "optimizer": name,
-                    "final_gaps": gaps,
-                    "mean_final_gap": mean,
-                    "std_final_gap": std,
-                }
-            )
-            print(f"kappa={kappa:g} opt={name} mean_gap={mean!r} std={std!r}")
-        del runs, run  # nor are this kappa's runs during the next draw
+            raise NumericalFailure(f"{err}, kappa {chunk[err.kappa_index]:g}") from err
+        del obj, x0  # the problems are not live during the PCAs or the next draw
+        for kappa, kappa_runs in zip(chunk, runs):
+            for name, run in zip(opts["opt"], kappa_runs):
+                write_trace_csv(out / f"trace_kappa{kappa:g}_{name}_seed{seeds[0]}.csv", run.trace)
+                proj, _ = pca_project(run.iterates, 2)
+                with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
+                    fh.write("pc1,pc2\n")
+                    for pc1, pc2 in proj.tolist():
+                        fh.write(f"{pc1!r},{pc2!r}\n")
+                gaps = run.final_gaps
+                mean = statistics.fmean(gaps)
+                std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0
+                cells.append(
+                    {
+                        "kappa": kappa,
+                        "optimizer": name,
+                        "final_gaps": gaps,
+                        "mean_final_gap": mean,
+                        "std_final_gap": std,
+                    }
+                )
+                print(f"kappa={kappa:g} opt={name} mean_gap={mean!r} std={std!r}")
+        del runs, kappa_runs, run  # nor are this chunk's runs during the next draw
     return {"cells": cells}
 
 

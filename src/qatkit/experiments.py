@@ -6,8 +6,8 @@ Three lanes:
   closed-form balance points x(lam) = 1 / (2 (1 + lam));
 * condition-number-swept quadratics with a 4-bit quantized forward pass,
   comparing plain and corrected optimizers on the final optimality gap; the
-  optimizers and seeds of one kappa run as one ``(O, S, d)`` state on a
-  stack of the seeds' problems;
+  optimizers, kappas and seeds of a chunk of kappas run as one
+  ``(O, K S, d)`` state on a stack of the chunk's problems, kappa-major;
 * the ergodic-rate study, which runs corrected SGD over a grid of horizons
   and fits the log-log decay of the mean squared balance gradient; the
   seeds of one horizon run as a batch, one ``(S, d)`` state, through the
@@ -184,8 +184,8 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 @dataclass(frozen=True)
 class QuadraticRun:
     final_gaps: list[float]
-    trace: np.ndarray  # the first row's, (steps, 5)
-    iterates: np.ndarray  # the first row's, (steps, d)
+    trace: np.ndarray  # its kappa's first seed's, (steps, 5)
+    iterates: np.ndarray  # its kappa's first seed's, (steps, d)
 
 
 def _draw_quadratic(dim: int, kappa: float, seed: int):
@@ -204,30 +204,41 @@ def _draw_quadratic(dim: int, kappa: float, seed: int):
     return A, b, x_star, -0.5 * float(b @ x_star), rng
 
 
-def make_quadratic_problem(dim: int, kappa: float, seeds: Sequence[int], sigma0: float = 1.0):
-    """Shared problem draw for the (kappa, seed) cells of a seed list: the
-    seeds' quadratics (``_draw_quadratic``) as one stacked objective, and the
-    ``(S, d)`` inits.
+def make_quadratic_problem(dim: int, kappas: Sequence[float], seeds: Sequence[int], sigma0: float = 1.0):
+    """Shared problem draw for the (kappa, seed) cells of a kappa list and a
+    seed list: the K S quadratics (``_draw_quadratic``), kappa-major, as one
+    stacked objective, and the ``(K, S, d)`` inits.
 
-    Each seed draws from its own generator, so a seed's problem does not
-    depend on which other seeds share the stack.  All optimizers in a cell
-    must see the same problems so that per-seed comparisons are paired.
+    Each (kappa, seed) draws from its own generator, so a cell's problem does
+    not depend on which other cells share the stack.  All optimizers in a
+    cell must see the same problems so that per-seed comparisons are paired.
     """
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    b = np.empty((len(seeds), dim))
-    x_star = np.empty((len(seeds), dim))
-    f_star = np.empty(len(seeds))
-    x0 = np.empty((len(seeds), dim))
-    for i, seed in enumerate(seeds):
+    kappas, seeds = tuple(kappas), tuple(seeds)
+    cells = [(kappa, seed) for kappa in kappas for seed in seeds]
+    if not cells:
+        raise ValueError("need at least one kappa and one seed")
+    b = np.empty((len(cells), dim))
+    x_star = np.empty((len(cells), dim))
+    f_star = np.empty(len(cells))
+    x0 = np.empty((len(cells), dim))
+    for i, (kappa, seed) in enumerate(cells):
         spd, b[i], x_star[i], f_star[i], rng = _draw_quadratic(dim, kappa, seed)
         if i == 0:
             # allocated after the draw's temporaries are gone, not next to them
-            A = np.empty((len(seeds), dim, dim))
+            A = np.empty((len(cells), dim, dim))
         A[i] = spd
         x0[i] = sigma0 * rng.standard_normal(dim)
-    return quadratic(A, b, x_star, f_star), x0
+    return quadratic(A, b, x_star, f_star), x0.reshape(len(kappas), len(seeds), dim)
+
+
+def _quadratic_failure(message: str, bad: np.ndarray, n_seeds: int) -> NumericalFailure:
+    """NumericalFailure ``message`` naming the first row of the kappa-major
+    mask ``bad`` ``(K S,)`` by its seed index within its kappa; the kappa's
+    index is the failure's ``kappa_index``."""
+    kappa_index, seed_index = divmod(int(np.argmax(bad)), n_seeds)
+    failure = NumericalFailure(f"{message}, seed index {seed_index}")
+    failure.kappa_index = kappa_index
+    return failure
 
 
 def run_quadratic(
@@ -240,33 +251,37 @@ def run_quadratic(
     lr_schedule: str = "constant",
     ste_kind: str = "trust-masked",
     grad_clip_norm: float = 1.0,
-) -> tuple[QuadraticRun, ...]:
+) -> tuple[tuple[QuadraticRun, ...], ...]:
     """Run each of ``optimizers`` on quantized-forward quadratics from every
-    row of ``x0`` ``(S, d)``, all stepped as one ``(O, S, d)`` state; returns
+    row of ``x0`` ``(K, S, d)`` (K kappas of S seeds; ``(S, d)`` is one
+    kappa), all stepped as one ``(O, K S, d)`` state; returns, per kappa,
     one run per optimizer, in order.
 
-    Row i runs on problem i of a stacked ``obj`` (see ``make_quadratic_problem``)
-    and is bitwise its lone run.  Each step quantizes, evaluates, transports
-    and clips (per row; ``grad_clip_norm`` 0 disables it) all rows at
-    once.  The rows are ordered into two contiguous family blocks before the
-    loop, so each step makes one ``cage_sgd_step`` call on the SGD block and
-    one ``cage_adamw_step`` call (one ``AdamState``) on the AdamW block, with
-    per-row lambdas: cage-sgd takes the constant ``cfg.lam``, both AdamW
-    corrections the ramp ``lambda_at(cfg, t, steps)`` (as lam_cpl or
-    lam_dec) and the plain optimizers 0; the traces record the same values,
-    and the lr is a_t of ``lr_schedule``.  The decoupled error e_dec is the
-    forward pass's at ``weight_decay`` 0, where the decayed point
-    (1 - a_t 0) x is x bitwise; otherwise the decayed AdamW rows are
-    quantized again on steps where a decoupled lambda is positive.  One
-    paired evaluation (``obj.value_and_grads``, a stacked quadratic's one
-    read of each matrix) gives the loss and gradient at Q(x) and the trace's
-    gradient at x; the gradient at Q(x) is transported back trust-masked
-    only for ``ste_kind`` "trust-masked" with an int scheme (else as is).
-    The gap is f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is
-    the identity and e = 0: full-precision training.  A run's trace and
-    iterates are its first row's.  A non-finite loss or iterate stops the
-    whole group; the ``NumericalFailure`` names the optimizers whose rows it
-    hit, the step and the first such row's seed index.
+    Row (k, i) runs on problem k S + i of a stacked ``obj`` (see
+    ``make_quadratic_problem``) and is bitwise its lone run.  Each step
+    quantizes, evaluates, transports and clips (per row; ``grad_clip_norm``
+    0 disables it) all rows at once.  The rows are ordered into two
+    contiguous family blocks before the loop, so each step makes one
+    ``cage_sgd_step`` call on the SGD block and one ``cage_adamw_step`` call
+    (one ``AdamState``) on the AdamW block, with per-row lambdas: cage-sgd
+    takes the constant ``cfg.lam``, both AdamW corrections the ramp
+    ``lambda_at(cfg, t, steps)`` (as lam_cpl or lam_dec) and the plain
+    optimizers 0; the traces record the same values, and the lr is a_t of
+    ``lr_schedule``.  The decoupled error e_dec is the forward pass's at
+    ``weight_decay`` 0, where the decayed point (1 - a_t 0) x is x bitwise;
+    otherwise the decayed AdamW rows are quantized again on steps where a
+    decoupled lambda is positive.  One paired evaluation
+    (``obj.value_and_grads``, a stacked quadratic's one read of each matrix)
+    gives the loss and gradient at Q(x) and the trace's gradient at x; the
+    gradient at Q(x) is transported back trust-masked only for ``ste_kind``
+    "trust-masked" with an int scheme (else as is).  The gap is
+    f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
+    identity and e = 0: full-precision training.  A run's trace and iterates
+    are its kappa's first seed's.  A non-finite initial point, loss or
+    iterate stops every kappa together; the ``NumericalFailure`` names the
+    optimizers whose rows it hit, the step and the first such row's seed
+    index within its kappa, and carries that kappa's index as
+    ``kappa_index``.
     """
     if isinstance(optimizers, str) or not optimizers:
         raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
@@ -276,8 +291,12 @@ def run_quadratic(
     if ste_kind not in STE_KINDS:
         raise ValueError(f"unknown ste_kind {ste_kind!r}")
     masked = ste_kind == "trust-masked" and spec.scheme in INT_SCHEMES
-    x0 = np.array(x0, dtype=np.float64, ndmin=2)
-    _check_init(x0)
+    x0 = np.array(x0, dtype=np.float64, ndmin=3)
+    n_kappas, n_seeds, dim = x0.shape
+    x0 = x0.reshape(-1, dim)
+    bad = ~np.isfinite(x0).all(axis=-1)
+    if bad.any():
+        raise _quadratic_failure("non-finite initial point", bad, n_seeds)
     # SGD-family rows first, then AdamW-family rows; inv restores the caller's order
     order = sorted(range(len(optimizers)), key=lambda o: optimizers[o] not in _SGD_FAMILY)
     inv = np.argsort(order)
@@ -286,8 +305,9 @@ def run_quadratic(
     coupled = np.array([name == "cage-adamw-cpl" for name in names[n:]])[:, None, None]
     x = np.repeat(x0[None], len(names), axis=0)
     state = AdamState.zeros(x[n:].shape)
-    traces = _empty_trace(len(names), steps)
-    snapshots = np.empty((len(names), steps, x.shape[-1]))
+    # each kappa's first seed is every n_seeds-th row
+    traces = _empty_trace(len(names), n_kappas, steps)
+    snapshots = np.empty((len(names), n_kappas, steps, dim))
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
@@ -298,22 +318,22 @@ def run_quadratic(
         e = qres.error
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
-        g0, e0 = g_x[:, 0], e[:, 0]
+        g0, e0 = g_x[:, ::n_seeds], e[:, ::n_seeds]
         lams = np.array(
             [cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in names]
-        )[:, None]
-        row = traces[:, t - 1]
-        row[:, 0] = loss[:, 0]
-        row[:, 1] = balance_sq_norm(g0, e0, lams)
-        row[:, 2] = np.vecdot(g0, g0)
-        row[:, 3] = np.vecdot(e0, e0)
-        row[:, 4] = lams[:, 0]
+        )[:, None, None]
+        row = traces[:, :, t - 1]
+        row[..., 0] = loss[:, ::n_seeds]
+        row[..., 1] = balance_sq_norm(g0, e0, lams)
+        row[..., 2] = np.vecdot(g0, g0)
+        row[..., 3] = np.vecdot(e0, e0)
+        row[..., 4] = lams[..., 0]
 
         if n:
-            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n, None])
+            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n])
         if n < len(names):
-            lam_cpl = lams[n:, None] * coupled
-            lam_dec = lams[n:, None] * ~coupled
+            lam_cpl = lams[n:] * coupled
+            lam_dec = lams[n:] * ~coupled
             e_dec = e[n:]
             if cfg.weight_decay and lam_dec.any():
                 x_dec = (1.0 - a_t * cfg.weight_decay) * x[n:]
@@ -324,19 +344,18 @@ def run_quadratic(
         bad = _bad_rows(loss, x)[inv]
         if bad.any():
             hit = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
-            raise NumericalFailure(
-                f"non-finite value during quadratic run ({hit}) at step {t}, seed index {np.argmax(bad.any(axis=0))}"
+            raise _quadratic_failure(
+                f"non-finite value during quadratic run ({hit}) at step {t}", bad.any(axis=0), n_seeds
             )
-        snapshots[:, t - 1] = x[:, 0]
+        snapshots[:, :, t - 1] = x[:, ::n_seeds]
 
-    gaps = obj.loss(quantize(spec, x).quantized) - obj.f_star
+    gaps = (obj.loss(quantize(spec, x).quantized) - obj.f_star).reshape(len(names), n_kappas, n_seeds)
     return tuple(
-        QuadraticRun(
-            final_gaps=gaps[o].tolist(),
-            trace=traces[o],
-            iterates=snapshots[o],
+        tuple(
+            QuadraticRun(final_gaps=gaps[o, k].tolist(), trace=traces[o, k], iterates=snapshots[o, k])
+            for o in inv
         )
-        for o in inv
+        for k in range(n_kappas)
     )
 
 

@@ -117,25 +117,24 @@ def test_criterion_4_ergodic_rate():
 def test_criterion_5_quadratic_ordering():
     start = time.perf_counter()
     spec = int_spec("int-hadamard", 4)
+    kappas = (1.0, 10.0, 100.0)
     details = {}
-    for kappa in (1.0, 10.0, 100.0):
-        obj, x0 = make_quadratic_problem(64, kappa, range(10), 1.0)
-        # adamw never reads lam, so one config serves both optimizers
-        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
-        adam, cage = (
-            np.array(run.final_gaps)
-            for run in run_quadratic(
-                obj=obj,
-                x0=x0,
-                optimizers=("adamw", "cage-adamw-dec"),
-                steps=2000,
-                spec=spec,
-                cfg=cfg,
-                lr_schedule="constant",
-                ste_kind="trust-masked",
-                grad_clip_norm=1.0,
-            )
-        )
+    obj, x0 = make_quadratic_problem(64, kappas, range(10), 1.0)
+    # adamw never reads lam, so one config serves both optimizers
+    cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
+    runs = run_quadratic(
+        obj=obj,
+        x0=x0,
+        optimizers=("adamw", "cage-adamw-dec"),
+        steps=2000,
+        spec=spec,
+        cfg=cfg,
+        lr_schedule="constant",
+        ste_kind="trust-masked",
+        grad_clip_norm=1.0,
+    )
+    for kappa, kappa_runs in zip(kappas, runs):
+        adam, cage = (np.array(run.final_gaps) for run in kappa_runs)
         wins = int((cage < adam).sum())
         assert cage.mean() < adam.mean(), (kappa, cage.mean(), adam.mean())
         assert wins >= 8, (kappa, wins)

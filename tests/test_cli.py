@@ -223,6 +223,53 @@ class TestQuadratic:
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_in_a_stacked_kappa_names_that_kappa(self, tmp_path, capsys):
+        # kappas 1 and 10 step as one chunk; at lr 1.5 sgd contracts at kappa
+        # 1 (A = I) and grows by up to 14 a step at kappa 10, where seed 10's
+        # row (seed index 1 of kappa 10, row 3 of the stack) overflows first
+        assert qatkit.cli._kappa_chunks([1.0, 10.0], 8, 2, 2, 200) == [[1.0, 10.0]]
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "quadratic", "--kappas", "1,10", "--dim", "8", "--steps", "200",
+            "--opt", "adamw,sgd", "--quant", "none", "--lr", "1.5", "--seed", "7,10",
+            "--grad-clip", "0", "--out", str(out),
+        )
+        assert code == 3
+        # the failure stops every kappa of its chunk, so no kappa wrote a file
+        assert sorted(f.name for f in out.iterdir()) == ["config.json"]
+        assert capsys.readouterr().err.strip().endswith(
+            "non-finite value during quadratic run (sgd) at step 135, seed index 1, kappa 10"
+        )
+
+    def test_kappa_chunks_follow_the_byte_budget(self):
+        # (kappas, dim, seeds, optimizers, steps): a bench quadratic-mxfp4
+        # kappa (a 2 MiB matrix and two 4 MB trajectories) exceeds the budget
+        # alone, so its kappas run one at a time; the bench quadratic-int4
+        # and criterion 5 kappas stack whole, and a longer list is cut in order
+        chunks = qatkit.cli._kappa_chunks
+        kappas = [1.0, 10.0, 100.0]
+        assert chunks(kappas, 512, 1, 2, 1000) == [[1.0], [10.0], [100.0]]
+        assert chunks(kappas, 64, 2, 2, 300) == [kappas]
+        assert chunks(kappas, 64, 10, 2, 2000) == [kappas]
+        assert chunks(list(range(1, 8)), 64, 10, 2, 2000) == [[1, 2, 3], [4, 5, 6], [7]]
+
+    def test_chunking_does_not_change_the_run_directory(self, tmp_path, monkeypatch):
+        # every kappa in one chunk, then each kappa a chunk of its own: the
+        # same files with the same bytes
+        argv = [
+            "quadratic", "--kappas", "1,10,100", "--dim", "8", "--steps", "40",
+            "--opt", "cage-sgd,adamw,cage-adamw-cpl", "--seed", "3,1",
+        ]
+        outs = []
+        for budget in (qatkit.cli._CHUNK_BYTES, 1):
+            monkeypatch.setattr(qatkit.cli, "_CHUNK_BYTES", budget)
+            out = tmp_path / f"budget{budget}"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "config.json"})
+        assert len(outs[0]) == 1 + 2 * 3 * 3
+        assert outs[0] == outs[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [

@@ -170,9 +170,9 @@ RANK_ONE = {("golden-quadratic-none", 1.0, "sgd"), ("golden-quadratic-none", 1.0
 def test_pca_matches_full_eigh_on_lane_trajectories(lane):
     dim, quant, row_length, optimizers, kappas, steps, seeds, cfg = PCA_LANES[lane]
     spec = dataclasses.replace(parse_quant(quant), row_length=row_length)
-    for kappa in kappas:
-        obj, x0 = make_quadratic_problem(dim, kappa, seeds)
-        for name, run in zip(optimizers, run_quadratic(obj, x0, optimizers, steps, spec, cfg)):
+    obj, x0 = make_quadratic_problem(dim, kappas, seeds)
+    for kappa, runs in zip(kappas, run_quadratic(obj, x0, optimizers, steps, spec, cfg)):
+        for name, run in zip(optimizers, runs):
             proj, comps = pca_project(run.iterates, 2)
             _, ref, evals = pca_eigh(run.iterates, 2)
             assert ((lane, kappa, name) in RANK_ONE) == (evals[1] <= 1e-12 * evals[0]), (kappa, name)

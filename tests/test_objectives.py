@@ -54,7 +54,7 @@ class TestQuadratic:
         # x* from the drawn eigenbasis against np.linalg.solve on the same A
         # and b, to (d + kappa) eps-scale round-off, and the lane's
         # stack and the rate objective take each seed's x* and f* as drawn
-        obj, _ = make_quadratic_problem(dim, kappa, seeds)
+        obj, _ = make_quadratic_problem(dim, (kappa,), seeds)
         for i, seed in enumerate(seeds):
             A, b, x_star, f_star, _ = _draw_quadratic(dim, kappa, seed)
             ref = solved_quadratic(A, b)

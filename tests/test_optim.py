@@ -39,8 +39,8 @@ class TestLambdaSchedule:
     def test_lane_ramp_follows_its_own_steps(self):
         # the ramp's horizon is the lane's step count, for the trace and the step
         cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
-        obj, x0 = make_quadratic_problem(16, 10.0, (0,))
-        (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, int_spec("int-hadamard", 4), cfg)
+        obj, x0 = make_quadratic_problem(16, (10.0,), (0,))
+        ((run,),) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, int_spec("int-hadamard", 4), cfg)
         lambda_t = run.trace[:, 4].tolist()
         assert lambda_t[:5] == [0.0] * 5
         assert lambda_t[-1] == cfg.lam
@@ -287,8 +287,8 @@ class TestCageAdamW:
         # decoupled correction; its first step is the literal rule
         cfg = OptimConfig(lr=0.05, weight_decay=0.2, lam=2.0, silence_ratio=0.0)
         spec = QuantSpec(scheme="floor-toy", grid=0.5)
-        obj, x0 = make_quadratic_problem(8, 10.0, (3,))
-        (run,) = run_quadratic(obj, x0, ["cage-adamw-dec"], 1, spec, cfg, grad_clip_norm=0.0)
+        obj, (x0,) = make_quadratic_problem(8, (10.0,), (3,))
+        ((run,),) = run_quadratic(obj, x0, ["cage-adamw-dec"], 1, spec, cfg, grad_clip_norm=0.0)
         fwd = quantize(spec, x0)
         _, g, _ = obj.value_and_grads(fwd.quantized, x0)
         _, x_ref = adamw_step(AdamState.zeros(x0.shape), x0, g, cfg, cfg.lr)
@@ -374,7 +374,7 @@ def counted_quantize_calls(monkeypatch, cfg, steps):
         return quantize(spec, x)
 
     monkeypatch.setattr(qatkit.experiments, "quantize", counting)
-    obj, x0 = make_quadratic_problem(16, 10.0, (0, 1))
+    obj, x0 = make_quadratic_problem(16, (10.0,), (0, 1))
     run_quadratic(obj, x0, ["adamw", "cage-adamw-dec"], steps, int_spec("int-hadamard", 4), cfg)
     return calls
 

@@ -577,46 +577,49 @@ QUADRATIC_SPECS = {
     st.sampled_from(("constant", "cosine")),
     st.sampled_from((None, 1.0, 5.0)),
     st.sampled_from((8, 12, 20)),
-    st.sampled_from((1.0, 10.0, 100.0)),
+    st.lists(st.sampled_from((1.0, 10.0, 100.0)), min_size=1, max_size=3, unique=True),
     st.sampled_from((0.0, 0.1)),
     st.integers(2, 40),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
     st.sampled_from((0.0, 1.0)),
 )
-@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, 100.0, 0.1, 40, [0, 7, 3], 1.0)
-@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, 10.0, 0.0, 30, [2, 2], 1.0)
+@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0)
+@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
 @example(
     ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
-    "int-hadamard", "trust-masked", "cosine", 1.0, 12, 10.0, 0.1, 30, [5, 1], 1.0,
+    "int-hadamard", "trust-masked", "cosine", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0,
 )
 # an x0 of signed zeros: the entries where g + 0 e or x - lr 0 e could flip a sign
 @example(
     ["adamw", "cage-sgd", "cage-adamw-dec", "sgd", "cage-adamw-cpl"],
-    "int-hadamard", "trust-masked", "constant", 1.0, 12, 10.0, 0.1, 20, [4, 0], 0.0,
+    "int-hadamard", "trust-masked", "constant", 1.0, 12, [10.0, 100.0], 0.1, 20, [4, 0], 0.0,
 )
 def test_seed_batched_quadratic_lane_matches_lone_runs(
-    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappa, weight_decay, steps, seeds, sigma0
+    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappas, weight_decay, steps, seeds, sigma0
 ):
-    # every (optimizer, seed) final gap, and each optimizer's first
-    # seed trace and iterates, are bitwise those of the seed run alone on its
-    # own draw, with each optimizer's literal update rule
+    # on a stack of kappas of seeds, every (kappa, seed, optimizer) final
+    # gap, and each (kappa, optimizer)'s first-seed trace and iterates, are
+    # bitwise those of the seed run alone on its own draw, with each
+    # optimizer's literal update rule
     spec = QUADRATIC_SPECS[quant]
     cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5)
-    obj, x0 = make_quadratic_problem(dim, kappa, seeds, sigma0)
+    obj, x0 = make_quadratic_problem(dim, kappas, seeds, sigma0)
     runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip)
-    assert len(runs) == len(optimizers)
-    for optimizer, run in zip(optimizers, runs):
-        assert len(run.final_gaps) == len(seeds)
-        for i, seed in enumerate(seeds):
-            lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed, sigma0)
-            assert np.array_equal(x0[i], lone_x0)
-            gap, trace, iterates = lone_quadratic_run(
-                lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
-            )
-            assert run.final_gaps[i] == gap
-            if i == 0:
-                assert np.array_equal(run.trace, trace)
-                assert np.array_equal(run.iterates, iterates)
+    assert len(runs) == len(kappas)
+    for kappa, kappa_x0, kappa_runs in zip(kappas, x0, runs):
+        assert len(kappa_runs) == len(optimizers)
+        for optimizer, run in zip(optimizers, kappa_runs):
+            assert len(run.final_gaps) == len(seeds)
+            for i, seed in enumerate(seeds):
+                lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed, sigma0)
+                assert np.array_equal(kappa_x0[i], lone_x0)
+                gap, trace, iterates = lone_quadratic_run(
+                    lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
+                )
+                assert run.final_gaps[i] == gap
+                if i == 0:
+                    assert np.array_equal(run.trace, trace)
+                    assert np.array_equal(run.iterates, iterates)
 
 
 @PROPERTY
