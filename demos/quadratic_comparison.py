@@ -19,9 +19,9 @@ import numpy as np
 from qatkit.experiments import make_quadratic_problem, run_quadratic
 from qatkit.numerics import pca_project
 from qatkit.optim import OptimConfig
-from qatkit.quantize import int_spec
+from qatkit.quantize import QuantSpec
 
-SPEC = int_spec("int-hadamard", 4)
+SPEC = QuantSpec(scheme="int-hadamard", bits=4)
 SEEDS = (0, 1, 2)
 KAPPAS = (1.0, 10.0, 100.0)
 STEPS = 2000

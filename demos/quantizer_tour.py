@@ -15,7 +15,6 @@ from qatkit.quantize import (
     QuantSpec,
     calibrate_clip,
     gaussian_clip_mse,
-    int_spec,
     quantize,
 )
 from qatkit.transform import hadamard_forward, hadamard_plan
@@ -44,7 +43,7 @@ for k in (k4 - 0.4, k4 - 0.2, k4, k4 + 0.2, k4 + 0.4):
     print(f"  k={k:.3f} {bar}")
 
 # --- 4-bit row quantization round trip -------------------------------------
-spec = int_spec("int-hadamard", 4)
+spec = QuantSpec(scheme="int-hadamard", bits=4)
 row = rng.standard_normal(64)
 res = quantize(spec, row)
 print("\nint-hadamard b=4 on a Gaussian row of 64:")

@@ -40,7 +40,6 @@ from .quantize import (
     QuantSpec,
     calibrate_clip,
     gaussian_clip_mse,
-    int_spec,
     write_clip_table,
 )
 from .scaling import RESIDUAL_SPACES, check_scaling_data, fit_scaling, fit_to_json_dict, read_scaling_csv
@@ -132,7 +131,7 @@ def parse_quant(v: str) -> QuantSpec:
             raise ConfigError(f"int schemes need a bit-width, e.g. {scheme}:4")
         bits = _parse(int, parts[1], "bit-width")
         bit_width(bits)
-        return int_spec(scheme, bits)
+        return QuantSpec(scheme=scheme, bits=bits)
     if scheme == "mxfp4":
         if len(parts) != 1:
             raise ConfigError(f"mxfp4 takes no fields, got {v!r}")

@@ -67,16 +67,9 @@ def _empty_trace(*steps_shape: int) -> np.ndarray:
     return np.empty((*steps_shape, len(TRACE_COLUMNS) - 1))
 
 
-def _check_init(x: np.ndarray) -> None:
-    """NumericalFailure if a lane's initial state has a NaN or inf entry (an
-    init scale times a normal draw can overflow)."""
-    if not np.isfinite(x).all():
-        raise NumericalFailure("non-finite initial point")
-
-
 def _bad_rows(loss: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Which rows of a ``(..., d)`` state, with their ``(...)`` losses, hold a
-    NaN or inf."""
+    NaN or inf; a loss of 0.0 checks the state alone."""
     return ~(np.isfinite(loss) & np.isfinite(x).all(axis=-1))
 
 
@@ -110,11 +103,14 @@ def _corrected_sgd(
 
     Returns the final state and the ``(S, steps)`` squared balance-gradient
     norms ||g + lam e||^2, taken at each iterate before its step; ``trace``
-    ``(steps, 5)`` is filled with the first row's.  A non-finite loss or
-    iterate raises ``NumericalFailure`` naming the step and the first bad
-    row's seed index.
+    ``(steps, 5)`` is filled with the first row's.  A non-finite initial
+    point (an init scale times a normal draw can overflow), loss or iterate
+    raises ``NumericalFailure`` naming the first bad row's seed index, and
+    the step for a loss or iterate.
     """
-    _check_init(x)
+    bad = _bad_rows(0.0, x)
+    if bad.any():
+        raise NumericalFailure(f"non-finite initial point, seed index {np.argmax(bad)}")
     noise = np.empty((len(x), _NOISE_BLOCK, obj.dim))
     pareto_sq = np.empty((len(x), steps))
     for t in range(steps):
@@ -294,7 +290,7 @@ def run_quadratic(
     x0 = np.array(x0, dtype=np.float64, ndmin=3)
     n_kappas, n_seeds, dim = x0.shape
     x0 = x0.reshape(-1, dim)
-    bad = ~np.isfinite(x0).all(axis=-1)
+    bad = _bad_rows(0.0, x0)
     if bad.any():
         raise _quadratic_failure("non-finite initial point", bad, n_seeds)
     # SGD-family rows first, then AdamW-family rows; inv restores the caller's order

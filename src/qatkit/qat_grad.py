@@ -26,11 +26,10 @@ def ste_backward(spec: QuantSpec, upstream_grad: np.ndarray, fwd: QuantResult) -
     """Trust-masked transport of the upstream gradient through the forward
     pass ``fwd`` of the int scheme ``spec``.
 
-    Returns H^T (keep * (H upstream_grad)) row by row, with ``keep`` the
-    forward keep-mask (int-plain skips the transform).  The rows are those
-    ``quantize`` used: ``spec.row_length`` entries each, or the whole vector
-    when it is unset, so ``spec`` must be the forward pass's own.  A batched
-    forward pass takes a gradient of the same ``(..., d)`` shape.
+    Returns H^T (keep * (H upstream_grad)) vector by vector, with ``keep``
+    the forward keep-mask (int-plain skips the transform), so ``spec`` must
+    be the forward pass's own.  A batched forward pass takes a gradient of
+    the same ``(..., d)`` shape.
     """
     if spec.scheme not in INT_SCHEMES or fwd.keep is None:
         raise ValueError("trust-masked STE needs an int-scheme QuantSpec and its forward pass")
@@ -39,7 +38,5 @@ def ste_backward(spec: QuantSpec, upstream_grad: np.ndarray, fwd: QuantResult) -
         raise ValueError(f"shape mismatch: grad {upstream_grad.shape} vs forward {fwd.quantized.shape}")
     if spec.scheme == "int-plain":
         return fwd.keep * upstream_grad
-    g = upstream_grad.reshape(-1, spec.row_length or upstream_grad.shape[-1])
-    keep = fwd.keep.reshape(len(g), -1)  # rows padded to the transform length
-    plan = hadamard_plan(g.shape[1])
-    return hadamard_inverse(plan, keep * hadamard_forward(plan, g)).reshape(upstream_grad.shape)
+    plan = hadamard_plan(upstream_grad.shape[-1])
+    return hadamard_inverse(plan, fwd.keep * hadamard_forward(plan, upstream_grad))

@@ -2,8 +2,8 @@
 
 Schemes
 -------
-int-hadamard : row-wise symmetric integer grid in the Hadamard domain with an
-               RMS-derived scale and an MSE-optimal Gaussian clip factor
+int-hadamard : symmetric integer grid in the Hadamard domain, one RMS-derived
+               scale per vector and the MSE-optimal Gaussian clip factor k_b
 int-plain    : same grid without the transform
 mxfp4        : 4-bit E2M1 elements with a shared power-of-two scale per
                32-element block
@@ -13,9 +13,9 @@ none         : the identity, Q(x) = x and e = 0: full-precision training
 Every scheme returns a ``QuantResult`` of Q(x), the error computed as
 ``x - quantized`` in the original domain (so ``quantized + error`` equals the
 input bitwise wherever that difference is representable) and, for the int
-schemes, the keep-mask of unclipped transform-domain channels, laid out over
-each vector's padded rows.  Every scheme raises ``FloatingPointError`` on an
-input with a NaN or inf entry.
+schemes, the keep-mask of unclipped transform-domain channels, one per entry
+of each vector padded to the transform length.  Every scheme raises
+``FloatingPointError`` on an input with a NaN or inf entry.
 
 ``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "SCHEMES",
     "QuantSpec",
     "QuantResult",
-    "int_spec",
     "quantize",
     "calibrate_clip",
     "gaussian_clip_mse",
@@ -50,6 +50,9 @@ SCHEMES = INT_SCHEMES + ("mxfp4", "floor-toy", "none")
 
 # degenerate-row scale floor: an all-zero row quantizes to zeros with this scale
 SIGMA_FLOOR = 1e-12
+# below this magnitude no transform entry or sum of squares can overflow (for
+# vectors shorter than 2**100)
+_SAFE_MAGNITUDE = 2.0**400
 
 # E2M1 magnitudes; the mantissa bit is 0 at the even indices
 _E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
@@ -64,35 +67,32 @@ _E2M1_BOUNDS = np.where(np.arange(_E2M1_MID.size) % 2 == 1, np.nextafter(_E2M1_M
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Quantizer configuration.
+    """Quantizer configuration: what a ``--quant`` string says.
 
-    ``row_length`` of ``None`` treats the whole input vector as a single row;
-    otherwise the input length must be a multiple of ``row_length`` and rows
-    are quantized independently.  ``grid`` is the cell size of the floor-toy
-    scheme and is ignored by the others.
+    ``bits`` is the int schemes' grid width, and their clip factor k_b is the
+    packaged table's (``default_clip_factor``).  ``grid`` is the cell size of
+    the floor-toy scheme and is ignored by the others.  An mxfp4 block holds
+    ``block_size`` entries.
     """
 
     scheme: str
     bits: int = 4
-    clip_factor: float | None = None
-    block_size: int = 32
-    row_length: int | None = None
     grid: float = 1.0
+    block_size: ClassVar[int] = 32
+    # read by bench/tracing.py; ROADMAP item 1 removes that read and this line
+    row_length: ClassVar[None] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.scheme in INT_SCHEMES:
-            if self.bits < 2:
-                raise ValueError(f"int schemes need bits >= 2, got {self.bits}")
-            if self.clip_factor is None or self.clip_factor <= 0:
-                raise ValueError("int schemes need a positive clip_factor")
-        if self.scheme == "mxfp4" and self.block_size < 1:
-            raise ValueError(f"block_size must be positive, got {self.block_size}")
+            default_clip_factor(self.bits)  # a bit-width the table lacks (< 2 or > 8) raises
         if self.scheme == "floor-toy" and self.grid <= 0:
             raise ValueError(f"grid must be positive, got {self.grid}")
-        if self.row_length is not None and self.row_length < 1:
-            raise ValueError(f"row_length must be positive, got {self.row_length}")
+
+    @property
+    def clip_factor(self) -> float:
+        return default_clip_factor(self.bits)
 
     @property
     def q_max(self) -> int:
@@ -108,9 +108,9 @@ class QuantResult:
     """Q(x), the exact residual x - Q(x), and the int schemes' keep-mask.
 
     ``keep`` (int schemes only, else None) is True where the transform-domain
-    value was not clipped: |z_i| <= clip_factor * sigma.  A vector's rows are
-    padded to the transform length and laid end to end, so a batch
-    ``(..., d)`` gives ``keep`` the shape ``(..., rows * padded_row)``.
+    value was not clipped: |z_i| <= clip_factor * sigma.  Each vector is
+    padded to the transform length, so a batch ``(..., d)`` gives ``keep``
+    the shape ``(..., padded_dim)`` (``padded_dim`` is d for int-plain).
     """
 
     quantized: np.ndarray
@@ -118,45 +118,56 @@ class QuantResult:
     keep: np.ndarray | None = None
 
 
-def int_spec(scheme: str, bits: int, row_length: int | None = None) -> QuantSpec:
-    """Integer-grid spec with the clip factor from the packaged table (``default_clip_factor``)."""
-    return QuantSpec(scheme=scheme, bits=bits, clip_factor=default_clip_factor(bits), row_length=row_length)
-
-
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
-    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (``x``
-    itself, block amax, floor codes, x - x) and so its sum are non-finite
+    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (max |x|,
+    block amax, floor codes, x - x) and so its sum are non-finite
     whenever ``x`` is, so ``x`` is scanned only when that sum is off (or merely
     overflowed)."""
     if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
         raise FloatingPointError("quantizer input has a NaN or inf entry")
 
 
-def _quantize_int(spec: QuantSpec, x: np.ndarray, row_length: int) -> QuantResult:
-    """Single pass over ``x`` viewed as (rows, row_length), the rows of every
-    vector of a batch stacked: one transform, one sigma per row, and from
-    them the reconstruction and the keep-mask.  z = Hx (x for
-    int-plain), sigma = rms(z) over the padded row, scale = clip_factor *
-    sigma / q_max, codes = round-half-even(z / scale) clipped to [q_min, q_max]."""
-    # checked before the transform, which would warn on a NaN or inf
-    _reject_nonfinite(x, x)
-    rows = x.reshape(-1, row_length)
-    plan = hadamard_plan(row_length) if spec.scheme == "int-hadamard" else None
-    z = rows if plan is None else hadamard_forward(plan, rows)
+def _quantize_int(spec: QuantSpec, x: np.ndarray) -> QuantResult:
+    """Single pass over every vector of ``x``: one transform, one sigma per
+    vector, and from them the reconstruction and the keep-mask.  z = Hx (x
+    for int-plain), sigma = rms(z) over the padded vector, scale =
+    clip_factor * sigma / q_max, codes = round-half-even(z / scale) clipped
+    to [q_min, q_max]."""
+    # NaN or inf for a NaN or inf entry, checked before the transform, which
+    # would warn on one
+    amax = np.maximum.reduce(np.abs(x), axis=None)
+    large = not amax < _SAFE_MAGNITUDE
+    if large:
+        _reject_nonfinite(amax, x)
+    plan = hadamard_plan(x.shape[-1]) if spec.scheme == "int-hadamard" else None
+    z = x if plan is None else hadamard_forward(plan, x)
     # np.add.reduce / n: np.mean's value at half its dispatch cost
-    sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
+    sigma = _large_sigma(z) if large else np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
     bound = spec.clip_factor * sigma
     scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
     # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost
     codes = np.minimum(np.maximum(np.rint(z / scale), spec.q_min), spec.q_max)
     z_hat = scale * codes
-    quantized = (z_hat if plan is None else hadamard_inverse(plan, z_hat)).reshape(x.shape)
+    quantized = z_hat if plan is None else hadamard_inverse(plan, z_hat)
     return QuantResult(
         quantized=quantized,
         error=x - quantized,
-        # a row whose sigma underflowed to 0 has all codes 0: nothing clipped
-        keep=((np.abs(z) <= bound) | (sigma == 0.0)).reshape(x.shape[:-1] + (-1,)),
+        # a vector whose sigma underflowed to 0 has all codes 0: nothing clipped
+        keep=(np.abs(z) <= bound) | (sigma == 0.0),
     )
+
+
+def _large_sigma(z: np.ndarray) -> np.ndarray:
+    """rms(z) per vector ``(..., 1)`` of a finite z.  A vector whose sum of
+    squares overflows takes it on z scaled by a power of two; every other
+    vector's is the usual one, bitwise."""
+    with np.errstate(over="ignore"):
+        sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
+    over = np.isinf(sigma[..., 0])
+    _, e = np.frexp(np.maximum.reduce(np.abs(z[over]), axis=-1, keepdims=True))
+    zs = np.ldexp(z[over], -e)
+    sigma[over] = np.ldexp(np.sqrt(np.add.reduce(zs * zs, axis=-1, keepdims=True) / z.shape[-1]), e)
+    return sigma
 
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:
@@ -174,7 +185,7 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     batch ``(S, d)`` is zero-padded to whole blocks on its own.
     """
     n = x.shape[-1]
-    bs = spec.block_size
+    bs = QuantSpec.block_size
     n_blocks = max(1, -(-n // bs))
     padded = np.zeros(x.shape[:-1] + (n_blocks * bs,))
     padded[..., :n] = x
@@ -201,10 +212,9 @@ def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 
 def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Quantize a vector ``(d,)``, or each row of a batch ``(..., d)``, under
-    ``spec``; int schemes treat each vector as rows of ``spec.row_length``
-    (one row when unset) and quantize all rows at once.  ``none`` returns a
-    copy of x and the error x - x, +0.0 wherever x is finite."""
+    """Quantize a vector ``(d,)``, or each vector of a batch ``(..., d)``,
+    under ``spec``, all vectors at once.  ``none`` returns a copy of x and
+    the error x - x, +0.0 wherever x is finite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("expected a vector or a batch of vectors, got a scalar")
@@ -219,10 +229,7 @@ def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
         return _quantize_mxfp4(spec, x)
     if x.shape[-1] == 0:
         raise ValueError("cannot quantize an empty vector with an int scheme")
-    rl = spec.row_length or x.shape[-1]
-    if x.shape[-1] % rl:
-        raise ValueError(f"input dim {x.shape[-1]} is not a multiple of row_length {rl}")
-    return _quantize_int(spec, x, rl)
+    return _quantize_int(spec, x)
 
 
 # ---------------------------------------------------------------------------

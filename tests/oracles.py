@@ -116,16 +116,16 @@ def gaussian_clip_mse_trapezoid(bits: int, k: float, nodes: int = 100001) -> flo
 
 
 def int_reference(spec, x):
-    """A vector x quantized here rather than by the quantizer, under an int
-    ``spec``: z = H x row by row (x itself for int-plain; rows padded to the
-    transform length), the row scale s = clip_factor * rms(z) / q_max
-    (``SIGMA_FLOOR`` where rms(z) is 0), codes = clip(round(z / s), q_min,
-    q_max) and Q(x) = H^T (s codes) cut back to the rows.  Returns
-    ``(q, z, s, codes)``, all but ``q`` one row per quantizer row (``s`` a
-    column)."""
-    rl = spec.row_length or x.shape[-1]
-    plan = hadamard_plan(rl) if spec.scheme == "int-hadamard" else None
-    z = x.reshape(-1, rl) if plan is None else hadamard_forward(plan, x.reshape(-1, rl))
+    """A vector x, or each row of a batch ``(..., d)``, quantized here rather
+    than by the quantizer, under an int ``spec``: z = H x row by row (x
+    itself for int-plain; rows padded to the transform length), the row
+    scale s = clip_factor * rms(z) / q_max (``SIGMA_FLOOR`` where rms(z) is
+    0), codes = clip(round(z / s), q_min, q_max) and Q(x) = H^T (s codes) cut
+    back to the rows.  Returns ``(q, z, s, codes)``, all but ``q`` one row
+    per vector (``s`` a column)."""
+    d = x.shape[-1]
+    plan = hadamard_plan(d) if spec.scheme == "int-hadamard" else None
+    z = x.reshape(-1, d) if plan is None else hadamard_forward(plan, x.reshape(-1, d))
     sigma = np.sqrt(np.mean(z * z, axis=-1, keepdims=True))
     s = np.where(sigma == 0.0, SIGMA_FLOOR, spec.clip_factor * sigma / spec.q_max)
     codes = np.clip(np.rint(z / s), spec.q_min, spec.q_max)
@@ -159,13 +159,14 @@ def mxfp4_block_scale(amax: float) -> float:
     return math.ldexp(1.0, e)
 
 
-def mxfp4_entry_scales(x, block_size: int = 32) -> np.ndarray:
-    """The block scale of each entry of a vector x, its last block zero-padded."""
-    n_blocks = max(1, -(-x.size // block_size))
-    padded = np.zeros(n_blocks * block_size)
+def mxfp4_entry_scales(x) -> np.ndarray:
+    """The block scale of each entry of a vector x in blocks of 32, its last
+    block zero-padded."""
+    n_blocks = max(1, -(-x.size // 32))
+    padded = np.zeros(n_blocks * 32)
     padded[: x.size] = x
-    scales = [mxfp4_block_scale(float(np.abs(b).max())) for b in padded.reshape(-1, block_size)]
-    return np.repeat(scales, block_size)[: x.size]
+    scales = [mxfp4_block_scale(float(np.abs(b).max())) for b in padded.reshape(-1, 32)]
+    return np.repeat(scales, 32)[: x.size]
 
 
 def pca_eigh(points, k: int):

@@ -22,7 +22,7 @@ from qatkit.experiments import (
 from qatkit.numerics import make_rng
 from qatkit.optim import OptimConfig, cage_sgd_step, sgd_step
 from qatkit.pareto import EfState, ef_step, loglog_fit
-from qatkit.quantize import QuantSpec, calibrate_clip, gaussian_clip_mse, int_spec, quantize
+from qatkit.quantize import QuantSpec, calibrate_clip, gaussian_clip_mse, quantize
 from qatkit.scaling import fit_scaling, synthesize_scaling_data
 
 
@@ -49,8 +49,8 @@ def test_criterion_2_error_feedback_equivalence():
     start = time.perf_counter()
     cases = [
         (QuantSpec(scheme="floor-toy", grid=0.5), 1e-12),
-        (int_spec("int-plain", 4), 1e-12),
-        (int_spec("int-hadamard", 4), 1e-9),
+        (QuantSpec(scheme="int-plain", bits=4), 1e-12),
+        (QuantSpec(scheme="int-hadamard", bits=4), 1e-9),
     ]
     worst = {}
     for spec, tol in cases:
@@ -116,7 +116,7 @@ def test_criterion_4_ergodic_rate():
 
 def test_criterion_5_quadratic_ordering():
     start = time.perf_counter()
-    spec = int_spec("int-hadamard", 4)
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     kappas = (1.0, 10.0, 100.0)
     details = {}
     obj, x0 = make_quadratic_problem(64, kappas, range(10), 1.0)

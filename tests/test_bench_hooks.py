@@ -62,3 +62,22 @@ def test_traced_job_feeds_the_layer_metrics(tracing, tmp_path):
     assert metrics["quantize.calls"] == 6  # one per step, one at the final iterate
     assert metrics["objectives.evals"] >= 5
     assert metrics["pareto.csv_bytes"] == (tmp_path / "run" / "trace_lambda1.csv").stat().st_size
+
+
+@pytest.mark.parametrize("quant", ["int-hadamard:4", "mxfp4"])
+def test_traced_quadratic_job_counts_quantizer_rows(tracing, tmp_path, quant):
+    # the tracer's row count reads QuantSpec.block_size and .row_length, and
+    # books one row per call on these batches
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = [
+            "quadratic", "--kappas", "1,10", "--dim", "8", "--steps", "4", "--opt", "adamw,cage-sgd",
+            "--quant", quant, "--out", str(tmp_path / "run"),
+        ]
+        assert tracer.call_root(qatkit.cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.pass_metrics(1.0, 0)
+    assert metrics["quantize.calls"] > 0
+    assert metrics["quantize.rows"] == metrics["quantize.calls"]

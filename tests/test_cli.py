@@ -340,6 +340,19 @@ class TestConvergence:
             "non-finite value during corrected-SGD run at step 9, seed index 3, horizon 100"
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_init_failure_names_seed_and_horizon(self, tmp_path, capsys):
+        # x0-std 1e308 times a normal draw overflows wherever |z| > 1.8:
+        # seed 0's draw stays finite, seed 1's is the first to overflow
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "convergence", "--x0-std", "1e308", "--seed", "0,1,2,3", "--dim", "10", "--steps", "5",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert not (out / "summary.json").exists()
+        assert capsys.readouterr().err.strip().endswith("non-finite initial point, seed index 1, horizon 5")
+
     def test_horizon_span_validated(self, tmp_path, capsys):
         assert run_cli("convergence", "--steps", "100,1000", "--out", str(tmp_path / "x")) == 2
         assert "decades" in capsys.readouterr().err

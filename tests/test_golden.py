@@ -6,12 +6,10 @@ the bytes of ``summary.json`` and every CSV or TSV a run writes; a change that i
 meant to alter outputs must update them and say by how much the floats moved.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
 
-import qatkit.cli
 from oracles import write_scaling_csv
 from qatkit.cli import main
 from qatkit.numerics import make_rng
@@ -40,12 +38,12 @@ GOLDEN = {
         "traj_kappa1_cage-adamw-dec_seed0.csv": "30716e85378fd9cded0ee51f4b48a2df99d4ccbabacd7980c582655cecebd229",
         "traj_kappa1_cage-sgd_seed0.csv": "8bbe0c4eea5fbc1c14edf158009c1dc5dc8db7562abd7cd8e0b31adfee82c0ee",
     },
-    "quadratic-int-plain-rows": {
-        "summary.json": "8c68721fb656b1ae177a91057fc2f005571ba6e6bb3dff0621771edb009e01a0",
-        "trace_kappa10_adamw_seed2.csv": "a01a15e738d8d5d2f96dee061d91d0bee86d6a7178c9ec61a4a657aacadcf78d",
-        "trace_kappa10_cage-adamw-cpl_seed2.csv": "0724e8101cf5e20bff7b509ce526b531d3a2a0803286d94f6e9b25def4f0e3cf",
-        "traj_kappa10_adamw_seed2.csv": "1354679a66fec463c7aa1fc98baf323c31c67662e7ed856637679d442152406b",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "d984288327b292bda21a4e6688374262ba6f9bdf2199b96e74da1b2ca9792640",
+    "quadratic-int-plain": {
+        "summary.json": "a945e0ad2a52c9c80d173c40beaf5a7e82c196d2aa558527d66154dce601036f",
+        "trace_kappa10_adamw_seed2.csv": "7f43cbd7fcded65c459eec12da5d7f8e7a248054908ad59c0912478f68f62738",
+        "trace_kappa10_cage-adamw-cpl_seed2.csv": "bf6f165869d5a94e6c87f9b002760c621ee7605b205078abba2b5f2684c0cde6",
+        "traj_kappa10_adamw_seed2.csv": "e4627af74b20123a63d8d55cecc35ddfdc942894726b759ac607ef38bb1189ed",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "971895992465b94c800be2ef824b9f1749c05e8c8bc795366f3db2df9616ad6f",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -100,8 +98,8 @@ RUNS = {
         "--opt", "adamw,cage-adamw-dec,cage-sgd", "--quant", "int-hadamard:4",
         "--ste", "trust-masked", "--seed", "0,1",
     ],
-    # run with row_length 8 patched into the spec: two rows per quantize call
-    "quadratic-int-plain-rows": [
+    # the int grid without the transform, through coupled AdamW
+    "quadratic-int-plain": [
         "quadratic", "--kappas", "10", "--dim", "16", "--steps", "60",
         "--opt", "adamw,cage-adamw-cpl", "--quant", "int-plain:4", "--seed", "2",
     ],
@@ -156,10 +154,7 @@ def _digests(out):
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_golden_digests(name, tmp_path, monkeypatch):
-    if name == "quadratic-int-plain-rows":
-        parse = qatkit.cli.parse_quant
-        monkeypatch.setattr(qatkit.cli, "parse_quant", lambda v: dataclasses.replace(parse(v), row_length=8))
+def test_golden_digests(name, tmp_path):
     argv = [_scaling_input(tmp_path / "losses.csv") if a is None else a for a in RUNS[name]]
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -146,18 +145,16 @@ class TestPca:
 # the quadratic lanes whose first-seed trajectories the CLI projects: the bench
 # workloads (bench/workloads.py) with their steps cut, and the quadratic
 # goldens (tests/test_golden.py) as run there, each with its CLI settings:
-# (dim, quant, row_length, optimizers, kappas, steps, seeds, OptimConfig)
+# (dim, quant, optimizers, kappas, steps, seeds, OptimConfig)
 CLI_CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
 PCA_LANES = {
-    "bench-quadratic-int4": (64, "int-hadamard:4", None, ["adamw", "cage-adamw-dec"], (1.0, 10.0, 100.0), 100,
-                             (3, 4), CLI_CFG),
-    "bench-quadratic-mxfp4": (512, "mxfp4", None, ["adamw", "cage-adamw-cpl"], (1.0, 10.0, 100.0), 200, (3,),
-                              CLI_CFG),
-    "golden-quadratic-int-hadamard": (12, "int-hadamard:4", None, ["adamw", "cage-adamw-dec", "cage-sgd"],
-                                      (1.0, 100.0), 60, (0, 1), CLI_CFG),
-    "golden-quadratic-int-plain-rows": (16, "int-plain:4", 8, ["adamw", "cage-adamw-cpl"], (10.0,), 60, (2,),
-                                        CLI_CFG),
-    "golden-quadratic-none": (12, "none", None, ["sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl"],
+    "bench-quadratic-int4": (64, "int-hadamard:4", ["adamw", "cage-adamw-dec"], (1.0, 10.0, 100.0), 100, (3, 4),
+                             CLI_CFG),
+    "bench-quadratic-mxfp4": (512, "mxfp4", ["adamw", "cage-adamw-cpl"], (1.0, 10.0, 100.0), 200, (3,), CLI_CFG),
+    "golden-quadratic-int-hadamard": (12, "int-hadamard:4", ["adamw", "cage-adamw-dec", "cage-sgd"], (1.0, 100.0),
+                                      60, (0, 1), CLI_CFG),
+    "golden-quadratic-int-plain": (16, "int-plain:4", ["adamw", "cage-adamw-cpl"], (10.0,), 60, (2,), CLI_CFG),
+    "golden-quadratic-none": (12, "none", ["sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl"],
                               (1.0, 100.0), 60, (0, 1),
                               OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)),
 }
@@ -168,8 +165,8 @@ RANK_ONE = {("golden-quadratic-none", 1.0, "sgd"), ("golden-quadratic-none", 1.0
 
 @pytest.mark.parametrize("lane", sorted(PCA_LANES))
 def test_pca_matches_full_eigh_on_lane_trajectories(lane):
-    dim, quant, row_length, optimizers, kappas, steps, seeds, cfg = PCA_LANES[lane]
-    spec = dataclasses.replace(parse_quant(quant), row_length=row_length)
+    dim, quant, optimizers, kappas, steps, seeds, cfg = PCA_LANES[lane]
+    spec = parse_quant(quant)
     obj, x0 = make_quadratic_problem(dim, kappas, seeds)
     for kappa, runs in zip(kappas, run_quadratic(obj, x0, optimizers, steps, spec, cfg)):
         for name, run in zip(optimizers, runs):

@@ -5,7 +5,7 @@ from oracles import finite_diff_grad, solved_quadratic
 from qatkit.experiments import _draw_quadratic, make_quadratic_problem, make_rate_objective
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
-from qatkit.quantize import QuantSpec, int_spec, quantize
+from qatkit.quantize import QuantSpec, quantize
 
 
 class TestQuadratic:
@@ -139,7 +139,7 @@ class TestQuantizedObjective:
         rng = make_rng(6)
         A = make_spd(8, 10.0, rng)[0]
         base = solved_quadratic(A, rng.standard_normal(8))
-        spec = int_spec("int-plain", 8)
+        spec = QuantSpec(scheme="int-plain", bits=8)
         tr = float(np.trace(A))
         lam_max = float(np.linalg.eigvalsh(A)[-1])
         for _ in range(20):

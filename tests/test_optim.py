@@ -20,7 +20,7 @@ from qatkit.optim import (
     lambda_at,
     sgd_step,
 )
-from qatkit.quantize import QuantSpec, int_spec, quantize
+from qatkit.quantize import QuantSpec, quantize
 
 
 class TestLambdaSchedule:
@@ -40,7 +40,7 @@ class TestLambdaSchedule:
         # the ramp's horizon is the lane's step count, for the trace and the step
         cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
         obj, x0 = make_quadratic_problem(16, (10.0,), (0,))
-        ((run,),) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, int_spec("int-hadamard", 4), cfg)
+        ((run,),) = run_quadratic(obj, x0, ["cage-adamw-dec"], 10, QuantSpec(scheme="int-hadamard", bits=4), cfg)
         lambda_t = run.trace[:, 4].tolist()
         assert lambda_t[:5] == [0.0] * 5
         assert lambda_t[-1] == cfg.lam
@@ -375,7 +375,7 @@ def counted_quantize_calls(monkeypatch, cfg, steps):
 
     monkeypatch.setattr(qatkit.experiments, "quantize", counting)
     obj, x0 = make_quadratic_problem(16, (10.0,), (0, 1))
-    run_quadratic(obj, x0, ["adamw", "cage-adamw-dec"], steps, int_spec("int-hadamard", 4), cfg)
+    run_quadratic(obj, x0, ["adamw", "cage-adamw-dec"], steps, QuantSpec(scheme="int-hadamard", bits=4), cfg)
     return calls
 
 

@@ -9,7 +9,7 @@ from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
 from qatkit.pareto import EfState, balance_sq_norm, ef_step, loglog_fit, write_trace_csv
-from qatkit.quantize import QuantSpec, int_spec, quantize
+from qatkit.quantize import QuantSpec, quantize
 
 
 def toy_balance_sq_norm(x, lam):
@@ -29,7 +29,7 @@ class TestParetoGradient:
         rng = make_rng(0)
         A = make_spd(6, 12.0, rng)[0]
         obj = solved_quadratic(A, rng.standard_normal(6))
-        spec = int_spec("int-plain", 4)
+        spec = QuantSpec(scheme="int-plain", bits=4)
         for _ in range(100):
             x = rng.standard_normal(6)
             g = obj.grad(x)
@@ -81,10 +81,10 @@ class TestErrorFeedback:
         self._run_equivalence(QuantSpec(scheme="floor-toy", grid=0.5), 6, 1)
 
     def test_equivalence_int_plain(self):
-        self._run_equivalence(int_spec("int-plain", 4), 6, 2)
+        self._run_equivalence(QuantSpec(scheme="int-plain", bits=4), 6, 2)
 
     def test_equivalence_int_hadamard_looser_tol(self):
-        self._run_equivalence(int_spec("int-hadamard", 4), 8, 3, tol=1e-9)
+        self._run_equivalence(QuantSpec(scheme="int-hadamard", bits=4), 8, 3, tol=1e-9)
 
     def test_w_stays_on_grid_fixed_schemes_property(self):
         spec = QuantSpec(scheme="floor-toy", grid=0.25)
@@ -99,8 +99,8 @@ class TestErrorFeedback:
         specs = [
             QuantSpec(scheme="floor-toy"),
             QuantSpec(scheme="floor-toy", grid=0.25),
-            int_spec("int-plain", 3),
-            QuantSpec(scheme="mxfp4", block_size=8),
+            QuantSpec(scheme="int-plain", bits=3),
+            QuantSpec(scheme="mxfp4"),
         ]
         for case in range(34):
             spec = specs[case % len(specs)]

@@ -45,7 +45,7 @@ from qatkit.numerics import make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
-from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, int_spec, quantize
+from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, quantize
 from qatkit.scaling import RESIDUAL_SPACES
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -88,13 +88,12 @@ def distance_matrix_e2m1_round(u):
 
 @st.composite
 def int_cases(draw):
-    """(spec, x) for an int scheme with 1..4 rows of a drawn row length."""
+    """(spec, x) for an int scheme and one vector, padded to the transform
+    length or not."""
     scheme = draw(st.sampled_from(("int-hadamard", "int-plain")))
     bits = draw(st.integers(2, 8))
-    row_length = draw(st.sampled_from((1, 3, 4, 8, 12, 16)))
-    rows = draw(st.integers(1, 4))
-    x = draw(arrays(np.float64, rows * row_length, elements=FLOATS))
-    return int_spec(scheme, bits, row_length=row_length if rows > 1 or draw(st.booleans()) else None), x
+    x = draw(arrays(np.float64, draw(st.sampled_from((1, 3, 4, 8, 12, 16, 24, 32, 48))), elements=FLOATS))
+    return QuantSpec(scheme=scheme, bits=bits), x
 
 
 @st.composite
@@ -105,7 +104,7 @@ def any_cases(draw):
         return draw(int_cases())
     x = draw(arrays(np.float64, draw(st.integers(1, 80)), elements=FLOATS))
     if kind == "mxfp4":
-        return QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), x
+        return QuantSpec(scheme="mxfp4"), x
     if kind == "none":
         return QuantSpec(scheme="none"), x
     return QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0, 3.0)))), x
@@ -114,16 +113,14 @@ def any_cases(draw):
 @st.composite
 def batch_cases(draw):
     """(spec, X) with X a batch ``(S, d)`` of 1..4 vectors, or ``(O, S, d)``
-    of 1..3 such batches, for every scheme: int schemes with and without
-    ``row_length``, mxfp4 with lengths that are not whole blocks."""
+    of 1..3 such batches, for every scheme: int schemes at lengths padded
+    to the transform length or not, mxfp4 with lengths that are not whole
+    blocks."""
     scheme = draw(st.sampled_from(INT_SCHEMES + ("mxfp4", "floor-toy", "none")))
     if scheme in INT_SCHEMES:
-        row_length = draw(st.sampled_from((1, 3, 4, 8, 12)))
-        per_vector = draw(st.integers(1, 3))
-        rl = row_length if per_vector > 1 or draw(st.booleans()) else None
-        spec, dim = int_spec(scheme, draw(st.integers(2, 8)), row_length=rl), row_length * per_vector
+        spec, dim = QuantSpec(scheme=scheme, bits=draw(st.integers(2, 8))), draw(st.integers(1, 36))
     elif scheme == "mxfp4":
-        spec, dim = QuantSpec(scheme="mxfp4", block_size=draw(st.sampled_from((4, 32)))), draw(st.integers(1, 80))
+        spec, dim = QuantSpec(scheme="mxfp4"), draw(st.integers(1, 80))
     elif scheme == "floor-toy":
         spec, dim = QuantSpec(scheme="floor-toy", grid=draw(st.sampled_from((0.25, 1.0)))), draw(st.integers(1, 40))
     else:
@@ -133,18 +130,14 @@ def batch_cases(draw):
 
 
 def recomputed_mask_ste(spec, grad, x):
-    """Trust-masked STE that recomputes H x and sigma row by row (the form
-    that does not reuse the forward pass).  A row whose sigma underflowed to
-    0 quantizes to codes 0, so none of its channels count as clipped."""
-    rl = spec.row_length or x.shape[0]
-    out = []
-    for g_row, x_row in zip(grad.reshape(-1, rl), x.reshape(-1, rl)):
-        plan = hadamard_plan(rl) if spec.scheme == "int-hadamard" else None
-        z = x_row if plan is None else hadamard_forward(plan, x_row)
-        sigma = math.sqrt(float(np.mean(z * z)))
-        mask = (np.abs(z) <= spec.clip_factor * sigma) | (sigma == 0.0)
-        out.append(mask * g_row if plan is None else hadamard_inverse(plan, mask * hadamard_forward(plan, g_row)))
-    return np.concatenate(out)
+    """Trust-masked STE that recomputes H x and sigma (the form that does not
+    reuse the forward pass).  A vector whose sigma underflowed to 0
+    quantizes to codes 0, so none of its channels count as clipped."""
+    plan = hadamard_plan(x.shape[0]) if spec.scheme == "int-hadamard" else None
+    z = x if plan is None else hadamard_forward(plan, x)
+    sigma = math.sqrt(float(np.mean(z * z)))
+    mask = (np.abs(z) <= spec.clip_factor * sigma) | (sigma == 0.0)
+    return mask * grad if plan is None else hadamard_inverse(plan, mask * hadamard_forward(plan, grad))
 
 
 def representable_residual(x, q):
@@ -176,10 +169,9 @@ def test_codes_within_grid(case):
     spec, x = case
     res = quantize(spec, x)
     q, _, s, codes = int_reference(spec, x)
-    assert np.abs((res.quantized - q).reshape(len(s), -1) / s).max() <= 1e-9
-    rl = spec.row_length or x.size
-    if spec.scheme == "int-plain" or rl & (rl - 1) == 0:
-        c = int_transform_rows(spec, res.quantized, len(s)) / s
+    assert np.abs((res.quantized - q) / s).max() <= 1e-9
+    if spec.scheme == "int-plain" or x.size & (x.size - 1) == 0:
+        c = int_transform_rows(spec, res.quantized, 1) / s
         assert np.abs(c - codes).max() <= 1e-9
         assert np.rint(c).min() >= spec.q_min and np.rint(c).max() <= spec.q_max
 
@@ -189,7 +181,7 @@ def test_codes_within_grid(case):
 def test_keep_mask_matches_saturated_codes(case):
     spec, x = case
     res = quantize(spec, x)
-    codes = int_reference(spec, x)[3].ravel()  # the padded rows end to end, as keep lays them out
+    codes = int_reference(spec, x)[3][0]  # padded to the transform length, as keep is
     assert res.keep.shape == codes.shape and res.keep.dtype == bool
     assert (np.abs(codes[~res.keep]) >= spec.q_max).all()
     assert (np.abs(codes[res.keep]) <= spec.q_max).all()
@@ -247,18 +239,6 @@ def test_transform_matches_butterfly_oracle_and_inverts(x):
 
 
 @PROPERTY
-@given(int_cases())
-def test_row_batched_quantize_matches_per_row(case):
-    spec, x = case
-    res = quantize(spec, x)
-    rl = spec.row_length or x.shape[0]
-    row_spec = QuantSpec(scheme=spec.scheme, bits=spec.bits, clip_factor=spec.clip_factor)
-    parts = [quantize(row_spec, row) for row in x.reshape(-1, rl)]
-    for field in ("quantized", "error", "keep"):
-        assert np.array_equal(getattr(res, field), np.concatenate([getattr(p, field) for p in parts]))
-
-
-@PROPERTY
 @given(arrays(np.float64, st.integers(1, 200), elements=FLOATS))
 @example(np.array([0.75, -0.25, 0.0625]))  # amax / 6 = 2^-3 (frexp mantissa 0.5); 0.0625 needs s = 2^-3
 def test_mxfp4_block_scales_match_loop(x):
@@ -281,8 +261,8 @@ def test_forward_mask_ste_matches_recomputed_mask(case, seed):
 @PROPERTY
 @given(batch_cases(), st.integers(0, 2**32 - 1))
 @example((QuantSpec(scheme="mxfp4"), np.linspace(-7.0, 7.0, 90).reshape(2, 45)), 0)
-@example((int_spec("int-plain", 4, row_length=4), np.linspace(-3.0, 3.0, 36).reshape(3, 12)), 0)
-@example((int_spec("int-hadamard", 4), np.linspace(-3.0, 3.0, 72).reshape(2, 3, 12)), 0)
+@example((QuantSpec(scheme="int-plain", bits=4), np.linspace(-3.0, 3.0, 36).reshape(3, 12)), 0)
+@example((QuantSpec(scheme="int-hadamard", bits=4), np.linspace(-3.0, 3.0, 72).reshape(2, 3, 12)), 0)
 def test_batched_quantize_matches_each_vector(case, seed):
     spec, X = case
     res = quantize(spec, X)
@@ -459,7 +439,7 @@ def lone_rate_run(obj, spec, lam, noise_std, horizon, seed, lipschitz, x0_std):
 @settings(PROPERTY, max_examples=25)
 @given(
     st.sampled_from(("rosenbrock", "quadratic")),
-    st.sampled_from((QuantSpec(scheme="none"), QuantSpec(scheme="floor-toy", grid=0.25), int_spec("int-hadamard", 4))),
+    st.sampled_from((QuantSpec(scheme="none"), QuantSpec(scheme="floor-toy", grid=0.25), QuantSpec(scheme="int-hadamard", bits=4))),
     st.sampled_from((0.0, 0.5, 2.0)),
     st.sampled_from((0.0, 0.1)),
     st.integers(1, 300),
@@ -562,9 +542,9 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
 
 
 QUADRATIC_SPECS = {
-    "int-hadamard": int_spec("int-hadamard", 4),
-    "int-plain-rows": int_spec("int-plain", 3, row_length=4),
-    "mxfp4": QuantSpec(scheme="mxfp4", block_size=8),
+    "int-hadamard": QuantSpec(scheme="int-hadamard", bits=4),
+    "int-plain": QuantSpec(scheme="int-plain", bits=3),
+    "mxfp4": QuantSpec(scheme="mxfp4"),
     "none": QuantSpec(scheme="none"),
 }
 
@@ -584,7 +564,7 @@ QUADRATIC_SPECS = {
     st.sampled_from((0.0, 1.0)),
 )
 @example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0)
-@example(["cage-adamw-cpl"], "int-plain-rows", "trust-masked", "constant", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
+@example(["cage-adamw-cpl"], "int-plain", "trust-masked", "constant", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
 @example(
     ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
     "int-hadamard", "trust-masked", "cosine", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0,

@@ -6,7 +6,7 @@ from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
 from qatkit.pareto import EfState, ef_step
 from qatkit.qat_grad import ste_backward
-from qatkit.quantize import QuantSpec, int_spec, quantize
+from qatkit.quantize import QuantSpec, quantize
 from qatkit.transform import hadamard_inverse, hadamard_plan
 
 
@@ -20,7 +20,7 @@ def test_trust_mask_requires_int_scheme():
 
 
 def test_trust_mask_needs_matching_int_forward():
-    spec = int_spec("int-hadamard", 4)
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     x = make_rng(6).standard_normal(8)
     with pytest.raises(ValueError):
         ste_backward(spec, np.ones(8), quantize(QuantSpec(scheme="floor-toy"), x))
@@ -30,7 +30,7 @@ def test_trust_mask_needs_matching_int_forward():
 
 def test_no_clipping_is_identity():
     # craft x from a flat transform spectrum: |z_i| = sigma < k_b * sigma
-    spec = int_spec("int-hadamard", 4)
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     plan = hadamard_plan(16)
     z = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
     x = hadamard_inverse(plan, z)
@@ -45,7 +45,7 @@ def test_no_clipping_is_identity():
 def test_clipped_channel_zeroed_by_basis_probe():
     # one dominant transform channel clips (sqrt(d) > k_b); probing with that
     # channel's basis vector must return (near) zero gradient
-    spec = int_spec("int-hadamard", 4)
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     d = 64
     plan = hadamard_plan(d)
     j = 5
@@ -68,7 +68,7 @@ def test_clipped_channel_zeroed_by_basis_probe():
 
 
 def test_int_plain_mask_is_elementwise():
-    spec = int_spec("int-plain", 4)
+    spec = QuantSpec(scheme="int-plain", bits=4)
     x = np.array([10.0, 0.1, -0.1, 0.2, -0.2, 0.1, -0.1, 0.0])
     res = quantize(spec, x)
     # only x[0] lies beyond the clip bound k sigma
@@ -82,7 +82,7 @@ def test_int_plain_mask_is_elementwise():
 
 
 def test_linearity_property():
-    spec = int_spec("int-hadamard", 4)
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     rng = make_rng(3)
     for _ in range(100):
         x = rng.standard_normal(32)
@@ -98,7 +98,7 @@ def test_linearity_property():
 def test_norm_nonexpansive_property():
     rng = make_rng(4)
     for scheme in ("int-hadamard", "int-plain"):
-        spec = int_spec(scheme, 3)
+        spec = QuantSpec(scheme=scheme, bits=3)
         for _ in range(100):
             x = rng.standard_normal(24) * 10 ** rng.uniform(-1, 1)
             g = rng.standard_normal(24)
@@ -107,17 +107,14 @@ def test_norm_nonexpansive_property():
 
 
 def test_chunked_rows():
-    spec = int_spec("int-hadamard", 4, row_length=8)
+    # the rows of a batch (2, 8) in one call, each as it transports alone
+    spec = QuantSpec(scheme="int-hadamard", bits=4)
     rng = make_rng(5)
-    x = rng.standard_normal(16)
-    g = rng.standard_normal(16)
+    x = rng.standard_normal((2, 8))
+    g = rng.standard_normal((2, 8))
     out = ste_backward(spec, g, quantize(spec, x))
-    row_spec = int_spec("int-hadamard", 4, row_length=8)
-    parts = [
-        ste_backward(row_spec, g[:8], quantize(row_spec, x[:8])),
-        ste_backward(row_spec, g[8:], quantize(row_spec, x[8:])),
-    ]
-    assert np.array_equal(out, np.concatenate(parts))
+    parts = [ste_backward(spec, g[i], quantize(spec, x[i])) for i in range(2)]
+    assert np.array_equal(out, np.stack(parts))
 
 
 def test_identity_ste_sgd_matches_error_feedback():

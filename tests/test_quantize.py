@@ -11,7 +11,6 @@ from qatkit.quantize import (
     QuantSpec,
     calibrate_clip,
     gaussian_clip_mse,
-    int_spec,
     quantize,
     read_clip_table,
     write_clip_table,
@@ -21,9 +20,9 @@ ALL_SPECS = [
     QuantSpec(scheme="floor-toy"),
     QuantSpec(scheme="floor-toy", grid=0.25),
     QuantSpec(scheme="mxfp4"),
-    int_spec("int-plain", 4),
-    int_spec("int-hadamard", 4),
-    int_spec("int-hadamard", 3),
+    QuantSpec(scheme="int-plain", bits=4),
+    QuantSpec(scheme="int-hadamard", bits=4),
+    QuantSpec(scheme="int-hadamard", bits=3),
     QuantSpec(scheme="none"),
 ]
 
@@ -35,7 +34,7 @@ def test_result_is_q_error_and_keep():
 
 class TestIntRow:
     def test_zero_row(self):
-        spec = int_spec("int-plain", 4)
+        spec = QuantSpec(scheme="int-plain", bits=4)
         res = quantize(spec, np.zeros(8))
         assert np.array_equal(res.quantized, np.zeros(8))
         assert np.array_equal(res.error, np.zeros(8))
@@ -43,13 +42,13 @@ class TestIntRow:
         assert res.keep.shape == (8,) and res.keep.all()
 
     def test_grid_bounds_b4(self):
-        spec = int_spec("int-plain", 4)
+        spec = QuantSpec(scheme="int-plain", bits=4)
         assert spec.q_max == 7
         assert spec.q_min == -8
 
     def test_plain_alternating_row(self):
         # z = x = (1,-1,1,-1): sigma = 1, scale = k4/7, codes = clip(round(+-7/k4))
-        spec = int_spec("int-plain", 4)
+        spec = QuantSpec(scheme="int-plain", bits=4)
         x = np.array([1.0, -1.0, 1.0, -1.0])
         res = quantize(spec, x)
         k4 = spec.clip_factor
@@ -63,7 +62,7 @@ class TestIntRow:
     def test_hadamard_row_matches_manual_pipeline(self):
         from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
-        spec = int_spec("int-hadamard", 4)
+        spec = QuantSpec(scheme="int-hadamard", bits=4)
         x = make_rng(0).standard_normal(16)
         res = quantize(spec, x)
         plan = hadamard_plan(16)
@@ -74,37 +73,31 @@ class TestIntRow:
         assert np.allclose(res.quantized, hadamard_inverse(plan, s * codes), atol=0)
         assert np.array_equal(res.keep, np.abs(z) <= spec.clip_factor * sigma)
 
-    def test_round_half_to_even(self):
-        spec = QuantSpec(scheme="int-plain", bits=4, clip_factor=7.0)
-        # sigma of (3,-1,-1,-1,...) chosen so scale = 1 exactly: rms = 1 when
-        # mean of squares is 1; use x with |z/s| landing on .5 ties
+    def test_round_half_to_even(self, monkeypatch):
+        # k_4 set through the table cache to 7 / sigma, so the scale is 1
+        # exactly and |z / s| lands on .5 ties
         x = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 1.0, -1.0])
         sigma = float(np.sqrt(np.mean(x * x)))
-        spec = QuantSpec(scheme="int-plain", bits=4, clip_factor=7.0 / sigma)
+        monkeypatch.setattr(qz, "_CLIP_CACHE", {4: 7.0 / sigma})
+        spec = QuantSpec(scheme="int-plain", bits=4)
         assert spec.clip_factor * sigma / spec.q_max == 1.0
         res = quantize(spec, x)
         # scale is exactly 1, so Q(x) is the codes: ties 0.5->0, 1.5->2, 2.5->2 (to even)
         assert list(res.quantized) == [0, 2, 2, 0, -2, -2, 1, -1]
 
-    def test_row_length_validation(self):
-        spec = int_spec("int-plain", 4, row_length=4)
+    def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            quantize(spec, np.ones(6))
-
-    def test_unpartitioned_and_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            quantize(int_spec("int-plain", 4, row_length=4), np.ones(6))
-        with pytest.raises(ValueError):
-            quantize(int_spec("int-plain", 4), np.zeros(0))
+            quantize(QuantSpec(scheme="int-plain", bits=4), np.zeros(0))
 
     def test_chunked_rows_match_per_row(self):
-        spec = int_spec("int-hadamard", 4, row_length=8)
+        # the rows of a batch (3, 8) in one call, each as it quantizes alone
+        spec = QuantSpec(scheme="int-hadamard", bits=4)
         rng = make_rng(1)
-        x = rng.standard_normal(24)
+        x = rng.standard_normal((3, 8))
         res = quantize(spec, x)
-        per_row = [quantize(spec, row) for row in x.reshape(3, 8)]
+        per_row = [quantize(spec, row) for row in x]
         for field in ("quantized", "error", "keep"):
-            assert np.array_equal(getattr(res, field), np.concatenate([getattr(r, field) for r in per_row]))
+            assert np.array_equal(getattr(res, field), np.stack([getattr(r, field) for r in per_row]))
         # each row has its own scale: the test's per-row s puts every row on its grid
         _, _, s, codes = int_reference(spec, x)
         assert s.shape == (3, 1) and len(set(s.ravel())) == 3
@@ -263,7 +256,7 @@ class TestQuantError:
         assert quantize(QuantSpec(scheme="floor-toy"), np.array([0.9])).error[0] == 0.9
 
     def test_int_plain_unclipped_error_bound(self):
-        spec = int_spec("int-plain", 4)
+        spec = QuantSpec(scheme="int-plain", bits=4)
         rng = make_rng(6)
         x = rng.standard_normal(64)
         res = quantize(spec, x)
@@ -291,7 +284,7 @@ class TestDecompositionInvariants:
         rng = make_rng(8)
         for scheme in ("int-plain", "int-hadamard"):
             for bits in (2, 3, 4):
-                spec = int_spec(scheme, bits)
+                spec = QuantSpec(scheme=scheme, bits=bits)
                 for _ in range(40):
                     x = rng.standard_normal(16) * 10 ** rng.uniform(-2, 2)
                     # H Q(x) / s, with the test's own s = k rms(Hx) / q_max, is an integer code
@@ -303,7 +296,7 @@ class TestDecompositionInvariants:
 
     def test_transform_domain_grid_membership_property(self):
         rng = make_rng(9)
-        spec = int_spec("int-hadamard", 4)
+        spec = QuantSpec(scheme="int-hadamard", bits=4)
         for _ in range(100):
             x = rng.standard_normal(16)
             _, _, s, codes = int_reference(spec, x)
@@ -313,7 +306,7 @@ class TestDecompositionInvariants:
 
     def test_inrange_transform_error_bound_property(self):
         rng = make_rng(10)
-        spec = int_spec("int-hadamard", 4)
+        spec = QuantSpec(scheme="int-hadamard", bits=4)
         for _ in range(100):
             x = rng.standard_normal(16)
             res = quantize(spec, x)
@@ -336,16 +329,13 @@ class TestNonFinite:
                 quantize(spec, x)
 
     def test_int_hadamard(self):
-        self._check(int_spec("int-hadamard", 4))
-        self._check(int_spec("int-hadamard", 4, row_length=2))
+        self._check(QuantSpec(scheme="int-hadamard", bits=4))
 
     def test_int_plain(self):
-        self._check(int_spec("int-plain", 4))
-        self._check(int_spec("int-plain", 4, row_length=2))
+        self._check(QuantSpec(scheme="int-plain", bits=4))
 
     def test_mxfp4(self):
         self._check(QuantSpec(scheme="mxfp4"))
-        self._check(QuantSpec(scheme="mxfp4", block_size=2))
 
     def test_floor_toy(self):
         self._check(QuantSpec(scheme="floor-toy"))
@@ -355,12 +345,27 @@ class TestNonFinite:
         self._check(QuantSpec(scheme="none"))
 
     def test_finite_overflow_is_not_rejected(self):
-        # |x| near the float max overflows the row and block statistics, but
-        # the input itself is finite
+        # the input is finite though its sum of squares overflows: an int
+        # scheme takes sigma on power-of-two-scaled z, so Q(x) is finite and
+        # nothing warns; the overflowing row leaves the other rows as they
+        # are alone
         x = np.array([1e300, -1e300, 1.0, 0.0])
-        for spec in (int_spec("int-plain", 4), QuantSpec(scheme="floor-toy", grid=1e-10)):
-            with np.errstate(all="ignore"):
-                quantize(spec, x)
+        ok = np.array([0.5, -1.5, 2.0, 0.25])
+        for scheme in ("int-plain", "int-hadamard"):
+            spec = QuantSpec(scheme=scheme, bits=4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = quantize(spec, x)
+                batch = quantize(spec, np.stack([ok, x]))
+            assert np.isfinite(res.quantized).all()
+            assert np.array_equal(res.error, x - res.quantized)
+            # as the same vector scaled down by a power of two quantizes
+            assert np.array_equal(res.quantized, quantize(spec, x * 2.0**-600).quantized * 2.0**600)
+            assert np.array_equal(batch.quantized[1], res.quantized)
+            assert np.array_equal(batch.quantized[0], quantize(spec, ok).quantized)
+        # the floor codes of x / 1e-10 overflow
+        with np.errstate(all="ignore"):
+            quantize(QuantSpec(scheme="floor-toy", grid=1e-10), x)
 
 
 class TestClipTable:
@@ -386,7 +391,7 @@ class TestClipTable:
         monkeypatch.setattr(qz, "calibrate_clip", no_calibration)
         monkeypatch.setattr(qz, "_CLIP_CACHE", {})
         with pytest.raises(ValueError, match="clip_factors.tsv"):
-            int_spec("int-plain", 9)
+            QuantSpec(scheme="int-plain", bits=9)
 
     def test_roundtrip(self, tmp_path):
         rows = [(2, 1.0482, 0.1494), (3, 1.8054, 0.0406)]
@@ -407,8 +412,6 @@ def test_bad_specs_rejected():
     with pytest.raises(ValueError):
         QuantSpec(scheme="nope")
     with pytest.raises(ValueError):
-        QuantSpec(scheme="int-plain", bits=1, clip_factor=1.0)
-    with pytest.raises(ValueError):
-        QuantSpec(scheme="int-plain", bits=4)  # missing clip factor
+        QuantSpec(scheme="int-plain", bits=1)
     with pytest.raises(ValueError):
         QuantSpec(scheme="floor-toy", grid=0.0)

@@ -41,11 +41,11 @@ def test_all_names_resolve(name):
 NO_SCIPY_RUN = """
 import sys
 import qatkit.cli
-from qatkit.quantize import default_clip_factor, int_spec
+from qatkit.quantize import QuantSpec, default_clip_factor
 
 default_clip_factor(4)
 for bits in range(2, 9):
-    int_spec("int-plain", bits)
+    QuantSpec(scheme="int-plain", bits=bits)
 out = sys.argv[1]
 for i, argv in enumerate((
     ["quadratic", "--kappas", "1,10", "--dim", "12", "--steps", "5", "--quant", "int-hadamard:4"],
