@@ -136,13 +136,13 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     # NaN or inf for a NaN or inf entry, checked before the transform, which
     # would warn on one
     amax = np.maximum.reduce(np.abs(x), axis=None)
-    large = not amax < _SAFE_MAGNITUDE
-    if large:
+    if not amax < _SAFE_MAGNITUDE:
         _reject_nonfinite(amax, x)
+        return _quantize_int_large(spec, x)
     plan = hadamard_plan(x.shape[-1]) if spec.scheme == "int-hadamard" else None
     z = x if plan is None else hadamard_forward(plan, x)
     # np.add.reduce / n: np.mean's value at half its dispatch cost
-    sigma = _large_sigma(z) if large else np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
+    sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
     bound = spec.clip_factor * sigma
     scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
     # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost
@@ -157,17 +157,18 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     )
 
 
-def _large_sigma(z: np.ndarray) -> np.ndarray:
-    """rms(z) per vector ``(..., 1)`` of a finite z.  A vector whose sum of
-    squares overflows takes it on z scaled by a power of two; every other
-    vector's is the usual one, bitwise."""
-    with np.errstate(over="ignore"):
-        sigma = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / z.shape[-1])
-    over = np.isinf(sigma[..., 0])
-    _, e = np.frexp(np.maximum.reduce(np.abs(z[over]), axis=-1, keepdims=True))
-    zs = np.ldexp(z[over], -e)
-    sigma[over] = np.ldexp(np.sqrt(np.add.reduce(zs * zs, axis=-1, keepdims=True) / z.shape[-1]), e)
-    return sigma
+def _quantize_int_large(spec: QuantSpec, x: np.ndarray) -> QuantResult:
+    """``_quantize_int`` for a finite batch holding a vector with max |x| >=
+    ``_SAFE_MAGNITUDE``.  Each such vector is quantized as 2**e Q(2**-e x),
+    2**e its leading power of two, so neither its transform nor its sum of
+    squares overflows, and Q(x) is finite wherever its grid point is a
+    float.  Every other vector is quantized as it is alone, bitwise."""
+    row_amax = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True)
+    _, e = np.frexp(row_amax)
+    e = np.where(row_amax < _SAFE_MAGNITUDE, 0, e)
+    scaled = _quantize_int(spec, np.ldexp(x, -e))
+    quantized = np.ldexp(scaled.quantized, e)
+    return QuantResult(quantized=quantized, error=x - quantized, keep=scaled.keep)
 
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:
@@ -236,6 +237,15 @@ def quantize(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 # clip-factor calibration
 # ---------------------------------------------------------------------------
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 erfc(-x / sqrt 2), the standard normal CDF, entrywise
+    through ``math.erfc``."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), float, x.size)
+
+
 def gaussian_clip_mse(bits: int, k: float) -> float:
     """E_{z~N(0,1)}[(z - dequant(quant(z; k)))^2], exact.
 
@@ -243,14 +253,12 @@ def gaussian_clip_mse(bits: int, k: float) -> float:
     (1 + c^2)(Phi(b) - Phi(a)) + (a - 2c) phi(a) - (b - 2c) phi(b), and the two
     outer cells are open to -inf / +inf, where phi vanishes.
     """
-    from scipy.special import ndtr  # scipy loads only when calibrating
-
     q_max = 2 ** (bits - 1) - 1
     s = k / q_max
     c = s * np.arange(-q_max - 1, q_max + 1)
     edges = c[:-1] + s / 2.0
     pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
-    cdf = np.concatenate(([0.0], ndtr(edges), [1.0]))
+    cdf = np.concatenate(([0.0], _normal_cdf(edges), [1.0]))
     lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
     upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
     return float(((1.0 + c * c) * np.diff(cdf) + lower - upper).sum())
@@ -258,24 +266,97 @@ def gaussian_clip_mse(bits: int, k: float) -> float:
 
 # coarse scan of the clip factor; the bracket around its minimum is refined
 _CLIP_SCAN = np.linspace(0.5, 6.0, 96)
+# function evaluations allowed to the bounded Brent search
+_FMINBOUND_MAXFUN = 500
+
+
+def _fminbound(func, a: float, b: float, xatol: float) -> float:
+    """Minimizer of ``func`` on [a, b] by Brent's bounded search: golden
+    sections with parabolic steps (Brent 1973; Forsythe, Malcolm and Moler
+    1977), stopping when the bracket is within ``xatol`` of the best point
+    or after ``_FMINBOUND_MAXFUN`` evaluations.  Step for step it is scipy's
+    ``minimize_scalar(method="bounded")``, so its x agrees bitwise."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # try a parabolic step through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMINBOUND_MAXFUN:
+            break
+    return xf
 
 
 def calibrate_clip(bits: int) -> float:
     """MSE-optimal Gaussian clip factor for a ``bits``-wide symmetric grid.
 
     Scans k in [0.5, 6] on a 96-point grid, then refines the bracketing
-    interval with a bounded Brent search to 1e-6.  Deterministic.
+    interval with a bounded Brent search (``_fminbound``) to 1e-6.
+    Deterministic, and numpy alone.
     """
     if not 2 <= bits <= 8:
         raise ValueError(f"bits out of supported range [2, 8]: {bits}")
-    from scipy.optimize import minimize_scalar  # scipy loads only when calibrating
-
     i = int(np.argmin([gaussian_clip_mse(bits, float(k)) for k in _CLIP_SCAN]))
     bracket = (float(_CLIP_SCAN[max(i - 1, 0)]), float(_CLIP_SCAN[min(i + 1, _CLIP_SCAN.size - 1)]))
-    res = minimize_scalar(
-        lambda k: gaussian_clip_mse(bits, k), bounds=bracket, method="bounded", options={"xatol": 1e-6}
-    )
-    return float(res.x)
+    # the module global, looked up per call, so a wrapped gaussian_clip_mse sees every evaluation
+    return _fminbound(lambda k: gaussian_clip_mse(bits, k), *bracket, xatol=1e-6)
 
 
 _CLIP_CACHE: dict[int, float] = {}

@@ -181,13 +181,77 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     return residuals, jacobian, groups, data
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call so that only a
-    fit loads scipy.  It stays a module attribute for ``bench/tracing.py``,
-    which swaps it to count residual and Jacobian evaluations."""
-    from scipy.optimize import least_squares as solve
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Final point ``x``, its residuals ``fun`` and ``cost`` = 0.5 * |fun|^2."""
 
-    return solve(*args, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    cost: float
+
+
+def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresResult:
+    """Minimize 0.5 * |fun(x)|^2 from ``x0`` by Levenberg-Marquardt with the
+    analytic Jacobian ``jac``.
+
+    The columns are scaled by the running maximum of the Jacobian column
+    norms (Marquardt 1963), and the damping mu follows Nielsen's update
+    (Nielsen 1999): an accepted step with gain ratio rho scales mu by
+    max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8, ...  The
+    search stops when an accepted step lowers the cost by at most ``ftol``
+    relative and predicted no more, when no column of J is more than
+    ``gtol`` from orthogonal to the residuals, when a step, accepted or
+    rejected, is within ``xtol`` relative of the scaled x, or after
+    ``max_nfev`` residual evaluations.  A trial point with non-finite
+    residuals is a rejected step; non-finite residuals at ``x0`` raise
+    ValueError.  ``bench/tracing.py`` swaps this module attribute to count
+    residual and Jacobian evaluations.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    if not np.isfinite(f).all():
+        raise ValueError("residuals are not finite at the starting point")
+    cost = 0.5 * float(f @ f)
+    nfev = 1
+    scale = np.zeros(x.size)
+    mu, nu = None, 2.0
+    done = False
+    while not done and nfev < max_nfev:
+        J = jac(x)
+        norms = np.linalg.norm(J, axis=0)
+        scale = np.maximum(scale, norms)
+        d = np.where(scale > 0.0, scale, 1.0)
+        Js = J / d
+        g = Js.T @ f
+        # gtol: the largest cosine between f and a column of J
+        if np.max(np.abs(g) * d / np.where(norms > 0.0, norms, 1.0)) <= gtol * math.sqrt(2.0 * cost):
+            break
+        A = Js.T @ Js
+        if mu is None:
+            mu = 1e-3 * float(A.diagonal().max())
+        xnorm = float(np.linalg.norm(d * x))
+        while nfev < max_nfev:
+            hs = np.linalg.solve(A + mu * np.eye(x.size), -g)
+            x_new = x + hs / d
+            f_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(f_new @ f_new)  # inf or NaN fails the test below
+            done = float(np.linalg.norm(hs)) <= xtol * (xnorm + xtol)
+            if cost_new < cost:
+                actual = cost - cost_new
+                # the damped linear model's reduction, > 0 whenever hs is
+                predicted = 0.5 * float(hs @ (mu * hs - g))
+                done = done or (actual <= ftol * cost and predicted <= ftol * cost)
+                rho = min(actual / predicted, 1.0) if predicted > 0.0 else 1.0
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                x, f, cost = x_new, f_new, cost_new
+                break
+            mu *= nu
+            nu *= 2.0
+            if done:
+                break
+    return LeastSquaresResult(x=x, fun=f, cost=cost)
 
 
 def fit_scaling(
@@ -235,7 +299,6 @@ def fit_scaling(
                 residuals,
                 theta0,
                 jac=jacobian,
-                method="lm",
                 xtol=1e-10,
                 ftol=1e-14,
                 gtol=1e-14,

@@ -115,6 +115,22 @@ def gaussian_clip_mse_trapezoid(bits: int, k: float, nodes: int = 100001) -> flo
     return float(np.trapezoid(r * r * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), z))
 
 
+def gaussian_clip_mse_ndtr(bits: int, k: float) -> float:
+    """``quantize.gaussian_clip_mse`` with Phi from scipy's ``ndtr``: the
+    closed form as it stood while scipy computed Phi."""
+    from scipy.special import ndtr
+
+    q_max = 2 ** (bits - 1) - 1
+    s = k / q_max
+    c = s * np.arange(-q_max - 1, q_max + 1)
+    edges = c[:-1] + s / 2.0
+    pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
+    cdf = np.concatenate(([0.0], ndtr(edges), [1.0]))
+    lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
+    upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
+    return float(((1.0 + c * c) * np.diff(cdf) + lower - upper).sum())
+
+
 def int_reference(spec, x):
     """A vector x, or each row of a batch ``(..., d)``, quantized here rather
     than by the quantizer, under an int ``spec``: z = H x row by row (x

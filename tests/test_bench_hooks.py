@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import qatkit.cli
+from oracles import write_scaling_csv
+from qatkit.numerics import make_rng
+from qatkit.scaling import synthesize_scaling_data
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -81,3 +84,27 @@ def test_traced_quadratic_job_counts_quantizer_rows(tracing, tmp_path, quant):
     metrics = tracer.pass_metrics(1.0, 0)
     assert metrics["quantize.calls"] > 0
     assert metrics["quantize.rows"] == metrics["quantize.calls"]
+
+
+def test_traced_calibration_and_fit_count_solver_evaluations(tracing, tmp_path):
+    # calibrate-fit's per-layer counts come from the tracer's swaps of
+    # quantize.gaussian_clip_mse and scaling.least_squares
+    data = synthesize_scaling_data(
+        A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
+        eff_by_group={("fp16", "FP"): 1.0, ("m4", "4"): 0.7},
+        noise=0.005, rng=make_rng((21, 0)),
+    )
+    write_scaling_csv(tmp_path / "losses.csv", data)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        calibrate = ["calibrate-clip", "--bits", "2,3", "--out", str(tmp_path / "cal")]
+        assert tracer.call_root(qatkit.cli.main, calibrate) == 0
+        fit = ["fit-scaling", "--input", str(tmp_path / "losses.csv"), "--out", str(tmp_path / "fit")]
+        assert tracer.call_root(qatkit.cli.main, fit) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.pass_metrics(1.0, 0)
+    assert metrics["quantize.mse_evals"] > 0
+    assert metrics["scaling.residual_evals"] > 0
+    assert metrics["scaling.jacobian_evals"] > 0

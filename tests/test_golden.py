@@ -17,33 +17,33 @@ from qatkit.scaling import synthesize_scaling_data
 
 GOLDEN = {
     "calibrate-clip": {
-        "clip_factors.tsv": "73a72027556946cffd972f618466ec8f654a2482dfae5dbd550cd61d5270b834",
-        "summary.json": "e5e253c4e0f1841517137866fc87e020dee29681538852e7ec7ffe07e9c11b0b",
+        "clip_factors.tsv": "51fc49a2af157607d1a57dcb9608a2e10b5c82e0a3acbfdcb5a9c7ddddc0a422",
+        "summary.json": "f10bdd97eff33151ce23c14120729976b2389ea305f1268bbcf76e8af40dd228",
     },
     "fit-scaling": {
-        "summary.json": "3f96800711f039ca211b028822cd0521d6d9e736e801678386541ffe2f9f2aaf",
+        "summary.json": "88ee38b2840e1e4d121d600b317c943799bf2fbcafe1e6ba1aa0a88350203fe1",
     },
     "quadratic-int-hadamard": {
-        "summary.json": "22fee2f910ea24405926f85f2c8a37f9609711ed3ca26d2fdb221a94dd0e042d",
-        "trace_kappa100_adamw_seed0.csv": "9e7af6660c13793dca73894ec4d6a51527d3856b4afc8dfcb029938f8a148c66",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "56d3651f401334c2dbd9af8a613681c49f8c0afdf6ae73e71135f438f9102854",
-        "trace_kappa100_cage-sgd_seed0.csv": "51f41ddd4edfb5688cdb47a82c280ce9dda02cf073b2dd0843c8d2e2a18b8f8e",
-        "trace_kappa1_adamw_seed0.csv": "5f55d5df894978ec876383b948f2a40f60f3cf7890f08de359b1ccfffc9e7803",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "3cff04f49a44358eeb23c49d8615789a1626ce2a8f4b09d32ac9ec3fa82100eb",
-        "trace_kappa1_cage-sgd_seed0.csv": "96630036e14ca6a8305b4bf7885e6c70b0081dbbc8e27c5515dc42a8c3bb4b45",
-        "traj_kappa100_adamw_seed0.csv": "c73eeb85549cce28449bf7b84cd0f89a55b9e4cfae1468cf050628e116213967",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "ac3fedb0e6ea78c9fd680fbbafd683eff51af4ee4f5316bfdd8f32da63246a72",
-        "traj_kappa100_cage-sgd_seed0.csv": "49e901395f31d59b4259f27bd5f7c51fc99713f029137b861ae6e05e1ebde756",
-        "traj_kappa1_adamw_seed0.csv": "b2dda0a367b79f751c6f16d0a51381967a10de307479def48b46fc47e48755f0",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "30716e85378fd9cded0ee51f4b48a2df99d4ccbabacd7980c582655cecebd229",
-        "traj_kappa1_cage-sgd_seed0.csv": "8bbe0c4eea5fbc1c14edf158009c1dc5dc8db7562abd7cd8e0b31adfee82c0ee",
+        "summary.json": "b00586540325e1415b4fc0dd01acd4eb436aefbd6831d47564c02933ba511874",
+        "trace_kappa100_adamw_seed0.csv": "9fc07c59d2471cd4e3b8465a5607c443c70e39d58a89f5db401a7640f8bb0d68",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "af374a76f2b26067c51a9b4f3add806b93a82266f5d209b0d6991af04b8ff6e8",
+        "trace_kappa100_cage-sgd_seed0.csv": "16994fafbd41ecedc1c09261c15c5877cf1e40a032adc90b29c1518c849e2337",
+        "trace_kappa1_adamw_seed0.csv": "c7a1e2d3a45a194e4222a8a5d7b1537d12d8811c166f6d208dcd64db8e976d64",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "a4433fd50fd6ef29f0a42b71a6c1328d5aa1892dff5ac60a5406778796e80f95",
+        "trace_kappa1_cage-sgd_seed0.csv": "b238c73786441ee548b7f2e7e447b30d10d3077fa78504e360e98d607221783f",
+        "traj_kappa100_adamw_seed0.csv": "28c91863bb6f354f9c2797d6d95d45898798377b8d65ad9ac1c6c5632d52b01e",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "f3e4dd7ec53655430bee47d5e6b6b7410a2b1b97703b393aa72b7be0abd56432",
+        "traj_kappa100_cage-sgd_seed0.csv": "f5a9792c0f1fcb6922472b64daeedcca15de7ea25372c3ba6d236b282d5b9a4d",
+        "traj_kappa1_adamw_seed0.csv": "c648592845f854c270cac3fd291301e38380b102c5e7fa53c4ad67e787a3efe7",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "589b0d84a601cae11e91b90c6cfc356620e4259967e444a750361d5f6ae743fd",
+        "traj_kappa1_cage-sgd_seed0.csv": "a436e037aa817f392be15d394159afca0694d916e93b5ed2f80c773278600375",
     },
     "quadratic-int-plain": {
-        "summary.json": "a945e0ad2a52c9c80d173c40beaf5a7e82c196d2aa558527d66154dce601036f",
-        "trace_kappa10_adamw_seed2.csv": "7f43cbd7fcded65c459eec12da5d7f8e7a248054908ad59c0912478f68f62738",
-        "trace_kappa10_cage-adamw-cpl_seed2.csv": "bf6f165869d5a94e6c87f9b002760c621ee7605b205078abba2b5f2684c0cde6",
-        "traj_kappa10_adamw_seed2.csv": "e4627af74b20123a63d8d55cecc35ddfdc942894726b759ac607ef38bb1189ed",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "971895992465b94c800be2ef824b9f1749c05e8c8bc795366f3db2df9616ad6f",
+        "summary.json": "6c4a77118dacb946f141a3453b6b648f42e27c950f086ab73f0bbc10ad273c39",
+        "trace_kappa10_adamw_seed2.csv": "45ccc1786ce4008b0a30a246c09b620ddbfb564a12c89d54389aee68e11d52bc",
+        "trace_kappa10_cage-adamw-cpl_seed2.csv": "f9fe23bfe4460066854488197d42f9d350a72bd2918cb8a51b1080042dc98621",
+        "traj_kappa10_adamw_seed2.csv": "c284874079d6f68d69c928359597cc69940f082c94316e6de2a8864b5dda5aea",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "e4b42af9b29fc7c4494ba8c8b0f9f89a8a5f9bf5547adca496466aba18ac69ba",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -52,9 +52,9 @@ GOLDEN = {
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
     "convergence-quadratic-int": {
-        "summary.json": "529964cebf31d9a58811cd3b64389e77528afa8641ce610144f3d0d37375eebd",
-        "trace_T500_seed0.csv": "c2f04d58a6feacb02a60531f6e8ac17e8c1e53b540691c81300ec9b827bdfd9b",
-        "trace_T5_seed0.csv": "025962bb9e0f0ad8a3e8f4188e3f0d253fe687265453cc962c60e0ea3eaae055",
+        "summary.json": "0f0d9d9d5ab2c788eecc018d4d00cd2d9334fcef26e4e7893fa3e76038ce707d",
+        "trace_T500_seed0.csv": "15b832a9914ee4b14ddbc59a5a57224f8ea4adcccb045aa75ac008bd5e88c1d8",
+        "trace_T5_seed0.csv": "88a545eb4c6e33312121105e2cbfa1b99b2591a972ed7ee1280f91d7ef721e71",
     },
     "quadratic-none": {
         "summary.json": "49ddc681a9cb3c0ff211c31d46c4dd66f7d78f4abfe3adcb6bd9ece7a90f091e",

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import qatkit.quantize as qz
-from oracles import E2M1_GRID, gaussian_clip_mse_trapezoid, int_reference, int_transform_rows, mxfp4_entry_scales
+from oracles import (
+    E2M1_GRID,
+    gaussian_clip_mse_ndtr,
+    gaussian_clip_mse_trapezoid,
+    int_reference,
+    int_transform_rows,
+    mxfp4_entry_scales,
+)
 from qatkit.numerics import make_rng
 from qatkit.quantize import (
     QuantSpec,
@@ -131,6 +138,26 @@ class TestCalibration:
         for k in (1.0, 2.5, 4.0):
             exact = gaussian_clip_mse(bits, k)
             assert abs(exact - gaussian_clip_mse_trapezoid(bits, k)) <= 1e-6 * exact, (bits, k)
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_bounded_search_is_scipys(self, bits, monkeypatch):
+        # on scipy's ndtr-based MSE, the ported search lands on the bitwise x
+        # of minimize_scalar(method="bounded") over the same bracket
+        optimize = pytest.importorskip("scipy.optimize")
+        monkeypatch.setattr(qz, "gaussian_clip_mse", gaussian_clip_mse_ndtr)
+        ported = calibrate_clip(bits)
+
+        def scipy_bounded(func, a, b, xatol):
+            res = optimize.minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+            return float(res.x)
+
+        monkeypatch.setattr(qz, "_fminbound", scipy_bounded)
+        assert ported == calibrate_clip(bits)
+
+    def test_normal_cdf_matches_ndtr(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(-8.0, 8.0, 20001)
+        assert np.max(np.abs(qz._normal_cdf(x) / special.ndtr(x) - 1.0)) <= 1e-14
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
@@ -344,28 +371,40 @@ class TestNonFinite:
     def test_none(self):
         self._check(QuantSpec(scheme="none"))
 
-    def test_finite_overflow_is_not_rejected(self):
-        # the input is finite though its sum of squares overflows: an int
-        # scheme takes sigma on power-of-two-scaled z, so Q(x) is finite and
-        # nothing warns; the overflowing row leaves the other rows as they
-        # are alone
-        x = np.array([1e300, -1e300, 1.0, 0.0])
+    @staticmethod
+    def _check_large(spec, x, k):
+        # nothing warns, Q(x) is finite and is 2**k Q(2**-k x), and the large
+        # vector leaves a normal row of its batch as that row is alone
         ok = np.array([0.5, -1.5, 2.0, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = quantize(spec, x)
+            batch = quantize(spec, np.stack([ok, x]))
+            scaled = quantize(spec, x * 2.0**-k)
+        assert np.isfinite(res.quantized).all()
+        assert np.array_equal(res.error, x - res.quantized)
+        assert np.array_equal(res.quantized, scaled.quantized * 2.0**k)
+        assert np.array_equal(batch.quantized[1], res.quantized)
+        assert np.array_equal(batch.quantized[0], quantize(spec, ok).quantized)
+
+    def test_finite_overflow_is_not_rejected(self):
+        # the input is finite though its sum of squares overflows
+        x = np.array([1e300, -1e300, 1.0, 0.0])
         for scheme in ("int-plain", "int-hadamard"):
-            spec = QuantSpec(scheme=scheme, bits=4)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                res = quantize(spec, x)
-                batch = quantize(spec, np.stack([ok, x]))
-            assert np.isfinite(res.quantized).all()
-            assert np.array_equal(res.error, x - res.quantized)
-            # as the same vector scaled down by a power of two quantizes
-            assert np.array_equal(res.quantized, quantize(spec, x * 2.0**-600).quantized * 2.0**600)
-            assert np.array_equal(batch.quantized[1], res.quantized)
-            assert np.array_equal(batch.quantized[0], quantize(spec, ok).quantized)
+            self._check_large(QuantSpec(scheme=scheme, bits=4), x, 600)
         # the floor codes of x / 1e-10 overflow
         with np.errstate(all="ignore"):
             quantize(QuantSpec(scheme="floor-toy", grid=1e-10), x)
+
+    @pytest.mark.parametrize(
+        "scheme, x",
+        [("int-hadamard", [1e308, 1e308, 0.0, 0.0]), ("int-plain", [1e308] * 4)],
+        ids=["hadamard-sum", "plain-reconstruction"],
+    )
+    def test_near_float_max_is_finite(self, scheme, x):
+        # the transform of the first and scale * codes of the second overflow
+        # unless the vector is scaled down first
+        self._check_large(QuantSpec(scheme=scheme, bits=4), np.array(x), 1000)
 
 
 class TestClipTable:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qatkit.scaling as sc
 from oracles import write_scaling_csv
 from qatkit.numerics import make_rng
 from qatkit.scaling import (
@@ -189,6 +190,31 @@ def test_rejected_trial_step_does_not_warn():
             r = residuals(theta)
         hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
         assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
+
+
+def test_lm_matches_scipy_on_criterion_7_data(monkeypatch):
+    # the numpy Levenberg-Marquardt and MINPACK's, through scipy, reach the
+    # same law on the five acceptance data sets
+    optimize = pytest.importorskip("scipy.optimize")
+    for seed in range(5):
+        data = _synth(seed)
+        ours = fit_scaling(data)
+        with monkeypatch.context() as m:
+            m.setattr(sc, "least_squares", lambda *args, **kw: optimize.least_squares(*args, method="lm", **kw))
+            ref = fit_scaling(data)
+        for key in TRUE:
+            assert abs(getattr(ours, key) / getattr(ref, key) - 1.0) <= 1e-8, (seed, key)
+        assert ours.eff.keys() == ref.eff.keys()
+        for key, eff in ref.eff.items():
+            assert abs(ours.eff[key] - eff) <= 1e-8, (seed, key)
+
+
+def test_lm_rejects_a_nonfinite_start():
+    residuals, jacobian, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
+    theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
+    theta[5] = -1000.0
+    with pytest.raises(ValueError, match="not finite"):
+        sc.least_squares(residuals, theta, jac=jacobian, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=10)
 
 
 class TestIo:

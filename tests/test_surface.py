@@ -1,6 +1,6 @@
 """The package's public surface: the root exports nothing, so every
 ``qatkit.<submodule>`` attribute is the submodule itself, and every name a
-submodule lists in ``__all__`` exists; and the CLI's run paths load no scipy."""
+submodule lists in ``__all__`` exists; and no CLI subcommand loads scipy."""
 
 import importlib
 import os
@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import qatkit
+from oracles import write_scaling_csv
+from qatkit.numerics import make_rng
+from qatkit.scaling import synthesize_scaling_data
 
 # ``__main__`` runs the CLI when imported
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qatkit.__path__) if m.name != "__main__")
@@ -35,9 +38,8 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# scipy loads only for calibrate-clip and fit-scaling; a cold start, every
-# bit-width of the packaged clip table and the quadratic, convergence and toy
-# lanes never import it
+# qatkit runs on numpy alone: a cold start, every bit-width of the packaged
+# clip table and a run of every subcommand never import scipy
 NO_SCIPY_RUN = """
 import sys
 import qatkit.cli
@@ -52,6 +54,8 @@ for i, argv in enumerate((
     ["quadratic", "--kappas", "10", "--dim", "12", "--steps", "5", "--quant", "int-plain:8"],
     ["convergence", "--objective", "quadratic", "--dim", "4", "--quant", "int-hadamard:4", "--steps", "5,500"],
     ["toy-pareto", "--lambdas", "1", "--steps", "5"],
+    ["calibrate-clip", "--bits", "2,8"],
+    ["fit-scaling", "--input", f"{out}/losses.csv", "--starts", "2"],
 )):
     assert qatkit.cli.main(argv + ["--out", f"{out}/{i}"]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
@@ -59,6 +63,12 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
+    data = synthesize_scaling_data(
+        A=0.8, alpha=0.34, B=1.5, beta=0.28, E=1.2,
+        eff_by_group={("fp16", "FP"): 1.0, ("m4", "4"): 0.7},
+        noise=0.005, rng=make_rng((21, 0)),
+    )
+    write_scaling_csv(tmp_path / "losses.csv", data)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -70,8 +80,10 @@ def test_cli_runs_load_no_scipy(tmp_path):
 
 
 def test_dependency_floors():
-    # src/ calls np.vecdot (numpy 2.0) and np.matvec (numpy 2.2); scipy 1.13
-    # is the first release that supports numpy 2
+    # src/ calls np.vecdot (numpy 2.0) and np.matvec (numpy 2.2); the tests'
+    # scipy oracles need scipy 1.13, the first release that supports numpy 2
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
-    assert re.findall(r'"([^"]+)"', deps) == ["numpy>=2.2", "scipy>=1.13"]
+    assert re.findall(r'"([^"]+)"', deps) == ["numpy>=2.2"]
+    test_extra = re.search(r"^test = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert "scipy>=1.13" in re.findall(r'"([^"]+)"', test_extra)
