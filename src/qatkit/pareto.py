@@ -6,25 +6,19 @@ squared norm, averaged over the iterates, is the convergence measure used by
 the rate study.  ``balance_sq_norm`` is the one place it is formed.  A lane's
 per-step trace is a float64 array ``(steps, 5)`` whose columns are
 ``TRACE_COLUMNS[1:]``: the loss, ||g + lam e||^2, ||g||^2, ||e||^2 and
-lam_t.  The module also carries the three-line error-feedback recursion that
-mirrors straight-through SGD and the log-log fit of a rate study.
+lam_t.  The module also carries the log-log fit of a rate study.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .quantize import QuantSpec, quantize
-
 __all__ = [
     "TRACE_COLUMNS",
-    "EfState",
     "balance_sq_norm",
-    "ef_step",
     "loglog_fit",
     "write_trace_csv",
 ]
@@ -32,35 +26,11 @@ __all__ = [
 TRACE_COLUMNS = ("step", "loss", "pareto_sq_norm", "grad_sq_norm", "err_sq_norm", "lambda_t")
 
 
-@dataclass(frozen=True)
-class EfState:
-    """Carried state of the error-feedback recursion: quantized parameters
-    plus the accumulated quantization error."""
-
-    w: np.ndarray
-    e: np.ndarray
-
-
 def balance_sq_norm(g: np.ndarray, e: np.ndarray, lam) -> np.ndarray:
     """||g + lam e||^2 over the last axis of ``g`` and ``e`` ``(..., d)``, one
     value per row; ``lam`` is a scalar, or one value per row as ``(..., 1)``."""
     p = g + lam * e
     return np.vecdot(p, p)
-
-
-def ef_step(ef: EfState, lr: float, g_tilde: np.ndarray, spec: QuantSpec) -> EfState:
-    """One step of the error-feedback recursion.
-
-    g = lr * g_tilde - e;  w' = Q(w - g);  e' = (w - g) - w'.
-
-    ``g_tilde`` must be the stochastic gradient evaluated at ``ef.w``.  Run
-    against straight-through SGD with a shared noise stream, this reproduces
-    w_t = Q(x_t) and e_t = x_t - Q(x_t) at every step.
-    """
-    g = lr * g_tilde - ef.e
-    pre = ef.w - g
-    w_new = quantize(spec, pre).quantized
-    return EfState(w=w_new, e=pre - w_new)
 
 
 def loglog_fit(xs, ys) -> tuple[float, float, float]:

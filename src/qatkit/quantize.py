@@ -246,117 +246,61 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), float, x.size)
 
 
+def _clip_cells(bits: int, k: float):
+    """The rounding cells of a ``bits``-wide grid with clip factor k: level
+    c_j = j k / q_max (j = -q_max - 1 .. q_max) takes the cell [a_j, b_j].
+    Returns ``(j, c, edges, mass, pdf)``: the interior edges b_j = a_{j+1},
+    each cell's mass Phi(b_j) - Phi(a_j), and phi at the edges.  The two outer
+    cells are open to -inf / +inf, where phi vanishes."""
+    q_max = 2 ** (bits - 1) - 1
+    s = k / q_max
+    j = np.arange(-q_max - 1, q_max + 1)
+    c = s * j
+    edges = c[:-1] + s / 2.0
+    pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
+    mass = np.diff(np.concatenate(([0.0], _normal_cdf(edges), [1.0])))
+    return j, c, edges, mass, pdf
+
+
 def gaussian_clip_mse(bits: int, k: float) -> float:
     """E_{z~N(0,1)}[(z - dequant(quant(z; k)))^2], exact.
 
-    Level c = j * k / q_max takes the rounding cell [a, b]; each cell adds
-    (1 + c^2)(Phi(b) - Phi(a)) + (a - 2c) phi(a) - (b - 2c) phi(b), and the two
-    outer cells are open to -inf / +inf, where phi vanishes.
+    Each cell [a, b] of level c adds
+    (1 + c^2)(Phi(b) - Phi(a)) + (a - 2c) phi(a) - (b - 2c) phi(b).
     """
-    q_max = 2 ** (bits - 1) - 1
-    s = k / q_max
-    c = s * np.arange(-q_max - 1, q_max + 1)
-    edges = c[:-1] + s / 2.0
-    pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
-    cdf = np.concatenate(([0.0], _normal_cdf(edges), [1.0]))
+    _, c, edges, mass, pdf = _clip_cells(bits, k)
     lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
     upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
-    return float(((1.0 + c * c) * np.diff(cdf) + lower - upper).sum())
+    return float(((1.0 + c * c) * mass + lower - upper).sum())
 
 
-# coarse scan of the clip factor; the bracket around its minimum is refined
-_CLIP_SCAN = np.linspace(0.5, 6.0, 96)
-# function evaluations allowed to the bounded Brent search
-_FMINBOUND_MAXFUN = 500
+def _clip_mse_slope(bits: int, k: float) -> float:
+    """dMSE/dk = (2 / q_max) sum_j j [c_j (Phi(b_j) - Phi(a_j)) - (phi(a_j) - phi(b_j))].
 
-
-def _fminbound(func, a: float, b: float, xatol: float) -> float:
-    """Minimizer of ``func`` on [a, b] by Brent's bounded search: golden
-    sections with parabolic steps (Brent 1973; Forsythe, Malcolm and Moler
-    1977), stopping when the bracket is within ``xatol`` of the best point
-    or after ``_FMINBOUND_MAXFUN`` evaluations.  Step for step it is scipy's
-    ``minimize_scalar(method="bounded")``, so its x agrees bitwise."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # try a parabolic step through the three best points
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _FMINBOUND_MAXFUN:
-            break
-    return xf
+    Only the levels' motion counts: the terms from the moving edges cancel,
+    because the error is continuous across each edge.
+    """
+    j, c, _, mass, pdf = _clip_cells(bits, k)
+    pdf_rise = np.diff(np.concatenate(([0.0], pdf, [0.0])))  # phi(b_j) - phi(a_j)
+    return float(2.0 / j[-1] * (j * (c * mass + pdf_rise)).sum())
 
 
 def calibrate_clip(bits: int) -> float:
-    """MSE-optimal Gaussian clip factor for a ``bits``-wide symmetric grid.
-
-    Scans k in [0.5, 6] on a 96-point grid, then refines the bracketing
-    interval with a bounded Brent search (``_fminbound``) to 1e-6.
-    Deterministic, and numpy alone.
+    """MSE-optimal Gaussian clip factor for a ``bits``-wide symmetric grid:
+    the root of the MSE's slope on [0.5, 6], where it is negative at 0.5 and
+    positive at 6 for every supported bit-width, bisected until the midpoint
+    is an endpoint (~55 slope evaluations).  Near its minimum the MSE is too
+    flat to rank points ~1e-7 apart; its slope's sign is not.
     """
     if not 2 <= bits <= 8:
         raise ValueError(f"bits out of supported range [2, 8]: {bits}")
-    i = int(np.argmin([gaussian_clip_mse(bits, float(k)) for k in _CLIP_SCAN]))
-    bracket = (float(_CLIP_SCAN[max(i - 1, 0)]), float(_CLIP_SCAN[min(i + 1, _CLIP_SCAN.size - 1)]))
-    # the module global, looked up per call, so a wrapped gaussian_clip_mse sees every evaluation
-    return _fminbound(lambda k: gaussian_clip_mse(bits, k), *bracket, xatol=1e-6)
+    lo, hi = 0.5, 6.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _clip_mse_slope(bits, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 _CLIP_CACHE: dict[int, float] = {}

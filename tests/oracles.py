@@ -4,13 +4,14 @@ import csv
 import functools
 import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
-from qatkit.quantize import SIGMA_FLOOR, QuantSpec
+from qatkit.quantize import SIGMA_FLOOR, QuantSpec, quantize
 from qatkit.scaling import CSV_HEADER
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -103,6 +104,30 @@ def solved_quadratic(A, b):
         x_star[i] = np.linalg.solve(A[i], b[i])
         f_star[i] = -0.5 * float(b[i] @ x_star[i])
     return quadratic(A, b, x_star, f_star if f_star.ndim else float(f_star))
+
+
+@dataclass(frozen=True)
+class EfState:
+    """Carried state of the error-feedback recursion: quantized parameters
+    plus the accumulated quantization error."""
+
+    w: np.ndarray
+    e: np.ndarray
+
+
+def ef_step(ef: EfState, lr: float, g_tilde: np.ndarray, spec: QuantSpec) -> EfState:
+    """One step of the error-feedback recursion.
+
+    g = lr * g_tilde - e;  w' = Q(w - g);  e' = (w - g) - w'.
+
+    ``g_tilde`` must be the stochastic gradient evaluated at ``ef.w``.  Run
+    against straight-through SGD with a shared noise stream, this reproduces
+    w_t = Q(x_t) and e_t = x_t - Q(x_t) at every step.
+    """
+    g = lr * g_tilde - ef.e
+    pre = ef.w - g
+    w_new = quantize(spec, pre).quantized
+    return EfState(w=w_new, e=pre - w_new)
 
 
 def gaussian_clip_mse_trapezoid(bits: int, k: float, nodes: int = 100001) -> float:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study, solved_quadratic
+from oracles import RATE_STUDY_HORIZONS, EfState, ef_step, rosenbrock_rate_study, solved_quadratic
 from qatkit.experiments import (
     make_quadratic_problem,
     run_quadratic,
@@ -21,7 +21,7 @@ from qatkit.experiments import (
 )
 from qatkit.numerics import make_rng
 from qatkit.optim import OptimConfig, cage_sgd_step, sgd_step
-from qatkit.pareto import EfState, ef_step, loglog_fit
+from qatkit.pareto import loglog_fit
 from qatkit.quantize import QuantSpec, calibrate_clip, gaussian_clip_mse, quantize
 from qatkit.scaling import fit_scaling, synthesize_scaling_data
 

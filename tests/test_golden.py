@@ -17,33 +17,33 @@ from qatkit.scaling import synthesize_scaling_data
 
 GOLDEN = {
     "calibrate-clip": {
-        "clip_factors.tsv": "51fc49a2af157607d1a57dcb9608a2e10b5c82e0a3acbfdcb5a9c7ddddc0a422",
-        "summary.json": "f10bdd97eff33151ce23c14120729976b2389ea305f1268bbcf76e8af40dd228",
+        "clip_factors.tsv": "732c071dbed5647dc6dbc6ccd28da6c71a7f78b64e47c2bb0cc45a7379a69a2d",
+        "summary.json": "b1d48c3d3db39c30966ba6a940b066ebc8c48e84691cdd4ac455a41705c165e0",
     },
     "fit-scaling": {
         "summary.json": "88ee38b2840e1e4d121d600b317c943799bf2fbcafe1e6ba1aa0a88350203fe1",
     },
     "quadratic-int-hadamard": {
-        "summary.json": "b00586540325e1415b4fc0dd01acd4eb436aefbd6831d47564c02933ba511874",
-        "trace_kappa100_adamw_seed0.csv": "9fc07c59d2471cd4e3b8465a5607c443c70e39d58a89f5db401a7640f8bb0d68",
-        "trace_kappa100_cage-adamw-dec_seed0.csv": "af374a76f2b26067c51a9b4f3add806b93a82266f5d209b0d6991af04b8ff6e8",
-        "trace_kappa100_cage-sgd_seed0.csv": "16994fafbd41ecedc1c09261c15c5877cf1e40a032adc90b29c1518c849e2337",
-        "trace_kappa1_adamw_seed0.csv": "c7a1e2d3a45a194e4222a8a5d7b1537d12d8811c166f6d208dcd64db8e976d64",
-        "trace_kappa1_cage-adamw-dec_seed0.csv": "a4433fd50fd6ef29f0a42b71a6c1328d5aa1892dff5ac60a5406778796e80f95",
-        "trace_kappa1_cage-sgd_seed0.csv": "b238c73786441ee548b7f2e7e447b30d10d3077fa78504e360e98d607221783f",
-        "traj_kappa100_adamw_seed0.csv": "28c91863bb6f354f9c2797d6d95d45898798377b8d65ad9ac1c6c5632d52b01e",
-        "traj_kappa100_cage-adamw-dec_seed0.csv": "f3e4dd7ec53655430bee47d5e6b6b7410a2b1b97703b393aa72b7be0abd56432",
-        "traj_kappa100_cage-sgd_seed0.csv": "f5a9792c0f1fcb6922472b64daeedcca15de7ea25372c3ba6d236b282d5b9a4d",
-        "traj_kappa1_adamw_seed0.csv": "c648592845f854c270cac3fd291301e38380b102c5e7fa53c4ad67e787a3efe7",
-        "traj_kappa1_cage-adamw-dec_seed0.csv": "589b0d84a601cae11e91b90c6cfc356620e4259967e444a750361d5f6ae743fd",
-        "traj_kappa1_cage-sgd_seed0.csv": "a436e037aa817f392be15d394159afca0694d916e93b5ed2f80c773278600375",
+        "summary.json": "82e3db882d857e2cb61a2212ca17fb696410379bd3382253d5c85087ff5173c6",
+        "trace_kappa100_adamw_seed0.csv": "bcac57cf0b5dfab8d41ba1c747df21f6ddab9c7a6fe1d996fbc84fed7a29f2e4",
+        "trace_kappa100_cage-adamw-dec_seed0.csv": "5850fe9aba19bd4488402d626de5d6990d56832c224fb12f070f44cc17d69926",
+        "trace_kappa100_cage-sgd_seed0.csv": "1a0ffccc1138ada0f13176abd0f631a4d254407a64e16ac8798e9a5d9ee7cc3a",
+        "trace_kappa1_adamw_seed0.csv": "1a1fe0896334659ee51de6f2bba151620d280cc449fa968dec56dd8b758e6451",
+        "trace_kappa1_cage-adamw-dec_seed0.csv": "a85b865b30a5806735d3bbb7b289499f4a06b77e27f48aa0a58a97a807e96e53",
+        "trace_kappa1_cage-sgd_seed0.csv": "de4be4296bab6890cc6947bfe62ad23e4b272ee208033e92f50bbdb2097a80a5",
+        "traj_kappa100_adamw_seed0.csv": "e6b82eac444b534d95130ba0d640485e468e8c391f034b898cba361493e34d42",
+        "traj_kappa100_cage-adamw-dec_seed0.csv": "fb3d6d5f7da74c899a952a84b9cabbc891f8d993c466ead28ef03da40040fa53",
+        "traj_kappa100_cage-sgd_seed0.csv": "092e07099be7e1e6b35d92cb73f73ed493e32ade8c4949604f23f4b25d4e79bc",
+        "traj_kappa1_adamw_seed0.csv": "6bc1a99258f3f5f70d5aae20febcdb7a51512058cfa42365ee45a0fbe7832e42",
+        "traj_kappa1_cage-adamw-dec_seed0.csv": "0350d0c40a7b2054c325c24e23101c74ee9ff4aa553b22ef8356c99bfc734cc4",
+        "traj_kappa1_cage-sgd_seed0.csv": "19a98841cb30afe7cda45c93fd35d39d72e6ace0d6cce0312a57b3e13a11b3c2",
     },
     "quadratic-int-plain": {
-        "summary.json": "6c4a77118dacb946f141a3453b6b648f42e27c950f086ab73f0bbc10ad273c39",
-        "trace_kappa10_adamw_seed2.csv": "45ccc1786ce4008b0a30a246c09b620ddbfb564a12c89d54389aee68e11d52bc",
-        "trace_kappa10_cage-adamw-cpl_seed2.csv": "f9fe23bfe4460066854488197d42f9d350a72bd2918cb8a51b1080042dc98621",
-        "traj_kappa10_adamw_seed2.csv": "c284874079d6f68d69c928359597cc69940f082c94316e6de2a8864b5dda5aea",
-        "traj_kappa10_cage-adamw-cpl_seed2.csv": "e4b42af9b29fc7c4494ba8c8b0f9f89a8a5f9bf5547adca496466aba18ac69ba",
+        "summary.json": "e9aa073647456bac4832907c0ae340be532d6fe8a82539bb2113d78297c2b353",
+        "trace_kappa10_adamw_seed2.csv": "d52e0dd811e5fe3cb32c8211b76192feffd6acd82a97a105a1d261fe86207020",
+        "trace_kappa10_cage-adamw-cpl_seed2.csv": "90c13926b4522e4b1ec00f5c0df409e17a1d45d0d839ab343696265dd55f044c",
+        "traj_kappa10_adamw_seed2.csv": "425637526e9dbc482edd30b21ee8408ec87ba86014dece02e33d4620291ef019",
+        "traj_kappa10_cage-adamw-cpl_seed2.csv": "d75a1fdec7a9aedcbfdd53d70e13e29603eeceb7f4b0bbc11928eb421e2cd411",
     },
     "convergence-floor": {
         "summary.json": "4c2d92bd9c19fea94b6cacddc192de15427f804aad7313862ae31a71d0ba69f1",
@@ -52,9 +52,9 @@ GOLDEN = {
         "trace_T20_seed0.csv": "776a5d9a601808de3c25d5e777f8ed77ea0f62498b58ce53d7bc51c7d74e1f8f",
     },
     "convergence-quadratic-int": {
-        "summary.json": "0f0d9d9d5ab2c788eecc018d4d00cd2d9334fcef26e4e7893fa3e76038ce707d",
-        "trace_T500_seed0.csv": "15b832a9914ee4b14ddbc59a5a57224f8ea4adcccb045aa75ac008bd5e88c1d8",
-        "trace_T5_seed0.csv": "88a545eb4c6e33312121105e2cbfa1b99b2591a972ed7ee1280f91d7ef721e71",
+        "summary.json": "ca228b6a2d147b3ab1c74780b04b977303479af0f0eb1e513fc697cdce878cb2",
+        "trace_T500_seed0.csv": "43105bec8f38a3b5457aa904127c5281ace6d3c1dd9b49730ca5eb2a9a30078f",
+        "trace_T5_seed0.csv": "7cf8f64cae45edcc7e975fac910a3555df5ed77ffa430e6570591774a29b1dbb",
     },
     "quadratic-none": {
         "summary.json": "49ddc681a9cb3c0ff211c31d46c4dd66f7d78f4abfe3adcb6bd9ece7a90f091e",
@@ -127,7 +127,7 @@ RUNS = {
     # the balance-point lane: one scalar through the floor quantizer and the
     # corrected-SGD loop the rate lane runs
     "toy-pareto": ["toy-pareto", "--lambdas", "0.5,3", "--steps", "300"],
-    # the Gaussian clip quadratures under the bounded Brent search
+    # the closed-form Gaussian clip MSE at the root of its slope
     "calibrate-clip": ["calibrate-clip", "--bits", "2,3"],
     # the multi-start law fit; None stands for the CSV of _scaling_input
     "fit-scaling": ["fit-scaling", "--input", None],

@@ -3,12 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import RATE_STUDY_HORIZONS, rosenbrock_rate_study, solved_quadratic
+from oracles import RATE_STUDY_HORIZONS, EfState, ef_step, rosenbrock_rate_study, solved_quadratic
 from qatkit.experiments import make_rate_objective, run_toy_pareto
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
-from qatkit.pareto import EfState, balance_sq_norm, ef_step, loglog_fit, write_trace_csv
+from qatkit.pareto import balance_sq_norm, loglog_fit, write_trace_csv
 from qatkit.quantize import QuantSpec, quantize
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import EfState, ef_step
 from qatkit.numerics import make_rng
 from qatkit.objectives import toy_scalar
 from qatkit.optim import cage_sgd_step
-from qatkit.pareto import EfState, ef_step
 from qatkit.qat_grad import ste_backward
 from qatkit.quantize import QuantSpec, quantize
 from qatkit.transform import hadamard_inverse, hadamard_plan

@@ -113,10 +113,8 @@ class TestIntRow:
 
 class TestCalibration:
     def test_monotone_in_bits(self):
-        k2 = calibrate_clip(2)
-        k3 = calibrate_clip(3)
-        k4 = calibrate_clip(4)
-        assert k2 < k3 < k4
+        ks = [calibrate_clip(b) for b in range(2, 9)]
+        assert all(a < b for a, b in zip(ks, ks[1:])), ks
 
     def test_local_optimality_b4(self):
         k4 = calibrate_clip(4)
@@ -140,19 +138,23 @@ class TestCalibration:
             assert abs(exact - gaussian_clip_mse_trapezoid(bits, k)) <= 1e-6 * exact, (bits, k)
 
     @pytest.mark.parametrize("bits", range(2, 9))
-    def test_bounded_search_is_scipys(self, bits, monkeypatch):
-        # on scipy's ndtr-based MSE, the ported search lands on the bitwise x
-        # of minimize_scalar(method="bounded") over the same bracket
+    def test_clip_is_the_mse_slope_root(self, bits):
+        # the slope against central differences of scipy's ndtr-based MSE, its
+        # sign across [0.5, 6], and k_b against scipy's bounded minimizer of
+        # that MSE within the xatol it is given
         optimize = pytest.importorskip("scipy.optimize")
-        monkeypatch.setattr(qz, "gaussian_clip_mse", gaussian_clip_mse_ndtr)
-        ported = calibrate_clip(bits)
 
-        def scipy_bounded(func, a, b, xatol):
-            res = optimize.minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
-            return float(res.x)
+        def mse(k):
+            return gaussian_clip_mse_ndtr(bits, k)
 
-        monkeypatch.setattr(qz, "_fminbound", scipy_bounded)
-        assert ported == calibrate_clip(bits)
+        h = 1e-4
+        for k in (1.0, 2.5, 4.0):
+            slope = qz._clip_mse_slope(bits, k)
+            assert abs((mse(k + h) - mse(k - h)) / (2.0 * h) - slope) <= 1e-6 * abs(slope), (bits, k)
+        assert qz._clip_mse_slope(bits, 0.5) < 0.0 < qz._clip_mse_slope(bits, 6.0)
+        res = optimize.minimize_scalar(mse, bounds=(0.5, 6.0), method="bounded", options={"xatol": 1e-6})
+        k_b = calibrate_clip(bits)
+        assert abs(res.x - k_b) <= 1e-6 * k_b
 
     def test_normal_cdf_matches_ndtr(self):
         special = pytest.importorskip("scipy.special")
