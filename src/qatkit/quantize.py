@@ -127,12 +127,16 @@ def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
         raise FloatingPointError("quantizer input has a NaN or inf entry")
 
 
-def _quantize_int(spec: QuantSpec, x: np.ndarray) -> QuantResult:
+def _quantize_int(spec: QuantSpec, x: np.ndarray, limit: np.ndarray | None = None) -> QuantResult:
     """Single pass over every vector of ``x``: one transform, one sigma per
     vector, and from them the reconstruction and the keep-mask.  z = Hx (x
     for int-plain), sigma = rms(z) over the padded vector, scale =
     clip_factor * sigma / q_max, codes = round-half-even(z / scale) clipped
-    to [q_min, q_max]."""
+    to [q_min, q_max].  ``limit`` (one bound per vector, from
+    ``_quantize_int_large`` only) also clamps each |code| to
+    floor(limit / (scale * reach)), so that no entry of Q(x) exceeds it:
+    reach is 1 for int-plain and sqrt(padded_dim) for int-hadamard, whose
+    inverse transform adds up all of a vector's codes."""
     # NaN or inf for a NaN or inf entry, checked before the transform, which
     # would warn on one
     amax = np.maximum.reduce(np.abs(x), axis=None)
@@ -147,6 +151,12 @@ def _quantize_int(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     scale = np.where(sigma == 0.0, SIGMA_FLOOR, bound / spec.q_max)
     # np.minimum/np.maximum: np.clip's values at a fraction of its dispatch cost
     codes = np.minimum(np.maximum(np.rint(z / scale), spec.q_min), spec.q_max)
+    if limit is not None:
+        # 2**-20 of room for the rounding of the inverse transform's sums
+        reach = (1.0 if plan is None else math.sqrt(plan.padded_dim)) / (1.0 - 2.0**-20)
+        with np.errstate(over="ignore"):  # an inf cap clamps nothing
+            cap = np.floor(limit / (scale * reach))
+        codes = np.minimum(np.maximum(codes, -cap), cap)
     z_hat = scale * codes
     quantized = z_hat if plan is None else hadamard_inverse(plan, z_hat)
     return QuantResult(
@@ -161,12 +171,21 @@ def _quantize_int_large(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     """``_quantize_int`` for a finite batch holding a vector with max |x| >=
     ``_SAFE_MAGNITUDE``.  Each such vector is quantized as 2**e Q(2**-e x),
     2**e its leading power of two, so neither its transform nor its sum of
-    squares overflows, and Q(x) is finite wherever its grid point is a
-    float.  Every other vector is quantized as it is alone, bitwise."""
+    squares overflows.  Where that grid point scaled back would not be a
+    float, the vector's codes are clamped (see ``_quantize_int``'s
+    ``limit``), so Q(x) is always finite; ``error`` is still
+    ``x - quantized``.  Every other vector is quantized as it is alone,
+    bitwise."""
     row_amax = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True)
     _, e = np.frexp(row_amax)
     e = np.where(row_amax < _SAFE_MAGNITUDE, 0, e)
-    scaled = _quantize_int(spec, np.ldexp(x, -e))
+    scaled_x = np.ldexp(x, -e)
+    # the largest |Q| entry whose ldexp by e is a float
+    largest = np.ldexp(np.finfo(float).max, -e)
+    scaled = _quantize_int(spec, scaled_x)
+    over = np.maximum.reduce(np.abs(scaled.quantized), axis=-1, keepdims=True) > largest
+    if over.any():
+        scaled = _quantize_int(spec, scaled_x, limit=np.where(over, largest, np.inf))
     quantized = np.ldexp(scaled.quantized, e)
     return QuantResult(quantized=quantized, error=x - quantized, keep=scaled.keep)
 

@@ -39,6 +39,9 @@ RESIDUAL_SPACES = ("log", "linear")
 CSV_HEADER = ("method", "P", "N", "D", "loss")
 # residual evaluations allowed per Levenberg-Marquardt start
 MAX_NFEV = 2000
+# starts per Jacobian call: the normal equations' working set is ~7 n floats
+# per start, so blocks keep it flat in the number of starts
+LINEARIZE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -108,150 +111,226 @@ def check_scaling_data(data: list[ScalingDatum]) -> list[tuple[str, str]]:
     return sorted(k for k in groups if k[1] != FP_LABEL)
 
 
-def _unpack_theta(theta):
-    a, abar, b, bbar, ebar = theta[:5]
-    u = theta[5:]
-    return math.exp(a), math.exp(abar), math.exp(b), math.exp(bbar), math.exp(ebar), _sigmoid(u)
-
-
 def build_residual_system(data: list[ScalingDatum], prior_weight: float, residual_space: str):
-    """Residual and Jacobian closures over the reparametrized variables.
+    """Residual and normal-equation closures over stacks of reparametrized points.
 
     The parameter vector is theta = (log A, log alpha, log B, log beta, log E,
-    u_1..u_G) with eff_g = sigmoid(u_g); the residual vector is the per-point
-    data misfit followed by the two prior rows sqrt(w) log alpha and
-    sqrt(w) log beta.  The rows are canonically sorted first, so the system
-    is independent of input ordering.  Returns (residuals, jacobian, groups,
-    rows), ``rows`` in that canonical order.
+    u_1..u_G) with eff_g = sigmoid(u_g), and both closures take a stack
+    ``(k, p)`` of them, computing each row from that row alone.
+    ``residuals(theta)`` returns ``(f, terms)``: ``f`` ``(k, n + 2)`` holds
+    the per-point data misfits followed by the two prior rows sqrt(w) log
+    alpha and sqrt(w) log beta, and ``terms`` ``(k, 2, n)`` holds the law's
+    two power terms A / (N eff)^alpha and B / D^beta at each data point.  A
+    point far out gives +inf or NaN residuals, with no warning.
+    ``normal_equations(theta, f, terms)`` takes a ``residuals`` output and
+    returns J^T J ``(k, p, p)`` and J^T f ``(k, p)`` without forming J: each
+    data point is in at most one group, so the group block of J^T J is
+    diagonal and its cross block is a per-group sum over the five shared
+    columns.  The rows are canonically sorted first, so the system is
+    independent of input ordering.  Returns (residuals, normal_equations,
+    groups, rows), ``rows`` in that canonical order.
     """
     if residual_space not in RESIDUAL_SPACES:
         raise ValueError(f"unknown residual_space {residual_space!r}")
     data = _canonical(list(data))
     groups = check_scaling_data(data)
     g_index = {key: i for i, key in enumerate(groups)}
-    n = len(data)
+    n, n_groups = len(data), len(groups)
     log_n = np.array([math.log(r.N) for r in data])
-    log_d = np.array([math.log(r.D) for r in data])
+    neg_log_d = -np.array([math.log(r.D) for r in data])
     obs = np.array([r.loss for r in data])
     log_obs = np.log(obs)
-    # group membership matrix: column g is 1 for rows in fitted group g
-    member = np.zeros((n, len(groups)))
-    for i, r in enumerate(data):
-        if r.precision != FP_LABEL:
-            member[i, g_index[(r.method, r.precision)]] = 1.0
-    in_group = member.sum(axis=1) > 0
+    # each row's group; full-precision rows point past the last one
+    row_group = np.array([g_index.get((r.method, r.precision), n_groups) for r in data])
+    member = (row_group[:, None] == np.arange(n_groups)).astype(float)
     sqrt_w = math.sqrt(prior_weight)
+    group_diag = np.arange(5, 5 + n_groups)
 
-    def terms(theta):
-        # a trial step far out (u << 0) underflows eff to 0: the residual is
-        # +inf and LM rejects the step, so that overflow and log(0) are expected
-        with np.errstate(over="ignore", divide="ignore"):
-            A, alpha, B, beta, E, eff = _unpack_theta(theta)
-            eff_row = np.where(in_group, member @ eff, 1.0)
-            t1 = A * np.exp(-alpha * (log_n + np.log(eff_row)))
-        t2 = B * np.exp(-beta * log_d)
-        return A, alpha, B, beta, E, eff, eff_row, t1, t2
+    def capacity_exponent(theta, alpha):
+        # -alpha log(N eff) per data point; full-precision rows read log eff = 0
+        log_eff = np.zeros((len(theta), n_groups + 1))
+        log_eff[:, :n_groups] = -np.log1p(np.exp(-theta[:, 5:]))
+        exponent = np.take(log_eff, row_group, axis=1)
+        exponent += log_n
+        exponent *= -alpha[:, None]
+        return exponent
 
     def residuals(theta):
-        _, alpha, _, beta, E, _, _, t1, t2 = terms(theta)
-        pred = t1 + t2 + E
-        if residual_space == "log":
-            r = np.log(pred) - log_obs
-        else:
-            r = pred - obs
-        return np.concatenate([r, [sqrt_w * math.log(alpha), sqrt_w * math.log(beta)]])
+        k = len(theta)
+        # (k, 2, n) over a (2, k, n) buffer: each term is one contiguous block,
+        # which numpy updates in place without iterator buffers
+        terms = np.empty((2, k, n)).transpose(1, 0, 2)
+        t1, t2 = terms[:, 0], terms[:, 1]
+        f = np.empty((k, n + 2))
+        # a trial step far out overflows exp or underflows eff to 0: the
+        # residual is +inf or NaN and LM rejects the step
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            alpha, beta, E = np.exp(theta[:, [1, 3, 4]]).T
+            work = capacity_exponent(theta, alpha)
+            work += theta[:, :1]
+            np.exp(work, out=t1)
+            np.multiply(beta[:, None], neg_log_d, out=t2)
+            t2 += theta[:, 2:3]
+            np.exp(t2, out=t2)
+            np.add(t1, t2, out=work)
+            work += E[:, None]
+            if residual_space == "log":
+                np.log(work, out=work)
+                work -= log_obs
+            else:
+                work -= obs
+            f[:, :n] = work
+            np.multiply(theta[:, 1:4:2], sqrt_w, out=f[:, n:])
+        return f, terms
 
-    def jacobian(theta):
-        _, alpha, _, beta, E, eff, eff_row, t1, t2 = terms(theta)
-        pred = t1 + t2 + E
-        J = np.zeros((n + 2, theta.size))
-        J[:n, 0] = t1
-        J[:n, 1] = -alpha * (log_n + np.log(eff_row)) * t1
-        J[:n, 2] = t2
-        J[:n, 3] = -beta * log_d * t2
-        J[:n, 4] = E
-        # d pred / d u_g = -alpha * t1 * (1 - eff_g) for member rows
-        J[:n, 5:] = member * (-alpha * t1 * (member @ (1.0 - eff)))[:, None]
+    def normal_equations(theta, f, terms):
+        k, p = theta.shape
+        alpha, beta, E = np.exp(theta[:, [1, 3, 4]]).T
+        t1, t2 = terms[:, 0], terms[:, 1]
+        # the five shared columns of J over the data points, then f, a (k, n) block each
+        cols = np.empty((6, k, n))
+        cols[0] = t1
+        np.multiply(capacity_exponent(theta, alpha), t1, out=cols[1])
+        cols[2] = t2
+        np.multiply(t2, neg_log_d, out=cols[3])
+        cols[3] *= beta[:, None]
+        cols[4] = E[:, None]
         if residual_space == "log":
-            J[:n] /= pred[:, None]
-        J[n, 1] = sqrt_w
-        J[n + 1, 3] = sqrt_w
-        return J
+            pred = t1 + t2
+            pred += E[:, None]
+            cols[:5] /= pred
+        cols[5] = f[:, :n]
+        per_start = cols.transpose(1, 0, 2)
+        gram = per_start @ per_start.transpose(0, 2, 1)
+        # d f_i / d u_g = -alpha (1 - eff_g) J_i0 on group g's rows
+        coef = -alpha[:, None] * (1.0 - _sigmoid(theta[:, 5:]))
+        # by_group[:, a, g] = sum of J_i0 J_ia over group g (J_i0 f_i for a = 5)
+        cols *= cols[0].copy()
+        by_group = per_start @ member
+        jtj = np.zeros((k, p, p))
+        jtj[:, :5, :5] = gram[:, :5, :5]
+        jtj[:, [1, 3], [1, 3]] += sqrt_w * sqrt_w
+        cross = by_group[:, :5] * coef[:, None, :]
+        jtj[:, :5, 5:] = cross
+        jtj[:, 5:, :5] = cross.transpose(0, 2, 1)
+        jtj[:, group_diag, group_diag] = by_group[:, 0] * (coef * coef)
+        jtf = np.empty((k, p))
+        jtf[:, :5] = gram[:, :5, 5]
+        jtf[:, 1:4:2] += sqrt_w * f[:, n:]
+        jtf[:, 5:] = by_group[:, 5] * coef
+        return jtj, jtf
 
-    return residuals, jacobian, groups, data
+    return residuals, normal_equations, groups, data
 
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Final point ``x``, its residuals ``fun`` and ``cost`` = 0.5 * |fun|^2."""
+    """Per start: the final point ``x`` ``(m, p)``, its residuals ``fun``
+    ``(m, r)``, ``cost`` = 0.5 * |fun|^2 ``(m,)`` and the residual
+    evaluations ``nfev`` ``(m,)`` it took."""
 
     x: np.ndarray
     fun: np.ndarray
-    cost: float
+    cost: np.ndarray
+    nfev: np.ndarray
+
+
+def _rowdot(a, b):
+    return np.add.reduce(a * b, axis=-1)
 
 
 def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresResult:
-    """Minimize 0.5 * |fun(x)|^2 from ``x0`` by Levenberg-Marquardt with the
-    analytic Jacobian ``jac``.
+    """Minimize 0.5 * |fun(x)|^2 from each start, a row of ``x0`` ``(m, p)``,
+    by Levenberg-Marquardt, stepping every start as one batch.
 
-    The columns are scaled by the running maximum of the Jacobian column
-    norms (Marquardt 1963), and the damping mu follows Nielsen's update
-    (Nielsen 1999): an accepted step with gain ratio rho scales mu by
-    max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8, ...  The
-    search stops when an accepted step lowers the cost by at most ``ftol``
-    relative and predicted no more, when no column of J is more than
-    ``gtol`` from orthogonal to the residuals, when a step, accepted or
+    ``fun(x)`` maps a stack ``(k, p)`` of points to their residuals ``(k, r)``
+    and per-point ``terms`` (any array with k rows); ``jac(x, f, terms)``
+    takes those and returns J^T J ``(k, p, p)`` and J^T f ``(k, p)``.  Each
+    start keeps its own state.  Its columns are scaled by the running maximum
+    of its Jacobian column norms (Marquardt 1963), and its damping mu follows
+    Nielsen's update (Nielsen 1999): an accepted step with gain ratio rho
+    scales mu by max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8,
+    ...  A start stops when an accepted step lowers its cost by at most
+    ``ftol`` relative and predicted no more, when no column of J is more than
+    ``gtol`` from orthogonal to its residuals, when a step, accepted or
     rejected, is within ``xtol`` relative of the scaled x, or after
-    ``max_nfev`` residual evaluations.  A trial point with non-finite
-    residuals is a rejected step; non-finite residuals at ``x0`` raise
-    ValueError.  ``bench/tracing.py`` swaps this module attribute to count
-    residual and Jacobian evaluations.
+    ``max_nfev`` residual evaluations.  A trial point with a non-finite cost
+    is a rejected step, and a start whose cost at x0 is not finite is not
+    stepped: it comes back at x0 with that cost.  A round solves
+    (A + mu I) h = -g for every live start in one call, evaluates their trial
+    points in one ``fun`` call and linearizes the accepted ones in ``jac``
+    calls of up to ``LINEARIZE_BLOCK`` starts.  No row's arithmetic reads
+    another row, so each start's result is bitwise its result as a batch of
+    one.  ``bench/tracing.py`` swaps this module attribute to count ``fun``
+    and ``jac`` calls.
     """
     x = np.array(x0, dtype=float)
-    f = fun(x)
-    if not np.isfinite(f).all():
-        raise ValueError("residuals are not finite at the starting point")
-    cost = 0.5 * float(f @ f)
-    nfev = 1
-    scale = np.zeros(x.size)
-    mu, nu = None, 2.0
-    done = False
-    while not done and nfev < max_nfev:
-        J = jac(x)
-        norms = np.linalg.norm(J, axis=0)
-        scale = np.maximum(scale, norms)
-        d = np.where(scale > 0.0, scale, 1.0)
-        Js = J / d
-        g = Js.T @ f
-        # gtol: the largest cosine between f and a column of J
-        if np.max(np.abs(g) * d / np.where(norms > 0.0, norms, 1.0)) <= gtol * math.sqrt(2.0 * cost):
-            break
-        A = Js.T @ Js
-        if mu is None:
-            mu = 1e-3 * float(A.diagonal().max())
-        xnorm = float(np.linalg.norm(d * x))
-        while nfev < max_nfev:
-            hs = np.linalg.solve(A + mu * np.eye(x.size), -g)
-            x_new = x + hs / d
-            f_new = fun(x_new)
-            nfev += 1
-            cost_new = 0.5 * float(f_new @ f_new)  # inf or NaN fails the test below
-            done = float(np.linalg.norm(hs)) <= xtol * (xnorm + xtol)
-            if cost_new < cost:
-                actual = cost - cost_new
-                # the damped linear model's reduction, > 0 whenever hs is
-                predicted = 0.5 * float(hs @ (mu * hs - g))
-                done = done or (actual <= ftol * cost and predicted <= ftol * cost)
-                rho = min(actual / predicted, 1.0) if predicted > 0.0 else 1.0
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
-                x, f, cost = x_new, f_new, cost_new
+    m, p = x.shape
+    f, terms = fun(x)
+    cost = 0.5 * _rowdot(f, f)
+    nfev = np.ones(m, dtype=np.int64)
+    live = np.isfinite(cost)
+    scale = np.zeros((m, p))
+    d = np.ones((m, p))
+    A = np.zeros((m, p, p))
+    g = np.zeros((m, p))
+    xnorm = np.zeros(m)
+    mu = np.full(m, np.nan)  # set at each start's first linearization
+    nu = np.full(m, 2.0)
+    eye = np.eye(p)
+
+    def linearize(rows, at, x_at, f_at, terms_at):
+        # starts ``rows`` at points ``at`` of (x_at, f_at, terms_at), a block at a time
+        for lo in range(0, rows.size, LINEARIZE_BLOCK):
+            r, i = rows[lo : lo + LINEARIZE_BLOCK], at[lo : lo + LINEARIZE_BLOCK]
+            xr = x_at[i]
+            jtj, jtf = jac(xr, f_at[i], terms_at[i])
+            norms = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+            scale[r] = s = np.maximum(scale[r], norms)
+            d[r] = dr = np.where(s > 0.0, s, 1.0)
+            g[r] = jtf / dr
+            A[r] = a = jtj / (dr[:, :, None] * dr[:, None, :])
+            first = np.isnan(mu[r])
+            mu[r[first]] = 1e-3 * np.max(np.diagonal(a[first], axis1=1, axis2=2), axis=1)
+            xnorm[r] = np.linalg.norm(dr * xr, axis=1)
+            # gtol: the largest cosine between f and a column of J
+            cosine = np.max(np.abs(jtf) / np.where(norms > 0.0, norms, 1.0), axis=1)
+            live[r[cosine <= gtol * np.sqrt(2.0 * cost[r])]] = False
+
+    # an overflowing mu, or a trial cost of inf or NaN, is a rejection, not an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = np.flatnonzero(live)
+        linearize(start, start, x, f, terms)
+        # a round's trial stacks die before the next round's are made
+        del terms
+        while True:
+            rows = np.flatnonzero(live & (nfev < max_nfev))
+            if rows.size == 0:
                 break
-            mu *= nu
-            nu *= 2.0
-            if done:
-                break
-    return LeastSquaresResult(x=x, fun=f, cost=cost)
+            xr, dr, gr, mur, cost_r = x[rows], d[rows], g[rows], mu[rows], cost[rows]
+            hs = np.linalg.solve(A[rows] + mur[:, None, None] * eye, -gr[:, :, None])[:, :, 0]
+            x_new = xr + hs / dr
+            f_new, terms_new = fun(x_new)
+            nfev[rows] += 1
+            cost_new = 0.5 * _rowdot(f_new, f_new)
+            done = np.linalg.norm(hs, axis=1) <= xtol * (xnorm[rows] + xtol)
+            better = cost_new < cost_r  # inf or NaN fails
+            actual = cost_r - cost_new
+            # the damped linear model's reduction, > 0 whenever hs is
+            predicted = 0.5 * _rowdot(hs, mur[:, None] * hs - gr)
+            done |= better & (actual <= ftol * cost_r) & (predicted <= ftol * cost_r)
+            rho = np.where(predicted > 0.0, np.minimum(actual / predicted, 1.0), 1.0)
+            nur = nu[rows]
+            mu[rows] = np.where(better, mur * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mur * nur)
+            nu[rows] = np.where(better, 2.0, 2.0 * nur)
+            moved = rows[better]
+            x[moved], f[moved], cost[moved] = x_new[better], f_new[better], cost_new[better]
+            live[rows[done]] = False
+            relin = better & ~done & (nfev[rows] < max_nfev)
+            if relin.any():
+                linearize(rows[relin], np.flatnonzero(relin), x_new, f_new, terms_new)
+            del f_new, terms_new
+    return LeastSquaresResult(x=x, fun=f, cost=cost, nfev=nfev)
 
 
 def fit_scaling(
@@ -265,61 +344,52 @@ def fit_scaling(
 
     Minimizes sum (log pred - log obs)^2 (or linear residuals with
     ``residual_space='linear'``) plus prior_weight * ((log alpha)^2 +
-    (log beta)^2), by Levenberg-Marquardt with an analytic Jacobian in the
-    reparametrized variables.  ``n_starts`` seeded initializations are run and
-    the best final objective wins, ties broken by lowest start index.  The
-    result is independent of input ordering (see ``build_residual_system``).
+    (log beta)^2), by Levenberg-Marquardt in the reparametrized variables.
+    ``n_starts`` seeded initializations are stepped as one batch and the
+    lowest final cost wins, ties broken by lowest start index.  The result is
+    independent of input ordering (see ``build_residual_system``).
     """
-    residuals, jacobian, groups, rows = build_residual_system(data, prior_weight, residual_space)
+    residuals, normal_equations, groups, rows = build_residual_system(data, prior_weight, residual_space)
     # the start statistics sum in the canonical row order too
     obs = np.array([r.loss for r in rows])
     mean_log_n = np.mean([math.log(r.N) for r in rows])
     mean_log_d = np.mean([math.log(r.D) for r in rows])
 
     spread = max(obs.max() - obs.min(), 0.1 * obs.min())
-    best = None
+    try:
+        log_spread, log_floor = math.log(spread), math.log(0.8 * obs.min())
+    except ValueError as err:
+        # losses so small that their spread underflows leave nothing to start from
+        raise NumericalFailure("all fit starts failed") from err
+    starts = np.empty((n_starts, 5 + len(groups)))
     for start in range(n_starts):
         rng = make_rng((seed, start))
-        # extreme losses can fail a start before LM runs: log of an
-        # underflowed spread, exp of an overflowed parameter
-        try:
-            theta0 = np.concatenate(
-                [
-                    [
-                        math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_n,
-                        math.log(0.3) + rng.normal(0.0, 0.3),
-                        math.log(spread) + rng.normal(0.0, 0.5) + 0.3 * mean_log_d,
-                        math.log(0.3) + rng.normal(0.0, 0.3),
-                        math.log(0.8 * obs.min()) + rng.normal(0.0, 0.2),
-                    ],
-                    rng.normal(1.0, 1.0, size=len(groups)),
-                ]
-            )
-            sol = least_squares(
-                residuals,
-                theta0,
-                jac=jacobian,
-                xtol=1e-10,
-                ftol=1e-14,
-                gtol=1e-14,
-                max_nfev=MAX_NFEV,
-            )
-        except (ValueError, ArithmeticError):
-            continue
-        if np.isfinite(sol.cost) and (best is None or sol.cost < best.cost):
-            best = sol
-    if best is None:
+        starts[start, :5] = (
+            log_spread + rng.normal(0.0, 0.5) + 0.3 * mean_log_n,
+            math.log(0.3) + rng.normal(0.0, 0.3),
+            log_spread + rng.normal(0.0, 0.5) + 0.3 * mean_log_d,
+            math.log(0.3) + rng.normal(0.0, 0.3),
+            log_floor + rng.normal(0.0, 0.2),
+        )
+        starts[start, 5:] = rng.normal(1.0, 1.0, size=len(groups))
+    sol = least_squares(
+        residuals, starts, jac=normal_equations, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=MAX_NFEV
+    )
+    finite = np.isfinite(sol.cost)
+    if not finite.any():
         raise NumericalFailure("all fit starts failed")
+    best = int(np.argmin(np.where(finite, sol.cost, np.inf)))  # the first of equal costs
 
-    A, alpha, B, beta, E, eff = _unpack_theta(best.x)
+    theta = sol.x[best]
+    A, alpha, B, beta, E = (float(v) for v in np.exp(theta[:5]))
     return ScalingFit(
         A=A,
         alpha=alpha,
         B=B,
         beta=beta,
         E=E,
-        eff={key: float(e) for key, e in zip(groups, eff)},
-        residual_rms=float(np.sqrt(np.mean(best.fun[: len(rows)] ** 2))),
+        eff={key: float(e) for key, e in zip(groups, _sigmoid(theta[5:]))},
+        residual_rms=float(np.sqrt(np.mean(sol.fun[best, : len(rows)] ** 2))),
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
 from qatkit.quantize import SIGMA_FLOOR, QuantSpec, quantize
-from qatkit.scaling import CSV_HEADER
+from qatkit.scaling import CSV_HEADER, FP_LABEL, LeastSquaresResult
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 RATE_STUDY_HORIZONS = (100, 1000, 10_000, 100_000)
@@ -233,6 +233,61 @@ def write_scaling_csv(path, data) -> None:
         writer.writerow(CSV_HEADER)
         for r in data:
             writer.writerow([r.method, r.precision, repr(r.N), repr(r.D), repr(r.loss)])
+
+
+def scaling_jacobian(rows, groups, prior_weight: float, residual_space: str):
+    """The full Jacobian J ``(n + 2, p)`` of the scaling fit's residuals at
+    one theta, written out column by column from the law: the dense form
+    that ``build_residual_system``'s normal equations avoid.  ``rows`` and
+    ``groups`` are that function's canonical outputs."""
+    n = len(rows)
+    log_n = np.log([r.N for r in rows])
+    log_d = np.log([r.D for r in rows])
+    member = np.array([[float((r.method, r.precision) == key) for key in groups] for r in rows]).reshape(n, -1)
+    is_fp = np.array([r.precision == FP_LABEL for r in rows])
+
+    def jacobian(theta):
+        A, alpha, B, beta, E = np.exp(theta[:5])
+        eff = 1.0 / (1.0 + np.exp(-theta[5:]))
+        eff_row = np.where(is_fp, 1.0, member @ eff)
+        t1 = A * np.exp(-alpha * (log_n + np.log(eff_row)))
+        t2 = B * np.exp(-beta * log_d)
+        J = np.zeros((n + 2, theta.size))
+        J[:n, 0] = t1
+        J[:n, 1] = -alpha * (log_n + np.log(eff_row)) * t1
+        J[:n, 2] = t2
+        J[:n, 3] = -beta * log_d * t2
+        J[:n, 4] = E
+        J[:n, 5:] = member * (-alpha * t1 * (member @ (1.0 - eff)))[:, None]
+        if residual_space == "log":
+            J[:n] /= (t1 + t2 + E)[:, None]
+        J[n, 1] = J[n + 1, 3] = math.sqrt(prior_weight)
+        return J
+
+    return jacobian
+
+
+def scipy_lm_per_start(fun, x0, jacobian, **tolerances) -> LeastSquaresResult:
+    """``scaling.least_squares`` by MINPACK's Levenberg-Marquardt, through
+    ``scipy.optimize.least_squares(method="lm")``, run on each start of
+    ``x0`` in turn with the dense ``jacobian``.  ``fun`` is the batched
+    residual closure; a start whose residuals are not finite at x0 comes
+    back with cost +inf."""
+    from scipy.optimize import least_squares
+
+    def residual(theta):
+        return fun(theta[None])[0][0]
+
+    x, f, cost, nfev = [], [], [], []
+    for start in np.asarray(x0, dtype=float):
+        try:
+            sol = least_squares(residual, start, jac=jacobian, method="lm", **tolerances)
+            row = (sol.x, sol.fun, sol.cost, sol.nfev)
+        except ValueError:  # residuals not finite at the start
+            row = (start, residual(start), math.inf, 1)
+        for column, value in zip((x, f, cost, nfev), row):
+            column.append(value)
+    return LeastSquaresResult(x=np.array(x), fun=np.array(f), cost=np.array(cost), nfev=np.array(nfev))
 
 
 @functools.cache

@@ -21,7 +21,7 @@ GOLDEN = {
         "summary.json": "b1d48c3d3db39c30966ba6a940b066ebc8c48e84691cdd4ac455a41705c165e0",
     },
     "fit-scaling": {
-        "summary.json": "88ee38b2840e1e4d121d600b317c943799bf2fbcafe1e6ba1aa0a88350203fe1",
+        "summary.json": "4ad84b8ea49166f45ab455af5215ab4a6538edfa2bb1671e0745e8eabeb52a65",
     },
     "quadratic-int-hadamard": {
         "summary.json": "82e3db882d857e2cb61a2212ca17fb696410379bd3382253d5c85087ff5173c6",

@@ -409,6 +409,28 @@ class TestNonFinite:
         self._check_large(QuantSpec(scheme=scheme, bits=4), np.array(x), 1000)
 
 
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("scheme", ["int-plain", "int-hadamard"])
+    def test_grid_point_past_float_max_is_clamped(self, scheme, bits):
+        # 1.79e308 rounds to a grid point above the float max (int-plain:4
+        # puts it on code 3, 1.0157 * 1.79e308): the codes are clamped, so
+        # Q(x) is finite with no overflow warning, error is still x - Q(x),
+        # and an ordinary row of the same batch is bitwise its lone result
+        spec = QuantSpec(scheme=scheme, bits=bits)
+        ok = np.array([0.5, -1.5, 2.0, 0.25])
+        big = 1.79e308
+        for x in ([big, 0.0, 0.0, 0.0], [big, -big, big, big], [-big, 1e300, 0.0, 1.0]):
+            x = np.array(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = quantize(spec, x)
+                batch = quantize(spec, np.stack([ok, x]))
+                lone = quantize(spec, np.array([big]))
+            assert np.isfinite(res.quantized).all() and np.isfinite(lone.quantized).all()
+            assert np.array_equal(res.error, x - res.quantized)
+            assert np.array_equal(batch.quantized[1], res.quantized)
+            assert batch.quantized[0].tobytes() == quantize(spec, ok).quantized.tobytes()
+
 class TestClipTable:
     def test_corrupt_packaged_table_raises(self, tmp_path, monkeypatch):
         bad = tmp_path / "clip_factors.tsv"

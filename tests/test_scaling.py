@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import qatkit.scaling as sc
-from oracles import write_scaling_csv
+from oracles import scaling_jacobian, scipy_lm_per_start, write_scaling_csv
 from qatkit.numerics import make_rng
 from qatkit.scaling import (
+    RESIDUAL_SPACES,
     ScalingDatum,
     ScalingFit,
     build_residual_system,
@@ -160,47 +161,76 @@ class TestValidation:
 
 
 def test_jacobian_matches_finite_differences():
+    # the dense oracle J against central differences of the residuals, and
+    # the normal equations, which never form J, against J^T J and J^T f
     data = _synth(6)
-    for space in ("log", "linear"):
-        residuals, jacobian, groups, _ = build_residual_system(data, 1e-3, space)
+    for space in RESIDUAL_SPACES:
+        residuals, normal_equations, groups, rows = build_residual_system(data, 1e-3, space)
+        jacobian = scaling_jacobian(rows, groups, 1e-3, space)
         rng = make_rng(7)
-        for _ in range(5):
-            theta = np.concatenate([rng.normal(0, 0.5, 5), rng.normal(0, 1.0, len(groups))])
+        thetas = np.concatenate([rng.normal(0, 0.5, (5, 5)), rng.normal(0, 1.0, (5, len(groups)))], axis=1)
+        f, terms = residuals(thetas)
+        jtj, jtf = normal_equations(thetas, f, terms)
+        for k, theta in enumerate(thetas):
             J = jacobian(theta)
             h = 1e-7
             for j in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                col_fd = (residuals(tp) - residuals(tm)) / (2 * h)
+                col_fd = (residuals(tp[None])[0][0] - residuals(tm[None])[0][0]) / (2 * h)
                 scale = max(1.0, np.abs(J[:, j]).max())
                 assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * scale
+            norms = np.linalg.norm(J, axis=0)
+            assert np.all(np.abs(jtj[k] - J.T @ J) <= 1e-12 * np.outer(norms, norms))
+            assert np.all(np.abs(jtf[k] - J.T @ f[k]) <= 1e-12 * norms * np.linalg.norm(f[k]))
 
 
 def test_rejected_trial_step_does_not_warn():
     # a trial step with u_g far below 0 underflows eff_g to 0: the residual is
     # +inf on that group's rows, with no overflow or log-of-zero warning
     data = _synth(6)
-    for space in ("log", "linear"):
+    for space in RESIDUAL_SPACES:
         residuals, _, groups, rows = build_residual_system(data, 1e-3, space)
         theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
         theta[5] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = residuals(theta)
+            r = residuals(theta[None])[0][0]
         hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
         assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
 
 
+def test_overflowing_trial_step_is_rejected():
+    # log A or log alpha past log(float max) = 709.78 overflows exp: the
+    # trial point's cost is not finite, so LM rejects the step, and nothing
+    # warns or raises OverflowError
+    data = _synth(6)
+    for space in RESIDUAL_SPACES:
+        residuals, _, groups, rows = build_residual_system(data, 1e-3, space)
+        for j in (0, 1):
+            theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
+            theta[j] = 800.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f = residuals(theta[None])[0][0]
+                assert not np.isfinite(0.5 * (f @ f))
+            assert np.isposinf(f).any()
+            if j == 0:  # A = inf: every data point's prediction is +inf
+                assert np.all(f[: len(rows)] == np.inf)
+
+
 def test_lm_matches_scipy_on_criterion_7_data(monkeypatch):
-    # the numpy Levenberg-Marquardt and MINPACK's, through scipy, reach the
-    # same law on the five acceptance data sets
-    optimize = pytest.importorskip("scipy.optimize")
+    # the batched Levenberg-Marquardt and MINPACK's, through scipy and run
+    # start by start, reach the same law on the five acceptance data sets
+    pytest.importorskip("scipy.optimize")
     for seed in range(5):
         data = _synth(seed)
         ours = fit_scaling(data)
+        _, _, groups, rows = build_residual_system(data, 1e-3, "log")
+        jacobian = scaling_jacobian(rows, groups, 1e-3, "log")
         with monkeypatch.context() as m:
-            m.setattr(sc, "least_squares", lambda *args, **kw: optimize.least_squares(*args, method="lm", **kw))
+            m.setattr(sc, "least_squares", lambda fun, x0, jac, **kw: scipy_lm_per_start(fun, x0, jacobian, **kw))
             ref = fit_scaling(data)
         for key in TRUE:
             assert abs(getattr(ours, key) / getattr(ref, key) - 1.0) <= 1e-8, (seed, key)
@@ -209,12 +239,23 @@ def test_lm_matches_scipy_on_criterion_7_data(monkeypatch):
             assert abs(ours.eff[key] - eff) <= 1e-8, (seed, key)
 
 
-def test_lm_rejects_a_nonfinite_start():
-    residuals, jacobian, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
-    theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
-    theta[5] = -1000.0
-    with pytest.raises(ValueError, match="not finite"):
-        sc.least_squares(residuals, theta, jac=jacobian, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=10)
+def test_lm_rows_do_not_affect_each_other():
+    # each start of a batch is bitwise its batch-of-one run: here one start is
+    # not finite at x0 (failed on its own row and never stepped), one stops
+    # at max_nfev and the rest converge first
+    residuals, normal_equations, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
+    rng = make_rng(11)
+    x0 = np.concatenate([rng.normal(0.0, 1.0, (6, 5)), rng.normal(1.0, 1.0, (6, len(groups)))], axis=1)
+    x0[2, 5] = -1000.0
+    kw = dict(jac=normal_equations, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=15)
+    batch = sc.least_squares(residuals, x0, **kw)
+    assert batch.cost[2] == np.inf and batch.nfev[2] == 1 and np.array_equal(batch.x[2], x0[2])
+    assert np.isfinite(np.delete(batch.cost, 2)).all()
+    assert batch.nfev.tolist() == [10, 10, 1, 15, 9, 9]
+    for j in range(len(x0)):
+        alone = sc.least_squares(residuals, x0[j : j + 1], **kw)
+        for name in ("x", "fun", "cost", "nfev"):
+            assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (j, name)
 
 
 class TestIo:
