@@ -32,12 +32,13 @@ print("  z:", np.array2string(z, precision=2))
 
 # --- MSE-optimal clip factors ---------------------------------------------
 print("\nclip factor k_b per bit-width (argmin of Gaussian rounding+clipping MSE):")
-for bits in (2, 3, 4, 5):
-    k = calibrate_clip(bits)
+widths = (2, 3, 4, 5)
+ks = dict(zip(widths, calibrate_clip(widths)))
+for bits, k in ks.items():
     print(f"  b={bits}: k={k:.4f}  mse={gaussian_clip_mse(bits, k):.6f}")
 
 print("\nthe b=4 MSE curve is a clean valley around the optimum:")
-k4 = calibrate_clip(4)
+k4 = ks[4]
 for k in (k4 - 0.4, k4 - 0.2, k4, k4 + 0.2, k4 + 0.4):
     bar = "#" * int(3000 * gaussian_clip_mse(4, k))
     print(f"  k={k:.3f} {bar}")

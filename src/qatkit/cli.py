@@ -282,11 +282,9 @@ def _prepare_out(opts: dict) -> Path:
 
 def cmd_calibrate_clip(opts: dict) -> dict:
     out = _prepare_out(opts)
-    rows = []
-    for b in sorted(opts["bits"]):
-        k = calibrate_clip(b)
-        mse = gaussian_clip_mse(b, k)
-        rows.append((b, k, mse))
+    bits = sorted(opts["bits"])
+    rows = [(b, k, gaussian_clip_mse(b, k)) for b, k in zip(bits, calibrate_clip(bits))]
+    for b, k, mse in rows:
         print(f"{b}\t{k!r}\t{mse!r}")
     write_clip_table(out / "clip_factors.tsv", rows)
     return {"table": [{"bits": b, "k": k, "mse": m} for b, k, m in rows]}

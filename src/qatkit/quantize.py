@@ -23,7 +23,9 @@ batch is quantized exactly as that vector would be on its own.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -265,20 +267,42 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), float, x.size)
 
 
-def _clip_cells(bits: int, k: float):
-    """The rounding cells of a ``bits``-wide grid with clip factor k: level
-    c_j = j k / q_max (j = -q_max - 1 .. q_max) takes the cell [a_j, b_j].
-    Returns ``(j, c, edges, mass, pdf)``: the interior edges b_j = a_{j+1},
-    each cell's mass Phi(b_j) - Phi(a_j), and phi at the edges.  The two outer
-    cells are open to -inf / +inf, where phi vanishes."""
-    q_max = 2 ** (bits - 1) - 1
-    s = k / q_max
-    j = np.arange(-q_max - 1, q_max + 1)
+@functools.lru_cache(maxsize=64)
+def _cell_layout(bits: tuple[int, ...]):
+    """The rounding cells of the widths ``bits``, every width's cells laid
+    end to end: width w holds the cells ``bounds[w]`` .. ``bounds[w + 1] - 1``.
+    Returns ``(q_max, bounds, w, j)``: each width's q_max, and each cell's
+    width and level index j = -q_max - 1 .. q_max."""
+    q_max = 2 ** (np.array(bits) - 1) - 1
+    n = 2 * q_max + 2
+    bounds = np.concatenate(([0], np.cumsum(n)))
+    w = np.repeat(np.arange(n.size), n)
+    layout = (q_max, bounds, w, np.arange(bounds[-1]) - (bounds[:-1] + q_max + 1)[w])
+    for v in layout:
+        v.flags.writeable = False  # cached, so shared by every caller
+    return layout
+
+
+def _clip_cells(layout, k: np.ndarray):
+    """The cells of ``layout`` under clip factors ``k``, one per width: level
+    c_j = j k / q_max takes the cell [a_j, b_j], b_j = a_{j+1} halfway to the
+    next level.  Returns ``(c, a, b, mass, pdf_a, pdf_b)``: each cell's mass
+    Phi(b_j) - Phi(a_j) and phi at its edges.  The outer cells of a width are
+    open to -inf / +inf, where Phi is 0 / 1 and phi vanishes; their a / b
+    there are finite stand-ins."""
+    q_max, bounds, w, j = layout
+    s = (k / q_max)[w]
     c = s * j
-    edges = c[:-1] + s / 2.0
-    pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
-    mass = np.diff(np.concatenate(([0.0], _normal_cdf(edges), [1.0])))
-    return j, c, edges, mass, pdf
+    b = c + s / 2.0
+    top, bottom = bounds[1:] - 1, bounds[:-1]
+    cdf_b = _normal_cdf(b)
+    cdf_b[top] = 1.0
+    pdf_b = np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+    pdf_b[top] = 0.0
+    a, cdf_a, pdf_a = (np.concatenate(([0.0], v[:-1])) for v in (b, cdf_b, pdf_b))
+    cdf_a[bottom] = 0.0
+    pdf_a[bottom] = 0.0
+    return c, a, b, cdf_b - cdf_a, pdf_a, pdf_b
 
 
 def gaussian_clip_mse(bits: int, k: float) -> float:
@@ -287,39 +311,55 @@ def gaussian_clip_mse(bits: int, k: float) -> float:
     Each cell [a, b] of level c adds
     (1 + c^2)(Phi(b) - Phi(a)) + (a - 2c) phi(a) - (b - 2c) phi(b).
     """
-    _, c, edges, mass, pdf = _clip_cells(bits, k)
-    lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
-    upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
-    return float(((1.0 + c * c) * mass + lower - upper).sum())
+    c, a, b, mass, pdf_a, pdf_b = _clip_cells(_cell_layout((bits,)), np.array([k], dtype=float))
+    return float(((1.0 + c * c) * mass + (a - 2.0 * c) * pdf_a - (b - 2.0 * c) * pdf_b).sum())
 
 
-def _clip_mse_slope(bits: int, k: float) -> float:
-    """dMSE/dk = (2 / q_max) sum_j j [c_j (Phi(b_j) - Phi(a_j)) - (phi(a_j) - phi(b_j))].
+def _clip_mse_slopes(bits: tuple[int, ...], k: np.ndarray) -> np.ndarray:
+    """dMSE/dk of each width ``bits[w]`` at its ``k[w]``:
+    (2 / q_max) sum_j j [c_j (Phi(b_j) - Phi(a_j)) - (phi(a_j) - phi(b_j))].
 
     Only the levels' motion counts: the terms from the moving edges cancel,
-    because the error is continuous across each edge.
+    because the error is continuous across each edge.  Each width's sum
+    reduces its own slice of the cells, so its slope is bitwise the one it
+    has alone.
     """
-    j, c, _, mass, pdf = _clip_cells(bits, k)
-    pdf_rise = np.diff(np.concatenate(([0.0], pdf, [0.0])))  # phi(b_j) - phi(a_j)
-    return float(2.0 / j[-1] * (j * (c * mass + pdf_rise)).sum())
+    layout = _cell_layout(bits)
+    q_max, bounds, _, j = layout
+    c, _, _, mass, pdf_a, pdf_b = _clip_cells(layout, k)
+    terms = j * (c * mass + (pdf_b - pdf_a))
+    bounds = bounds.tolist()
+    return 2.0 / q_max * np.array([np.add.reduce(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def calibrate_clip(bits: int) -> float:
-    """MSE-optimal Gaussian clip factor for a ``bits``-wide symmetric grid:
-    the root of the MSE's slope on [0.5, 6], where it is negative at 0.5 and
-    positive at 6 for every supported bit-width, bisected until the midpoint
-    is an endpoint (~55 slope evaluations).  Near its minimum the MSE is too
-    flat to rank points ~1e-7 apart; its slope's sign is not.
+def calibrate_clip(bits) -> list[float]:
+    """MSE-optimal Gaussian clip factor for each of the ``bits``-wide
+    symmetric grids, in the order given: the root of the MSE's slope on
+    [0.5, 6], where it is negative at 0.5 and positive at 6 for every
+    supported bit-width.  The widths bisect as one batch: each round
+    evaluates the slopes of every live width at once, and a width stops
+    when its midpoint is an endpoint (~55 rounds).  Each k_b is bitwise the
+    one its width gets alone.  Near its minimum the MSE is too flat to rank
+    points ~1e-7 apart; its slope's sign is not.
     """
-    if not 2 <= bits <= 8:
-        raise ValueError(f"bits out of supported range [2, 8]: {bits}")
-    lo, hi = 0.5, 6.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _clip_mse_slope(bits, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    bits = np.array([operator.index(b) for b in bits], dtype=np.int64)
+    if bits.size == 0:
+        raise ValueError("no bit-widths to calibrate")
+    for b in bits.tolist():
+        if not 2 <= b <= 8:
+            raise ValueError(f"bits out of supported range [2, 8]: {b}")
+    k = np.empty(bits.size)
+    live = np.arange(bits.size)
+    lo, hi = np.full(bits.size, 0.5), np.full(bits.size, 6.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        k[live[done]] = mid[done]
+        live, lo, hi, mid = live[~done], lo[~done], hi[~done], mid[~done]
+        if not live.size:
+            return k.tolist()
+        below = _clip_mse_slopes(tuple(bits[live].tolist()), mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
 
 
 _CLIP_CACHE: dict[int, float] = {}

@@ -11,7 +11,7 @@ import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
-from qatkit.quantize import SIGMA_FLOOR, QuantSpec, quantize
+from qatkit.quantize import SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
 from qatkit.scaling import CSV_HEADER, FP_LABEL, LeastSquaresResult
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -154,6 +154,50 @@ def gaussian_clip_mse_ndtr(bits: int, k: float) -> float:
     lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
     upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
     return float(((1.0 + c * c) * np.diff(cdf) + lower - upper).sum())
+
+
+def _clip_cells_lone(bits: int, k: float):
+    """One width's rounding cells on their own, the layout each width's
+    slice of ``quantize._clip_cells`` must reproduce: ``(j, c, edges, mass,
+    pdf)``, the interior edges, each cell's mass and phi at the edges."""
+    q_max = 2 ** (bits - 1) - 1
+    s = k / q_max
+    j = np.arange(-q_max - 1, q_max + 1)
+    c = s * j
+    edges = c[:-1] + s / 2.0
+    pdf = np.exp(-0.5 * edges * edges) / math.sqrt(2.0 * math.pi)
+    mass = np.diff(np.concatenate(([0.0], _normal_cdf(edges), [1.0])))
+    return j, c, edges, mass, pdf
+
+
+def gaussian_clip_mse_lone(bits: int, k: float) -> float:
+    """``quantize.gaussian_clip_mse`` on the lone-width cell layout: the
+    oracle for its value on the batched layout."""
+    _, c, edges, mass, pdf = _clip_cells_lone(bits, k)
+    lower = np.concatenate(([0.0], (edges - 2.0 * c[1:]) * pdf))
+    upper = np.concatenate(((edges - 2.0 * c[:-1]) * pdf, [0.0]))
+    return float(((1.0 + c * c) * mass + lower - upper).sum())
+
+
+def clip_mse_slope_lone(bits: int, k: float) -> float:
+    """dMSE/dk of one width, the oracle for each width's slope in
+    ``quantize._clip_mse_slopes``."""
+    j, c, _, mass, pdf = _clip_cells_lone(bits, k)
+    pdf_rise = np.diff(np.concatenate(([0.0], pdf, [0.0])))  # phi(b_j) - phi(a_j)
+    return float(2.0 / j[-1] * (j * (c * mass + pdf_rise)).sum())
+
+
+@functools.cache
+def calibrate_clip_lone(bits: int) -> float:
+    """One width's clip factor by a scalar bisection of its slope on
+    [0.5, 6], the oracle for each width of ``quantize.calibrate_clip``."""
+    lo, hi = 0.5, 6.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if clip_mse_slope_lone(bits, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def int_reference(spec, x):

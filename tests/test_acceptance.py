@@ -145,7 +145,7 @@ def test_criterion_5_quadratic_ordering():
 
 
 def test_criterion_6_clip_calibration():
-    ks = {b: calibrate_clip(b) for b in (2, 3, 4)}
+    ks = dict(zip((2, 3, 4), calibrate_clip((2, 3, 4))))
     assert ks[2] < ks[3] < ks[4], ks
     z = make_rng(606).standard_normal(1_000_000)
     for b, k in ks.items():

@@ -1,6 +1,6 @@
-"""Hypothesis properties of the quantizer core, the batched objectives, the
-batched gradient clip, the seed-batched rate and quadratic lanes and the
-trajectory PCA.
+"""Hypothesis properties of the quantizer core, the batched clip calibration,
+the batched objectives, the batched gradient clip, the seed-batched rate and
+quadratic lanes and the trajectory PCA.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -19,7 +19,10 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     E2M1_GRID,
     SUBNORMAL_ULP,
+    calibrate_clip_lone,
+    clip_mse_slope_lone,
     fwht_unnormalized,
+    gaussian_clip_mse_lone,
     hadamard_tolerance,
     int_reference,
     int_transform_rows,
@@ -45,7 +48,15 @@ from qatkit.numerics import make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
-from qatkit.quantize import INT_SCHEMES, QuantSpec, _e2m1_round, quantize
+from qatkit.quantize import (
+    INT_SCHEMES,
+    QuantSpec,
+    _clip_mse_slopes,
+    _e2m1_round,
+    calibrate_clip,
+    gaussian_clip_mse,
+    quantize,
+)
 from qatkit.scaling import RESIDUAL_SPACES
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -247,6 +258,21 @@ def test_mxfp4_block_scales_match_loop(x):
     s = mxfp4_entry_scales(x)
     expected = np.copysign(E2M1_GRID[distance_matrix_e2m1_round(np.abs(x) / s)] * s, x)
     assert np.array_equal(res.quantized, expected)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(st.tuples(st.integers(2, 8), st.floats(0.05, 8.0)), min_size=1, max_size=9))
+@example([(b, 2.0) for b in range(2, 9)])
+@example([(8, 0.5), (2, 6.0), (8, 0.5)])
+def test_batched_calibration_matches_lone_bisections(widths):
+    # every width of a batch, in any order and repeated or not, gets bitwise
+    # the lone bisection's k_b, and its slope at a drawn k is the lone slope
+    bits = tuple(b for b, _ in widths)
+    ks = np.array([k for _, k in widths])
+    assert calibrate_clip(bits) == [calibrate_clip_lone(b) for b in bits]
+    assert _clip_mse_slopes(bits, ks).tolist() == [clip_mse_slope_lone(b, k) for b, k in widths]
+    # the MSE column reads the same cell layout
+    assert [gaussian_clip_mse(b, k) for b, k in widths] == [gaussian_clip_mse_lone(b, k) for b, k in widths]
 
 
 @PROPERTY

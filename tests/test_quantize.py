@@ -113,17 +113,17 @@ class TestIntRow:
 
 class TestCalibration:
     def test_monotone_in_bits(self):
-        ks = [calibrate_clip(b) for b in range(2, 9)]
+        ks = calibrate_clip(range(2, 9))
         assert all(a < b for a, b in zip(ks, ks[1:])), ks
 
     def test_local_optimality_b4(self):
-        k4 = calibrate_clip(4)
+        (k4,) = calibrate_clip([4])
         m0 = gaussian_clip_mse(4, k4)
         assert m0 <= gaussian_clip_mse(4, k4 - 0.1)
         assert m0 <= gaussian_clip_mse(4, k4 + 0.1)
 
     def test_monte_carlo_crosscheck(self):
-        k4 = calibrate_clip(4)
+        (k4,) = calibrate_clip([4])
         m_quad = gaussian_clip_mse(4, k4)
         z = make_rng(42).standard_normal(1_000_000)
         s = k4 / 7.0
@@ -148,12 +148,13 @@ class TestCalibration:
             return gaussian_clip_mse_ndtr(bits, k)
 
         h = 1e-4
-        for k in (1.0, 2.5, 4.0):
-            slope = qz._clip_mse_slope(bits, k)
+        ks = (1.0, 2.5, 4.0)
+        for k, slope in zip(ks, qz._clip_mse_slopes((bits,) * len(ks), np.array(ks))):
             assert abs((mse(k + h) - mse(k - h)) / (2.0 * h) - slope) <= 1e-6 * abs(slope), (bits, k)
-        assert qz._clip_mse_slope(bits, 0.5) < 0.0 < qz._clip_mse_slope(bits, 6.0)
+        at_lo, at_hi = qz._clip_mse_slopes((bits, bits), np.array([0.5, 6.0]))
+        assert at_lo < 0.0 < at_hi
         res = optimize.minimize_scalar(mse, bounds=(0.5, 6.0), method="bounded", options={"xatol": 1e-6})
-        k_b = calibrate_clip(bits)
+        (k_b,) = calibrate_clip([bits])
         assert abs(res.x - k_b) <= 1e-6 * k_b
 
     def test_normal_cdf_matches_ndtr(self):
@@ -161,11 +162,22 @@ class TestCalibration:
         x = np.linspace(-8.0, 8.0, 20001)
         assert np.max(np.abs(qz._normal_cdf(x) / special.ndtr(x) - 1.0)) <= 1e-14
 
-    def test_bits_out_of_range(self):
-        with pytest.raises(ValueError):
-            calibrate_clip(1)
-        with pytest.raises(ValueError):
-            calibrate_clip(9)
+    def test_bits_out_of_range(self, monkeypatch):
+        # the input contract: no widths, or a width outside [2, 8], is
+        # rejected, naming the width, before any slope is evaluated; equal
+        # widths get bitwise-equal factors
+        def no_evaluation(bits, k):
+            raise AssertionError(f"slopes of {bits} evaluated")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(qz, "_clip_mse_slopes", no_evaluation)
+            with pytest.raises(ValueError, match="no bit-widths"):
+                calibrate_clip([])
+            for bits, bad in (([1], 1), ([9], 9), ([4, 9], 9), ([3, 2, 0, 8], 0), ([8, 8, 12], 12)):
+                with pytest.raises(ValueError, match=rf"range \[2, 8\]: {bad}$"):
+                    calibrate_clip(bits)
+        ks = calibrate_clip([4, 3, 4, 4])
+        assert ks[0] == ks[2] == ks[3] != ks[1]
 
 
 class TestMxfp4:
@@ -464,7 +476,8 @@ class TestClipTable:
         assert back == {2: (1.0482, 0.1494), 3: (1.8054, 0.0406)}
 
     def test_rewrite_identical_bytes(self, tmp_path):
-        rows = [(4, calibrate_clip(4), gaussian_clip_mse(4, calibrate_clip(4)))]
+        (k4,) = calibrate_clip([4])
+        rows = [(4, k4, gaussian_clip_mse(4, k4))]
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_clip_table(p1, rows)
         write_clip_table(p2, rows)
