@@ -81,7 +81,7 @@ class QuantSpec:
     bits: int = 4
     grid: float = 1.0
     block_size: ClassVar[int] = 32
-    # read by bench/tracing.py; ROADMAP item 1 removes that read and this line
+    # read by bench/tracing.py; ROADMAP item 10 removes that read and this line
     row_length: ClassVar[None] = None
 
     def __post_init__(self):

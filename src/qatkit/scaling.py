@@ -39,9 +39,6 @@ RESIDUAL_SPACES = ("log", "linear")
 CSV_HEADER = ("method", "P", "N", "D", "loss")
 # residual evaluations allowed per Levenberg-Marquardt start
 MAX_NFEV = 2000
-# starts per Jacobian call: the normal equations' working set is ~7 n floats
-# per start, so blocks keep it flat in the number of starts
-LINEARIZE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -112,26 +109,24 @@ def check_scaling_data(data: list[ScalingDatum]) -> list[tuple[str, str]]:
 
 
 def build_residual_system(data: list[ScalingDatum], prior_weight: float, residual_space: str):
-    """Residual and normal-equation closures over stacks of reparametrized points.
+    """Residual and Jacobian closures over stacks of reparametrized points.
 
     The parameter vector is theta = (log A, log alpha, log B, log beta, log E,
     u_1..u_G) with eff_g = sigmoid(u_g), and both closures take a stack
     ``(k, p)`` of them, computing each row from that row alone.
-    ``residuals(theta)`` returns ``(f, terms)``: ``f`` ``(k, n + 2)`` holds
-    the per-point data misfits followed by the two prior rows sqrt(w) log
-    alpha and sqrt(w) log beta, and ``terms`` ``(k, 2, n)`` holds the law's
-    two power terms A / (N eff)^alpha and B / D^beta at each data point.  A
-    point far out gives +inf or NaN residuals, with no warning.
-    ``normal_equations(theta, f, terms)`` takes a ``residuals`` output and
-    returns J^T J ``(k, p, p)`` and J^T f ``(k, p)`` without forming J: each
-    data point is in at most one group, so the group block of J^T J is
-    diagonal and its cross block is a per-group sum over the five shared
-    columns.  The rows are canonically sorted first, so the system is
-    independent of input ordering.  Returns (residuals, normal_equations,
+    ``residuals(theta)`` returns ``f`` ``(k, n + 2)``: the per-point data
+    misfits followed by the two prior rows sqrt(w) log alpha and sqrt(w) log
+    beta.  A point far out gives +inf or NaN residuals, with no warning.
+    ``jacobian(theta)`` returns J ``(k, n + 2, p)``, a view of J^T ``(k, p,
+    n + 2)`` so that each column is one contiguous row; at m starts it holds
+    m (n + 2) p floats.  The rows are canonically sorted first, so the
+    system is independent of input ordering.  Returns (residuals, jacobian,
     groups, rows), ``rows`` in that canonical order.
     """
     if residual_space not in RESIDUAL_SPACES:
         raise ValueError(f"unknown residual_space {residual_space!r}")
+    if not 0.0 <= prior_weight < math.inf:
+        raise ValueError(f"prior_weight must be finite and >= 0, got {prior_weight}")
     data = _canonical(list(data))
     groups = check_scaling_data(data)
     g_index = {key: i for i, key in enumerate(groups)}
@@ -142,85 +137,50 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     log_obs = np.log(obs)
     # each row's group; full-precision rows point past the last one
     row_group = np.array([g_index.get((r.method, r.precision), n_groups) for r in data])
-    member = (row_group[:, None] == np.arange(n_groups)).astype(float)
+    fitted = np.flatnonzero(row_group < n_groups)
     sqrt_w = math.sqrt(prior_weight)
-    group_diag = np.arange(5, 5 + n_groups)
 
-    def capacity_exponent(theta, alpha):
-        # -alpha log(N eff) per data point; full-precision rows read log eff = 0
+    def power_terms(theta):
+        # A / (N eff)^alpha and B / D^beta per data point, and the capacity
+        # exponent -alpha log(N eff); full-precision rows read log eff = 0
+        alpha, beta = np.exp(theta[:, 1:4:2]).T
         log_eff = np.zeros((len(theta), n_groups + 1))
         log_eff[:, :n_groups] = -np.log1p(np.exp(-theta[:, 5:]))
-        exponent = np.take(log_eff, row_group, axis=1)
-        exponent += log_n
-        exponent *= -alpha[:, None]
-        return exponent
+        exponent = -alpha[:, None] * (np.take(log_eff, row_group, axis=1) + log_n)
+        t1 = np.exp(exponent + theta[:, :1])
+        t2 = np.exp(beta[:, None] * neg_log_d + theta[:, 2:3])
+        return t1, t2, exponent
 
     def residuals(theta):
-        k = len(theta)
-        # (k, 2, n) over a (2, k, n) buffer: each term is one contiguous block,
-        # which numpy updates in place without iterator buffers
-        terms = np.empty((2, k, n)).transpose(1, 0, 2)
-        t1, t2 = terms[:, 0], terms[:, 1]
-        f = np.empty((k, n + 2))
+        f = np.empty((len(theta), n + 2))
         # a trial step far out overflows exp or underflows eff to 0: the
         # residual is +inf or NaN and LM rejects the step
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            alpha, beta, E = np.exp(theta[:, [1, 3, 4]]).T
-            work = capacity_exponent(theta, alpha)
-            work += theta[:, :1]
-            np.exp(work, out=t1)
-            np.multiply(beta[:, None], neg_log_d, out=t2)
-            t2 += theta[:, 2:3]
-            np.exp(t2, out=t2)
-            np.add(t1, t2, out=work)
-            work += E[:, None]
-            if residual_space == "log":
-                np.log(work, out=work)
-                work -= log_obs
-            else:
-                work -= obs
-            f[:, :n] = work
-            np.multiply(theta[:, 1:4:2], sqrt_w, out=f[:, n:])
-        return f, terms
+            t1, t2, _ = power_terms(theta)
+            pred = t1 + t2 + np.exp(theta[:, 4:5])
+            f[:, :n] = np.log(pred) - log_obs if residual_space == "log" else pred - obs
+            f[:, n:] = sqrt_w * theta[:, 1:4:2]
+        return f
 
-    def normal_equations(theta, f, terms):
-        k, p = theta.shape
+    def jacobian(theta):
         alpha, beta, E = np.exp(theta[:, [1, 3, 4]]).T
-        t1, t2 = terms[:, 0], terms[:, 1]
-        # the five shared columns of J over the data points, then f, a (k, n) block each
-        cols = np.empty((6, k, n))
-        cols[0] = t1
-        np.multiply(capacity_exponent(theta, alpha), t1, out=cols[1])
-        cols[2] = t2
-        np.multiply(t2, neg_log_d, out=cols[3])
-        cols[3] *= beta[:, None]
-        cols[4] = E[:, None]
-        if residual_space == "log":
-            pred = t1 + t2
-            pred += E[:, None]
-            cols[:5] /= pred
-        cols[5] = f[:, :n]
-        per_start = cols.transpose(1, 0, 2)
-        gram = per_start @ per_start.transpose(0, 2, 1)
-        # d f_i / d u_g = -alpha (1 - eff_g) J_i0 on group g's rows
+        t1, t2, exponent = power_terms(theta)
+        jt = np.zeros((*theta.shape, n + 2))
+        data_t = jt[:, :, :n]
+        data_t[:, 0] = t1
+        data_t[:, 1] = exponent * t1
+        data_t[:, 2] = t2
+        data_t[:, 3] = beta[:, None] * neg_log_d * t2
+        data_t[:, 4] = E[:, None]
+        # d f_i / d u_g = -alpha (1 - eff_g) d f_i / d log A on group g's rows
         coef = -alpha[:, None] * (1.0 - _sigmoid(theta[:, 5:]))
-        # by_group[:, a, g] = sum of J_i0 J_ia over group g (J_i0 f_i for a = 5)
-        cols *= cols[0].copy()
-        by_group = per_start @ member
-        jtj = np.zeros((k, p, p))
-        jtj[:, :5, :5] = gram[:, :5, :5]
-        jtj[:, [1, 3], [1, 3]] += sqrt_w * sqrt_w
-        cross = by_group[:, :5] * coef[:, None, :]
-        jtj[:, :5, 5:] = cross
-        jtj[:, 5:, :5] = cross.transpose(0, 2, 1)
-        jtj[:, group_diag, group_diag] = by_group[:, 0] * (coef * coef)
-        jtf = np.empty((k, p))
-        jtf[:, :5] = gram[:, :5, 5]
-        jtf[:, 1:4:2] += sqrt_w * f[:, n:]
-        jtf[:, 5:] = by_group[:, 5] * coef
-        return jtj, jtf
+        data_t[:, 5 + row_group[fitted], fitted] = coef[:, row_group[fitted]] * t1[:, fitted]
+        if residual_space == "log":
+            data_t /= (t1 + t2 + E[:, None])[:, None, :]
+        jt[:, 1, n] = jt[:, 3, n + 1] = sqrt_w
+        return jt.transpose(0, 2, 1)
 
-    return residuals, normal_equations, groups, data
+    return residuals, jacobian, groups, data
 
 
 @dataclass(frozen=True)
@@ -243,11 +203,10 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
     """Minimize 0.5 * |fun(x)|^2 from each start, a row of ``x0`` ``(m, p)``,
     by Levenberg-Marquardt, stepping every start as one batch.
 
-    ``fun(x)`` maps a stack ``(k, p)`` of points to their residuals ``(k, r)``
-    and per-point ``terms`` (any array with k rows); ``jac(x, f, terms)``
-    takes those and returns J^T J ``(k, p, p)`` and J^T f ``(k, p)``.  Each
-    start keeps its own state.  Its columns are scaled by the running maximum
-    of its Jacobian column norms (Marquardt 1963), and its damping mu follows
+    ``fun(x)`` maps a stack ``(k, p)`` of points to their residuals ``(k,
+    r)``, and ``jac(x)`` to their Jacobians ``(k, r, p)``.  Each start keeps
+    its own state.  Its columns are scaled by the running maximum of its
+    Jacobian column norms (Marquardt 1963), and its damping mu follows
     Nielsen's update (Nielsen 1999): an accepted step with gain ratio rho
     scales mu by max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8,
     ...  A start stops when an accepted step lowers its cost by at most
@@ -258,15 +217,15 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
     is a rejected step, and a start whose cost at x0 is not finite is not
     stepped: it comes back at x0 with that cost.  A round solves
     (A + mu I) h = -g for every live start in one call, evaluates their trial
-    points in one ``fun`` call and linearizes the accepted ones in ``jac``
-    calls of up to ``LINEARIZE_BLOCK`` starts.  No row's arithmetic reads
+    points in one ``fun`` call and linearizes the accepted ones in one
+    ``jac`` call, forming J^T J and J^T f.  No row's arithmetic reads
     another row, so each start's result is bitwise its result as a batch of
     one.  ``bench/tracing.py`` swaps this module attribute to count ``fun``
     and ``jac`` calls.
     """
     x = np.array(x0, dtype=float)
     m, p = x.shape
-    f, terms = fun(x)
+    f = fun(x)
     cost = 0.5 * _rowdot(f, f)
     nfev = np.ones(m, dtype=np.int64)
     live = np.isfinite(cost)
@@ -279,30 +238,25 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
     nu = np.full(m, 2.0)
     eye = np.eye(p)
 
-    def linearize(rows, at, x_at, f_at, terms_at):
-        # starts ``rows`` at points ``at`` of (x_at, f_at, terms_at), a block at a time
-        for lo in range(0, rows.size, LINEARIZE_BLOCK):
-            r, i = rows[lo : lo + LINEARIZE_BLOCK], at[lo : lo + LINEARIZE_BLOCK]
-            xr = x_at[i]
-            jtj, jtf = jac(xr, f_at[i], terms_at[i])
-            norms = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
-            scale[r] = s = np.maximum(scale[r], norms)
-            d[r] = dr = np.where(s > 0.0, s, 1.0)
-            g[r] = jtf / dr
-            A[r] = a = jtj / (dr[:, :, None] * dr[:, None, :])
-            first = np.isnan(mu[r])
-            mu[r[first]] = 1e-3 * np.max(np.diagonal(a[first], axis1=1, axis2=2), axis=1)
-            xnorm[r] = np.linalg.norm(dr * xr, axis=1)
-            # gtol: the largest cosine between f and a column of J
-            cosine = np.max(np.abs(jtf) / np.where(norms > 0.0, norms, 1.0), axis=1)
-            live[r[cosine <= gtol * np.sqrt(2.0 * cost[r])]] = False
+    def linearize(r):
+        jt = jac(x[r]).transpose(0, 2, 1)
+        jtj = jt @ jt.transpose(0, 2, 1)
+        jtf = (jt @ f[r][:, :, None])[:, :, 0]
+        norms = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+        scale[r] = s = np.maximum(scale[r], norms)
+        d[r] = dr = np.where(s > 0.0, s, 1.0)
+        g[r] = jtf / dr
+        A[r] = a = jtj / (dr[:, :, None] * dr[:, None, :])
+        first = np.isnan(mu[r])
+        mu[r[first]] = 1e-3 * np.max(np.diagonal(a[first], axis1=1, axis2=2), axis=1)
+        xnorm[r] = np.linalg.norm(dr * x[r], axis=1)
+        # gtol: the largest cosine between f and a column of J
+        cosine = np.max(np.abs(jtf) / np.where(norms > 0.0, norms, 1.0), axis=1)
+        live[r[cosine <= gtol * np.sqrt(2.0 * cost[r])]] = False
 
     # an overflowing mu, or a trial cost of inf or NaN, is a rejection, not an error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        start = np.flatnonzero(live)
-        linearize(start, start, x, f, terms)
-        # a round's trial stacks die before the next round's are made
-        del terms
+        linearize(np.flatnonzero(live))
         while True:
             rows = np.flatnonzero(live & (nfev < max_nfev))
             if rows.size == 0:
@@ -310,7 +264,7 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
             xr, dr, gr, mur, cost_r = x[rows], d[rows], g[rows], mu[rows], cost[rows]
             hs = np.linalg.solve(A[rows] + mur[:, None, None] * eye, -gr[:, :, None])[:, :, 0]
             x_new = xr + hs / dr
-            f_new, terms_new = fun(x_new)
+            f_new = fun(x_new)
             nfev[rows] += 1
             cost_new = 0.5 * _rowdot(f_new, f_new)
             done = np.linalg.norm(hs, axis=1) <= xtol * (xnorm[rows] + xtol)
@@ -328,8 +282,7 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
             live[rows[done]] = False
             relin = better & ~done & (nfev[rows] < max_nfev)
             if relin.any():
-                linearize(rows[relin], np.flatnonzero(relin), x_new, f_new, terms_new)
-            del f_new, terms_new
+                linearize(rows[relin])
     return LeastSquaresResult(x=x, fun=f, cost=cost, nfev=nfev)
 
 
@@ -349,7 +302,9 @@ def fit_scaling(
     lowest final cost wins, ties broken by lowest start index.  The result is
     independent of input ordering (see ``build_residual_system``).
     """
-    residuals, normal_equations, groups, rows = build_residual_system(data, prior_weight, residual_space)
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    residuals, jacobian, groups, rows = build_residual_system(data, prior_weight, residual_space)
     # the start statistics sum in the canonical row order too
     obs = np.array([r.loss for r in rows])
     mean_log_n = np.mean([math.log(r.N) for r in rows])
@@ -373,7 +328,7 @@ def fit_scaling(
         )
         starts[start, 5:] = rng.normal(1.0, 1.0, size=len(groups))
     sol = least_squares(
-        residuals, starts, jac=normal_equations, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=MAX_NFEV
+        residuals, starts, jac=jacobian, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=MAX_NFEV
     )
     finite = np.isfinite(sol.cost)
     if not finite.any():

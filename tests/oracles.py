@@ -281,9 +281,9 @@ def write_scaling_csv(path, data) -> None:
 
 def scaling_jacobian(rows, groups, prior_weight: float, residual_space: str):
     """The full Jacobian J ``(n + 2, p)`` of the scaling fit's residuals at
-    one theta, written out column by column from the law: the dense form
-    that ``build_residual_system``'s normal equations avoid.  ``rows`` and
-    ``groups`` are that function's canonical outputs."""
+    one theta, written out column by column from the law: the independent
+    dense reference for ``build_residual_system``'s batched ``jacobian``.
+    ``rows`` and ``groups`` are that function's canonical outputs."""
     n = len(rows)
     log_n = np.log([r.N for r in rows])
     log_d = np.log([r.D for r in rows])
@@ -320,7 +320,7 @@ def scipy_lm_per_start(fun, x0, jacobian, **tolerances) -> LeastSquaresResult:
     from scipy.optimize import least_squares
 
     def residual(theta):
-        return fun(theta[None])[0][0]
+        return fun(theta[None])[0]
 
     x, f, cost, nfev = [], [], [], []
     for start in np.asarray(x0, dtype=float):

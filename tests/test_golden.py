@@ -21,7 +21,7 @@ GOLDEN = {
         "summary.json": "b1d48c3d3db39c30966ba6a940b066ebc8c48e84691cdd4ac455a41705c165e0",
     },
     "fit-scaling": {
-        "summary.json": "4ad84b8ea49166f45ab455af5215ab4a6538edfa2bb1671e0745e8eabeb52a65",
+        "summary.json": "f6166587e450d15addf71d73d4ff07cd0faa232af03d03a5e1a45fe776f4cc2a",
     },
     "quadratic-int-hadamard": {
         "summary.json": "82e3db882d857e2cb61a2212ca17fb696410379bd3382253d5c85087ff5173c6",

@@ -159,31 +159,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             fit_scaling(_synth(0), residual_space="huber")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_starts", 0), ("n_starts", -1)]
+        + [("prior_weight", w) for w in (-1.0, -1e-300, math.nan, math.inf, -math.inf)],
+    )
+    def test_bad_fit_option_is_named(self, monkeypatch, name, value):
+        # rejected before the fit evaluates anything
+        def no_fit(*args, **kwargs):
+            raise AssertionError("least_squares reached")
+
+        monkeypatch.setattr(sc, "least_squares", no_fit)
+        with pytest.raises(ValueError, match=name):
+            fit_scaling(_synth(0), **{name: value})
+
 
 def test_jacobian_matches_finite_differences():
-    # the dense oracle J against central differences of the residuals, and
-    # the normal equations, which never form J, against J^T J and J^T f
+    # the library's J against central differences of the residuals and
+    # against the dense oracle, written column by column from the law
     data = _synth(6)
     for space in RESIDUAL_SPACES:
-        residuals, normal_equations, groups, rows = build_residual_system(data, 1e-3, space)
-        jacobian = scaling_jacobian(rows, groups, 1e-3, space)
+        residuals, jacobian, groups, rows = build_residual_system(data, 1e-3, space)
+        oracle = scaling_jacobian(rows, groups, 1e-3, space)
         rng = make_rng(7)
         thetas = np.concatenate([rng.normal(0, 0.5, (5, 5)), rng.normal(0, 1.0, (5, len(groups)))], axis=1)
-        f, terms = residuals(thetas)
-        jtj, jtf = normal_equations(thetas, f, terms)
-        for k, theta in enumerate(thetas):
-            J = jacobian(theta)
+        jacs = jacobian(thetas)
+        assert jacs.shape == (len(thetas), len(rows) + 2, thetas.shape[1])
+        for J, theta in zip(jacs, thetas):
+            ref = oracle(theta)
+            col_scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+            assert np.all(np.abs(J - ref) <= 1e-13 * col_scale)
             h = 1e-7
             for j in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                col_fd = (residuals(tp[None])[0][0] - residuals(tm[None])[0][0]) / (2 * h)
-                scale = max(1.0, np.abs(J[:, j]).max())
-                assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * scale
-            norms = np.linalg.norm(J, axis=0)
-            assert np.all(np.abs(jtj[k] - J.T @ J) <= 1e-12 * np.outer(norms, norms))
-            assert np.all(np.abs(jtf[k] - J.T @ f[k]) <= 1e-12 * norms * np.linalg.norm(f[k]))
+                col_fd = (residuals(tp[None])[0] - residuals(tm[None])[0]) / (2 * h)
+                assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * col_scale[j]
 
 
 def test_rejected_trial_step_does_not_warn():
@@ -196,7 +208,7 @@ def test_rejected_trial_step_does_not_warn():
         theta[5] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = residuals(theta[None])[0][0]
+            r = residuals(theta[None])[0]
         hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
         assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
 
@@ -213,7 +225,7 @@ def test_overflowing_trial_step_is_rejected():
             theta[j] = 800.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                f = residuals(theta[None])[0][0]
+                f = residuals(theta[None])[0]
                 assert not np.isfinite(0.5 * (f @ f))
             assert np.isposinf(f).any()
             if j == 0:  # A = inf: every data point's prediction is +inf
@@ -243,11 +255,11 @@ def test_lm_rows_do_not_affect_each_other():
     # each start of a batch is bitwise its batch-of-one run: here one start is
     # not finite at x0 (failed on its own row and never stepped), one stops
     # at max_nfev and the rest converge first
-    residuals, normal_equations, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
+    residuals, jacobian, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
     rng = make_rng(11)
     x0 = np.concatenate([rng.normal(0.0, 1.0, (6, 5)), rng.normal(1.0, 1.0, (6, len(groups)))], axis=1)
     x0[2, 5] = -1000.0
-    kw = dict(jac=normal_equations, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=15)
+    kw = dict(jac=jacobian, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=15)
     batch = sc.least_squares(residuals, x0, **kw)
     assert batch.cost[2] == np.inf and batch.nfev[2] == 1 and np.array_equal(batch.x[2], x0[2])
     assert np.isfinite(np.delete(batch.cost, 2)).all()
@@ -256,6 +268,34 @@ def test_lm_rows_do_not_affect_each_other():
         alone = sc.least_squares(residuals, x0[j : j + 1], **kw)
         for name in ("x", "fun", "cost", "nfev"):
             assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (j, name)
+
+
+def _lm(fun, jac, x0):
+    return sc.least_squares(fun, x0, jac, xtol=1e-10, ftol=1e-14, gtol=1e-14, max_nfev=200)
+
+
+def test_lm_solves_a_linear_system():
+    # f = A x - b with J = A: every start ends at the least-squares solution
+    rng = make_rng(3)
+    a, b = rng.normal(size=(9, 4)), rng.normal(size=9)
+    x0 = rng.normal(0.0, 10.0, (5, 4))
+    sol = _lm(lambda x: x @ a.T - b, lambda x: np.repeat(a[None], len(x), axis=0), x0)
+    assert np.abs(sol.x - np.linalg.lstsq(a, b, rcond=None)[0]).max() <= 1e-8
+
+
+def test_lm_solves_rosenbrock():
+    # residuals (10 (x2 - x1^2), 1 - x1), zero only at (1, 1)
+    def fun(x):
+        return np.stack([10.0 * (x[:, 1] - x[:, 0] ** 2), 1.0 - x[:, 0]], axis=1)
+
+    def jac(x):
+        J = np.zeros((len(x), 2, 2))
+        J[:, 0, 0], J[:, 0, 1], J[:, 1, 0] = -20.0 * x[:, 0], 10.0, -1.0
+        return J
+
+    sol = _lm(fun, jac, np.array([[-1.2, 1.0], [2.0, -3.0]]))
+    assert np.abs(sol.x - 1.0).max() <= 1e-8
+    assert (sol.nfev < 200).all()
 
 
 class TestIo:
