@@ -352,8 +352,7 @@ def cmd_quadratic(opts: dict) -> dict:
                 proj, _ = pca_project(run.iterates, 2)
                 with (out / f"traj_kappa{kappa:g}_{name}_seed{seeds[0]}.csv").open("w") as fh:
                     fh.write("pc1,pc2\n")
-                    for pc1, pc2 in proj.tolist():
-                        fh.write(f"{pc1!r},{pc2!r}\n")
+                    fh.writelines("%r,%r\n" % (pc1, pc2) for pc1, pc2 in proj.tolist())
                 gaps = run.final_gaps
                 mean = statistics.fmean(gaps)
                 std = statistics.stdev(gaps) if len(gaps) > 1 else 0.0

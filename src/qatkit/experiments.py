@@ -298,6 +298,8 @@ def run_quadratic(
     inv = np.argsort(order)
     names = [optimizers[o] for o in order]
     n = sum(name in _SGD_FAMILY for name in names)
+    lam_fixed = np.array([cfg.lam if name == "cage-sgd" else 0.0 for name in names])[:, None, None]
+    ramped = np.array([name.startswith("cage-adamw") for name in names])[:, None, None]
     coupled = np.array([name == "cage-adamw-cpl" for name in names[n:]])[:, None, None]
     x = np.repeat(x0[None], len(names), axis=0)
     state = AdamState.zeros(x[n:].shape)
@@ -307,7 +309,6 @@ def run_quadratic(
 
     for t in range(1, steps + 1):
         a_t = lr_at(cfg.lr, t, steps, lr_schedule)
-        ramp_t = lambda_at(cfg, t, steps)
         qres = quantize(spec, x)
         loss, g, g_x = obj.value_and_grads(qres.quantized, x)
         g = ste_backward(spec, g, qres) if masked else g
@@ -315,9 +316,7 @@ def run_quadratic(
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
         g0, e0 = g_x[:, ::n_seeds], e[:, ::n_seeds]
-        lams = np.array(
-            [cfg.lam if name == "cage-sgd" else ramp_t if name.startswith("cage") else 0.0 for name in names]
-        )[:, None, None]
+        lams = np.where(ramped, lambda_at(cfg, t, steps), lam_fixed)
         row = traces[:, :, t - 1]
         row[..., 0] = loss[:, ::n_seeds]
         row[..., 1] = balance_sq_norm(g0, e0, lams)
@@ -328,8 +327,8 @@ def run_quadratic(
         if n:
             x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n])
         if n < len(names):
-            lam_cpl = lams[n:] * coupled
-            lam_dec = lams[n:] * ~coupled
+            lam_cpl = np.where(coupled, lams[n:], 0.0)
+            lam_dec = np.where(coupled, 0.0, lams[n:])
             e_dec = e[n:]
             if cfg.weight_decay and lam_dec.any():
                 x_dec = (1.0 - a_t * cfg.weight_decay) * x[n:]
@@ -337,8 +336,8 @@ def run_quadratic(
                 # overflows, the step's own decay does too, and the check below fails it
                 e_dec = quantize(spec, x_dec).error if np.isfinite(x_dec).all() else x_dec
             state, x[n:] = cage_adamw_step(state, x[n:], g[n:], e[n:], e_dec, cfg, a_t, lam_cpl, lam_dec)
-        bad = _bad_rows(loss, x)[inv]
-        if bad.any():
+        if not (np.isfinite(loss).all() and np.isfinite(x).all()):
+            bad = _bad_rows(loss, x)[inv]
             hit = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
             raise _quadratic_failure(
                 f"non-finite value during quadratic run ({hit}) at step {t}", bad.any(axis=0), n_seeds

@@ -73,11 +73,12 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     The components come from ``PCA_ROUNDS`` rounds of block subspace
     iteration, V <- qr(C V), on p = min(dim, max(8, k)) columns from a seeded
     Gaussian start, then a Rayleigh-Ritz step: an ``eigh`` of the p x p
-    matrix V^T C V (Halko, Martinsson & Tropp 2011).  C is the covariance
-    scaled by an exact power of two to a largest entry in [1/2, 1), so C V
-    cannot overflow.  A component is accurate where the covariance's
-    eigenvalue p + 1 is well below its own (error ~ (lam_{p+1} / lam_i) **
-    PCA_ROUNDS) and it is unique (lam_i differs from its neighbours).
+    matrix V^T C V (Halko, Martinsson & Tropp 2011).  C is the covariance,
+    built in place and scaled there by an exact power of two to a largest
+    entry in [1/2, 1), so C V cannot overflow; only it and the centred points
+    are full size.  A component is accurate where eigenvalue p + 1 is well
+    below its own (error ~ (lam_{p+1} / lam_i) ** PCA_ROUNDS) and it is
+    unique (lam_i differs from its neighbours).
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
@@ -88,11 +89,13 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= dim:
         raise ValueError(f"component count {k} out of range [1, {dim}]")
     Xc = X - X.mean(axis=0)
-    cov = (Xc.T @ Xc) / (n - 1)
-    if not np.isfinite(cov).all():
+    C = Xc.T @ Xc
+    C /= n - 1
+    amax = max(C.max(), -C.min())  # a NaN reaches both ends of C, an inf one
+    if not np.isfinite(amax):
         raise NumericalFailure("non-finite covariance in the trajectory PCA")
-    _, exp = np.frexp(np.abs(cov).max())
-    C = np.ldexp(cov, -exp)
+    _, exp = np.frexp(amax)
+    np.ldexp(C, -exp, out=C)
     V = make_rng(0).standard_normal((dim, min(dim, max(8, k))))
     for _ in range(PCA_ROUNDS):
         V, _ = np.linalg.qr(C @ V)
@@ -100,7 +103,7 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     # the top Ritz value against the threshold scaled as C is; a threshold
     # that overflows there is above any eigenvalue of C
     with np.errstate(over="ignore"):
-        if ritz[-1] <= np.ldexp(1e-15 * max(1.0, float(np.abs(X).max())), -exp):
+        if ritz[-1] <= np.ldexp(1e-15 * max(1.0, X.max(), -X.min()), -exp):
             warnings.warn("zero-variance data: projections are all zero", RuntimeWarning)
     # eigh returns ascending order; take the top k, largest first
     comps = W[:, ::-1][:, :k].T @ V.T

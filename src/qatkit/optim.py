@@ -112,7 +112,7 @@ def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig,
     """One AdamW step at learning rate ``lr``, with decoupled weight decay
     applied before the update.  Returns ``(state', x')``."""
     t = state.t + 1
-    xd = (1.0 - lr * cfg.weight_decay) * x
+    xd = (1.0 - lr * cfg.weight_decay) * x if cfg.weight_decay else x  # 1.0 * x is x bitwise
     m = BETA1 * state.m + (1.0 - BETA1) * g
     v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
     m_hat = m / (1.0 - BETA1**t)

@@ -11,7 +11,6 @@ lam_t.  The module also carries the log-log fit of a rate study.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("step", "loss", "pareto_sq_norm", "grad_sq_norm", "err_sq_norm", "lambda_t")
+_TRACE_ROW = "%d" + ",%r" * (len(TRACE_COLUMNS) - 1) + "\r\n"
 
 
 def balance_sq_norm(g: np.ndarray, e: np.ndarray, lam) -> np.ndarray:
@@ -45,10 +45,9 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
 
 
 def write_trace_csv(path, trace: np.ndarray) -> None:
-    """Dump one run's trace ``(steps, 5)``, one row per step, with
-    round-trippable floats."""
+    """Dump one run's trace ``(steps, 5)``, one row per step: the step, then
+    each value's round-trippable repr, with csv-style ``\\r\\n`` line ends."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         # tolist gives Python floats, whose repr is the shortest round trip
-        writer.writerows([i, *map(repr, row)] for i, row in enumerate(trace.tolist(), start=1))
+        fh.writelines(_TRACE_ROW % (i, *row) for i, row in enumerate(trace.tolist(), start=1))

@@ -11,6 +11,7 @@ import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
+from qatkit.pareto import TRACE_COLUMNS
 from qatkit.quantize import SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
 from qatkit.scaling import CSV_HEADER, FP_LABEL, LeastSquaresResult
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
@@ -268,6 +269,16 @@ def pca_eigh(points, k: int):
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
     return Xc @ comps.T, comps, evals[::-1]
+
+
+def write_trace_csv_module(path, trace) -> None:
+    """A run's trace through ``csv.writer``: the header, then the step and
+    each value's repr per row, ``\\r\\n``-terminated.  The oracle for the
+    bytes of ``pareto.write_trace_csv``, which formats its rows itself."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([i, *map(repr, row)] for i, row in enumerate(trace.tolist(), start=1))
 
 
 def write_scaling_csv(path, data) -> None:

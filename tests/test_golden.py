@@ -56,6 +56,13 @@ GOLDEN = {
         "trace_T500_seed0.csv": "43105bec8f38a3b5457aa904127c5281ace6d3c1dd9b49730ca5eb2a9a30078f",
         "trace_T5_seed0.csv": "7cf8f64cae45edcc7e975fac910a3555df5ed77ffa430e6570591774a29b1dbb",
     },
+    "quadratic-mxfp4": {
+        "summary.json": "d18bb399eedc1025d01e2dac7b5b431e556013a0d118a3fb3977b2e3c24631a9",
+        "trace_kappa10_adamw_seed3.csv": "6c50c22f4445a846162abdd59f43bc35852c3f00e60cb052f53f1828072f365a",
+        "trace_kappa10_cage-adamw-cpl_seed3.csv": "bbc6f297055b64de1006257bae3fec78dd72a52294d79f4ef27bb54252686a0d",
+        "traj_kappa10_adamw_seed3.csv": "531e2a7aaaea766bc9da51f8e54fa604ee45d068d3794aabd5b1e63ed65cc53f",
+        "traj_kappa10_cage-adamw-cpl_seed3.csv": "e729d82f7aa797877d812eb571eca13540f0ada672af7291677903fb7867971a",
+    },
     "quadratic-none": {
         "summary.json": "49ddc681a9cb3c0ff211c31d46c4dd66f7d78f4abfe3adcb6bd9ece7a90f091e",
         "trace_kappa100_adamw_seed0.csv": "4129b6a3d6ca7473391389eed475ce482c5b5b00c11676599b0eda21c86801db",
@@ -102,6 +109,11 @@ RUNS = {
     "quadratic-int-plain": [
         "quadratic", "--kappas", "10", "--dim", "16", "--steps", "60",
         "--opt", "adamw,cage-adamw-cpl", "--quant", "int-plain:4", "--seed", "2",
+    ],
+    # the block quantizer; dim 40 pads its second 32-wide block
+    "quadratic-mxfp4": [
+        "quadratic", "--kappas", "10", "--dim", "40", "--steps", "60",
+        "--opt", "adamw,cage-adamw-cpl", "--quant", "mxfp4", "--seed", "3",
     ],
     "convergence-floor": [
         "convergence", "--objective", "rosenbrock", "--dim", "4", "--quant", "floor-toy:0.25",

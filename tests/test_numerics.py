@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,21 @@ class TestPca:
         assert np.isfinite(proj).all() and np.isfinite(comps).all()
         assert np.abs(comps[0] - u / np.linalg.norm(u)).max() <= 1e-15
         assert np.abs(comps @ comps.T - np.eye(2)).max() <= 1e-15
+
+    def test_traced_peak_is_centred_points_and_covariance(self):
+        # a bench-sized random walk: beside its input the PCA may hold the
+        # centred points (n d doubles) and the covariance (d d doubles), plus
+        # 512 KiB for the subspace blocks; one more (n, d) or (d, d) copy fails
+        n, d = 1000, 512
+        X = np.cumsum(make_rng(5).standard_normal((n, d)), axis=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pca_project(X, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * d * 8 + d * d * 8 + 512 * 1024
 
     def test_zero_variance_warns_not_raises(self):
         pts = np.ones((4, 3))

@@ -205,6 +205,23 @@ class TestAdamW:
             assert np.array_equal(x_new, ref)
             assert new_state.t == t
 
+    def test_no_decay_is_the_unit_factor_bitwise(self):
+        # at weight_decay 0 the step skips the decay product; the formula with
+        # its factor (1 - lr 0) = 1.0 applied gives the same bits, down to the
+        # sign of zero, subnormals and values near the float max
+        cfg = OptimConfig(lr=0.05, weight_decay=0.0, lam=0.0, silence_ratio=0.0)
+        x = np.array([[-0.0, 0.0, 5e-324, -2.5e-310], [1e308, -1e308, -0.0, 1.5]])
+        g = np.array([[0.0, -0.0, 1e-300, 3.0], [2.0, -1e-3, 0.0, -0.0]])
+        m = np.array([[0.0, 0.0, 1e-310, -0.5], [1.0, 0.25, 0.0, 0.0]])
+        state = AdamState(m=m, v=np.abs(m), t=3)
+        new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
+        m_ref = BETA1 * m + (1.0 - BETA1) * g
+        v_ref = BETA2 * np.abs(m) + (1.0 - BETA2) * (g * g)
+        m_hat, v_hat = m_ref / (1.0 - BETA1**4), v_ref / (1.0 - BETA2**4)
+        ref = (1.0 - cfg.lr * cfg.weight_decay) * x - cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        assert x_new.tobytes() == ref.tobytes() and np.signbit(x_new[[0, 1], [0, 2]]).all()
+        assert new_state.m.tobytes() == m_ref.tobytes() and new_state.v.tobytes() == v_ref.tobytes()
+
     def test_beta_zero_sign_consistency_property(self):
         rng = make_rng(5)
         # the first step from zero moments moves each coordinate against its gradient

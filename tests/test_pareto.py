@@ -3,7 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import RATE_STUDY_HORIZONS, EfState, ef_step, rosenbrock_rate_study, solved_quadratic
+from oracles import (
+    RATE_STUDY_HORIZONS,
+    EfState,
+    ef_step,
+    rosenbrock_rate_study,
+    solved_quadratic,
+    write_trace_csv_module,
+)
 from qatkit.experiments import make_rate_objective, run_toy_pareto
 from qatkit.numerics import make_rng, make_spd
 from qatkit.objectives import toy_scalar
@@ -180,6 +187,18 @@ class TestMeasureAndTrace:
         back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         # round-trippable floats, the sign of zero included
         assert np.array_equal(back, trace) and np.signbit(back[0, 0])
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    def test_trace_csv_bytes_match_csv_module(self, tmp_path, steps):
+        # values over 600 decades; the 300-row trace ends in every edge float,
+        # the 1-row one in the last five
+        rng = make_rng(12)
+        trace = rng.standard_normal((steps, 5)) * 10.0 ** rng.integers(-300, 300, (steps, 5))
+        edges = np.array([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf])
+        trace.flat[-len(edges):] = edges[-trace.size:]
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        write_trace_csv_module(tmp_path / "oracle.csv", trace)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_rate_fit_on_artifact_run():
