@@ -301,10 +301,17 @@ def run_quadratic(
     lam_fixed = np.array([cfg.lam if name == "cage-sgd" else 0.0 for name in names])[:, None, None]
     ramped = np.array([name.startswith("cage-adamw") for name in names])[:, None, None]
     coupled = np.array([name == "cage-adamw-cpl" for name in names[n:]])[:, None, None]
+    # every step's per-row lambdas, (steps, O, 1, 1), and the AdamW block's
+    # split of them into coupled and decoupled coefficients
+    ramp = np.array([lambda_at(cfg, t, steps) for t in range(1, steps + 1)])[:, None, None, None]
+    lam_rows = np.where(ramped, ramp, lam_fixed)
+    lam_cpl_rows = np.where(coupled, lam_rows[:, n:], 0.0)
+    lam_dec_rows = np.where(coupled, 0.0, lam_rows[:, n:])
     x = np.repeat(x0[None], len(names), axis=0)
     state = AdamState.zeros(x[n:].shape)
     # each kappa's first seed is every n_seeds-th row
     traces = _empty_trace(len(names), n_kappas, steps)
+    traces[..., 4] = lam_rows[:, :, 0, 0].T[:, None]
     snapshots = np.empty((len(names), n_kappas, steps, dim))
 
     for t in range(1, steps + 1):
@@ -316,19 +323,17 @@ def run_quadratic(
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
         g0, e0 = g_x[:, ::n_seeds], e[:, ::n_seeds]
-        lams = np.where(ramped, lambda_at(cfg, t, steps), lam_fixed)
+        lams = lam_rows[t - 1]
         row = traces[:, :, t - 1]
         row[..., 0] = loss[:, ::n_seeds]
         row[..., 1] = balance_sq_norm(g0, e0, lams)
-        row[..., 2] = np.vecdot(g0, g0)
-        row[..., 3] = np.vecdot(e0, e0)
-        row[..., 4] = lams[..., 0]
+        np.vecdot(g0, g0, out=row[..., 2])
+        np.vecdot(e0, e0, out=row[..., 3])
 
         if n:
             x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n])
         if n < len(names):
-            lam_cpl = np.where(coupled, lams[n:], 0.0)
-            lam_dec = np.where(coupled, 0.0, lams[n:])
+            lam_cpl, lam_dec = lam_cpl_rows[t - 1], lam_dec_rows[t - 1]
             e_dec = e[n:]
             if cfg.weight_decay and lam_dec.any():
                 x_dec = (1.0 - a_t * cfg.weight_decay) * x[n:]

@@ -58,10 +58,11 @@ def quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objec
 
     The paired evaluation ``value_and_grads(x, at)`` multiplies A by the
     ``(d, 2)`` right-hand side ``[x at]``, so one gemm reads each matrix once
-    for both gradients.  Each row is bitwise its lone paired call.  It rounds
-    differently from two ``np.matvec`` calls: entry i of either gradient is
-    within (d + 3) eps (sum_j |A_ij| |v_j| + |b_i|) of the ``value_and_grad``
-    one at the same point v.
+    for both gradients; ``[x at]`` and the product live in one buffer that
+    calls of the same batch shape reuse.  Each row is bitwise its lone paired
+    call.  It rounds differently from two ``np.matvec`` calls: entry i of
+    either gradient is within (d + 3) eps (sum_j |A_ij| |v_j| + |b_i|) of the
+    ``value_and_grad`` one at the same point v.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -76,10 +77,15 @@ def quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objec
             f"bad shapes: A {A.shape}, b {b.shape}, x_star {np.shape(x_star)}, f_star {np.shape(f_star)}"
         )
 
+    # the paired evaluation's [x at] and A [x at], one buffer kept while the
+    # batch shape holds: a run evaluates one shape every step
+    pair = None
+
     # np.matvec / np.vecdot give each row of a batch bitwise the values of
     # A @ x and x @ y on that row alone, and A @ V each (d, 2) right-hand side
     # its lone gemm; X @ A.T and (X * Y).sum(-1) do not
     def eval_fn(x, at=None):
+        nonlocal pair
         if A.ndim == 3 and x.shape[-2:] != b.shape:
             raise ValueError(f"a stack of {len(A)} problems takes a batch (..., {len(A)}, d), got {x.shape}")
         if at is None:
@@ -87,10 +93,12 @@ def quadratic(A: np.ndarray, b: np.ndarray, x_star: np.ndarray, f_star) -> Objec
         elif at.shape != x.shape:
             raise ValueError(f"paired batches differ in shape: {x.shape} and {at.shape}")
         else:
+            if pair is None or pair.shape[1:-1] != x.shape:
+                pair = np.empty((2, *x.shape, 2))
             # filled in place: np.stack costs more than a 64-dim gemm
-            V = np.empty((*x.shape, 2))
+            V, AV = pair
             V[..., 0], V[..., 1] = x, at
-            AV = A @ V
+            np.matmul(A, V, out=AV)
             Ax, A_at = AV[..., 0], AV[..., 1]
         loss = 0.5 * np.vecdot(x, Ax) - np.vecdot(b, x)
         loss = float(loss) if x.ndim == 1 else loss

@@ -79,10 +79,15 @@ def lambda_at(cfg: OptimConfig, t: int, total_steps: int) -> float:
     return cfg.lam * (r - s) / (1.0 - s)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     """Adam moments shaped like the parameters: ``(d,)``, or ``(S, d)`` for a
-    batch of S runs that share the step count and the lr."""
+    batch of S runs that share the step count and the lr.
+
+    A mutable workspace: ``adamw_step`` and ``cage_adamw_step`` advance the
+    state they are given in place (``m``, ``v`` and ``t``) and return it, so
+    a caller that steps one state twice must pass a copy.
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -110,15 +115,25 @@ def cage_sgd_step(x: np.ndarray, g: np.ndarray, e: np.ndarray, lr: float, lam_t)
 
 def adamw_step(state: AdamState, x: np.ndarray, g: np.ndarray, cfg: OptimConfig, lr: float):
     """One AdamW step at learning rate ``lr``, with decoupled weight decay
-    applied before the update.  Returns ``(state', x')``."""
-    t = state.t + 1
+    applied before the update: m' = b1 m + (1 - b1) g, v' = b2 v + (1 - b2) g^2,
+    x' = (1 - lr wd) x - (lr m' / (1 - b1^t)) / (sqrt(v' / (1 - b2^t)) + eps).
+    Advances ``state`` in place and returns ``(state, x')``; ``x`` is not
+    written."""
+    state.t = t = state.t + 1
     xd = (1.0 - lr * cfg.weight_decay) * x if cfg.weight_decay else x  # 1.0 * x is x bitwise
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    x_new = xd - lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return AdamState(m=m, v=v, t=t), x_new
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * g
+    g2 = g * g
+    g2 *= 1.0 - BETA2
+    state.v *= BETA2
+    state.v += g2
+    step = state.m / (1.0 - BETA1**t)
+    step *= lr
+    denom = np.divide(state.v, 1.0 - BETA2**t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step /= denom
+    return state, xd - step
 
 
 def cage_adamw_step(
@@ -133,7 +148,8 @@ def cage_adamw_step(
     lam_dec,
 ):
     """Error-corrected AdamW: the AdamW step on g + lam_cpl e, then
-    x' - lr lam_dec e_dec.  Returns ``(state', x')``.
+    x' - lr lam_dec e_dec.  Advances ``state`` in place and returns
+    ``(state, x')``.
 
     ``lam_cpl`` and ``lam_dec`` are scalars or per-row ``(..., 1)`` arrays.
     ``e`` is the error at x and ``e_dec`` the error at the decayed point
@@ -141,8 +157,11 @@ def cage_adamw_step(
     quantizes.  With both coefficients 0 the step is AdamW's, up to the sign
     of a zero entry (g + 0 e turns a -0.0 into +0.0).
     """
-    new_state, x_tilde = adamw_step(state, x, g + lam_cpl * e, cfg, lr)
-    return new_state, x_tilde - lr * lam_dec * e_dec
+    g_cpl = lam_cpl * e
+    g_cpl += g
+    state, x_new = adamw_step(state, x, g_cpl, cfg, lr)
+    x_new -= lr * lam_dec * e_dec
+    return state, x_new
 
 
 def grad_clip(g: np.ndarray, max_norm: float) -> np.ndarray:

@@ -15,7 +15,10 @@ Every scheme returns a ``QuantResult`` of Q(x), the error computed as
 input bitwise wherever that difference is representable) and, for the int
 schemes, the keep-mask of unclipped transform-domain channels, one per entry
 of each vector padded to the transform length.  Every scheme raises
-``FloatingPointError`` on an input with a NaN or inf entry.
+``FloatingPointError`` on an input with a NaN or inf entry.  On finite input
+the int schemes and mxfp4 give a finite Q(x) and e: an int code whose grid
+point passes the float max is clamped, and an mxfp4 entry saturates at
++-3 * 2**1022.
 
 ``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
@@ -53,8 +56,9 @@ SCHEMES = INT_SCHEMES + ("mxfp4", "floor-toy", "none")
 # degenerate-row scale floor: an all-zero row quantizes to zeros with this scale
 SIGMA_FLOOR = 1e-12
 # below this magnitude no transform entry or sum of squares can overflow (for
-# vectors shorter than 2**100)
+# vectors shorter than 2**100), nor can any mxfp4 grid point
 _SAFE_MAGNITUDE = 2.0**400
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # E2M1 magnitudes; the mantissa bit is 0 at the even indices
 _E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
@@ -122,7 +126,7 @@ class QuantResult:
 
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
     """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (max |x|,
-    block amax, floor codes, x - x) and so its sum are non-finite
+    floor codes, x - x) and so its sum are non-finite
     whenever ``x`` is, so ``x`` is scanned only when that sum is off (or merely
     overflowed)."""
     if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
@@ -183,7 +187,7 @@ def _quantize_int_large(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     e = np.where(row_amax < _SAFE_MAGNITUDE, 0, e)
     scaled_x = np.ldexp(x, -e)
     # the largest |Q| entry whose ldexp by e is a float
-    largest = np.ldexp(np.finfo(float).max, -e)
+    largest = np.ldexp(_FLOAT_MAX, -e)
     scaled = _quantize_int(spec, scaled_x)
     over = np.maximum.reduce(np.abs(scaled.quantized), axis=-1, keepdims=True) > largest
     if over.any():
@@ -194,7 +198,7 @@ def _quantize_int_large(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 def _e2m1_round(u: np.ndarray) -> np.ndarray:
     """Indices into the E2M1 magnitude grid, nearest with ties to even mantissa."""
-    return np.searchsorted(_E2M1_BOUNDS, u, side="left")
+    return _E2M1_BOUNDS.searchsorted(u, side="left")
 
 
 def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
@@ -204,24 +208,47 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     2**ceil(log2(max|x| / 6)); elements round to the nearest point of
     scale * {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4, +-6} with ties to the even
     mantissa.  An all-zero block gets scale 1 and zeros.  Each vector of a
-    batch ``(S, d)`` is zero-padded to whole blocks on its own.
+    batch ``(S, d)`` is cut into blocks on its own: viewed as whole blocks
+    when d is a multiple of ``block_size``, else zero-padded to them.
+
+    The scheme saturates: an entry with |x| >= 1.75 * 2**1023 (~1.57e308)
+    sits in a block of scale 2**1022 and would round to 4 * 2**1022, past the
+    float max, so it takes the largest grid point that is a float,
+    +-3 * 2**1022.  Q(x) and e are finite for every finite x, and no other
+    entry moves.
     """
     n = x.shape[-1]
     bs = QuantSpec.block_size
-    n_blocks = max(1, -(-n // bs))
-    padded = np.zeros(x.shape[:-1] + (n_blocks * bs,))
-    padded[..., :n] = x
-    blocks = padded.reshape(-1, bs)
+    whole = n % bs == 0
+    if whole:
+        blocks = x.reshape(-1, bs)
+    else:
+        padded = np.zeros(x.shape[:-1] + (-(-n // bs) * bs,))
+        padded[..., :n] = x
+        blocks = padded.reshape(-1, bs)
 
-    absb = np.abs(blocks)
-    amax = absb.max(axis=1)
-    _reject_nonfinite(amax, x)
+    u = np.abs(blocks)
+    amax = np.maximum.reduce(u, axis=1)
+    # NaN or inf for a NaN or inf entry; a max, unlike a sum, cannot overflow
+    top = np.maximum.reduce(amax, axis=None, initial=0.0)
+    large = not top < _SAFE_MAGNITUDE
+    if large:
+        _reject_nonfinite(top, x)
     # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
     m, e = np.frexp(amax / _E2M1_MAX)
-    scales = np.ldexp(1.0, np.where(m == 0.5, e - 1, e))
-    idx = _e2m1_round(absb / scales[:, None])
-    mags = _E2M1_GRID[idx] * scales[:, None]
-    quantized = np.copysign(mags, blocks).reshape(padded.shape)[..., :n]
+    scales = np.ldexp(1.0, e - (m == 0.5))[:, None]
+    u /= scales
+    idx = _e2m1_round(u)
+    if large:
+        # the largest grid index whose point times the scale is a float; a
+        # scale below 1 admits every index, and is read as 1 so that the
+        # quotient cannot overflow
+        top_idx = np.searchsorted(_E2M1_GRID, _FLOAT_MAX / np.maximum(scales, 1.0), side="right") - 1
+        idx = np.minimum(idx, top_idx)
+    q = _E2M1_GRID.take(idx)
+    q *= scales
+    np.copysign(q, blocks, out=q)
+    quantized = q.reshape(x.shape) if whole else q.reshape(padded.shape)[..., :n]
     return QuantResult(quantized=quantized, error=x - quantized)
 
 

@@ -11,8 +11,9 @@ import numpy as np
 
 from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
+from qatkit.optim import BETA1, BETA2, EPS, AdamState
 from qatkit.pareto import TRACE_COLUMNS
-from qatkit.quantize import SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
+from qatkit.quantize import _E2M1_BOUNDS, _E2M1_GRID, _E2M1_MAX, SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
 from qatkit.scaling import CSV_HEADER, FP_LABEL, LeastSquaresResult
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -253,6 +254,53 @@ def mxfp4_entry_scales(x) -> np.ndarray:
     padded[: x.size] = x
     scales = [mxfp4_block_scale(float(np.abs(b).max())) for b in padded.reshape(-1, 32)]
     return np.repeat(scales, 32)[: x.size]
+
+
+def quantize_mxfp4_padded(x):
+    """mxfp4 as first written: every vector zero-padded to whole blocks,
+    out-of-place arithmetic, and the padding cut off again.  Returns
+    ``(quantized, error)``.  The byte oracle for ``quantize``'s mxfp4, which
+    views whole blocks in place; it takes finite input only (the library's
+    NaN/inf rejection and its saturation near the float max are left out)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    bs = QuantSpec.block_size
+    n_blocks = max(1, -(-n // bs))
+    padded = np.zeros(x.shape[:-1] + (n_blocks * bs,))
+    padded[..., :n] = x
+    blocks = padded.reshape(-1, bs)
+
+    absb = np.abs(blocks)
+    amax = absb.max(axis=1)
+    # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
+    m, e = np.frexp(amax / _E2M1_MAX)
+    scales = np.ldexp(1.0, np.where(m == 0.5, e - 1, e))
+    idx = np.searchsorted(_E2M1_BOUNDS, absb / scales[:, None], side="left")
+    mags = _E2M1_GRID[idx] * scales[:, None]
+    quantized = np.copysign(mags, blocks).reshape(padded.shape)[..., :n]
+    return quantized, x - quantized
+
+
+def adamw_step_out_of_place(state, x, g, cfg, lr):
+    """One AdamW step as first written, every formula a new array: the byte
+    oracle for ``optim.adamw_step``, which applies the same formulas in the
+    same order in place.  Writes nothing; returns ``(state', x')``."""
+    t = state.t + 1
+    xd = (1.0 - lr * cfg.weight_decay) * x if cfg.weight_decay else x  # 1.0 * x is x bitwise
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    x_new = xd - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    return AdamState(m=m, v=v, t=t), x_new
+
+
+def cage_adamw_step_out_of_place(state, x, g, e, e_dec, cfg, lr, lam_cpl, lam_dec):
+    """``optim.cage_adamw_step`` as first written, on
+    ``adamw_step_out_of_place``: the AdamW step on g + lam_cpl e, then
+    x' - lr lam_dec e_dec."""
+    new_state, x_tilde = adamw_step_out_of_place(state, x, g + lam_cpl * e, cfg, lr)
+    return new_state, x_tilde - lr * lam_dec * e_dec
 
 
 def pca_eigh(points, k: int):

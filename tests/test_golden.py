@@ -63,6 +63,13 @@ GOLDEN = {
         "traj_kappa10_adamw_seed3.csv": "531e2a7aaaea766bc9da51f8e54fa604ee45d068d3794aabd5b1e63ed65cc53f",
         "traj_kappa10_cage-adamw-cpl_seed3.csv": "e729d82f7aa797877d812eb571eca13540f0ada672af7291677903fb7867971a",
     },
+    "quadratic-mxfp4-dim64": {
+        "summary.json": "4a019b7838d9cafc7b74a6a08e15551bc6d1c1c4c84e57a1c6499475c7542cd6",
+        "trace_kappa10_adamw_seed3.csv": "21326f9ed4837713b54e3bc2d2383cff2b4dc241378449f1ab4531dbee70df9f",
+        "trace_kappa10_cage-adamw-cpl_seed3.csv": "4dfc27a1ca2e56887d081c90873f96d4a56f36f1a761aee006ad52db83530e2c",
+        "traj_kappa10_adamw_seed3.csv": "f1999f6ca18008c9b3d0632b2c4d22c171aeb4357c4804a836e4e0d8cfea4a75",
+        "traj_kappa10_cage-adamw-cpl_seed3.csv": "2c4230445d7598f40347688040f2f87163afa2393d679acd5b8300ce7ed180d0",
+    },
     "quadratic-none": {
         "summary.json": "49ddc681a9cb3c0ff211c31d46c4dd66f7d78f4abfe3adcb6bd9ece7a90f091e",
         "trace_kappa100_adamw_seed0.csv": "4129b6a3d6ca7473391389eed475ce482c5b5b00c11676599b0eda21c86801db",
@@ -113,6 +120,11 @@ RUNS = {
     # the block quantizer; dim 40 pads its second 32-wide block
     "quadratic-mxfp4": [
         "quadratic", "--kappas", "10", "--dim", "40", "--steps", "60",
+        "--opt", "adamw,cage-adamw-cpl", "--quant", "mxfp4", "--seed", "3",
+    ],
+    # dim 64 is two whole blocks, the shape the quantizer views without padding
+    "quadratic-mxfp4-dim64": [
+        "quadratic", "--kappas", "10", "--dim", "64", "--steps", "60",
         "--opt", "adamw,cage-adamw-cpl", "--quant", "mxfp4", "--seed", "3",
     ],
     "convergence-floor": [

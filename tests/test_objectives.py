@@ -96,6 +96,22 @@ class TestQuadratic:
             with pytest.raises(ValueError):
                 stack.value_and_grads(np.zeros((2, 4)), np.zeros(shape))
 
+    def test_paired_buffer_reuse_keeps_each_call_its_own(self):
+        # the paired evaluation reuses one buffer while the batch shape holds:
+        # a call returns the values of a fresh objective, and a later call,
+        # of the same shape or another, leaves earlier results as they were
+        rng = make_rng(4)
+        A = np.stack([make_spd(6, 5.0, rng)[0] for _ in range(2)])
+        b = rng.standard_normal((2, 6))
+        stack = solved_quadratic(A, b)
+        pairs = [rng.standard_normal((2, 3, 2, 6)) for _ in range(3)] + [rng.standard_normal((2, 2, 6))]
+        results = [stack.value_and_grads(x, at) for x, at in pairs]
+        kept = [tuple(np.copy(v) for v in r) for r in results]
+        for (x, at), r, k in zip(pairs, results, kept):
+            fresh = solved_quadratic(A, b).value_and_grads(x, at)
+            for got, copy, want in zip(r, k, fresh):
+                assert got.tobytes() == copy.tobytes() == want.tobytes()
+
 
 class TestToyScalar:
     def test_minimum(self):

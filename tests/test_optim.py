@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestAdamW:
             g = rng.standard_normal(4)
             x = rng.standard_normal(4)
             state = AdamState(m=rng.standard_normal(4), v=np.abs(rng.standard_normal(4)), t=int(rng.integers(1, 50)))
-            new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
+            new_state, x_new = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
             t = state.t + 1
             m = BETA1 * state.m + (1 - BETA1) * g
             v = BETA2 * state.v + (1 - BETA2) * (g * g)
@@ -213,7 +215,7 @@ class TestAdamW:
         x = np.array([[-0.0, 0.0, 5e-324, -2.5e-310], [1e308, -1e308, -0.0, 1.5]])
         g = np.array([[0.0, -0.0, 1e-300, 3.0], [2.0, -1e-3, 0.0, -0.0]])
         m = np.array([[0.0, 0.0, 1e-310, -0.5], [1.0, 0.25, 0.0, 0.0]])
-        state = AdamState(m=m, v=np.abs(m), t=3)
+        state = AdamState(m=m.copy(), v=np.abs(m), t=3)
         new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
         m_ref = BETA1 * m + (1.0 - BETA1) * g
         v_ref = BETA2 * np.abs(m) + (1.0 - BETA2) * (g * g)
@@ -266,10 +268,10 @@ class TestCageAdamW:
         x = rng.standard_normal(6)
         g = rng.standard_normal(6)
         state = AdamState.zeros(6)
-        s_ref, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        s_ref, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
         lam_t = lambda_at(cfg, 5, 10)
-        s_dec, x_dec = decoupled(state, x, g, cfg, cfg.lr, lam_t, spec)
-        s_cpl, x_cpl = coupled(state, x, g, quantize(spec, x).error, cfg, cfg.lr, lam_t)
+        s_dec, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, lam_t, spec)
+        s_cpl, x_cpl = coupled(copy.deepcopy(state), x, g, quantize(spec, x).error, cfg, cfg.lr, lam_t)
         assert np.array_equal(x_ref, x_dec) and np.array_equal(x_ref, x_cpl)
         assert np.array_equal(s_ref.m, s_dec.m) and np.array_equal(s_ref.v, s_cpl.v)
 
@@ -279,11 +281,11 @@ class TestCageAdamW:
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
         lam_90, lam_91 = lambda_at(cfg, 90, 100), lambda_at(cfg, 91, 100)
-        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, lam_90, spec)  # r = 0.9 <= s
+        _, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, lam_90, spec)  # r = 0.9 <= s
         assert np.array_equal(x_ref, x_dec)
-        _, x_after = decoupled(state, x, g, cfg, cfg.lr, lam_91, spec)
+        _, x_after = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, lam_91, spec)
         assert not np.array_equal(x_ref, x_after)
 
     def test_on_grid_error_vanishes(self):
@@ -291,8 +293,8 @@ class TestCageAdamW:
         x = np.array([1.0, -0.5, 2.5, 0.0])  # already on the 0.5 grid
         g = make_rng(9).standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
+        _, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, 2.0, spec)
         # decay shifts x off the grid, so the residual is the decayed point's
         xd = (1.0 - cfg.lr * cfg.weight_decay) * x
         manual = x_ref - cfg.lr * 2.0 * quantize(spec, xd).error
@@ -320,10 +322,10 @@ class TestCageAdamW:
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
+        _, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
         none = QuantSpec(scheme="none")
-        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 1.0, none)
-        _, x_cpl = coupled(state, x, g, quantize(none, x).error, cfg, cfg.lr, 1.0)
+        _, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, 1.0, none)
+        _, x_cpl = coupled(copy.deepcopy(state), x, g, quantize(none, x).error, cfg, cfg.lr, 1.0)
         assert np.array_equal(x_dec, x_ref) and np.array_equal(x_cpl, x_ref)
 
     def test_coupled_zero_error_is_adamw(self):
@@ -332,8 +334,8 @@ class TestCageAdamW:
         x = rng.standard_normal(4)
         g = rng.standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_cpl = coupled(state, x, g, np.zeros(4), cfg, cfg.lr, 2.0)
+        _, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
+        _, x_cpl = coupled(copy.deepcopy(state), x, g, np.zeros(4), cfg, cfg.lr, 2.0)
         assert np.array_equal(x_ref, x_cpl)
 
     def test_decoupled_on_grid_no_decay_is_adamw(self):
@@ -344,8 +346,8 @@ class TestCageAdamW:
         x = np.array([1.0, -0.5, 2.5, 0.0])
         g = make_rng(15).standard_normal(4)
         state = AdamState.zeros(4)
-        _, x_ref = adamw_step(state, x, g, cfg, cfg.lr)
-        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_ref = adamw_step(copy.deepcopy(state), x, g, cfg, cfg.lr)
+        _, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, 2.0, spec)
         assert np.array_equal(x_ref, x_dec)
 
     def test_coupled_differs_from_decoupled_for_adam(self):
@@ -355,8 +357,8 @@ class TestCageAdamW:
         g = rng.standard_normal(4)
         e = quantize(spec, x).error
         state = AdamState.zeros(4)
-        _, x_dec = decoupled(state, x, g, cfg, cfg.lr, 2.0, spec)
-        _, x_cpl = coupled(state, x, g, e, cfg, cfg.lr, 2.0)
+        _, x_dec = decoupled(copy.deepcopy(state), x, g, cfg, cfg.lr, 2.0, spec)
+        _, x_cpl = coupled(copy.deepcopy(state), x, g, e, cfg, cfg.lr, 2.0)
         assert not np.array_equal(x_dec, x_cpl)
 
     def test_per_row_lambdas_match_each_row(self):
@@ -368,15 +370,55 @@ class TestCageAdamW:
         v = np.abs(rng.standard_normal((3, 2, 5)))
         e, e_dec = quantize(spec, x).error, quantize(spec, 0.99 * x).error
         lam_cpl, lam_dec = [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]
-        state = AdamState(m=m, v=v, t=4)
+        state = AdamState(m=m.copy(), v=v.copy(), t=4)
         per_row = np.array([lam_cpl, lam_dec])[:, :, None, None]
         s_all, x_all = cage_adamw_step(state, x, g, e, e_dec, cfg, 0.03, *per_row)
         for o in range(3):
-            s_o, x_o = cage_adamw_step(
-                AdamState(m=m[o], v=v[o], t=4), x[o], g[o], e[o], e_dec[o], cfg, 0.03, lam_cpl[o], lam_dec[o]
-            )
+            lone = AdamState(m=m[o].copy(), v=v[o].copy(), t=4)
+            s_o, x_o = cage_adamw_step(lone, x[o], g[o], e[o], e_dec[o], cfg, 0.03, lam_cpl[o], lam_dec[o])
             assert np.array_equal(x_all[o], x_o) and s_all.t == s_o.t == 5
             assert np.array_equal(s_all.m[o], s_o.m) and np.array_equal(s_all.v[o], s_o.v)
+
+
+class TestAdamStateWorkspace:
+    def test_step_advances_the_state_in_place(self):
+        # the state is the step's workspace: its moments are updated in place
+        # and the same object comes back; the iterate is not written
+        cfg = OptimConfig(lr=0.05, weight_decay=0.1, lam=0.0, silence_ratio=0.0)
+        rng = make_rng(17)
+        x, g = rng.standard_normal((2, 3, 4))
+        state = AdamState.zeros((3, 4))
+        m, v, x_in = state.m, state.v, x.copy()
+        before = copy.deepcopy(state)
+        new_state, x_new = adamw_step(state, x, g, cfg, cfg.lr)
+        assert new_state is state and state.t == 1 and state.m is m and state.v is v
+        assert np.array_equal(x, x_in) and x_new is not x
+        assert before.t == 0 and not before.m.any() and not before.v.any()
+        new_state, _ = cage_adamw_step(state, x, g, g, g, cfg, cfg.lr, 1.0, 0.5)
+        assert new_state is state and state.t == 2 and state.m is m
+
+
+@pytest.mark.parametrize(
+    "dim, quant, opts, seeds",
+    [
+        (512, QuantSpec(scheme="mxfp4"), ["adamw", "cage-adamw-cpl"], (3,)),
+        (64, QuantSpec(scheme="int-hadamard", bits=4), ["adamw", "cage-adamw-dec"], (3, 4)),
+    ],
+    ids=["mxfp4-dim512", "int4-dim64"],
+)
+def test_bench_shaped_lane_matches_lone_optimizer_runs(dim, quant, opts, seeds):
+    # the benchmark's quadratic cells (kappa 10, 20 steps): each optimizer's
+    # trace, iterates and gaps in the two-optimizer run are bitwise its run
+    # alone; the silence ratio is cut to 0.5 so that half the steps correct
+    cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
+    obj, x0 = make_quadratic_problem(dim, (10.0,), seeds)
+    (runs,) = run_quadratic(obj, x0, opts, 20, quant, cfg)
+    for name, run in zip(opts, runs):
+        ((lone,),) = run_quadratic(obj, x0, [name], 20, quant, cfg)
+        assert run.trace.tobytes() == lone.trace.tobytes()
+        assert run.iterates.tobytes() == lone.iterates.tobytes()
+        assert run.final_gaps == lone.final_gaps
+    assert not np.array_equal(runs[0].iterates, runs[1].iterates)
 
 
 def counted_quantize_calls(monkeypatch, cfg, steps):

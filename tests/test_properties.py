@@ -1,6 +1,6 @@
 """Hypothesis properties of the quantizer core, the batched clip calibration,
-the batched objectives, the batched gradient clip, the seed-batched rate and
-quadratic lanes and the trajectory PCA.
+the batched objectives, the batched gradient clip, the in-place AdamW steps,
+the seed-batched rate and quadratic lanes and the trajectory PCA.
 
 Examples are derandomized and run without a deadline, so a slow or noisy host
 changes neither which inputs are tried nor whether a property passes.
@@ -8,6 +8,7 @@ changes neither which inputs are tried nor whether a property passes.
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     E2M1_GRID,
     SUBNORMAL_ULP,
+    adamw_step_out_of_place,
+    cage_adamw_step_out_of_place,
     calibrate_clip_lone,
     clip_mse_slope_lone,
     fwht_unnormalized,
@@ -30,6 +33,7 @@ from oracles import (
     norm2,
     solved_quadratic,
     pca_eigh,
+    quantize_mxfp4_padded,
 )
 from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
 from qatkit.experiments import (
@@ -46,7 +50,7 @@ from qatkit.experiments import (
 )
 from qatkit.numerics import make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
-from qatkit.optim import AdamState, OptimConfig, adamw_step, grad_clip, lambda_at, sgd_step
+from qatkit.optim import AdamState, OptimConfig, adamw_step, cage_adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
 from qatkit.quantize import (
     INT_SCHEMES,
@@ -258,6 +262,98 @@ def test_mxfp4_block_scales_match_loop(x):
     s = mxfp4_entry_scales(x)
     expected = np.copysign(E2M1_GRID[distance_matrix_e2m1_round(np.abs(x) / s)] * s, x)
     assert np.array_equal(res.quantized, expected)
+
+
+# signed zeros, subnormals, the smallest normal and magnitudes far from 1:
+# the entries where an in-place rewrite could round or sign differently
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315, 2.2250738585072014e-308, 1e-300, -1e-300, 1.0, -3.5)
+
+
+def special_floats(max_abs: float):
+    """Finite floats within ``max_abs``, the ``SPECIALS`` and +-max_abs among them."""
+    fixed = [v for v in SPECIALS if abs(v) <= max_abs] + [max_abs, -max_abs]
+    return st.one_of(st.sampled_from(fixed), st.floats(-max_abs, max_abs, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mxfp4_batches(draw):
+    """A batch ``(S, d)`` or ``(O, S, d)`` of special-laden rows of whole
+    blocks (d = 32, 64, 96) or not."""
+    dim = draw(st.one_of(st.sampled_from((32, 64, 96)), st.integers(1, 100)))
+    lead = draw(st.one_of(st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    return draw(arrays(np.float64, lead + (dim,), elements=special_floats(1e300)))
+
+
+@PROPERTY
+@given(mxfp4_batches())
+@example(np.array([[[-0.0, 5e-324] * 32], [[1e300, -1e300] * 32]]))
+def test_mxfp4_matches_padded_oracle_bitwise(x):
+    # whole blocks are viewed in place and partial ones padded; both give
+    # the bytes of the padded, out-of-place quantizer
+    res = quantize(QuantSpec(scheme="mxfp4"), x)
+    quantized, error = quantize_mxfp4_padded(x)
+    assert res.quantized.shape == res.error.shape == x.shape
+    assert res.quantized.tobytes() == quantized.tobytes()
+    assert res.error.tobytes() == error.tobytes()
+
+
+@PROPERTY
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 70)), elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from((1.79e308, -1.6e308, 1.5e308, -1.2e308, float(np.finfo(float).max), 1e-300, -0.0)),
+    )),
+)
+def test_mxfp4_is_finite_over_the_float_range(x):
+    # finite in, finite out, with no warning; each row is its lone result and
+    # every entry the oracle does not overflow on is the oracle's, bitwise
+    spec = QuantSpec(scheme="mxfp4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quantize(spec, x)
+        rows = [quantize(spec, row) for row in x]
+    assert np.isfinite(res.quantized).all() and np.isfinite(res.error).all()
+    assert res.error.tobytes() == (x - res.quantized).tobytes()
+    for i, one in enumerate(rows):
+        assert res.quantized[i].tobytes() == one.quantized.tobytes()
+    with np.errstate(over="ignore"):
+        oracle, _ = quantize_mxfp4_padded(x)
+    kept = np.isfinite(oracle)
+    assert res.quantized[kept].tobytes() == oracle[kept].tobytes()
+    assert (np.abs(res.quantized[~kept]) == 3.0 * 2.0**1022).all()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.integers(0, 60),
+    st.sampled_from((0.0, 0.1)),
+    st.floats(1e-4, 0.5),
+    st.data(),
+)
+def test_adamw_matches_out_of_place_oracle_bitwise(rows, dim, t, weight_decay, lr, data):
+    # the in-place step and its corrected form give the bytes of the
+    # formulas written out of place; g, m and e stay below 1e150 so that
+    # g * g cannot overflow
+    draw = lambda max_abs: data.draw(arrays(np.float64, (rows, dim), elements=special_floats(max_abs)))
+    x, v = draw(1e300), np.abs(draw(1e300))
+    g, m, e, e_dec = draw(1e150), draw(1e150), draw(1e150), draw(1e150)
+    lam_cpl, lam_dec = data.draw(arrays(np.float64, (2, rows, 1), elements=st.sampled_from((0.0, 0.3, 2.0))))
+    cfg = OptimConfig(lr=lr, weight_decay=weight_decay, lam=2.0, silence_ratio=0.0)
+    x_in = x.copy()
+    for step, oracle, args in (
+        (adamw_step, adamw_step_out_of_place, (g,)),
+        (cage_adamw_step, cage_adamw_step_out_of_place, (g, e, e_dec)),
+    ):
+        coefficients = (lam_cpl, lam_dec) if step is cage_adamw_step else ()
+        ref_state, ref_x = oracle(AdamState(m=m, v=v, t=t), x, *args, cfg, lr, *coefficients)
+        state = AdamState(m=m.copy(), v=v.copy(), t=t)
+        new_state, new_x = step(state, x, *args, cfg, lr, *coefficients)
+        assert new_state is state and state.t == ref_state.t == t + 1
+        assert new_x.tobytes() == ref_x.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes() and state.v.tobytes() == ref_state.v.tobytes()
+        assert x.tobytes() == x_in.tobytes()
 
 
 @settings(PROPERTY, max_examples=60)

@@ -12,6 +12,7 @@ from oracles import (
     int_reference,
     int_transform_rows,
     mxfp4_entry_scales,
+    quantize_mxfp4_padded,
 )
 from qatkit.numerics import make_rng
 from qatkit.quantize import (
@@ -442,6 +443,40 @@ class TestNonFinite:
             assert np.array_equal(res.error, x - res.quantized)
             assert np.array_equal(batch.quantized[1], res.quantized)
             assert batch.quantized[0].tobytes() == quantize(spec, ok).quantized.tobytes()
+
+    def test_mxfp4_near_float_max_saturates(self):
+        # an entry >= 1.75 * 2**1023 sits in a block of scale 2**1022 and would
+        # round to 4 * 2**1022 = 2**1024, past the float max: it saturates to
+        # 3 * 2**1022, the largest grid point that is a float.  Nothing warns,
+        # e = x - Q(x), each row of a mixed-magnitude batch is bitwise its lone
+        # result, and every entry that does not saturate is the padded
+        # oracle's, bitwise
+        spec = QuantSpec(scheme="mxfp4")
+        top = 3.0 * 2.0**1022
+        big = 1.79e308
+        rows = np.zeros((4, 40))
+        rows[0, 0], rows[0, 33] = big, -1.6e308  # one in each block
+        rows[1] = np.linspace(-7.0, 7.0, 40)
+        rows[2, :2] = 1.5e308, 1e300  # scale 2**1022, but 1.5e308 rounds to 3 * 2**1022
+        rows[3] = np.where(np.arange(40) % 3 == 0, np.finfo(float).max, -1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lone = quantize(spec, np.array([big]))
+            batch = quantize(spec, rows)
+            each = [quantize(spec, row) for row in rows]
+        assert lone.quantized[0] == top and lone.error[0] == big - top
+        assert np.isfinite(batch.quantized).all() and np.isfinite(batch.error).all()
+        assert np.array_equal(batch.error, rows - batch.quantized)
+        for i, one in enumerate(each):
+            assert batch.quantized[i].tobytes() == one.quantized.tobytes()
+            assert batch.error[i].tobytes() == one.error.tobytes()
+        saturated = np.abs(rows) >= 1.75 * 2.0**1023
+        assert np.array_equal(batch.quantized[saturated], np.copysign(top, rows[saturated]))
+        with np.errstate(over="ignore"):
+            oracle, _ = quantize_mxfp4_padded(rows)
+        assert np.array_equal(np.isinf(oracle), saturated)
+        assert batch.quantized[~saturated].tobytes() == oracle[~saturated].tobytes()
+
 
 class TestClipTable:
     def test_corrupt_packaged_table_raises(self, tmp_path, monkeypatch):
