@@ -36,7 +36,7 @@ CFG = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
 obj, x0 = make_quadratic_problem(64, KAPPAS, SEEDS[::-1], sigma0=1.0)
 runs = run_quadratic(
     obj, x0, ("adamw", "cage-adamw-dec"), STEPS, SPEC, CFG,
-    lr_schedule="constant", ste_kind="trust-masked", grad_clip_norm=1.0,
+    ste_kind="trust-masked", grad_clip_norm=1.0,
 )
 
 print(f"{'kappa':>6} {'adam gap':>12} {'corrected':>12} {'reduction':>10}")

@@ -9,7 +9,8 @@ round-trippable doubles, so reruns with the same config and seeds are
 byte-identical.
 
 Exit codes: 0 success, 2 config error (a bad setting or input file), 3
-numerical failure; any other exception is a bug and surfaces as one.
+numerical failure (a non-finite value in a run, or a floor-toy grid point
+past the float max); any other exception is a bug and surfaces as one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    LR_SCHEDULES,
     OPTIMIZERS,
     RATE_OBJECTIVES,
     make_quadratic_problem,
@@ -42,7 +42,7 @@ from .quantize import (
     gaussian_clip_mse,
     write_clip_table,
 )
-from .scaling import RESIDUAL_SPACES, check_scaling_data, fit_scaling, fit_to_json_dict, read_scaling_csv
+from .scaling import check_scaling_data, fit_scaling, fit_to_json_dict, read_scaling_csv
 
 __all__ = ["main", "entrypoint", "parse_quant", "load_config_file"]
 
@@ -174,7 +174,6 @@ _OPTIONS: dict[str, dict] = {
         ),
         "quant": (str, "int-hadamard:4", "quantizer spec", parse_quant),
         "lr": (_finite, 0.03, "base learning rate", positive),
-        "lr_schedule": (str, "constant", " | ".join(LR_SCHEDULES), one_of(LR_SCHEDULES)),
         "lam": (_finite, 2.0, "correction coefficient", nonneg),
         "silence_ratio": (
             _finite, 0.9, "fraction of steps before the ramp", _rule("in [0, 1)", lambda v: 0 <= v < 1)
@@ -202,7 +201,6 @@ _OPTIONS: dict[str, dict] = {
             str, None, "input CSV path (method, P, N, D, loss)", _rule("given", lambda v: v is not None)
         ),
         "prior_weight": (_finite, 1e-3, "log-prior strength on the exponents", nonneg),
-        "residual_space": (str, "log", " | ".join(RESIDUAL_SPACES), one_of(RESIDUAL_SPACES)),
         "starts": (int, 8, "multi-start count", positive),
         "fit_seed": (int, 0, "seed for the start draws", nonneg),
     },
@@ -340,7 +338,7 @@ def cmd_quadratic(opts: dict) -> dict:
         obj, x0 = make_quadratic_problem(opts["dim"], chunk, seeds, opts["sigma0"])
         try:
             runs = run_quadratic(
-                obj, x0, opts["opt"], steps, spec, cfg, lr_schedule=opts["lr_schedule"],
+                obj, x0, opts["opt"], steps, spec, cfg,
                 ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
             )
         except NumericalFailure as err:
@@ -426,7 +424,6 @@ def cmd_fit_scaling(opts: dict) -> dict:
     fit = fit_scaling(
         data,
         prior_weight=opts["prior_weight"],
-        residual_space=opts["residual_space"],
         n_starts=opts["starts"],
         seed=opts["fit_seed"],
     )
@@ -476,7 +473,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except NumericalFailure as err:
+    except (NumericalFailure, FloatingPointError) as err:  # the latter: a floor-toy overflow
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

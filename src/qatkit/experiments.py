@@ -34,9 +34,7 @@ from .quantize import INT_SCHEMES, QuantSpec, quantize
 
 __all__ = [
     "OPTIMIZERS",
-    "LR_SCHEDULES",
     "RATE_OBJECTIVES",
-    "lr_at",
     "ToyParetoResult",
     "run_toy_pareto",
     "QuadraticRun",
@@ -49,7 +47,6 @@ __all__ = [
 
 OPTIMIZERS = ("sgd", "adamw", "cage-sgd", "cage-adamw-dec", "cage-adamw-cpl")
 _SGD_FAMILY = ("sgd", "cage-sgd")
-LR_SCHEDULES = ("constant", "cosine")
 RATE_OBJECTIVES = ("rosenbrock", "quadratic")
 
 # seed-stream labels so the problem draw, init, and noise never alias
@@ -73,17 +70,15 @@ def _bad_rows(loss: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(loss) & np.isfinite(x).all(axis=-1))
 
 
-def lr_at(base_lr: float, t: int, total_steps: int, schedule: str = "constant") -> float:
-    """Step-t learning rate; cosine decay includes a 10% linear warmup."""
-    if schedule not in LR_SCHEDULES:
-        raise ValueError(f"unknown lr schedule {schedule!r}")
-    if schedule == "constant":
-        return base_lr
-    warm = max(1, math.ceil(0.1 * total_steps))
-    if t <= warm:
-        return base_lr * t / warm
-    progress = (t - warm) / max(1, total_steps - warm)
-    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+def _seed_failure(message: str, bad: np.ndarray, n_seeds: int) -> NumericalFailure:
+    """NumericalFailure ``message`` naming the first row of the mask ``bad``
+    ``(K S,)``, K blocks of ``n_seeds`` seeds (the quadratic lane's kappas;
+    the rate lane has one), by its seed index within its block; the block's
+    index is the failure's ``kappa_index``."""
+    kappa_index, seed_index = divmod(int(np.argmax(bad)), n_seeds)
+    failure = NumericalFailure(f"{message}, seed index {seed_index}")
+    failure.kappa_index = kappa_index
+    return failure
 
 
 def _corrected_sgd(
@@ -110,7 +105,7 @@ def _corrected_sgd(
     """
     bad = _bad_rows(0.0, x)
     if bad.any():
-        raise NumericalFailure(f"non-finite initial point, seed index {np.argmax(bad)}")
+        raise _seed_failure("non-finite initial point", bad, len(x))
     noise = np.empty((len(x), _NOISE_BLOCK, obj.dim))
     pareto_sq = np.empty((len(x), steps))
     for t in range(steps):
@@ -132,8 +127,8 @@ def _corrected_sgd(
             g_tilde = g + noise_std * noise[:, i]
         x = cage_sgd_step(x, g_tilde, e, lr, lam)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
-            raise NumericalFailure(
-                f"non-finite value during corrected-SGD run at step {t + 1}, seed index {np.argmax(_bad_rows(loss, x))}"
+            raise _seed_failure(
+                f"non-finite value during corrected-SGD run at step {t + 1}", _bad_rows(loss, x), len(x)
             )
     trace[:, 1] = pareto_sq[0]
     trace[:, 4] = lam
@@ -227,16 +222,6 @@ def make_quadratic_problem(dim: int, kappas: Sequence[float], seeds: Sequence[in
     return quadratic(A, b, x_star, f_star), x0.reshape(len(kappas), len(seeds), dim)
 
 
-def _quadratic_failure(message: str, bad: np.ndarray, n_seeds: int) -> NumericalFailure:
-    """NumericalFailure ``message`` naming the first row of the kappa-major
-    mask ``bad`` ``(K S,)`` by its seed index within its kappa; the kappa's
-    index is the failure's ``kappa_index``."""
-    kappa_index, seed_index = divmod(int(np.argmax(bad)), n_seeds)
-    failure = NumericalFailure(f"{message}, seed index {seed_index}")
-    failure.kappa_index = kappa_index
-    return failure
-
-
 def run_quadratic(
     obj: Objective,
     x0: np.ndarray,
@@ -244,7 +229,6 @@ def run_quadratic(
     steps: int,
     spec: QuantSpec,
     cfg: OptimConfig,
-    lr_schedule: str = "constant",
     ste_kind: str = "trust-masked",
     grad_clip_norm: float = 1.0,
 ) -> tuple[tuple[QuadraticRun, ...], ...]:
@@ -262,9 +246,9 @@ def run_quadratic(
     (one ``AdamState``) on the AdamW block, with per-row lambdas: cage-sgd
     takes the constant ``cfg.lam``, both AdamW corrections the ramp
     ``lambda_at(cfg, t, steps)`` (as lam_cpl or lam_dec) and the plain
-    optimizers 0; the traces record the same values, and the lr is a_t of
-    ``lr_schedule``.  The decoupled error e_dec is the forward pass's at
-    ``weight_decay`` 0, where the decayed point (1 - a_t 0) x is x bitwise;
+    optimizers 0; the traces record the same values, and every step takes
+    the lr ``cfg.lr``.  The decoupled error e_dec is the forward pass's at
+    ``weight_decay`` 0, where the decayed point (1 - lr 0) x is x bitwise;
     otherwise the decayed AdamW rows are quantized again on steps where a
     decoupled lambda is positive.  One paired evaluation
     (``obj.value_and_grads``, a stacked quadratic's one read of each matrix)
@@ -292,7 +276,7 @@ def run_quadratic(
     x0 = x0.reshape(-1, dim)
     bad = _bad_rows(0.0, x0)
     if bad.any():
-        raise _quadratic_failure("non-finite initial point", bad, n_seeds)
+        raise _seed_failure("non-finite initial point", bad, n_seeds)
     # SGD-family rows first, then AdamW-family rows; inv restores the caller's order
     order = sorted(range(len(optimizers)), key=lambda o: optimizers[o] not in _SGD_FAMILY)
     inv = np.argsort(order)
@@ -315,7 +299,6 @@ def run_quadratic(
     snapshots = np.empty((len(names), n_kappas, steps, dim))
 
     for t in range(1, steps + 1):
-        a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         qres = quantize(spec, x)
         loss, g, g_x = obj.value_and_grads(qres.quantized, x)
         g = ste_backward(spec, g, qres) if masked else g
@@ -331,20 +314,20 @@ def run_quadratic(
         np.vecdot(e0, e0, out=row[..., 3])
 
         if n:
-            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], a_t, lams[:n])
+            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], cfg.lr, lams[:n])
         if n < len(names):
             lam_cpl, lam_dec = lam_cpl_rows[t - 1], lam_dec_rows[t - 1]
             e_dec = e[n:]
             if cfg.weight_decay and lam_dec.any():
-                x_dec = (1.0 - a_t * cfg.weight_decay) * x[n:]
+                x_dec = (1.0 - cfg.lr * cfg.weight_decay) * x[n:]
                 # the quantizer rejects a NaN or inf; where the decayed point
                 # overflows, the step's own decay does too, and the check below fails it
                 e_dec = quantize(spec, x_dec).error if np.isfinite(x_dec).all() else x_dec
-            state, x[n:] = cage_adamw_step(state, x[n:], g[n:], e[n:], e_dec, cfg, a_t, lam_cpl, lam_dec)
+            state, x[n:] = cage_adamw_step(state, x[n:], g[n:], e[n:], e_dec, cfg, cfg.lr, lam_cpl, lam_dec)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
             bad = _bad_rows(loss, x)[inv]
             hit = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
-            raise _quadratic_failure(
+            raise _seed_failure(
                 f"non-finite value during quadratic run ({hit}) at step {t}", bad.any(axis=0), n_seeds
             )
         snapshots[:, :, t - 1] = x[:, ::n_seeds]

@@ -18,7 +18,9 @@ of each vector padded to the transform length.  Every scheme raises
 ``FloatingPointError`` on an input with a NaN or inf entry.  On finite input
 the int schemes and mxfp4 give a finite Q(x) and e: an int code whose grid
 point passes the float max is clamped, and an mxfp4 entry saturates at
-+-3 * 2**1022.
++-3 * 2**1022.  floor-toy gives a finite Q(x) and e or raises
+``FloatingPointError`` where x / grid or its grid point would pass the float
+max (a grid of 1e-300 at |x| = 1e10).
 
 ``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
@@ -125,10 +127,9 @@ class QuantResult:
 
 
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
-    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (max |x|,
-    floor codes, x - x) and so its sum are non-finite
-    whenever ``x`` is, so ``x`` is scanned only when that sum is off (or merely
-    overflowed)."""
+    """FloatingPointError if ``x`` has a NaN or inf entry.  ``stat`` (max |x|
+    or x - x) and so its sum are non-finite whenever ``x`` is, so ``x`` is
+    scanned only when that sum is off."""
     if not math.isfinite(np.add.reduce(stat, axis=None)) and not np.isfinite(x).all():
         raise FloatingPointError("quantizer input has a NaN or inf entry")
 
@@ -253,10 +254,21 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 
 
 def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
-    """Elementwise floor onto the fixed grid ``spec.grid``."""
-    codes = np.floor(x / spec.grid)
-    _reject_nonfinite(codes, x)
-    quantized = codes * spec.grid
+    """Elementwise floor onto the fixed grid ``spec.grid``,
+    Q(x) = floor(x / grid) grid.  A finite x whose x / grid or grid point
+    would pass the float max raises ``FloatingPointError``; this needs
+    max |x| >= min(grid, 1) 2**1022, below which nothing is checked."""
+    amax = np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
+    if amax < min(spec.grid, 1.0) * 2.0**1022:
+        quantized = np.floor(x / spec.grid) * spec.grid
+    else:
+        _reject_nonfinite(amax, x)
+        with np.errstate(over="ignore"):  # an overflow is the error raised next
+            quantized = np.floor(x / spec.grid) * spec.grid
+        if not np.isfinite(quantized).all():
+            raise FloatingPointError(
+                f"floor-toy grid point past the float max: max |x| = {float(amax)!r} on grid {spec.grid!r}"
+            )
     return QuantResult(quantized=quantized, error=x - quantized)
 
 

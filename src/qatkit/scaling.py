@@ -22,7 +22,6 @@ from .numerics import NumericalFailure, make_rng
 
 __all__ = [
     "FP_LABEL",
-    "RESIDUAL_SPACES",
     "ScalingDatum",
     "ScalingFit",
     "predict_loss",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 FP_LABEL = "FP"
-RESIDUAL_SPACES = ("log", "linear")
 CSV_HEADER = ("method", "P", "N", "D", "loss")
 # residual evaluations allowed per Levenberg-Marquardt start
 MAX_NFEV = 2000
@@ -108,23 +106,22 @@ def check_scaling_data(data: list[ScalingDatum]) -> list[tuple[str, str]]:
     return sorted(k for k in groups if k[1] != FP_LABEL)
 
 
-def build_residual_system(data: list[ScalingDatum], prior_weight: float, residual_space: str):
+def build_residual_system(data: list[ScalingDatum], prior_weight: float):
     """Residual and Jacobian closures over stacks of reparametrized points.
 
     The parameter vector is theta = (log A, log alpha, log B, log beta, log E,
     u_1..u_G) with eff_g = sigmoid(u_g), and both closures take a stack
     ``(k, p)`` of them, computing each row from that row alone.
-    ``residuals(theta)`` returns ``f`` ``(k, n + 2)``: the per-point data
-    misfits followed by the two prior rows sqrt(w) log alpha and sqrt(w) log
-    beta.  A point far out gives +inf or NaN residuals, with no warning.
+    ``residuals(theta)`` returns ``f`` ``(k, n + 2)``: the per-point misfits
+    log pred - log obs followed by the two prior rows sqrt(w) log alpha and
+    sqrt(w) log beta.  A point far out gives +inf or NaN residuals, with no
+    warning.
     ``jacobian(theta)`` returns J ``(k, n + 2, p)``, a view of J^T ``(k, p,
     n + 2)`` so that each column is one contiguous row; at m starts it holds
     m (n + 2) p floats.  The rows are canonically sorted first, so the
     system is independent of input ordering.  Returns (residuals, jacobian,
     groups, rows), ``rows`` in that canonical order.
     """
-    if residual_space not in RESIDUAL_SPACES:
-        raise ValueError(f"unknown residual_space {residual_space!r}")
     if not 0.0 <= prior_weight < math.inf:
         raise ValueError(f"prior_weight must be finite and >= 0, got {prior_weight}")
     data = _canonical(list(data))
@@ -133,8 +130,7 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
     n, n_groups = len(data), len(groups)
     log_n = np.array([math.log(r.N) for r in data])
     neg_log_d = -np.array([math.log(r.D) for r in data])
-    obs = np.array([r.loss for r in data])
-    log_obs = np.log(obs)
+    log_obs = np.log(np.array([r.loss for r in data]))
     # each row's group; full-precision rows point past the last one
     row_group = np.array([g_index.get((r.method, r.precision), n_groups) for r in data])
     fitted = np.flatnonzero(row_group < n_groups)
@@ -158,7 +154,7 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             t1, t2, _ = power_terms(theta)
             pred = t1 + t2 + np.exp(theta[:, 4:5])
-            f[:, :n] = np.log(pred) - log_obs if residual_space == "log" else pred - obs
+            f[:, :n] = np.log(pred) - log_obs
             f[:, n:] = sqrt_w * theta[:, 1:4:2]
         return f
 
@@ -172,11 +168,11 @@ def build_residual_system(data: list[ScalingDatum], prior_weight: float, residua
         data_t[:, 2] = t2
         data_t[:, 3] = beta[:, None] * neg_log_d * t2
         data_t[:, 4] = E[:, None]
-        # d f_i / d u_g = -alpha (1 - eff_g) d f_i / d log A on group g's rows
+        # d pred_i / d u_g = -alpha (1 - eff_g) d pred_i / d log A on group g's rows
         coef = -alpha[:, None] * (1.0 - _sigmoid(theta[:, 5:]))
         data_t[:, 5 + row_group[fitted], fitted] = coef[:, row_group[fitted]] * t1[:, fitted]
-        if residual_space == "log":
-            data_t /= (t1 + t2 + E[:, None])[:, None, :]
+        # so far d pred / d theta; d log pred / d theta divides it by pred
+        data_t /= (t1 + t2 + E[:, None])[:, None, :]
         jt[:, 1, n] = jt[:, 3, n + 1] = sqrt_w
         return jt.transpose(0, 2, 1)
 
@@ -289,22 +285,20 @@ def least_squares(fun, x0, jac, *, xtol, ftol, gtol, max_nfev) -> LeastSquaresRe
 def fit_scaling(
     data: list[ScalingDatum],
     prior_weight: float = 1e-3,
-    residual_space: str = "log",
     n_starts: int = 8,
     seed: int = 0,
 ) -> ScalingFit:
     """Jointly fit A, alpha, B, beta, E shared across methods plus per-group eff.
 
-    Minimizes sum (log pred - log obs)^2 (or linear residuals with
-    ``residual_space='linear'``) plus prior_weight * ((log alpha)^2 +
-    (log beta)^2), by Levenberg-Marquardt in the reparametrized variables.
+    Minimizes sum (log pred - log obs)^2 plus prior_weight * ((log alpha)^2
+    + (log beta)^2), by Levenberg-Marquardt in the reparametrized variables.
     ``n_starts`` seeded initializations are stepped as one batch and the
     lowest final cost wins, ties broken by lowest start index.  The result is
     independent of input ordering (see ``build_residual_system``).
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    residuals, jacobian, groups, rows = build_residual_system(data, prior_weight, residual_space)
+    residuals, jacobian, groups, rows = build_residual_system(data, prior_weight)
     # the start statistics sum in the canonical row order too
     obs = np.array([r.loss for r in rows])
     mean_log_n = np.mean([math.log(r.N) for r in rows])

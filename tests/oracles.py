@@ -338,7 +338,7 @@ def write_scaling_csv(path, data) -> None:
             writer.writerow([r.method, r.precision, repr(r.N), repr(r.D), repr(r.loss)])
 
 
-def scaling_jacobian(rows, groups, prior_weight: float, residual_space: str):
+def scaling_jacobian(rows, groups, prior_weight: float):
     """The full Jacobian J ``(n + 2, p)`` of the scaling fit's residuals at
     one theta, written out column by column from the law: the independent
     dense reference for ``build_residual_system``'s batched ``jacobian``.
@@ -362,8 +362,7 @@ def scaling_jacobian(rows, groups, prior_weight: float, residual_space: str):
         J[:n, 3] = -beta * log_d * t2
         J[:n, 4] = E
         J[:n, 5:] = member * (-alpha * t1 * (member @ (1.0 - eff)))[:, None]
-        if residual_space == "log":
-            J[:n] /= (t1 + t2 + E)[:, None]
+        J[:n] /= (t1 + t2 + E)[:, None]
         J[n, 1] = J[n + 1, 3] = math.sqrt(prior_weight)
         return J
 

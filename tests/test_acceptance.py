@@ -129,7 +129,6 @@ def test_criterion_5_quadratic_ordering():
         steps=2000,
         spec=spec,
         cfg=cfg,
-        lr_schedule="constant",
         ste_kind="trust-masked",
         grad_clip_norm=1.0,
     )

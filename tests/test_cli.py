@@ -353,6 +353,18 @@ class TestConvergence:
         assert not (out / "summary.json").exists()
         assert capsys.readouterr().err.strip().endswith("non-finite initial point, seed index 1, horizon 5")
 
+    def test_floor_toy_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # at grid 1e-300 an init of scale 1e10 has x / grid past the float
+        # max: the quantizer's named error exits 3, with no warning first
+        out = tmp_path / "overflow"
+        code = run_cli(
+            "convergence", "--quant", "floor-toy:1e-300", "--x0-std", "1e10", "--steps", "5",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert not (out / "summary.json").exists()
+        assert "numerical failure: floor-toy grid point past the float max" in capsys.readouterr().err
+
     def test_horizon_span_validated(self, tmp_path, capsys):
         assert run_cli("convergence", "--steps", "100,1000", "--out", str(tmp_path / "x")) == 2
         assert "decades" in capsys.readouterr().err
@@ -472,11 +484,14 @@ class TestConfigFile:
             ("quadratic", "kappas = 10,10"),
             ("toy-pareto", "steps = 0"),
             ("calibrate-clip", "quadrature = 100001"),
+            ("quadratic", "lr_schedule = constant"),
+            ("fit-scaling", "residual_space = log"),
         ],
     )
     def test_bad_value_from_file_rejected_before_snapshot(self, tmp_path, capsys, subcommand, line):
         # a file value passes the same checks as the flag it stands for, and
-        # a key with no flag, such as the old quadrature resolution, is unknown
+        # a key with no flag, such as the old quadrature resolution, lr
+        # schedule or residual space, is unknown
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "run"
@@ -620,7 +635,6 @@ def test_module_entrypoint_smoke(tmp_path):
         ["toy-pareto", "--steps", "50,60"],
         ["convergence", "--noise-std=-0.1"],
         ["convergence", "--lambda=-1"],
-        ["quadratic", "--lr-schedule", "foo"],
         ["quadratic", "--lr=-1"],
         ["quadratic", "--silence-ratio", "1.5"],
         ["convergence", "--lipschitz", "0"],
@@ -628,7 +642,6 @@ def test_module_entrypoint_smoke(tmp_path):
         ["convergence", "--quant", "floor-toy:0"],
         ["convergence", "--quant", "mxfp4:7", "--steps", "10,1000"],
         ["convergence", "--quant", "floor-toy:0.25:9"],
-        ["fit-scaling", "--residual-space", "foo"],
         ["fit-scaling", "--starts", "0"],
         ["fit-scaling", "--prior-weight=-1"],
         ["fit-scaling", "--prior-weight", "nan"],
@@ -669,9 +682,9 @@ def test_module_entrypoint_smoke(tmp_path):
         "quadratic-dim1", "quadratic-steps1", "toy-steps0", "conv-zero", "conv-negative", "conv-single-zero",
         "quadratic-kappa-below-1", "conv-quadratic-kappa-below-1", "conv-rosenbrock-dim1",
         "quadratic-unknown-ste", "quadratic-steps-list", "toy-steps-list", "conv-negative-noise",
-        "conv-negative-lambda", "quadratic-unknown-lr-schedule", "quadratic-negative-lr",
+        "conv-negative-lambda", "quadratic-negative-lr",
         "quadratic-silence-above-1", "conv-lipschitz0", "quant-bad-bits",
-        "quant-zero-grid", "quant-mxfp4-field", "quant-floor-toy-extra-field", "fit-unknown-residual-space", "fit-starts0", "fit-negative-prior",
+        "quant-zero-grid", "quant-mxfp4-field", "quant-floor-toy-extra-field", "fit-starts0", "fit-negative-prior",
         "fit-nan-prior", "fit-negative-seed", "toy-alpha0", "toy-negative-alpha", "toy-nan-alpha",
         "toy-inf-alpha", "toy-nan-lambda", "quadratic-nan-lr", "quadratic-nan-weight-decay",
         "quadratic-nan-lambda", "quadratic-nan-silence", "quadratic-nan-grad-clip",
@@ -691,6 +704,23 @@ def test_bad_settings_rejected_before_snapshot(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(out)) == 2
     assert not (out / "config.json").exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["quadratic", "--lr-schedule", "constant"], ["fit-scaling", "--residual-space", "log"]],
+    ids=["quadratic-lr-schedule", "fit-residual-space"],
+)
+def test_removed_flag_is_rejected_by_argparse(argv, tmp_path, capsys):
+    # every quadratic step takes the constant lr and the fit minimizes log
+    # residuals, so their old flags are unknown: argparse exits 2 before
+    # anything is written
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert not (out / "config.json").exists()
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):

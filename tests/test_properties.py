@@ -39,11 +39,9 @@ from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
 from qatkit.experiments import (
     _STREAM_INIT,
     _STREAM_NOISE,
-    LR_SCHEDULES,
     OPTIMIZERS,
     RATE_OBJECTIVES,
     _draw_quadratic,
-    lr_at,
     make_quadratic_problem,
     run_convergence_run,
     run_quadratic,
@@ -61,7 +59,6 @@ from qatkit.quantize import (
     gaussian_clip_mse,
     quantize,
 )
-from qatkit.scaling import RESIDUAL_SPACES
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
@@ -611,7 +608,7 @@ def lone_quadratic_problem(dim, kappa, seed, sigma0=1.0):
     return quadratic(A, b, x_star, f_star), sigma0 * rng.standard_normal(dim)
 
 
-def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip):
+def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, ste_kind, clip):
     """One seed's quadratic-lane run, stepped alone on a vector with
     ``lone_grad_clip`` and each optimizer's literal rule written out from
     ``sgd_step`` and ``adamw_step``: the oracle for the seed-batched,
@@ -626,8 +623,8 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
     x = np.array(x0, dtype=np.float64)
     state = AdamState.zeros(obj.dim)
     iterates = np.empty((steps, obj.dim))
+    lr = cfg.lr
     for t in range(1, steps + 1):
-        a_t = lr_at(cfg.lr, t, steps, lr_schedule)
         if not plain:
             qres = quantize(spec, x)
             loss, g_at_q, g_x = obj.value_and_grads(qres.quantized, x)
@@ -644,20 +641,20 @@ def lone_quadratic_run(obj, x0, optimizer, steps, spec, cfg, lr_schedule, ste_ki
             lam_t = 0.0
         trace.append(trace_row(loss, g_x, e, lam_t))
         if optimizer == "sgd":
-            x = sgd_step(x, g, a_t)
+            x = sgd_step(x, g, lr)
         elif optimizer == "cage-sgd":
-            x = sgd_step(x, g + lam_t * e, a_t)
+            x = sgd_step(x, g + lam_t * e, lr)
         elif optimizer == "cage-adamw-cpl":
             # coupled: AdamW on g + lam e
-            state, x = adamw_step(state, x, g + lam_t * e, cfg, a_t)
+            state, x = adamw_step(state, x, g + lam_t * e, cfg, lr)
         elif optimizer == "adamw":
-            state, x = adamw_step(state, x, g, cfg, a_t)
+            state, x = adamw_step(state, x, g, cfg, lr)
         else:
             # decoupled: AdamW, then minus lr lam e of the decayed point
-            xd = (1.0 - a_t * cfg.weight_decay) * x
+            xd = (1.0 - lr * cfg.weight_decay) * x
             e_dec = np.zeros_like(x) if plain else quantize(spec, xd).error
-            state, x = adamw_step(state, x, g, cfg, a_t)
-            x = x - a_t * lam_t * e_dec
+            state, x = adamw_step(state, x, g, cfg, lr)
+            x = x - lr * lam_t * e_dec
         iterates[t - 1] = x
     final_loss = obj.loss(x if plain else quantize(spec, x).quantized)
     return final_loss - obj.f_star, np.array(trace), iterates
@@ -676,7 +673,6 @@ QUADRATIC_SPECS = {
     st.lists(st.sampled_from(OPTIMIZERS), min_size=1, max_size=5, unique=True),
     st.sampled_from(tuple(QUADRATIC_SPECS)),
     st.sampled_from(("trust-masked", "identity")),
-    st.sampled_from(("constant", "cosine")),
     st.sampled_from((None, 1.0, 5.0)),
     st.sampled_from((8, 12, 20)),
     st.lists(st.sampled_from((1.0, 10.0, 100.0)), min_size=1, max_size=3, unique=True),
@@ -685,19 +681,19 @@ QUADRATIC_SPECS = {
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
     st.sampled_from((0.0, 1.0)),
 )
-@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", "cosine", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0)
-@example(["cage-adamw-cpl"], "int-plain", "trust-masked", "constant", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
+@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0)
+@example(["cage-adamw-cpl"], "int-plain", "trust-masked", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
 @example(
     ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
-    "int-hadamard", "trust-masked", "cosine", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0,
+    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0,
 )
 # an x0 of signed zeros: the entries where g + 0 e or x - lr 0 e could flip a sign
 @example(
     ["adamw", "cage-sgd", "cage-adamw-dec", "sgd", "cage-adamw-cpl"],
-    "int-hadamard", "trust-masked", "constant", 1.0, 12, [10.0, 100.0], 0.1, 20, [4, 0], 0.0,
+    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 100.0], 0.1, 20, [4, 0], 0.0,
 )
 def test_seed_batched_quadratic_lane_matches_lone_runs(
-    optimizers, quant, ste_kind, lr_schedule, clip, dim, kappas, weight_decay, steps, seeds, sigma0
+    optimizers, quant, ste_kind, clip, dim, kappas, weight_decay, steps, seeds, sigma0
 ):
     # on a stack of kappas of seeds, every (kappa, seed, optimizer) final
     # gap, and each (kappa, optimizer)'s first-seed trace and iterates, are
@@ -706,7 +702,7 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
     spec = QUADRATIC_SPECS[quant]
     cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5)
     obj, x0 = make_quadratic_problem(dim, kappas, seeds, sigma0)
-    runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, lr_schedule, ste_kind, clip)
+    runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, ste_kind, clip)
     assert len(runs) == len(kappas)
     for kappa, kappa_x0, kappa_runs in zip(kappas, x0, runs):
         assert len(kappa_runs) == len(optimizers)
@@ -716,7 +712,7 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
                 lone_obj, lone_x0 = lone_quadratic_problem(dim, kappa, seed, sigma0)
                 assert np.array_equal(kappa_x0[i], lone_x0)
                 gap, trace, iterates = lone_quadratic_run(
-                    lone_obj, lone_x0, optimizer, steps, spec, cfg, lr_schedule, ste_kind, clip
+                    lone_obj, lone_x0, optimizer, steps, spec, cfg, ste_kind, clip
                 )
                 assert run.final_gaps[i] == gap
                 if i == 0:
@@ -787,7 +783,6 @@ CLI_VALUES = {
         ),
         "quant": QUANTS,
         "lr": POSITIVE,
-        "lr_schedule": named(LR_SCHEDULES),
         "lam": NONNEG,
         "silence_ratio": (edges("0", "0.5", "0.99"), edges("1", "-0.1", "nan")),
         "weight_decay": NONNEG,
@@ -810,7 +805,6 @@ CLI_VALUES = {
     "fit-scaling": {
         "input": (edges("fp.csv", "groups.csv", "huge.csv", "tiny.csv"), edges("garbage.csv", "missing.csv")),
         "prior_weight": NONNEG,
-        "residual_space": named(RESIDUAL_SPACES),
         "starts": (edges("1", "2", "3"), edges("0", "-1")),
         "fit_seed": (edges("0", "7", str(2**63)), edges("-1")),
     },

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -407,9 +408,10 @@ class TestNonFinite:
         x = np.array([1e300, -1e300, 1.0, 0.0])
         for scheme in ("int-plain", "int-hadamard"):
             self._check_large(QuantSpec(scheme=scheme, bits=4), x, 600)
-        # the floor codes of x / 1e-10 overflow
-        with np.errstate(all="ignore"):
-            quantize(QuantSpec(scheme="floor-toy", grid=1e-10), x)
+        # the floor codes 1e308 of x / 1e-8 sum past the float max, but each
+        # code and grid point is finite: no warning, and a finite Q(x)
+        res = quantize(QuantSpec(scheme="floor-toy", grid=1e-8), np.array([1e300, 1e300, 1.0, 0.0]))
+        assert np.isfinite(res.quantized).all()
 
     @pytest.mark.parametrize(
         "scheme, x",
@@ -476,6 +478,51 @@ class TestNonFinite:
             oracle, _ = quantize_mxfp4_padded(rows)
         assert np.array_equal(np.isinf(oracle), saturated)
         assert batch.quantized[~saturated].tobytes() == oracle[~saturated].tobytes()
+
+
+    def test_floor_toy_large_rows_are_exact_and_each_its_lone_result(self):
+        # the finite check reads max |x|, which cannot overflow where the old
+        # sum of codes did ([1e308, 1e308]); each row of a mixed-magnitude
+        # batch is the elementwise floor(x / grid) grid and its lone result,
+        # bitwise, and nothing warns
+        fmax = np.finfo(float).max
+        cases = {
+            1.0: np.array([[1e308, 1e308], [0.3, -2.7], [-1.7e308, 5e-324], [fmax, -fmax]]),
+            0.25: np.array([[4e307, -4e307], [0.3, -2.7], [1e-300, -5e-324], [1e10, 2.5]]),
+        }
+        for grid, rows in cases.items():
+            spec = QuantSpec(scheme="floor-toy", grid=grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = quantize(spec, rows)
+                each = [quantize(spec, row) for row in rows]
+            expect = np.array([[math.floor(v / grid) * grid for v in row] for row in rows.tolist()])
+            assert batch.quantized.tobytes() == expect.tobytes()
+            assert np.isfinite(batch.error).all()
+            assert np.array_equal(batch.error, rows - batch.quantized)
+            for i, one in enumerate(each):
+                assert batch.quantized[i].tobytes() == one.quantized.tobytes()
+                assert batch.error[i].tobytes() == one.error.tobytes()
+
+    def test_floor_toy_overflow_raises_a_named_error(self):
+        # where x / grid or its grid point would pass the float max, the
+        # scheme raises instead of returning Q = inf, before anything warns;
+        # below min(grid, 1) 2**1022 the same grid quantizes as ever
+        cases = (
+            (1e-300, np.array([1e10])),
+            (1e-300, np.array([[0.5, -1e-10], [1e10, 0.0]])),  # one bad row fails the batch
+            (1e308, np.array([-1.7e308])),  # floor(-1.7) 1e308 = -2e308
+            (3.0, np.array([-np.finfo(float).max])),  # the product rounds past the max
+        )
+        for grid, x in cases:
+            with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="floor-toy grid point"):
+                warnings.simplefilter("error")
+                quantize(QuantSpec(scheme="floor-toy", grid=grid), x)
+        x = np.array([0.5, -1e-10, 4e7, -3.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = quantize(QuantSpec(scheme="floor-toy", grid=1e-300), x)
+        assert res.quantized.tobytes() == (np.floor(x / 1e-300) * 1e-300).tobytes()
 
 
 class TestClipTable:

@@ -9,7 +9,6 @@ import qatkit.scaling as sc
 from oracles import scaling_jacobian, scipy_lm_per_start, write_scaling_csv
 from qatkit.numerics import make_rng
 from qatkit.scaling import (
-    RESIDUAL_SPACES,
     ScalingDatum,
     ScalingFit,
     build_residual_system,
@@ -113,10 +112,6 @@ class TestFitRoundTrips:
         ]
         assert np.sqrt(np.mean(np.square(resid))) == pytest.approx(fit.residual_rms, rel=1e-9)
 
-    def test_linear_residual_space_runs(self):
-        fit = fit_scaling(_synth(5), residual_space="linear")
-        assert fit.A > 0 and fit.alpha > 0
-
 
 class TestValidation:
     def test_missing_fp_group(self):
@@ -155,10 +150,6 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ScalingDatum("fp", "FP", N, D, loss)
 
-    def test_bad_residual_space(self):
-        with pytest.raises(ValueError):
-            fit_scaling(_synth(0), residual_space="huber")
-
     @pytest.mark.parametrize(
         "name, value",
         [("n_starts", 0), ("n_starts", -1)]
@@ -178,39 +169,37 @@ def test_jacobian_matches_finite_differences():
     # the library's J against central differences of the residuals and
     # against the dense oracle, written column by column from the law
     data = _synth(6)
-    for space in RESIDUAL_SPACES:
-        residuals, jacobian, groups, rows = build_residual_system(data, 1e-3, space)
-        oracle = scaling_jacobian(rows, groups, 1e-3, space)
-        rng = make_rng(7)
-        thetas = np.concatenate([rng.normal(0, 0.5, (5, 5)), rng.normal(0, 1.0, (5, len(groups)))], axis=1)
-        jacs = jacobian(thetas)
-        assert jacs.shape == (len(thetas), len(rows) + 2, thetas.shape[1])
-        for J, theta in zip(jacs, thetas):
-            ref = oracle(theta)
-            col_scale = np.maximum(1.0, np.abs(ref).max(axis=0))
-            assert np.all(np.abs(J - ref) <= 1e-13 * col_scale)
-            h = 1e-7
-            for j in range(theta.size):
-                tp, tm = theta.copy(), theta.copy()
-                tp[j] += h
-                tm[j] -= h
-                col_fd = (residuals(tp[None])[0] - residuals(tm[None])[0]) / (2 * h)
-                assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * col_scale[j]
+    residuals, jacobian, groups, rows = build_residual_system(data, 1e-3)
+    oracle = scaling_jacobian(rows, groups, 1e-3)
+    rng = make_rng(7)
+    thetas = np.concatenate([rng.normal(0, 0.5, (5, 5)), rng.normal(0, 1.0, (5, len(groups)))], axis=1)
+    jacs = jacobian(thetas)
+    assert jacs.shape == (len(thetas), len(rows) + 2, thetas.shape[1])
+    for J, theta in zip(jacs, thetas):
+        ref = oracle(theta)
+        col_scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+        assert np.all(np.abs(J - ref) <= 1e-13 * col_scale)
+        h = 1e-7
+        for j in range(theta.size):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            col_fd = (residuals(tp[None])[0] - residuals(tm[None])[0]) / (2 * h)
+            assert np.abs(J[:, j] - col_fd).max() <= 1e-6 * col_scale[j]
 
 
 def test_rejected_trial_step_does_not_warn():
     # a trial step with u_g far below 0 underflows eff_g to 0: the residual is
     # +inf on that group's rows, with no overflow or log-of-zero warning
     data = _synth(6)
-    for space in RESIDUAL_SPACES:
-        residuals, _, groups, rows = build_residual_system(data, 1e-3, space)
-        theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
-        theta[5] = -1000.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = residuals(theta[None])[0]
-        hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
-        assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
+    residuals, _, groups, rows = build_residual_system(data, 1e-3)
+    theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
+    theta[5] = -1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = residuals(theta[None])[0]
+    hit = np.array([(row.method, row.precision) == groups[0] for row in rows] + [False, False])
+    assert hit.any() and np.all(r[hit] == np.inf) and np.isfinite(r[~hit]).all()
 
 
 def test_overflowing_trial_step_is_rejected():
@@ -218,18 +207,17 @@ def test_overflowing_trial_step_is_rejected():
     # trial point's cost is not finite, so LM rejects the step, and nothing
     # warns or raises OverflowError
     data = _synth(6)
-    for space in RESIDUAL_SPACES:
-        residuals, _, groups, rows = build_residual_system(data, 1e-3, space)
-        for j in (0, 1):
-            theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
-            theta[j] = 800.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                f = residuals(theta[None])[0]
-                assert not np.isfinite(0.5 * (f @ f))
-            assert np.isposinf(f).any()
-            if j == 0:  # A = inf: every data point's prediction is +inf
-                assert np.all(f[: len(rows)] == np.inf)
+    residuals, _, groups, rows = build_residual_system(data, 1e-3)
+    for j in (0, 1):
+        theta = np.concatenate([np.zeros(5), np.ones(len(groups))])
+        theta[j] = 800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = residuals(theta[None])[0]
+            assert not np.isfinite(0.5 * (f @ f))
+        assert np.isposinf(f).any()
+        if j == 0:  # A = inf: every data point's prediction is +inf
+            assert np.all(f[: len(rows)] == np.inf)
 
 
 def test_lm_matches_scipy_on_criterion_7_data(monkeypatch):
@@ -239,8 +227,8 @@ def test_lm_matches_scipy_on_criterion_7_data(monkeypatch):
     for seed in range(5):
         data = _synth(seed)
         ours = fit_scaling(data)
-        _, _, groups, rows = build_residual_system(data, 1e-3, "log")
-        jacobian = scaling_jacobian(rows, groups, 1e-3, "log")
+        _, _, groups, rows = build_residual_system(data, 1e-3)
+        jacobian = scaling_jacobian(rows, groups, 1e-3)
         with monkeypatch.context() as m:
             m.setattr(sc, "least_squares", lambda fun, x0, jac, **kw: scipy_lm_per_start(fun, x0, jacobian, **kw))
             ref = fit_scaling(data)
@@ -255,7 +243,7 @@ def test_lm_rows_do_not_affect_each_other():
     # each start of a batch is bitwise its batch-of-one run: here one start is
     # not finite at x0 (failed on its own row and never stepped), one stops
     # at max_nfev and the rest converge first
-    residuals, jacobian, groups, _ = build_residual_system(_synth(0), 1e-3, "log")
+    residuals, jacobian, groups, _ = build_residual_system(_synth(0), 1e-3)
     rng = make_rng(11)
     x0 = np.concatenate([rng.normal(0.0, 1.0, (6, 5)), rng.normal(1.0, 1.0, (6, len(groups)))], axis=1)
     x0[2, 5] = -1000.0
