@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NumericalFailure, FloatingPointError) as err:  # the latter: a floor-toy overflow
+    except NumericalFailure as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

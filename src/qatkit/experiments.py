@@ -30,7 +30,7 @@ from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .optim import AdamState, OptimConfig, cage_adamw_step, cage_sgd_step, grad_clip, lambda_at
 from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
-from .quantize import INT_SCHEMES, QuantSpec, quantize
+from .quantize import INT_SCHEMES, QuantResult, QuantSpec, quantize
 
 __all__ = [
     "OPTIMIZERS",
@@ -81,6 +81,20 @@ def _seed_failure(message: str, bad: np.ndarray, n_seeds: int) -> NumericalFailu
     return failure
 
 
+def _rejected_rows(spec: QuantSpec, x: np.ndarray) -> np.ndarray:
+    """Which rows of a ``(..., d)`` batch the quantizer rejects, each
+    quantized on its own as it is within the batch: the rows behind a
+    batch's ``FloatingPointError`` (floor-toy past the float max)."""
+    flat = x.reshape(-1, x.shape[-1])
+    bad = np.zeros(len(flat), dtype=bool)
+    for i, row in enumerate(flat):
+        try:
+            quantize(spec, row)
+        except FloatingPointError:
+            bad[i] = True
+    return bad.reshape(x.shape[:-1])
+
+
 def _corrected_sgd(
     obj: Objective,
     spec: QuantSpec,
@@ -99,9 +113,10 @@ def _corrected_sgd(
     Returns the final state and the ``(S, steps)`` squared balance-gradient
     norms ||g + lam e||^2, taken at each iterate before its step; ``trace``
     ``(steps, 5)`` is filled with the first row's.  A non-finite initial
-    point (an init scale times a normal draw can overflow), loss or iterate
-    raises ``NumericalFailure`` naming the first bad row's seed index, and
-    the step for a loss or iterate.
+    point (an init scale times a normal draw can overflow), loss or iterate,
+    or an iterate the quantizer rejects, raises ``NumericalFailure`` naming
+    the first bad row's seed index, and the step for all but the first; a
+    rejection keeps the quantizer's message.
     """
     bad = _bad_rows(0.0, x)
     if bad.any():
@@ -110,7 +125,12 @@ def _corrected_sgd(
     pareto_sq = np.empty((len(x), steps))
     for t in range(steps):
         loss, g = obj.value_and_grad(x)
-        e = quantize(spec, x).error
+        try:
+            e = quantize(spec, x).error
+        except FloatingPointError as err:
+            raise _seed_failure(
+                f"{err} during corrected-SGD run at step {t + 1}", _rejected_rows(spec, x), len(x)
+            ) from err
         pareto_sq[:, t] = balance_sq_norm(g, e, lam)
         g0, e0 = g[0], e[0]
         trace[t, 0] = loss[0]
@@ -158,7 +178,7 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     spec = QuantSpec(scheme="floor-toy")
     trace = _empty_trace(steps)
     (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
-    fwd = quantize(spec, x)
+    fwd = quantize(spec, x)  # grid 1 takes every finite x: floor(x) is finite
     return ToyParetoResult(
         final_x=float(x[0]),
         # at d = 1, sqrt(p p) is |p| bitwise while p p neither under- nor overflows
@@ -234,8 +254,7 @@ def run_quadratic(
 ) -> tuple[tuple[QuadraticRun, ...], ...]:
     """Run each of ``optimizers`` on quantized-forward quadratics from every
     row of ``x0`` ``(K, S, d)`` (K kappas of S seeds; ``(S, d)`` is one
-    kappa), all stepped as one ``(O, K S, d)`` state; returns, per kappa,
-    one run per optimizer, in order.
+    kappa); returns, per kappa, one run per optimizer, in order.
 
     Row (k, i) runs on problem k S + i of a stacked ``obj`` (see
     ``make_quadratic_problem``) and is bitwise its lone run.  Each step
@@ -247,19 +266,30 @@ def run_quadratic(
     takes the constant ``cfg.lam``, both AdamW corrections the ramp
     ``lambda_at(cfg, t, steps)`` (as lam_cpl or lam_dec) and the plain
     optimizers 0; the traces record the same values, and every step takes
-    the lr ``cfg.lr``.  The decoupled error e_dec is the forward pass's at
-    ``weight_decay`` 0, where the decayed point (1 - lr 0) x is x bitwise;
-    otherwise the decayed AdamW rows are quantized again on steps where a
-    decoupled lambda is positive.  One paired evaluation
-    (``obj.value_and_grads``, a stacked quadratic's one read of each matrix)
-    gives the loss and gradient at Q(x) and the trace's gradient at x; the
-    gradient at Q(x) is transported back trust-masked only for ``ste_kind``
-    "trust-masked" with an int scheme (else as is).  The gap is
-    f(Q(x_T)) - f*, one per row.  Under the scheme ``none`` Q is the
-    identity and e = 0: full-precision training.  A run's trace and iterates
-    are its kappa's first seed's.  A non-finite initial point, loss or
-    iterate stops every kappa together; the ``NumericalFailure`` names the
-    optimizers whose rows it hit, the step and the first such row's seed
+    the lr ``cfg.lr``.
+
+    Optimizers of one family whose coefficients have agreed, bit for bit,
+    on every step so far hold the same state.  They form a group, which
+    steps as one row of an ``(R, K S, d)`` state, R <= O: through the
+    silence period a cage-adamw optimizer is its adamw, and at lam 0
+    cage-sgd is sgd.  Groups only split, on steps the lambda tables name in
+    advance; a split hands each new group its old group's x and Adam
+    moments, and each member's trace, iterates and gaps are its group's.
+
+    The decoupled error e_dec is the forward pass's at ``weight_decay`` 0,
+    where the decayed point (1 - lr 0) x is x bitwise; otherwise the
+    decayed AdamW rows are quantized again on steps where a decoupled
+    lambda is positive.  One paired evaluation (``obj.value_and_grads``,
+    one read of each matrix per row) gives the loss and gradient at Q(x)
+    and the trace's gradient at x; the gradient at Q(x) is transported back
+    trust-masked only for ``ste_kind`` "trust-masked" with an int scheme
+    (else as is).  The gap is f(Q(x_T)) - f*, one per row.  Under the
+    scheme ``none`` Q is the identity and e = 0: full-precision training.
+    A run's trace and iterates are its kappa's first seed's.
+
+    A non-finite initial point, loss or iterate, or a point the quantizer
+    rejects, stops every kappa together; the ``NumericalFailure`` names the
+    optimizers whose groups it hit, the step and the first such row's seed
     index within its kappa, and carries that kappa's index as
     ``kappa_index``.
     """
@@ -291,48 +321,88 @@ def run_quadratic(
     lam_rows = np.where(ramped, ramp, lam_fixed)
     lam_cpl_rows = np.where(coupled, lam_rows[:, n:], 0.0)
     lam_dec_rows = np.where(coupled, 0.0, lam_rows[:, n:])
-    x = np.repeat(x0[None], len(names), axis=0)
-    state = AdamState.zeros(x[n:].shape)
+    # groups[t - 1, o]: the row that steps for row o on step t, the first row
+    # of o's family whose coefficients (the SGD lambda, or lam_cpl and
+    # lam_dec) are o's bit for bit on steps 1..t (g + -0.0 e keeps a -0.0
+    # that g + 0.0 e turns to +0.0); a phase starts where groups change
+    coefs = np.zeros((steps, len(names), 2))
+    coefs[:, :n, 0] = lam_rows[:, :n, 0, 0]
+    coefs[:, n:, 0] = lam_cpl_rows[..., 0, 0]
+    coefs[:, n:, 1] = lam_dec_rows[..., 0, 0]
+    bits = coefs.view(np.int64)
+    family = np.arange(len(names)) >= n
+    same = (bits[:, :, None] == bits[:, None]).all(axis=-1) & (family[:, None] == family)
+    groups = np.logical_and.accumulate(same, axis=0).argmax(axis=2)
+    phases = {1, *(np.flatnonzero((groups[1:] != groups[:-1]).any(axis=1)) + 2).tolist()}
+    # before step 1 every row sits at x0 with zero moments, as one group
+    x = x0[None]
+    state = AdamState.zeros(x.shape)
+    reps, member, r = np.zeros(1, dtype=np.intp), np.zeros(len(names), dtype=np.intp), 0
     # each kappa's first seed is every n_seeds-th row
     traces = _empty_trace(len(names), n_kappas, steps)
     traces[..., 4] = lam_rows[:, :, 0, 0].T[:, None]
     snapshots = np.empty((len(names), n_kappas, steps, dim))
 
+    def failure(what: str, when: str, bad: np.ndarray, rows=slice(None)) -> NumericalFailure:
+        """``_seed_failure`` for the mask ``bad`` over the groups ``rows``,
+        naming every optimizer of a group it hits."""
+        hits = np.zeros((len(reps), len(x0)), dtype=bool)
+        hits[rows] = bad
+        hits = hits[member][inv]
+        hit = ", ".join(name for name, b in zip(optimizers, hits.any(axis=1)) if b)
+        return _seed_failure(f"{what} during quadratic run ({hit}) {when}", hits.any(axis=0), n_seeds)
+
+    def checked_quantize(x: np.ndarray, when: str, rows=slice(None)) -> QuantResult:
+        """``quantize(spec, x)`` of the groups ``rows``, whose rejection is a failure."""
+        try:
+            return quantize(spec, x)
+        except FloatingPointError as err:
+            raise failure(str(err), when, _rejected_rows(spec, x), rows) from err
+
     for t in range(1, steps + 1):
-        qres = quantize(spec, x)
+        if t in phases:
+            reps = np.flatnonzero(groups[t - 1] == np.arange(len(names)))
+            gather, r_old, r = member[reps], r, np.count_nonzero(reps < n)
+            x = x[gather]
+            state.m, state.v = state.m[gather[r:] - r_old], state.v[gather[r:] - r_old]
+            member = np.searchsorted(reps, groups[t - 1])
+            lam_reps = lam_rows[:, reps]
+            lam_cpl_reps, lam_dec_reps = lam_cpl_rows[:, reps[r:] - n], lam_dec_rows[:, reps[r:] - n]
+        qres = checked_quantize(x, f"at step {t}")
         loss, g, g_x = obj.value_and_grads(qres.quantized, x)
         g = ste_backward(spec, g, qres) if masked else g
         e = qres.error
         if grad_clip_norm:
             g = grad_clip(g, grad_clip_norm)
         g0, e0 = g_x[:, ::n_seeds], e[:, ::n_seeds]
-        lams = lam_rows[t - 1]
-        row = traces[:, :, t - 1]
+        lams = lam_reps[t - 1]
+        row = np.empty((len(reps), n_kappas, 4))
         row[..., 0] = loss[:, ::n_seeds]
         row[..., 1] = balance_sq_norm(g0, e0, lams)
         np.vecdot(g0, g0, out=row[..., 2])
         np.vecdot(e0, e0, out=row[..., 3])
+        traces[:, :, t - 1, :4] = row[member]
 
-        if n:
-            x[:n] = cage_sgd_step(x[:n], g[:n], e[:n], cfg.lr, lams[:n])
-        if n < len(names):
-            lam_cpl, lam_dec = lam_cpl_rows[t - 1], lam_dec_rows[t - 1]
-            e_dec = e[n:]
+        if r:
+            x[:r] = cage_sgd_step(x[:r], g[:r], e[:r], cfg.lr, lams[:r])
+        if r < len(reps):
+            lam_cpl, lam_dec = lam_cpl_reps[t - 1], lam_dec_reps[t - 1]
+            e_dec = e[r:]
             if cfg.weight_decay and lam_dec.any():
-                x_dec = (1.0 - cfg.lr * cfg.weight_decay) * x[n:]
+                x_dec = (1.0 - cfg.lr * cfg.weight_decay) * x[r:]
                 # the quantizer rejects a NaN or inf; where the decayed point
                 # overflows, the step's own decay does too, and the check below fails it
-                e_dec = quantize(spec, x_dec).error if np.isfinite(x_dec).all() else x_dec
-            state, x[n:] = cage_adamw_step(state, x[n:], g[n:], e[n:], e_dec, cfg, cfg.lr, lam_cpl, lam_dec)
+                if np.isfinite(x_dec).all():
+                    e_dec = checked_quantize(x_dec, f"at step {t}", slice(r, None)).error
+                else:
+                    e_dec = x_dec
+            state, x[r:] = cage_adamw_step(state, x[r:], g[r:], e[r:], e_dec, cfg, cfg.lr, lam_cpl, lam_dec)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
-            bad = _bad_rows(loss, x)[inv]
-            hit = ", ".join(name for name, b in zip(optimizers, bad.any(axis=1)) if b)
-            raise _seed_failure(
-                f"non-finite value during quadratic run ({hit}) at step {t}", bad.any(axis=0), n_seeds
-            )
-        snapshots[:, :, t - 1] = x[:, ::n_seeds]
+            raise failure("non-finite value", f"at step {t}", _bad_rows(loss, x))
+        snapshots[:, :, t - 1] = x[member, ::n_seeds]
 
-    gaps = (obj.loss(quantize(spec, x).quantized) - obj.f_star).reshape(len(names), n_kappas, n_seeds)
+    gaps = obj.loss(checked_quantize(x, "at the final iterate").quantized) - obj.f_star
+    gaps = gaps.reshape(len(reps), n_kappas, n_seeds)[member]
     return tuple(
         tuple(
             QuadraticRun(final_gaps=gaps[o, k].tolist(), trace=traces[o, k], iterates=snapshots[o, k])

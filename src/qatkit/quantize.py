@@ -64,7 +64,6 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # E2M1 magnitudes; the mantissa bit is 0 at the even indices
 _E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
-_E2M1_MAX = 6.0
 # rounding boundaries: the midpoints between grid neighbours.  A value on a
 # midpoint goes to the even-mantissa neighbour, index 2j, so the midpoints
 # above the odd indices sit one ulp low and searchsorted(side="left") sends
@@ -206,11 +205,12 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     """Block floating-point quantization: E2M1 elements, shared scale per block.
 
     Each block of ``block_size`` shares the power-of-two scale
-    2**ceil(log2(max|x| / 6)); elements round to the nearest point of
-    scale * {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4, +-6} with ties to the even
-    mantissa.  An all-zero block gets scale 1 and zeros.  Each vector of a
-    batch ``(S, d)`` is cut into blocks on its own: viewed as whole blocks
-    when d is a multiple of ``block_size``, else zero-padded to them.
+    2**ceil(log2(max|x| / 6)), exact and at least 2**-1074; elements round
+    to the nearest point of scale * {0, +-0.5, +-1, +-1.5, +-2, +-3, +-4,
+    +-6} with ties to the even mantissa.  An all-zero block gives zeros.
+    Each vector of a batch ``(S, d)`` is cut into blocks on its own: viewed
+    as whole blocks when d is a multiple of ``block_size``, else zero-padded
+    to them.
 
     The scheme saturates: an entry with |x| >= 1.75 * 2**1023 (~1.57e308)
     sits in a block of scale 2**1022 and would round to 4 * 2**1022, past the
@@ -235,9 +235,12 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     large = not top < _SAFE_MAGNITUDE
     if large:
         _reject_nonfinite(top, x)
-    # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
-    m, e = np.frexp(amax / _E2M1_MAX)
-    scales = np.ldexp(1.0, e - (m == 0.5))[:, None]
+    # smallest power of two s with amax <= 6 s, read off amax = m 2**e
+    # (m in [0.5, 1)) exactly, as 6 = 0.75 2**3: 2**(e - 3), or 2**(e - 2)
+    # where m > 0.75, floored at 2**-1074 (amax / 6 would round or underflow
+    # among the subnormals); an all-zero block gets 2**-3 and zeros
+    m, e = np.frexp(amax)
+    scales = np.ldexp(1.0, np.maximum(e - 3 + (m > 0.75), -1074))[:, None]
     u /= scales
     idx = _e2m1_round(u)
     if large:

@@ -13,7 +13,7 @@ from qatkit.experiments import make_rate_objective, run_convergence_run
 from qatkit.objectives import quadratic
 from qatkit.optim import BETA1, BETA2, EPS, AdamState
 from qatkit.pareto import TRACE_COLUMNS
-from qatkit.quantize import _E2M1_BOUNDS, _E2M1_GRID, _E2M1_MAX, SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
+from qatkit.quantize import _E2M1_BOUNDS, _E2M1_GRID, SIGMA_FLOOR, QuantSpec, _normal_cdf, quantize
 from qatkit.scaling import CSV_HEADER, FP_LABEL, LeastSquaresResult
 from qatkit.transform import hadamard_forward, hadamard_inverse, hadamard_plan
 
@@ -237,13 +237,12 @@ E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 
 def mxfp4_block_scale(amax: float) -> float:
     """Shared scale of an mxfp4 block whose largest magnitude is ``amax``, as a
-    scalar loop: 2**ceil(log2(amax / 6)), and 1 for an all-zero block."""
+    scalar loop: 2**ceil(log2(amax / 6)) from amax's own frexp (6 = 0.75
+    2**3), at least 2**-1074, and 1 for an all-zero block."""
     if amax == 0.0:
         return 1.0
-    m, e = math.frexp(amax / 6.0)
-    if m == 0.5:
-        e -= 1
-    return math.ldexp(1.0, e)
+    m, e = math.frexp(amax)
+    return math.ldexp(1.0, max(e - 3 + (m > 0.75), -1074))
 
 
 def mxfp4_entry_scales(x) -> np.ndarray:
@@ -272,9 +271,10 @@ def quantize_mxfp4_padded(x):
 
     absb = np.abs(blocks)
     amax = absb.max(axis=1)
-    # smallest power of two s with amax <= 6 s; frexp(0) gives s = 1
-    m, e = np.frexp(amax / _E2M1_MAX)
-    scales = np.ldexp(1.0, np.where(m == 0.5, e - 1, e))
+    # smallest power of two s with amax <= 6 s = 0.75 2**3 s, exact; at least
+    # 2**-1074, and 2**-3 for an all-zero block
+    m, e = np.frexp(amax)
+    scales = np.ldexp(1.0, np.maximum(np.where(m > 0.75, e - 2, e - 3), -1074))
     idx = np.searchsorted(_E2M1_BOUNDS, absb / scales[:, None], side="left")
     mags = _E2M1_GRID[idx] * scales[:, None]
     quantized = np.copysign(mags, blocks).reshape(padded.shape)[..., :n]

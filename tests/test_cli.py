@@ -241,6 +241,40 @@ class TestQuadratic:
             "non-finite value during quadratic run (sgd) at step 135, seed index 1, kappa 10"
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_in_a_shared_prefix_names_every_member(self, tmp_path, capsys):
+        # through the silence period adamw and cage-adamw-dec step as one
+        # row; its overflow at step 2 names both, as when each had its own row
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "quadratic", "--opt", "adamw,cage-adamw-dec", "--quant", "none", "--lr", "1e200",
+            "--grad-clip", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.strip().endswith(
+            "numerical failure: non-finite value during quadratic run (adamw, cage-adamw-dec) "
+            "at step 2, seed index 0, kappa 1"
+        )
+
+    def test_quantizer_failure_names_step_seed_optimizers_and_kappa(self, tmp_path, capsys):
+        # as in the stacked-kappa case above, sgd grows by up to 14 a step at
+        # kappa 10, and its x / grid passes the float max at step 9 in seed
+        # 10's row; at lam 0 cage-sgd is sgd, so the message names both, with
+        # the quantizer's own text first
+        out = tmp_path / "blowup"
+        code = run_cli(
+            "quadratic", "--kappas", "1,10", "--dim", "8", "--steps", "200",
+            "--opt", "adamw,sgd,cage-sgd", "--lambda", "0", "--quant", "floor-toy:1e-300",
+            "--lr", "1.5", "--seed", "7,10", "--grad-clip", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert sorted(f.name for f in out.iterdir()) == ["config.json"]
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: floor-toy grid point past the float max: max |x| = ")
+        assert err.endswith(
+            "on grid 1e-300 during quadratic run (sgd, cage-sgd) at step 9, seed index 1, kappa 10"
+        )
+
     def test_kappa_chunks_follow_the_byte_budget(self):
         # (kappas, dim, seeds, optimizers, steps): a bench quadratic-mxfp4
         # kappa (a 2 MiB matrix and two 4 MB trajectories) exceeds the budget
@@ -355,7 +389,8 @@ class TestConvergence:
 
     def test_floor_toy_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # at grid 1e-300 an init of scale 1e10 has x / grid past the float
-        # max: the quantizer's named error exits 3, with no warning first
+        # max: the quantizer's named error, with the step, seed and horizon,
+        # exits 3, with no warning first
         out = tmp_path / "overflow"
         code = run_cli(
             "convergence", "--quant", "floor-toy:1e-300", "--x0-std", "1e10", "--steps", "5",
@@ -363,7 +398,9 @@ class TestConvergence:
         )
         assert code == 3
         assert not (out / "summary.json").exists()
-        assert "numerical failure: floor-toy grid point past the float max" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: floor-toy grid point past the float max: max |x| = ")
+        assert err.endswith("during corrected-SGD run at step 1, seed index 0, horizon 5")
 
     def test_horizon_span_validated(self, tmp_path, capsys):
         assert run_cli("convergence", "--steps", "100,1000", "--out", str(tmp_path / "x")) == 2

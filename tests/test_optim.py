@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import solved_quadratic
 import qatkit.experiments
 import qatkit.optim
 from qatkit.experiments import make_quadratic_problem, run_quadratic
-from qatkit.numerics import make_rng, make_spd
+from qatkit.numerics import NumericalFailure, make_rng, make_spd
 from qatkit.objectives import toy_scalar
 from qatkit.optim import (
     BETA1,
@@ -440,17 +441,60 @@ def counted_quantize_calls(monkeypatch, cfg, steps):
 
 def test_decoupled_lane_quantizes_once_per_step_without_decay(monkeypatch):
     # at weight_decay 0 the decayed point is x, so the forward pass's error
-    # serves the decoupled correction: one call per step, one for the gap
+    # serves the decoupled correction: one call per step, one for the gap;
+    # through the silence period (steps 1-5) the two optimizers are one row
     cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.5)
-    assert counted_quantize_calls(monkeypatch, cfg, 10) == [(2, 2, 16)] * 11
+    assert counted_quantize_calls(monkeypatch, cfg, 10) == [(1, 2, 16)] * 5 + [(2, 2, 16)] * 6
 
 
 def test_decoupled_lane_requantizes_decayed_point_only_when_lambda_positive(monkeypatch):
     cfg = OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)
     calls = counted_quantize_calls(monkeypatch, cfg, 10)
-    # steps 1-5 are silent (lam_t 0); steps 6-10 add the decayed AdamW rows
-    assert calls == [(2, 2, 16)] * 5 + [(2, 2, 16), (2, 2, 16)] * 5 + [(2, 2, 16)]
+    # steps 1-5 are silent (lam_t 0), one shared row and no decayed point;
+    # steps 6-10 add the decayed AdamW rows
+    assert calls == [(1, 2, 16)] * 5 + [(2, 2, 16), (2, 2, 16)] * 5 + [(2, 2, 16)]
     assert [lambda_at(cfg, t, 10) > 0 for t in range(1, 11)] == [False] * 5 + [True] * 5
+
+
+def optimizer_rows_per_step(optimizers, cfg, steps=10):
+    """The optimizer rows each step of a lane run evaluates: the leading axis
+    of every paired evaluation's batch."""
+    obj, x0 = make_quadratic_problem(8, (10.0,), (0, 1))
+    rows = []
+
+    def spy(x, at=None):
+        if at is not None:
+            rows.append(len(x))
+        return obj.eval_fn(x, at)
+
+    spied = dataclasses.replace(obj, eval_fn=spy)
+    run_quadratic(spied, x0, optimizers, steps, QuantSpec(scheme="int-hadamard", bits=4), cfg)
+    return rows
+
+
+def test_optimizers_that_share_their_lambdas_step_as_one_row():
+    # the AdamW rows agree through the silence period (steps 1-5), then
+    # each takes its own correction; sgd and cage-sgd agree at lam 0 only
+    cfg = OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)
+    assert optimizer_rows_per_step(["adamw", "cage-adamw-dec", "cage-adamw-cpl"], cfg) == [1] * 5 + [3] * 5
+    for lam, rows in ((0.0, [1] * 10), (2.0, [2] * 10)):
+        cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=lam, silence_ratio=0.5)
+        assert optimizer_rows_per_step(["sgd", "cage-sgd"], cfg) == rows
+
+
+def test_rejected_decayed_point_names_its_optimizer_step_and_seed():
+    # floor-toy at grid 1e-300 takes |x| below ~1.8e8; at lr 1 and weight
+    # decay 3 the decayed point is -2 x, so seed index 1's x = 1e8 passes
+    # the forward quantizer and its decayed point does not
+    cfg = OptimConfig(lr=1.0, weight_decay=3.0, lam=1.0, silence_ratio=0.0)
+    obj, _ = make_quadratic_problem(4, (10.0,), (0, 1))
+    x0 = np.array([[[1e7] * 4, [1e8] * 4]])
+    spec = QuantSpec(scheme="floor-toy", grid=1e-300)
+    with pytest.raises(NumericalFailure) as info:
+        run_quadratic(obj, x0, ["sgd", "cage-adamw-dec"], 2, spec, cfg)
+    assert str(info.value).startswith("floor-toy grid point past the float max")
+    assert str(info.value).endswith("during quadratic run (cage-adamw-dec) at step 1, seed index 1")
+    assert info.value.kappa_index == 0
 
 
 class TestGradClip:

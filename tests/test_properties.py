@@ -680,27 +680,44 @@ QUADRATIC_SPECS = {
     st.integers(2, 40),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
     st.sampled_from((0.0, 1.0)),
+    st.sampled_from((0.0, 0.5, 0.9)),
+    st.sampled_from((0.0, 2.0)),
 )
-@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0)
-@example(["cage-adamw-cpl"], "int-plain", "trust-masked", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0)
+@example(["cage-adamw-dec"], "int-hadamard", "trust-masked", 1.0, 12, [100.0], 0.1, 40, [0, 7, 3], 1.0, 0.5, 2.0)
+@example(["cage-adamw-cpl"], "int-plain", "trust-masked", 5.0, 20, [10.0], 0.0, 30, [2, 2], 1.0, 0.5, 2.0)
 @example(
     ["cage-adamw-cpl", "sgd", "cage-adamw-dec", "adamw", "cage-sgd"],
-    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0,
+    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 1.0, 100.0], 0.1, 30, [5, 1], 1.0, 0.5, 2.0,
 )
 # an x0 of signed zeros: the entries where g + 0 e or x - lr 0 e could flip a sign
 @example(
     ["adamw", "cage-sgd", "cage-adamw-dec", "sgd", "cage-adamw-cpl"],
-    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 100.0], 0.1, 20, [4, 0], 0.0,
+    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 100.0], 0.1, 20, [4, 0], 0.0, 0.5, 2.0,
+)
+# groups that never form (silence 0), split late (0.9) and never split (lam 0)
+@example(
+    ["cage-adamw-dec", "adamw", "sgd", "cage-adamw-cpl", "cage-sgd"],
+    "mxfp4", "trust-masked", 1.0, 20, [10.0, 1.0], 0.1, 30, [3, 8], 1.0, 0.0, 2.0,
+)
+@example(
+    ["cage-adamw-dec", "adamw", "sgd", "cage-adamw-cpl", "cage-sgd"],
+    "int-hadamard", "trust-masked", 1.0, 12, [10.0, 100.0], 0.1, 30, [5, 1], 1.0, 0.9, 2.0,
+)
+@example(
+    ["cage-sgd", "cage-adamw-cpl", "sgd", "adamw", "cage-adamw-dec"],
+    "int-plain", "identity", 5.0, 8, [100.0, 1.0], 0.1, 20, [2], 1.0, 0.5, 0.0,
 )
 def test_seed_batched_quadratic_lane_matches_lone_runs(
-    optimizers, quant, ste_kind, clip, dim, kappas, weight_decay, steps, seeds, sigma0
+    optimizers, quant, ste_kind, clip, dim, kappas, weight_decay, steps, seeds, sigma0, silence_ratio, lam
 ):
     # on a stack of kappas of seeds, every (kappa, seed, optimizer) final
     # gap, and each (kappa, optimizer)'s first-seed trace and iterates, are
     # bitwise those of the seed run alone on its own draw, with each
-    # optimizer's literal update rule
+    # optimizer's literal update rule, whether the optimizers that share
+    # their lambdas never step as one row, step as one until a late split,
+    # or never split
     spec = QUADRATIC_SPECS[quant]
-    cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=2.0, silence_ratio=0.5)
+    cfg = OptimConfig(lr=0.05, weight_decay=weight_decay, lam=lam, silence_ratio=silence_ratio)
     obj, x0 = make_quadratic_problem(dim, kappas, seeds, sigma0)
     runs = run_quadratic(obj, x0, optimizers, steps, spec, cfg, ste_kind, clip)
     assert len(runs) == len(kappas)

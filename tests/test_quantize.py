@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,24 @@ class TestCalibration:
         assert ks[0] == ks[2] == ks[3] != ks[1]
 
 
+def mxfp4_exact(block):
+    """One mxfp4 block in exact rationals: the least power of two s >= max|x| / 6
+    (at least 2**-1074), and each entry the nearest point of s E2M1_GRID,
+    ties to the even mantissa (the even grid index)."""
+    amax = float(np.abs(block).max())
+    # 6 2**k < amax at this start, as 6 2**(e - 4) < 2**(e - 1) <= amax
+    k = max(math.frexp(amax)[1] - 4, -1074)
+    while Fraction(2) ** k * 6 < amax:
+        k += 1
+    s = Fraction(2) ** k
+    out = []
+    for v in block.tolist():
+        u = abs(Fraction(v)) / s
+        i = min(range(len(E2M1_GRID)), key=lambda j: (abs(u - Fraction(E2M1_GRID[j])), j % 2))
+        out.append(math.copysign(float(Fraction(E2M1_GRID[i]) * s), v))
+    return np.array(out)
+
+
 class TestMxfp4:
     def test_fixed_point_inputs(self):
         spec = QuantSpec(scheme="mxfp4")
@@ -241,6 +260,27 @@ class TestMxfp4:
             s = mxfp4_entry_scales(x)
             assert np.isin(np.abs(res.quantized) / s, E2M1_GRID).all()
             assert np.abs(res.quantized).max() <= 6.0 * s[0] + 1e-300
+
+    def test_tiny_blocks_take_the_exact_scale(self):
+        # the block scale is the least power of two s with max|x| <= 6 s,
+        # read off max|x|'s own exponent: amax / 6 rounds, or underflows,
+        # among the subnormals, where blocks of 1, 2 and 8 times 2**-1074
+        # once quantized to 0, 0 and 6 times 2**-1074.  Blocks whose amax
+        # spans every exponent, subnormal to the float max, quantize bitwise
+        # as an exact rational reference does
+        spec = QuantSpec(scheme="mxfp4")
+        tiny = 2.0**-1074
+        for k in (1, 2, 8):
+            x = np.array([k * tiny])
+            assert quantize(spec, x).quantized.tobytes() == x.tobytes()
+        rng = make_rng(31)
+        amaxes = [k * tiny for k in range(1, 40)] + [6.0 * 2.0**j for j in (-1072, -1030, -1, 0, 1020)]
+        amaxes += [np.nextafter(a, to) for a in amaxes[-5:] for to in (0.0, np.inf)]
+        amaxes += np.ldexp(rng.uniform(0.5, 1.0, 40), rng.integers(-1073, 1023, 40)).tolist()
+        for amax in amaxes:
+            x = amax * rng.uniform(-1.0, 1.0, 32)
+            x[rng.integers(32)] = amax
+            assert quantize(spec, x).quantized.tobytes() == mxfp4_exact(x).tobytes(), amax
 
     def test_idempotent_property(self):
         rng = make_rng(4)
