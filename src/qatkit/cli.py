@@ -292,7 +292,10 @@ def cmd_toy_pareto(opts: dict) -> dict:
     out = _prepare_out(opts)
     results = []
     for lam in opts["lambdas"]:
-        res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
+        try:
+            res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
+        except NumericalFailure as err:
+            raise NumericalFailure(f"{err}, lambda {lam:g}") from err
         write_trace_csv(out / f"trace_lambda{lam:g}.csv", res.trace)
         print(
             f"lambda={lam:g} final_x={res.final_x!r} "
@@ -310,7 +313,9 @@ def cmd_toy_pareto(opts: dict) -> dict:
 
 
 # bytes one chunk of quadratic kappas may hold at once: its (K S, d, d) stack
-# of matrices and its K O recorded (steps, d) trajectories
+# of matrices and at most K O recorded (steps, d) trajectories (optimizers
+# that step as one row share theirs, so the bound is loose by the steps
+# they share)
 _CHUNK_BYTES = 8 << 20
 
 

@@ -172,12 +172,17 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 
     The iterate moves by x - lr (grad f(x) + lam (x - Q(x))); for lam > 0 it
     converges to the balance point 1 / (2 (1 + lam)) from x0 = 0.9, while the
-    straight-through gradient at Q(x) stays bounded away from zero.
+    straight-through gradient at Q(x) stays bounded away from zero.  A
+    non-finite value raises ``NumericalFailure`` naming the step.
     """
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy")
     trace = _empty_trace(steps)
-    (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
+    try:
+        (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
+    except NumericalFailure as err:
+        # the lane's one row is not a seed: drop the index the batched loop names
+        raise NumericalFailure(str(err).removesuffix(", seed index 0")) from err
     fwd = quantize(spec, x)  # grid 1 takes every finite x: floor(x) is finite
     return ToyParetoResult(
         final_x=float(x[0]),
@@ -194,9 +199,17 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
 
 @dataclass(frozen=True)
 class QuadraticRun:
+    """One optimizer's run on one kappa: every seed's final gap, and its
+    kappa's first seed's trace ``(steps, 5)`` and iterates.  The iterates
+    are ``(n_i, d)`` row blocks, one per phase of the run, in step order;
+    each is a view of the phase's block, which every optimizer stepping as
+    one row with this one in that phase shares (``pca_project`` reads the
+    blocks as they are; ``np.concatenate`` gives the ``(steps, d)`` array).
+    """
+
     final_gaps: list[float]
-    trace: np.ndarray  # its kappa's first seed's, (steps, 5)
-    iterates: np.ndarray  # its kappa's first seed's, (steps, d)
+    trace: np.ndarray
+    iterates: tuple[np.ndarray, ...]
 
 
 def _draw_quadratic(dim: int, kappa: float, seed: int):
@@ -275,15 +288,19 @@ def run_quadratic(
     cage-sgd is sgd.  Groups only split, on steps the lambda tables name in
     advance; a split hands each new group its old group's x and Adam
     moments, and each member's trace, iterates and gaps are its group's.
+    A phase, a run of steps with the same groups, records its R groups'
+    first-seed iterates once, as one ``(phase steps, R, K, d)`` block, and
+    each member's ``iterates`` are views of its group's rows.
 
     The decoupled error e_dec is the forward pass's at ``weight_decay`` 0,
     where the decayed point (1 - lr 0) x is x bitwise; otherwise the
-    decayed AdamW rows are quantized again on steps where a decoupled
-    lambda is positive.  One paired evaluation (``obj.value_and_grads``,
-    one read of each matrix per row) gives the loss and gradient at Q(x)
-    and the trace's gradient at x; the gradient at Q(x) is transported back
-    trust-masked only for ``ste_kind`` "trust-masked" with an int scheme
-    (else as is).  The gap is f(Q(x_T)) - f*, one per row.  Under the
+    decayed points of the groups whose decoupled lambda is positive are
+    quantized again, and the other groups, which multiply e_dec by 0, take
+    the forward error, as in their lone runs.  One paired evaluation
+    (``obj.value_and_grads``, one read of each matrix per row) gives the
+    loss and gradient at Q(x) and the trace's gradient at x; the gradient
+    at Q(x) is transported back trust-masked only for ``ste_kind``
+    "trust-masked" with an int scheme (else as is).  The gap is f(Q(x_T)) - f*, one per row.  Under the
     scheme ``none`` Q is the identity and e = 0: full-precision training.
     A run's trace and iterates are its kappa's first seed's.
 
@@ -333,7 +350,8 @@ def run_quadratic(
     family = np.arange(len(names)) >= n
     same = (bits[:, :, None] == bits[:, None]).all(axis=-1) & (family[:, None] == family)
     groups = np.logical_and.accumulate(same, axis=0).argmax(axis=2)
-    phases = {1, *(np.flatnonzero((groups[1:] != groups[:-1]).any(axis=1)) + 2).tolist()}
+    starts = [1, *(np.flatnonzero((groups[1:] != groups[:-1]).any(axis=1)) + 2).tolist()]
+    phase_end = dict(zip(starts, [*starts[1:], steps + 1]))
     # before step 1 every row sits at x0 with zero moments, as one group
     x = x0[None]
     state = AdamState.zeros(x.shape)
@@ -341,7 +359,9 @@ def run_quadratic(
     # each kappa's first seed is every n_seeds-th row
     traces = _empty_trace(len(names), n_kappas, steps)
     traces[..., 4] = lam_rows[:, :, 0, 0].T[:, None]
-    snapshots = np.empty((len(names), n_kappas, steps, dim))
+    # per phase, its groups' first-seed iterates, (phase steps, R, K, d), and
+    # which group each row is in
+    phases = []
 
     def failure(what: str, when: str, bad: np.ndarray, rows=slice(None)) -> NumericalFailure:
         """``_seed_failure`` for the mask ``bad`` over the groups ``rows``,
@@ -360,7 +380,7 @@ def run_quadratic(
             raise failure(str(err), when, _rejected_rows(spec, x), rows) from err
 
     for t in range(1, steps + 1):
-        if t in phases:
+        if t in phase_end:
             reps = np.flatnonzero(groups[t - 1] == np.arange(len(names)))
             gather, r_old, r = member[reps], r, np.count_nonzero(reps < n)
             x = x[gather]
@@ -368,6 +388,8 @@ def run_quadratic(
             member = np.searchsorted(reps, groups[t - 1])
             lam_reps = lam_rows[:, reps]
             lam_cpl_reps, lam_dec_reps = lam_cpl_rows[:, reps[r:] - n], lam_dec_rows[:, reps[r:] - n]
+            t0, seg = t, np.empty((phase_end[t] - t, len(reps), n_kappas, dim))
+            phases.append((seg, member))
         qres = checked_quantize(x, f"at step {t}")
         loss, g, g_x = obj.value_and_grads(qres.quantized, x)
         g = ste_backward(spec, g, qres) if masked else g
@@ -388,24 +410,32 @@ def run_quadratic(
         if r < len(reps):
             lam_cpl, lam_dec = lam_cpl_reps[t - 1], lam_dec_reps[t - 1]
             e_dec = e[r:]
-            if cfg.weight_decay and lam_dec.any():
-                x_dec = (1.0 - cfg.lr * cfg.weight_decay) * x[r:]
+            # only the groups with a positive lam_dec read e_dec; the others
+            # multiply the forward error by 0, as in their lone runs
+            dec = np.flatnonzero(lam_dec[:, 0, 0] > 0) if cfg.weight_decay else ()
+            if len(dec):
+                x_dec = (1.0 - cfg.lr * cfg.weight_decay) * x[r + dec]
+                e_dec = e_dec.copy()
                 # the quantizer rejects a NaN or inf; where the decayed point
                 # overflows, the step's own decay does too, and the check below fails it
                 if np.isfinite(x_dec).all():
-                    e_dec = checked_quantize(x_dec, f"at step {t}", slice(r, None)).error
+                    e_dec[dec] = checked_quantize(x_dec, f"at step {t}", r + dec).error
                 else:
-                    e_dec = x_dec
+                    e_dec[dec] = x_dec
             state, x[r:] = cage_adamw_step(state, x[r:], g[r:], e[r:], e_dec, cfg, cfg.lr, lam_cpl, lam_dec)
         if not (np.isfinite(loss).all() and np.isfinite(x).all()):
             raise failure("non-finite value", f"at step {t}", _bad_rows(loss, x))
-        snapshots[:, :, t - 1] = x[member, ::n_seeds]
+        seg[t - t0] = x[:, ::n_seeds]
 
     gaps = obj.loss(checked_quantize(x, "at the final iterate").quantized) - obj.f_star
     gaps = gaps.reshape(len(reps), n_kappas, n_seeds)[member]
     return tuple(
         tuple(
-            QuadraticRun(final_gaps=gaps[o, k].tolist(), trace=traces[o, k], iterates=snapshots[o, k])
+            QuadraticRun(
+                final_gaps=gaps[o, k].tolist(),
+                trace=traces[o, k],
+                iterates=tuple(seg[:, group[o], k] for seg, group in phases),
+            )
             for o in inv
         )
         for k in range(n_kappas)

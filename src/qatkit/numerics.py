@@ -62,6 +62,12 @@ def make_spd(dim: int, kappa: float, rng: np.random.Generator) -> tuple[np.ndarr
 def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Project points onto the top-``k`` principal components.
 
+    ``points`` is an ``(n, dim)`` array, or a list or tuple of ``(n_i, dim)``
+    row blocks (strided views are fine), read as their rows stacked in
+    order: the blocks are copied into the one ``(n, dim)`` buffer the
+    centred points take anyway, so the result is bitwise that of the
+    stacked array, and of an ``(n, dim)`` array with the same rows.
+
     Returns ``(projections, components)`` where projections has shape
     (n_points, k) holding centered dot products and components has shape
     (k, dim) with orthonormal rows ordered by descending eigenvalue of the
@@ -80,15 +86,20 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     below its own (error ~ (lam_{p+1} / lam_i) ** PCA_ROUNDS) and it is
     unique (lam_i differs from its neighbours).
     """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"points must form a 2-d array, got shape {X.shape}")
-    n, dim = X.shape
+    if isinstance(points, (list, tuple)) and points and all(np.ndim(b) == 2 for b in points):
+        blocks = [np.asarray(b, dtype=np.float64) for b in points]
+    else:
+        blocks = [np.asarray(points, dtype=np.float64)]
+        if blocks[0].ndim != 2:
+            raise ValueError(f"points must form a 2-d array, got shape {blocks[0].shape}")
+    n, dim = sum(len(X) for X in blocks), blocks[0].shape[1]
     if n < 2:
         raise ValueError("need at least 2 points for PCA")
     if not 1 <= k <= dim:
         raise ValueError(f"component count {k} out of range [1, {dim}]")
-    Xc = X - X.mean(axis=0)
+    Xc = np.concatenate(blocks, out=np.empty((n, dim)))  # C order, whatever the blocks' order
+    scale = max(1.0, Xc.max(), -Xc.min())
+    Xc -= Xc.mean(axis=0)
     C = Xc.T @ Xc
     C /= n - 1
     amax = max(C.max(), -C.min())  # a NaN reaches both ends of C, an inf one
@@ -103,7 +114,7 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     # the top Ritz value against the threshold scaled as C is; a threshold
     # that overflows there is above any eigenvalue of C
     with np.errstate(over="ignore"):
-        if ritz[-1] <= np.ldexp(1e-15 * max(1.0, X.max(), -X.min()), -exp):
+        if ritz[-1] <= np.ldexp(1e-15 * scale, -exp):
             warnings.warn("zero-variance data: projections are all zero", RuntimeWarning)
     # eigh returns ascending order; take the top k, largest first
     comps = W[:, ::-1][:, :k].T @ V.T

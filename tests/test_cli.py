@@ -132,6 +132,19 @@ class TestToyPareto:
         doc = json.loads(outs[0])
         assert doc["results"][0]["final_x"] == res.final_x  # exact round trip
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mid_run_failure_names_step_and_lambda(self, tmp_path, capsys):
+        # at alpha 1e300 the first step takes x = 0.9 to -4e299, whose loss
+        # and next step overflow; the message names the first lambda, and no
+        # seed index, since the toy lane runs one point
+        out = tmp_path / "blowup"
+        code = run_cli("toy-pareto", "--lambdas", "0,1", "--alpha", "1e300", "--steps", "50", "--out", str(out))
+        assert code == 3
+        assert sorted(f.name for f in out.iterdir()) == ["config.json"]
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite value during corrected-SGD run at step 2, lambda 0\n"
+        )
+
 
 class TestQuadratic:
     @pytest.mark.filterwarnings("ignore:zero-variance data")

@@ -136,20 +136,32 @@ class TestPca:
         assert np.abs(comps[0] - u / np.linalg.norm(u)).max() <= 1e-15
         assert np.abs(comps @ comps.T - np.eye(2)).max() <= 1e-15
 
+    @staticmethod
+    def traced_peak(points):
+        """Peak bytes ``pca_project(points, 2)`` allocates, under tracemalloc."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pca_project(points, 2)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
     def test_traced_peak_is_centred_points_and_covariance(self):
         # a bench-sized random walk: beside its input the PCA may hold the
         # centred points (n d doubles) and the covariance (d d doubles), plus
         # 512 KiB for the subspace blocks; one more (n, d) or (d, d) copy fails
         n, d = 1000, 512
         X = np.cumsum(make_rng(5).standard_normal((n, d)), axis=0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            pca_project(X, 2)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= n * d * 8 + d * d * 8 + 512 * 1024
+        assert self.traced_peak(X) <= n * d * 8 + d * d * 8 + 512 * 1024
+
+    def test_traced_peak_on_row_blocks_adds_no_copy(self):
+        # the same walk as the lane's two phase blocks, the second a strided
+        # view: the blocks are copied straight into the centred buffer
+        n, d = 1000, 512
+        X = np.cumsum(make_rng(5).standard_normal((n, d)), axis=0)
+        blocks = (X[:900], np.repeat(X[900:], 2, axis=0)[::2])
+        assert self.traced_peak(blocks) <= n * d * 8 + d * d * 8 + 512 * 1024
 
     def test_zero_variance_warns_not_raises(self):
         pts = np.ones((4, 3))
@@ -187,7 +199,7 @@ def test_pca_matches_full_eigh_on_lane_trajectories(lane):
     for kappa, runs in zip(kappas, run_quadratic(obj, x0, optimizers, steps, spec, cfg)):
         for name, run in zip(optimizers, runs):
             proj, comps = pca_project(run.iterates, 2)
-            _, ref, evals = pca_eigh(run.iterates, 2)
+            _, ref, evals = pca_eigh(np.concatenate(run.iterates), 2)
             assert ((lane, kappa, name) in RANK_ONE) == (evals[1] <= 1e-12 * evals[0]), (kappa, name)
             assert np.abs(comps[0] - ref[0]).max() <= 1e-10, (kappa, name)
             if (lane, kappa, name) in RANK_ONE:

@@ -314,7 +314,7 @@ class TestCageAdamW:
         _, x_ref = adamw_step(AdamState.zeros(x0.shape), x0, g, cfg, cfg.lr)
         xd = (1.0 - cfg.lr * cfg.weight_decay) * x0
         assert not np.array_equal(quantize(spec, xd).error, fwd.error)
-        assert np.array_equal(run.iterates[0], (x_ref - cfg.lr * cfg.lam * quantize(spec, xd).error)[0])
+        assert np.array_equal(np.concatenate(run.iterates)[0], (x_ref - cfg.lr * cfg.lam * quantize(spec, xd).error)[0])
 
     def test_decoupled_without_quantizer_is_adamw(self):
         # the identity quantizer has no quantization error, so no correction
@@ -417,9 +417,38 @@ def test_bench_shaped_lane_matches_lone_optimizer_runs(dim, quant, opts, seeds):
     for name, run in zip(opts, runs):
         ((lone,),) = run_quadratic(obj, x0, [name], 20, quant, cfg)
         assert run.trace.tobytes() == lone.trace.tobytes()
-        assert run.iterates.tobytes() == lone.iterates.tobytes()
+        assert np.concatenate(run.iterates).tobytes() == np.concatenate(lone.iterates).tobytes()
         assert run.final_gaps == lone.final_gaps
-    assert not np.array_equal(runs[0].iterates, runs[1].iterates)
+    assert not np.array_equal(*(np.concatenate(run.iterates) for run in runs))
+
+
+def iterate_storage(runs):
+    """Bytes of the distinct arrays behind a lane run's iterate blocks."""
+    bases = {id(block.base): block.base for kappa_runs in runs for run in kappa_runs for block in run.iterates}
+    return sum(base.nbytes for base in bases.values())
+
+
+def test_shared_steps_store_their_iterates_once():
+    # adamw and cage-adamw-cpl step as one row through the silence period
+    # (steps 1-90 of 100), and their iterate blocks of those steps are views
+    # of one array; of each kappa's first seed the lane stores the shared
+    # steps once and the last 10 once per optimizer
+    dim, kappas, opts = 16, (1.0, 10.0), ["adamw", "cage-adamw-cpl"]
+    obj, x0 = make_quadratic_problem(dim, kappas, (0, 1))
+    cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.9)
+    runs = run_quadratic(obj, x0, opts, 100, QuantSpec(scheme="mxfp4"), cfg)
+    assert iterate_storage(runs) == len(kappas) * (90 + 2 * 10) * dim * 8
+    for adamw, cpl in runs:
+        assert [len(block) for block in adamw.iterates] == [len(block) for block in cpl.iterates] == [90, 10]
+        assert np.shares_memory(adamw.iterates[0], cpl.iterates[0])
+        assert not np.array_equal(adamw.iterates[1], cpl.iterates[1])
+    # with no silence period the corrections start at step 1: the rows
+    # never share, and each run is one phase of its own 100 steps
+    cfg = OptimConfig(lr=0.03, weight_decay=0.0, lam=2.0, silence_ratio=0.0)
+    runs = run_quadratic(obj, x0, opts, 100, QuantSpec(scheme="mxfp4"), cfg)
+    assert iterate_storage(runs) == len(kappas) * 2 * 100 * dim * 8
+    for kappa_runs in runs:
+        assert [[len(block) for block in run.iterates] for run in kappa_runs] == [[100], [100]]
 
 
 def counted_quantize_calls(monkeypatch, cfg, steps):
@@ -451,8 +480,9 @@ def test_decoupled_lane_requantizes_decayed_point_only_when_lambda_positive(monk
     cfg = OptimConfig(lr=0.03, weight_decay=0.1, lam=2.0, silence_ratio=0.5)
     calls = counted_quantize_calls(monkeypatch, cfg, 10)
     # steps 1-5 are silent (lam_t 0), one shared row and no decayed point;
-    # steps 6-10 add the decayed AdamW rows
-    assert calls == [(1, 2, 16)] * 5 + [(2, 2, 16), (2, 2, 16)] * 5 + [(2, 2, 16)]
+    # steps 6-10 add the decayed point of cage-adamw-dec's row alone: adamw's
+    # lam_dec is 0, and it takes the forward error
+    assert calls == [(1, 2, 16)] * 5 + [(2, 2, 16), (1, 2, 16)] * 5 + [(2, 2, 16)]
     assert [lambda_at(cfg, t, 10) > 0 for t in range(1, 11)] == [False] * 5 + [True] * 5
 
 

@@ -46,7 +46,7 @@ from qatkit.experiments import (
     run_convergence_run,
     run_quadratic,
 )
-from qatkit.numerics import make_rng, make_spd, pca_project
+from qatkit.numerics import NumericalFailure, make_rng, make_spd, pca_project
 from qatkit.objectives import quadratic, rosenbrock, toy_scalar
 from qatkit.optim import AdamState, OptimConfig, adamw_step, cage_adamw_step, grad_clip, lambda_at, sgd_step
 from qatkit.qat_grad import STE_KINDS, ste_backward
@@ -734,7 +734,7 @@ def test_seed_batched_quadratic_lane_matches_lone_runs(
                 assert run.final_gaps[i] == gap
                 if i == 0:
                     assert np.array_equal(run.trace, trace)
-                    assert np.array_equal(run.iterates, iterates)
+                    assert np.array_equal(np.concatenate(run.iterates), iterates)
 
 
 @PROPERTY
@@ -755,6 +755,73 @@ def test_pca_matches_full_eigh_on_random_walks(seed, dim, n, k, step):
         assert row[np.nonzero(np.abs(row) > 1e-12)[0][0]] > 0
     row_norms = np.linalg.norm(X - X.mean(axis=0), axis=1)[:, None]
     assert (np.abs(proj - ref_proj) <= 1e-10 * math.sqrt(dim) * row_norms).all()
+
+
+def pca_outcome(points, k):
+    """``pca_project(points, k)`` as comparable data: the bytes of its
+    projections and components, or its ``NumericalFailure`` text, with the
+    warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            proj, comps = pca_project(points, k)
+            result = (proj.tobytes(), comps.tobytes())
+        except NumericalFailure as err:
+            result = str(err)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def row_block_view(block, layout):
+    """``block`` as a C-ordered copy, an F-ordered copy, or a strided view
+    (every other row, one column in) of a NaN-filled buffer."""
+    if layout == "fortran":
+        return np.asfortranarray(block)
+    if layout == "contiguous":
+        return block.copy()
+    buf = np.full((2 * len(block), block.shape[1] + 1), np.nan)
+    buf[::2, 1:] = block
+    return buf[::2, 1:]
+
+
+LAYOUTS = ("contiguous", "fortran", "strided")
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(2, 64), st.integers(1, 2),
+    st.sampled_from(("walk", "constant", "overflow")), st.sets(st.integers(1, 63)),
+    st.lists(st.sampled_from(LAYOUTS), min_size=1, max_size=4),
+)
+@example(7, 5, 64, 2, "walk", set(range(1, 64)), ["strided", "contiguous", "fortran"])
+@example(8, 5, 40, 2, "walk", set(), ["strided"])
+@example(9, 3, 30, 1, "constant", {1, 2, 29}, ["strided"])
+@example(10, 3, 30, 2, "overflow", {15}, ["fortran", "strided"])
+def test_pca_on_row_blocks_is_bitwise_pca_on_their_stack(seed, dim, n, k, kind, cuts, layouts):
+    # any split of the rows into blocks (one-row blocks, a single block,
+    # strided and F-ordered views) gives the stacked array's projections and
+    # components bit for bit, and the same zero-variance warning or
+    # non-finite-covariance failure
+    rng = make_rng(seed)
+    if kind == "constant":
+        X = np.repeat(rng.standard_normal((1, dim)) * 10.0 ** rng.integers(-3, 4), n, axis=0)
+    else:
+        X = (1e200 if kind == "overflow" else 1.0) * np.cumsum(rng.standard_normal((n, dim)), axis=0)
+    k = min(k, dim)
+    bounds = [0, *sorted(c for c in cuts if c < n), n]
+    blocks = [
+        row_block_view(X[lo:hi], layouts[i % len(layouts)]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    assert np.array_equal(np.concatenate(blocks), X)
+    whole = pca_outcome(X, k)
+    assert pca_outcome(blocks, k) == whole
+    assert pca_outcome(tuple(blocks), k) == whole
+    result, caught = whole
+    if kind == "overflow":
+        assert result == "non-finite covariance in the trajectory PCA"
+    else:
+        assert isinstance(result, tuple)
+        assert (kind == "constant") == bool(caught)
+        assert all(c == (RuntimeWarning, "zero-variance data: projections are all zero") for c in caught)
 
 
 def edges(*values):
