@@ -10,7 +10,10 @@ byte-identical.
 
 Exit codes: 0 success, 2 config error (a bad setting or input file), 3
 numerical failure (a non-finite value in a run, or a floor-toy grid point
-past the float max); any other exception is a bug and surfaces as one.
+past the float max); any other exception is a bug and surfaces as one.  The
+exit-3 line is the ``NumericalFailure``'s message, assembled from its
+fields; ``quadratic`` sets the failure's kappa as its ``setting`` and
+re-raises the same error.
 """
 
 from __future__ import annotations
@@ -292,10 +295,7 @@ def cmd_toy_pareto(opts: dict) -> dict:
     out = _prepare_out(opts)
     results = []
     for lam in opts["lambdas"]:
-        try:
-            res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
-        except NumericalFailure as err:
-            raise NumericalFailure(f"{err}, lambda {lam:g}") from err
+        res = run_toy_pareto(lam, lr=opts["alpha"], steps=opts["steps"], x0=opts["x0"])
         write_trace_csv(out / f"trace_lambda{lam:g}.csv", res.trace)
         print(
             f"lambda={lam:g} final_x={res.final_x!r} "
@@ -347,7 +347,8 @@ def cmd_quadratic(opts: dict) -> dict:
                 ste_kind=opts["ste"], grad_clip_norm=opts["grad_clip"],
             )
         except NumericalFailure as err:
-            raise NumericalFailure(f"{err}, kappa {chunk[err.kappa_index]:g}") from err
+            err.setting = f"kappa {chunk[err.kappa_index]:g}"
+            raise
         del obj, x0  # the problems are not live during the PCAs or the next draw
         for kappa, kappa_runs in zip(chunk, runs):
             for name, run in zip(opts["opt"], kappa_runs):
@@ -390,13 +391,10 @@ def cmd_convergence(opts: dict) -> dict:
     )
     per_horizon = []
     for T in horizons:
-        try:
-            run = run_convergence_run(
-                obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
-                x0_std=opts["x0_std"],
-            )
-        except NumericalFailure as err:
-            raise NumericalFailure(f"{err}, horizon {T}") from err
+        run = run_convergence_run(
+            obj, spec, opts["lam"], opts["noise_std"], T, seeds, lhat,
+            x0_std=opts["x0_std"],
+        )
         write_trace_csv(out / f"trace_T{T}_seed{seeds[0]}.csv", run.trace)
         per_horizon.append(
             {

@@ -30,7 +30,7 @@ from .objectives import Objective, quadratic, rosenbrock, toy_scalar
 from .optim import AdamState, OptimConfig, cage_adamw_step, cage_sgd_step, grad_clip, lambda_at
 from .pareto import TRACE_COLUMNS, balance_sq_norm
 from .qat_grad import STE_KINDS, ste_backward
-from .quantize import INT_SCHEMES, QuantResult, QuantSpec, quantize
+from .quantize import INT_SCHEMES, GridOverflowError, QuantResult, QuantSpec, quantize
 
 __all__ = [
     "OPTIMIZERS",
@@ -70,31 +70,18 @@ def _bad_rows(loss: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(loss) & np.isfinite(x).all(axis=-1))
 
 
-def _seed_failure(message: str, bad: np.ndarray, n_seeds: int) -> NumericalFailure:
-    """NumericalFailure ``message`` naming the first row of the mask ``bad``
+def _seed_failure(what: str, bad: np.ndarray, n_seeds: int) -> NumericalFailure:
+    """NumericalFailure ``what`` at the first row of the mask ``bad``
     ``(K S,)``, K blocks of ``n_seeds`` seeds (the quadratic lane's kappas;
-    the rate lane has one), by its seed index within its block; the block's
-    index is the failure's ``kappa_index``."""
+    the rate lane has one): its ``seed_index`` within its block and the
+    block's ``kappa_index``."""
     kappa_index, seed_index = divmod(int(np.argmax(bad)), n_seeds)
-    failure = NumericalFailure(f"{message}, seed index {seed_index}")
-    failure.kappa_index = kappa_index
-    return failure
+    return NumericalFailure(what, seed_index=seed_index, kappa_index=kappa_index)
 
 
-def _rejected_rows(spec: QuantSpec, x: np.ndarray) -> np.ndarray:
-    """Which rows of a ``(..., d)`` batch the quantizer rejects, each
-    quantized on its own as it is within the batch: the rows behind a
-    batch's ``FloatingPointError`` (floor-toy past the float max)."""
-    flat = x.reshape(-1, x.shape[-1])
-    bad = np.zeros(len(flat), dtype=bool)
-    for i, row in enumerate(flat):
-        try:
-            quantize(spec, row)
-        except FloatingPointError:
-            bad[i] = True
-    return bad.reshape(x.shape[:-1])
-
-
+# overflow to inf and the NaN after it are what the lanes' finite checks
+# fail, so numpy's warnings on the way there are off for the whole call
+@np.errstate(over="ignore", invalid="ignore")
 def _corrected_sgd(
     obj: Objective,
     spec: QuantSpec,
@@ -127,10 +114,8 @@ def _corrected_sgd(
         loss, g = obj.value_and_grad(x)
         try:
             e = quantize(spec, x).error
-        except FloatingPointError as err:
-            raise _seed_failure(
-                f"{err} during corrected-SGD run at step {t + 1}", _rejected_rows(spec, x), len(x)
-            ) from err
+        except GridOverflowError as err:
+            raise _seed_failure(f"{err} during corrected-SGD run at step {t + 1}", err.rows, len(x)) from err
         pareto_sq[:, t] = balance_sq_norm(g, e, lam)
         g0, e0 = g[0], e[0]
         trace[t, 0] = loss[0]
@@ -173,7 +158,8 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     The iterate moves by x - lr (grad f(x) + lam (x - Q(x))); for lam > 0 it
     converges to the balance point 1 / (2 (1 + lam)) from x0 = 0.9, while the
     straight-through gradient at Q(x) stays bounded away from zero.  A
-    non-finite value raises ``NumericalFailure`` naming the step.
+    non-finite value raises ``NumericalFailure`` naming the step and, as
+    its ``setting``, the lambda, with no seed index.
     """
     obj = toy_scalar()
     spec = QuantSpec(scheme="floor-toy")
@@ -181,8 +167,9 @@ def run_toy_pareto(lam: float, lr: float = 0.05, steps: int = 5000, x0: float = 
     try:
         (x,), _ = _corrected_sgd(obj, spec, np.array([[float(x0)]]), lr, lam, steps, trace)
     except NumericalFailure as err:
-        # the lane's one row is not a seed: drop the index the batched loop names
-        raise NumericalFailure(str(err).removesuffix(", seed index 0")) from err
+        # the lane's one row is not a seed
+        err.seed_index, err.setting = None, f"lambda {lam:g}"
+        raise
     fwd = quantize(spec, x)  # grid 1 takes every finite x: floor(x) is finite
     return ToyParetoResult(
         final_x=float(x[0]),
@@ -251,10 +238,12 @@ def make_quadratic_problem(dim: int, kappas: Sequence[float], seeds: Sequence[in
             # allocated after the draw's temporaries are gone, not next to them
             A = np.empty((len(cells), dim, dim))
         A[i] = spd
-        x0[i] = sigma0 * rng.standard_normal(dim)
+        with np.errstate(over="ignore"):  # run_quadratic fails a non-finite init
+            x0[i] = sigma0 * rng.standard_normal(dim)
     return quadratic(A, b, x_star, f_star), x0.reshape(len(kappas), len(seeds), dim)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _corrected_sgd's
 def run_quadratic(
     obj: Objective,
     x0: np.ndarray,
@@ -305,10 +294,10 @@ def run_quadratic(
     A run's trace and iterates are its kappa's first seed's.
 
     A non-finite initial point, loss or iterate, or a point the quantizer
-    rejects, stops every kappa together; the ``NumericalFailure`` names the
-    optimizers whose groups it hit, the step and the first such row's seed
-    index within its kappa, and carries that kappa's index as
-    ``kappa_index``.
+    rejects, stops every kappa together; the ``NumericalFailure``'s
+    ``what`` names the optimizers whose groups it hit and the step, and its
+    ``seed_index`` and ``kappa_index`` the first such row's seed within its
+    kappa and that kappa.
     """
     if isinstance(optimizers, str) or not optimizers:
         raise ValueError(f"optimizers must be a non-empty sequence of names, got {optimizers!r}")
@@ -376,8 +365,8 @@ def run_quadratic(
         """``quantize(spec, x)`` of the groups ``rows``, whose rejection is a failure."""
         try:
             return quantize(spec, x)
-        except FloatingPointError as err:
-            raise failure(str(err), when, _rejected_rows(spec, x), rows) from err
+        except GridOverflowError as err:
+            raise failure(str(err), when, err.rows, rows) from err
 
     for t in range(1, steps + 1):
         if t in phase_end:
@@ -488,16 +477,23 @@ def run_convergence_run(
     observable.  The init draw depends only on the seed, so runs at different
     horizons share their starting point.  Each seed has its own noise
     generator, so a seed's run does not depend on which other seeds share
-    the batch.  The run's trace is the first seed's.
+    the batch.  The run's trace is the first seed's.  A non-finite init or
+    value raises ``NumericalFailure`` naming the step, the seed index and,
+    as its ``setting``, the horizon.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     alpha = min(1.0 / lipschitz, 1.0 / math.sqrt(horizon))
-    x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
+    with np.errstate(over="ignore"):  # _corrected_sgd fails a non-finite init
+        x = np.stack([x0_std * make_rng((_STREAM_INIT, seed)).standard_normal(obj.dim) for seed in seeds])
     trace = _empty_trace(horizon)
     noise_rngs = [make_rng((_STREAM_NOISE, seed, horizon)) for seed in seeds]
-    _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
+    try:
+        _, pareto_sq = _corrected_sgd(obj, spec, x, alpha, lam, horizon, trace, noise_std, noise_rngs)
+    except NumericalFailure as err:
+        err.setting = f"horizon {horizon}"
+        raise
     return ConvergenceRun(
         alpha=alpha,
         # rows are contiguous, so each mean sums in the order of a lone run

@@ -21,7 +21,23 @@ PCA_ROUNDS = 16
 
 
 class NumericalFailure(RuntimeError):
-    """A run produced a non-finite loss, iterate or statistic."""
+    """A run produced a non-finite loss, iterate or statistic.
+
+    The message is assembled from the fields: ``what``, the failure up to
+    and including its step; ``seed_index``, the first bad row's seed within
+    its kappa (``None`` where the run has no seeds); ``kappa_index``, that
+    kappa's index in the run's kappa list; and ``setting``, the run's own
+    "lambda 0", "horizon 100" or "kappa 10", or empty.  ``str`` joins
+    ``what``, "seed index i" and ``setting`` with ", ", skipping the absent.
+    """
+
+    def __init__(self, what: str, seed_index: int | None = None, kappa_index: int = 0, setting: str = ""):
+        super().__init__(what)
+        self.what, self.seed_index, self.kappa_index, self.setting = what, seed_index, kappa_index, setting
+
+    def __str__(self) -> str:
+        seed = None if self.seed_index is None else f"seed index {self.seed_index}"
+        return ", ".join(part for part in (self.what, seed, self.setting) if part)
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -100,8 +116,9 @@ def pca_project(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     Xc = np.concatenate(blocks, out=np.empty((n, dim)))  # C order, whatever the blocks' order
     scale = max(1.0, Xc.max(), -Xc.min())
     Xc -= Xc.mean(axis=0)
-    C = Xc.T @ Xc
-    C /= n - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C is the error raised next
+        C = Xc.T @ Xc
+        C /= n - 1
     amax = max(C.max(), -C.min())  # a NaN reaches both ends of C, an inf one
     if not np.isfinite(amax):
         raise NumericalFailure("non-finite covariance in the trajectory PCA")

@@ -19,8 +19,9 @@ of each vector padded to the transform length.  Every scheme raises
 the int schemes and mxfp4 give a finite Q(x) and e: an int code whose grid
 point passes the float max is clamped, and an mxfp4 entry saturates at
 +-3 * 2**1022.  floor-toy gives a finite Q(x) and e or raises
-``FloatingPointError`` where x / grid or its grid point would pass the float
-max (a grid of 1e-300 at |x| = 1e10).
+``GridOverflowError``, a ``FloatingPointError``, where x / grid or its grid
+point would pass the float max (a grid of 1e-300 at |x| = 1e10); its
+``rows`` names the vectors of the batch that are rejected.
 
 ``quantize`` takes one vector ``(d,)`` or a batch ``(..., d)``; each row of a
 batch is quantized exactly as that vector would be on its own.
@@ -44,6 +45,7 @@ __all__ = [
     "SCHEMES",
     "QuantSpec",
     "QuantResult",
+    "GridOverflowError",
     "quantize",
     "calibrate_clip",
     "gaussian_clip_mse",
@@ -123,6 +125,16 @@ class QuantResult:
     quantized: np.ndarray
     error: np.ndarray
     keep: np.ndarray | None = None
+
+
+class GridOverflowError(FloatingPointError):
+    """floor-toy's rejection of a finite input whose x / grid or grid point
+    passes the float max; ``rows``, shaped as the batch without its last
+    axis, marks the vectors that are rejected on their own."""
+
+    def __init__(self, message: str, rows: np.ndarray):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _reject_nonfinite(stat: np.ndarray, x: np.ndarray) -> None:
@@ -259,8 +271,9 @@ def _quantize_mxfp4(spec: QuantSpec, x: np.ndarray) -> QuantResult:
 def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
     """Elementwise floor onto the fixed grid ``spec.grid``,
     Q(x) = floor(x / grid) grid.  A finite x whose x / grid or grid point
-    would pass the float max raises ``FloatingPointError``; this needs
-    max |x| >= min(grid, 1) 2**1022, below which nothing is checked."""
+    would pass the float max raises ``GridOverflowError``; this needs
+    max |x| >= min(grid, 1) 2**1022, below which nothing is checked, so the
+    vectors whose Q(x) is not finite are those rejected on their own."""
     amax = np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
     if amax < min(spec.grid, 1.0) * 2.0**1022:
         quantized = np.floor(x / spec.grid) * spec.grid
@@ -268,9 +281,10 @@ def _quantize_floor(spec: QuantSpec, x: np.ndarray) -> QuantResult:
         _reject_nonfinite(amax, x)
         with np.errstate(over="ignore"):  # an overflow is the error raised next
             quantized = np.floor(x / spec.grid) * spec.grid
-        if not np.isfinite(quantized).all():
-            raise FloatingPointError(
-                f"floor-toy grid point past the float max: max |x| = {float(amax)!r} on grid {spec.grid!r}"
+        rows = ~np.isfinite(quantized).all(axis=-1)
+        if rows.any():
+            raise GridOverflowError(
+                f"floor-toy grid point past the float max: max |x| = {float(amax)!r} on grid {spec.grid!r}", rows
             )
     return QuantResult(quantized=quantized, error=x - quantized)
 

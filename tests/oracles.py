@@ -281,6 +281,20 @@ def quantize_mxfp4_padded(x):
     return quantized, x - quantized
 
 
+def rejected_rows_lone(spec: QuantSpec, x) -> np.ndarray:
+    """Which vectors of a ``(..., d)`` batch the quantizer rejects, each
+    quantized on its own: the oracle for a ``GridOverflowError``'s
+    ``rows``."""
+    flat = x.reshape(-1, x.shape[-1])
+    bad = np.zeros(len(flat), dtype=bool)
+    for i, row in enumerate(flat):
+        try:
+            quantize(spec, row)
+        except FloatingPointError:
+            bad[i] = True
+    return bad.reshape(x.shape[:-1])
+
+
 def adamw_step_out_of_place(state, x, g, cfg, lr):
     """One AdamW step as first written, every formula a new array: the byte
     oracle for ``optim.adamw_step``, which applies the same formulas in the

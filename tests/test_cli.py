@@ -10,7 +10,7 @@ import pytest
 import qatkit.cli
 from oracles import write_scaling_csv
 from qatkit.cli import load_config_file, main, parse_quant
-from qatkit.numerics import make_rng
+from qatkit.numerics import NumericalFailure, make_rng
 from qatkit.quantize import QuantSpec, read_clip_table
 from qatkit.scaling import synthesize_scaling_data
 
@@ -39,6 +39,23 @@ def write_synth_csv(path):
     )
     write_scaling_csv(path, data)
     return path
+
+
+def catch_failures(monkeypatch, lane):
+    """The NumericalFailures that the CLI's ``lane`` raises, recorded as they
+    pass through to ``main``."""
+    caught = []
+    run = getattr(qatkit.cli, lane)
+
+    def spy(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except NumericalFailure as err:
+            caught.append(err)
+            raise
+
+    monkeypatch.setattr(qatkit.cli, lane, spy)
+    return caught
 
 
 class TestParseQuant:
@@ -132,11 +149,11 @@ class TestToyPareto:
         doc = json.loads(outs[0])
         assert doc["results"][0]["final_x"] == res.final_x  # exact round trip
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_mid_run_failure_names_step_and_lambda(self, tmp_path, capsys):
+    def test_mid_run_failure_names_step_and_lambda(self, tmp_path, capsys, monkeypatch):
         # at alpha 1e300 the first step takes x = 0.9 to -4e299, whose loss
         # and next step overflow; the message names the first lambda, and no
         # seed index, since the toy lane runs one point
+        caught = catch_failures(monkeypatch, "run_toy_pareto")
         out = tmp_path / "blowup"
         code = run_cli("toy-pareto", "--lambdas", "0,1", "--alpha", "1e300", "--steps", "50", "--out", str(out))
         assert code == 3
@@ -144,6 +161,9 @@ class TestToyPareto:
         assert capsys.readouterr().err == (
             "numerical failure: non-finite value during corrected-SGD run at step 2, lambda 0\n"
         )
+        [err] = caught
+        assert err.seed_index is None and err.setting == "lambda 0"
+        assert str(err) == "non-finite value during corrected-SGD run at step 2, lambda 0"
 
 
 class TestQuadratic:
@@ -181,7 +201,6 @@ class TestQuadratic:
         assert run_cli("quadratic", "--opt", "prodigy", "--out", str(tmp_path / "x")) == 2
         assert "prodigy" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code_with_snapshot(self, tmp_path):
         out = tmp_path / "blowup"
         code = run_cli(
@@ -193,7 +212,6 @@ class TestQuadratic:
         # the config snapshot was written before the run started
         assert (out / "config.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_rerun_leaves_no_stale_summary(self, tmp_path):
         # summary.json exists only when the run of the config.json beside it finished
         out = tmp_path / "rerun"
@@ -206,7 +224,6 @@ class TestQuadratic:
         assert json.loads((out / "config.json").read_text())["lr"] == 1e200
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_names_the_optimizer(self, tmp_path, capsys):
         # the optimizers of a kappa stop together; the message says which diverged
         out = tmp_path / "blowup"
@@ -219,7 +236,6 @@ class TestQuadratic:
         assert (out / "config.json").exists() and not (out / "summary.json").exists()
         assert "sgd" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mid_run_failure_names_step_seed_and_kappa(self, tmp_path, capsys):
         # sgd at lr 1e10 grows by about 1e10 a step and overflows first in
         # the fourth seed's row; adamw's normalised steps stay finite
@@ -235,12 +251,12 @@ class TestQuadratic:
             "non-finite value during quadratic run (sgd) at step 15, seed index 3, kappa 10"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failure_in_a_stacked_kappa_names_that_kappa(self, tmp_path, capsys):
+    def test_failure_in_a_stacked_kappa_names_that_kappa(self, tmp_path, capsys, monkeypatch):
         # kappas 1 and 10 step as one chunk; at lr 1.5 sgd contracts at kappa
         # 1 (A = I) and grows by up to 14 a step at kappa 10, where seed 10's
         # row (seed index 1 of kappa 10, row 3 of the stack) overflows first
         assert qatkit.cli._kappa_chunks([1.0, 10.0], 8, 2, 2, 200) == [[1.0, 10.0]]
+        caught = catch_failures(monkeypatch, "run_quadratic")
         out = tmp_path / "blowup"
         code = run_cli(
             "quadratic", "--kappas", "1,10", "--dim", "8", "--steps", "200",
@@ -250,11 +266,12 @@ class TestQuadratic:
         assert code == 3
         # the failure stops every kappa of its chunk, so no kappa wrote a file
         assert sorted(f.name for f in out.iterdir()) == ["config.json"]
-        assert capsys.readouterr().err.strip().endswith(
-            "non-finite value during quadratic run (sgd) at step 135, seed index 1, kappa 10"
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite value during quadratic run (sgd) at step 135, seed index 1, kappa 10\n"
         )
+        [err] = caught
+        assert err.seed_index == 1 and err.kappa_index == 1 and err.setting == "kappa 10"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_in_a_shared_prefix_names_every_member(self, tmp_path, capsys):
         # through the silence period adamw and cage-adamw-dec step as one
         # row; its overflow at step 2 names both, as when each had its own row
@@ -316,7 +333,6 @@ class TestQuadratic:
         assert len(outs[0]) == 1 + 2 * 3 * 3
         assert outs[0] == outs[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -371,7 +387,6 @@ class TestConvergence:
         for h in doc["per_horizon"]:
             assert h["alpha"] == min(1.0 / lhat, 1.0 / np.sqrt(h["T"]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mid_run_failure_names_step_seed_and_horizon(self, tmp_path, capsys):
         # Rosenbrock from a wide init at lr 1/200: the fourth seed's iterate
         # overflows first, nine steps into the run
@@ -387,10 +402,10 @@ class TestConvergence:
             "non-finite value during corrected-SGD run at step 9, seed index 3, horizon 100"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_init_failure_names_seed_and_horizon(self, tmp_path, capsys):
+    def test_init_failure_names_seed_and_horizon(self, tmp_path, capsys, monkeypatch):
         # x0-std 1e308 times a normal draw overflows wherever |z| > 1.8:
         # seed 0's draw stays finite, seed 1's is the first to overflow
+        caught = catch_failures(monkeypatch, "run_convergence_run")
         out = tmp_path / "blowup"
         code = run_cli(
             "convergence", "--x0-std", "1e308", "--seed", "0,1,2,3", "--dim", "10", "--steps", "5",
@@ -398,7 +413,10 @@ class TestConvergence:
         )
         assert code == 3
         assert not (out / "summary.json").exists()
-        assert capsys.readouterr().err.strip().endswith("non-finite initial point, seed index 1, horizon 5")
+        assert capsys.readouterr().err == "numerical failure: non-finite initial point, seed index 1, horizon 5\n"
+        [err] = caught
+        assert err.seed_index == 1 and err.kappa_index == 0 and err.setting == "horizon 5"
+        assert str(err) == "non-finite initial point, seed index 1, horizon 5"
 
     def test_floor_toy_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # at grid 1e-300 an init of scale 1e10 has x / grid past the float
@@ -666,6 +684,15 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "lambda=2" in proc.stdout
+    # a failing run's whole stderr, as a shell sees it, is its exit-3 line:
+    # numpy's overflow warnings on the way to the finite check are off
+    proc = subprocess.run(
+        [sys.executable, "-m", "qatkit", "toy-pareto", "--lambdas", "0,1", "--alpha", "1e300",
+         "--steps", "50", "--out", str(tmp_path / "blowup")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: non-finite value during corrected-SGD run at step 2, lambda 0\n"
 
 
 @pytest.mark.parametrize(

@@ -524,7 +524,7 @@ def test_rejected_decayed_point_names_its_optimizer_step_and_seed():
         run_quadratic(obj, x0, ["sgd", "cage-adamw-dec"], 2, spec, cfg)
     assert str(info.value).startswith("floor-toy grid point past the float max")
     assert str(info.value).endswith("during quadratic run (cage-adamw-dec) at step 1, seed index 1")
-    assert info.value.kappa_index == 0
+    assert info.value.kappa_index == 0 and info.value.seed_index == 1
 
 
 class TestGradClip:

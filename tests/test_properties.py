@@ -34,6 +34,7 @@ from oracles import (
     solved_quadratic,
     pca_eigh,
     quantize_mxfp4_padded,
+    rejected_rows_lone,
 )
 from qatkit.cli import _FLAG_ALIASES, _OPTIONS, main
 from qatkit.experiments import (
@@ -52,6 +53,7 @@ from qatkit.optim import AdamState, OptimConfig, adamw_step, cage_adamw_step, gr
 from qatkit.qat_grad import STE_KINDS, ste_backward
 from qatkit.quantize import (
     INT_SCHEMES,
+    GridOverflowError,
     QuantSpec,
     _clip_mse_slopes,
     _e2m1_round,
@@ -318,6 +320,64 @@ def test_mxfp4_is_finite_over_the_float_range(x):
     kept = np.isfinite(oracle)
     assert res.quantized[kept].tobytes() == oracle[kept].tobytes()
     assert (np.abs(res.quantized[~kept]) == 3.0 * 2.0**1022).all()
+
+
+@st.composite
+def floor_overflow_cases(draw):
+    """(spec, x, i, bad) for floor-toy: x ``(d,)``, ``(S, d)`` or ``(R, K, d)``
+    with entries below, at and past the grid's threshold min(grid, 1) 2**1022
+    and the float max, and an entry index i and NaN or inf ``bad`` for it."""
+    grid = draw(st.sampled_from((1e-300, 0.25, 1.0, 3.0, 1e308)))
+    threshold = min(grid, 1.0) * 2.0**1022
+    big = float(np.finfo(float).max)
+    magnitude = st.one_of(
+        st.floats(0.0, 10.0),
+        st.floats(0.0, 3.99).map(lambda f: f * threshold),
+        st.sampled_from((np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, big), big)),
+    )
+    lead = draw(st.sampled_from(((), (1,), (4,), (2, 3), (3, 1))))
+    shape = lead + (draw(st.integers(1, 6)),)
+    signs = draw(arrays(np.float64, shape, elements=st.sampled_from((1.0, -1.0))))
+    x = signs * draw(arrays(np.float64, shape, elements=magnitude))
+    i = draw(st.integers(0, x.size - 1))
+    return QuantSpec(scheme="floor-toy", grid=grid), x, i, draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+
+
+@PROPERTY
+@given(floor_overflow_cases())
+@example((QuantSpec(scheme="floor-toy", grid=1e-300), np.array([[0.5, -1e-10], [1e10, 0.0]]), 0, np.nan))
+@example((QuantSpec(scheme="floor-toy", grid=1e308), np.array([[[-1.7e308]], [[1.0]]]), 1, np.inf))
+def test_floor_toy_rejection_names_the_rows_rejected_on_their_own(case):
+    # a vector is rejected on its own where its x / grid or grid point
+    # passes the float max; a batch raises exactly when some vector would,
+    # its rows are those vectors, and its message is the batch's; a NaN or
+    # inf entry is still the plain rejection of every scheme
+    spec, x, i, bad = case
+    with np.errstate(over="ignore"):
+        past_max = ~np.isfinite(np.floor(x / spec.grid) * spec.grid).all(axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expect = rejected_rows_lone(spec, x)
+        assert np.array_equal(expect, past_max)
+        try:
+            res = quantize(spec, x)
+        except GridOverflowError as err:
+            assert expect.any()
+            assert err.rows.shape == x.shape[:-1] and err.rows.dtype == bool
+            assert np.array_equal(err.rows, expect)
+            assert str(err) == (
+                f"floor-toy grid point past the float max: max |x| = {float(np.abs(x).max())!r} "
+                f"on grid {spec.grid!r}"
+            )
+        else:
+            assert not expect.any()
+            assert np.isfinite(res.quantized).all()
+        x = x.copy()
+        x.flat[i] = bad
+        with pytest.raises(FloatingPointError) as info:
+            quantize(spec, x)
+    assert type(info.value) is FloatingPointError
+    assert str(info.value) == "quantizer input has a NaN or inf entry"
 
 
 @PROPERTY
